@@ -5,13 +5,11 @@ from .epset import (
     eps_complement,
     eps_difference,
     eps_intersect,
-    eps_is_empty,
     eps_min_abs_witness,
     eps_reflect,
     eps_shift,
     eps_sumset,
     eps_union,
-    eps_witness,
     nspan,
 )
 from .epl import EplAnswer, WeightedDigraph, digraph, has_path_with_weight, weight_set

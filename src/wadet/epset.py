@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import gcd, lcm
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Iterable
 
 
 @dataclass(frozen=True)
@@ -66,10 +66,6 @@ class EPSet:
     def is_finite(self) -> bool:
         return self.up is None and self.down is None
 
-    def iter_window(self, lo: int, hi: int) -> Iterator[int]:
-        """Members n with lo <= n <= hi, ascending."""
-        return (n for n in range(lo, hi + 1) if n in self)
-
     # -- constructors --------------------------------------------------
 
     @staticmethod
@@ -95,11 +91,6 @@ class EPSet:
     def upward(threshold: int, period: int = 1, residues: Iterable[int] | None = None) -> "EPSet":
         res = frozenset(r % period for r in residues) if residues is not None else frozenset(range(period))
         return _recanon(EPSet(frozenset(), Core(threshold, period, res), None))
-
-    @staticmethod
-    def downward(threshold: int, period: int = 1, residues: Iterable[int] | None = None) -> "EPSet":
-        res = frozenset(r % period for r in residues) if residues is not None else frozenset(range(period))
-        return _recanon(EPSet(frozenset(), None, Core(threshold, period, res)))
 
     # -- presentation ---------------------------------------------------
 
@@ -130,15 +121,6 @@ class EPSet:
             "up": core(self.up),
             "down": core(self.down),
         }
-
-    @staticmethod
-    def from_json(doc: dict) -> "EPSet":
-        def core(d: dict | None) -> Core | None:
-            if d is None:
-                return None
-            return Core(d["threshold"], d["period"], frozenset(d["residues"]))
-
-        return _recanon(EPSet(frozenset(doc["exceptions"]), core(doc["up"]), core(doc["down"])))
 
 
 # ---------------------------------------------------------------------
@@ -310,10 +292,6 @@ def eps_reflect(s: EPSet) -> EPSet:
 # ---------------------------------------------------------------------
 
 
-def eps_is_empty(s: EPSet) -> bool:
-    return s.is_empty()
-
-
 def _witness_scan_bound(s: EPSet) -> int:
     b = 1
     if s.exceptions:
@@ -335,10 +313,6 @@ def eps_min_abs_witness(s: EPSet) -> int | None:
         if -a in s:
             return -a
     raise AssertionError("nonempty EPSet without witness in scan bound")
-
-
-def eps_witness(s: EPSet) -> int | None:
-    return eps_min_abs_witness(s)
 
 
 # ---------------------------------------------------------------------

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Iterable
+from typing import Callable, Iterable
 
 from .epl import WeightSetSolver, digraph
 from .epset import (
@@ -51,9 +51,6 @@ class EstimatorAutomaton:
     transitions: tuple[EstTransition, ...]
     exact: bool
 
-    def arcs_from(self, x: frozenset[str]) -> list[EstTransition]:
-        return [t for t in self.transitions if t.source == x]
-
 
 def _require_ready(a: WeightedAutomaton) -> None:
     if not a.is_normalized():
@@ -63,7 +60,8 @@ def _require_ready(a: WeightedAutomaton) -> None:
 
 
 def unobs_solver(a: WeightedAutomaton) -> WeightSetSolver:
-    """Weight-set solver over the unobservable subgraph (k = 1)."""
+    """Weight-set solver over the unobservable subgraph (k = 1); its arc
+    ids index a.unobs_transitions."""
     arcs = [(s, int(w[0]), d) for (s, e, d, w) in a.unobs_transitions]
     return WeightSetSolver(digraph(1, sorted(a.states), arcs))
 
@@ -139,9 +137,7 @@ def _bounded_successor_groups(a: WeightedAutomaton, x: Iterable[str], sigma: str
             break
         nxt: set[tuple[str, tuple]] = set()
         for (q, w) in frontier:
-            for (s, e, d, wt) in a.unobs_transitions:
-                if s != q:
-                    continue
+            for (_, _, d, wt) in a.silent_arcs[q]:
                 w2 = tuple(int(wi + ti) for wi, ti in zip(w, wt))
                 if (d, w2) not in seen:
                     seen.add((d, w2))
@@ -157,8 +153,8 @@ def _bounded_successor_groups(a: WeightedAutomaton, x: Iterable[str], sigma: str
 def _harvest(a: WeightedAutomaton, seen: set, sigma: str) -> dict[tuple, set[str]]:
     by_weight: dict[tuple, set[str]] = {}
     for (q1, w) in seen:
-        for (s, e, q2, wt) in a.obs_transitions:
-            if s != q1 or a.label(e) != sigma:
+        for (_, e, q2, wt) in a.arcs_from[q1]:
+            if a.label(e) != sigma:
                 continue
             total = tuple(int(wi + ti) for wi, ti in zip(w, wt))
             by_weight.setdefault(total, set()).add(q2)
@@ -193,10 +189,12 @@ def _canonical_order(transitions: list[EstTransition]) -> tuple[EstTransition, .
         sorted(t.source), t.symbol, repr(t.weight), sorted(t.target))))
 
 
-def build_observer(a: WeightedAutomaton, *, max_len: int = DEFAULT_WALK_LEN,
-                   node_cap: int = DEFAULT_NODE_CAP) -> EstimatorAutomaton:
-    """Deterministic estimator over (symbol, weight) events; one transition
-    per nonempty cell."""
+def _explore(kind: str, a: WeightedAutomaton,
+             split: Callable[[frozenset[str]], list[frozenset[str]]],
+             max_len: int, node_cap: int) -> EstimatorAutomaton:
+    """Breadth-first concatenation of current-state estimates from the
+    initial closure; split(target) gives the states each successor
+    estimate becomes."""
     _require_ready(a)
     solver = unobs_solver(a) if a.k == 1 else None
     x0 = instantaneous_closure(a, a.initial.keys())
@@ -212,12 +210,26 @@ def build_observer(a: WeightedAutomaton, *, max_len: int = DEFAULT_WALK_LEN,
             for target, cell, witness in menu:
                 if not target:
                     continue
-                transitions.append(EstTransition(x, sigma, witness, target, cell))
-                if target not in states:
-                    states.add(target)
-                    queue.append(target)
-    return EstimatorAutomaton("observer", a.k, x0, frozenset(states),
+                for sub in split(target):
+                    transitions.append(EstTransition(x, sigma, witness, sub, cell))
+                    if sub not in states:
+                        states.add(sub)
+                        queue.append(sub)
+    return EstimatorAutomaton(kind, a.k, x0, frozenset(states),
                               _canonical_order(transitions), exact)
+
+
+def _pairs(target: frozenset[str]) -> list[frozenset[str]]:
+    if len(target) == 1:
+        return [target]
+    return [frozenset(pair) for pair in combinations(sorted(target), 2)]
+
+
+def build_observer(a: WeightedAutomaton, *, max_len: int = DEFAULT_WALK_LEN,
+                   node_cap: int = DEFAULT_NODE_CAP) -> EstimatorAutomaton:
+    """Deterministic estimator over (symbol, weight) events; one transition
+    per nonempty cell."""
+    return _explore("observer", a, lambda target: [target], max_len, node_cap)
 
 
 def build_detector(a: WeightedAutomaton, *, max_len: int = DEFAULT_WALK_LEN,
@@ -225,30 +237,4 @@ def build_detector(a: WeightedAutomaton, *, max_len: int = DEFAULT_WALK_LEN,
     """Nondeterministic estimator whose states (besides the initial one)
     are the 1- and 2-element state sets; estimates of size >= 2 fan out to
     all their 2-element subsets."""
-    _require_ready(a)
-    solver = unobs_solver(a) if a.k == 1 else None
-    x0 = instantaneous_closure(a, a.initial.keys())
-    states: set[frozenset[str]] = {x0}
-    transitions: list[EstTransition] = []
-    exact = True
-    queue = [x0]
-    while queue:
-        x = queue.pop(0)
-        for sigma in sorted(a.sigma):
-            menu, ok = _successor_menu(a, x, sigma, solver, max_len, node_cap)
-            exact = exact and ok
-            for target, cell, witness in menu:
-                if not target:
-                    continue
-                if len(target) == 1:
-                    subtargets = [target]
-                else:
-                    subtargets = [frozenset(pair) for pair in
-                                  combinations(sorted(target), 2)]
-                for sub in subtargets:
-                    transitions.append(EstTransition(x, sigma, witness, sub, cell))
-                    if sub not in states:
-                        states.add(sub)
-                        queue.append(sub)
-    return EstimatorAutomaton("detector", a.k, x0, frozenset(states),
-                              _canonical_order(transitions), exact)
+    return _explore("detector", a, _pairs, max_len, node_cap)

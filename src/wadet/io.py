@@ -42,6 +42,21 @@ def _weight_in(entries, context: str) -> list[Fraction]:
     return [str_to_rational(x, f"{context}[{i}]") for i, x in enumerate(entries)]
 
 
+def _list_in(document: Mapping, key: str) -> list:
+    value = document.get(key, [])
+    if not isinstance(value, list):
+        raise ParseError(f"must be a list, got {value!r}", key)
+    return value
+
+
+def _entries(document: Mapping, key: str):
+    """(JSON path, entry) for each entry of the list document[key]."""
+    for i, entry in enumerate(_list_in(document, key)):
+        if not isinstance(entry, Mapping):
+            raise ParseError(f"entry must be an object, got {entry!r}", f"{key}[{i}]")
+        yield f"{key}[{i}]", entry
+
+
 def parse(document: Mapping) -> WeightedAutomaton:
     """Decode an automaton document (already JSON-decoded) and validate it."""
     if not isinstance(document, Mapping):
@@ -49,20 +64,20 @@ def parse(document: Mapping) -> WeightedAutomaton:
     version = document.get("format_version", FORMAT_VERSION)
     if version != FORMAT_VERSION:
         raise ParseError(f"unsupported format_version {version!r}")
+    if isinstance(document.get("k"), bool):
+        raise ParseError(f"dimension must be a positive integer, got {document['k']!r}", "k")
     raw = {
         "k": document.get("k"),
-        "states": document.get("states", []),
+        "states": _list_in(document, "states"),
         "initial": {},
         "events": {},
         "transitions": [],
     }
-    for i, entry in enumerate(document.get("initial", [])):
-        ctx = f"initial[{i}]"
+    for ctx, entry in _entries(document, "initial"):
         raw["initial"][entry.get("state")] = _weight_in(entry.get("weight"), f"{ctx}.weight")
-    for i, entry in enumerate(document.get("events", [])):
+    for ctx, entry in _entries(document, "events"):
         raw["events"][entry.get("name")] = entry.get("label")
-    for i, entry in enumerate(document.get("transitions", [])):
-        ctx = f"transitions[{i}]"
+    for ctx, entry in _entries(document, "transitions"):
         raw["transitions"].append((
             entry.get("from"), entry.get("event"), entry.get("to"),
             _weight_in(entry.get("weight"), f"{ctx}.weight"),

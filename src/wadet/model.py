@@ -79,6 +79,43 @@ class WeightedAutomaton:
             lambda q: (t[2] for t in self.arcs_from[q]),
         ))
 
+    # silent structure: computed once, shared by every construction
+
+    @cached_property
+    def silent_arcs(self) -> Mapping[str, tuple[Transition, ...]]:
+        return {q: tuple(t for t in arcs if not self.is_observable(t[1]))
+                for q, arcs in self.arcs_from.items()}
+
+    @cached_property
+    def silent_reach(self) -> Mapping[str, frozenset[str]]:
+        """States reachable from each state by silent paths (any weights)."""
+        return {q: frozenset(reachable([q], lambda s: (t[2] for t in self.silent_arcs[s])))
+                for q in self.states}
+
+    @cached_property
+    def zero_paths(self) -> Mapping[str, Mapping[str, tuple[Transition, ...]]]:
+        """Per state, a shortest silent zero-weight path to each member of
+        its instantaneous closure (breadth-first over sorted arcs)."""
+        z = zero_weight(self.k)
+        out = {}
+        for start in self.states:
+            paths: dict[str, tuple[Transition, ...]] = {start: ()}
+            queue = [start]
+            while queue:
+                q = queue.pop(0)
+                for t in self.silent_arcs[q]:
+                    if t[3] == z and t[2] not in paths:
+                        paths[t[2]] = paths[q] + (t,)
+                        queue.append(t[2])
+            out[start] = paths
+        return out
+
+    @cached_property
+    def stall_states(self) -> frozenset[str]:
+        """States with a silent path (any weights) to a silent cycle."""
+        on_cycle = states_on_cycles(self.states, lambda q: (t[2] for t in self.silent_arcs[q]))
+        return frozenset(q for q in self.states if self.silent_reach[q] & on_cycle)
+
     def is_integral(self) -> bool:
         if any(w.denominator != 1 for wt in self.initial.values() for w in wt):
             return False
@@ -223,12 +260,7 @@ def scale_to_integers(a: WeightedAutomaton) -> tuple[WeightedAutomaton, int]:
 
 def instantaneous_closure(a: WeightedAutomaton, x: Iterable[str]) -> frozenset[str]:
     """x plus everything reachable through silent zero-weight transitions."""
-    z = zero_weight(a.k)
-    adj: dict[str, list[str]] = {q: [] for q in a.states}
-    for (s, e, d, w) in a.unobs_transitions:
-        if w == z:
-            adj[s].append(d)
-    return frozenset(reachable(x, lambda q: adj[q]))
+    return frozenset().union(*(a.zero_paths[q] for q in x))
 
 
 @dataclass(frozen=True)
@@ -239,18 +271,6 @@ class StructureReport:
     unambiguous_checked_to_bound: bool  # exact twin-run check; name kept for format stability
     all_observable: bool
     reachable_states: frozenset[str]
-
-
-def states_reaching_unobs_cycle(a: WeightedAutomaton) -> frozenset[str]:
-    """States with an unobservable path (any weights) to an unobservable cycle."""
-    adj: dict[str, list[str]] = {q: [] for q in a.states}
-    for (s, e, d, w) in a.unobs_transitions:
-        adj[s].append(d)
-    on_cyc = states_on_cycles(a.states, lambda q: adj[q])
-    preds: dict[str, list[str]] = {q: [] for q in a.states}
-    for (s, e, d, w) in a.unobs_transitions:
-        preds[d].append(s)
-    return frozenset(reachable(on_cyc, lambda q: preds[q]))
 
 
 def _unambiguous(a: WeightedAutomaton) -> bool:
@@ -286,11 +306,6 @@ def structure_report(a: WeightedAutomaton) -> StructureReport:
     reach = a.reachable_states
     deadlock_free = all(a.arcs_from[q] for q in reach)
 
-    unobs_adj: dict[str, list[str]] = {q: [] for q in a.states}
-    for (s, e, d, w) in a.unobs_transitions:
-        unobs_adj[s].append(d)
-    divergence_free = not (states_on_cycles(reach, lambda q: (x for x in unobs_adj[q] if x in reach)))
-
     targets: dict[tuple[str, str], set[str]] = {}
     for (s, e, d, w) in a.transitions:
         targets.setdefault((s, e), set()).add(d)
@@ -298,7 +313,7 @@ def structure_report(a: WeightedAutomaton) -> StructureReport:
 
     return StructureReport(
         deadlock_free=deadlock_free,
-        divergence_free=divergence_free,
+        divergence_free=a.stall_states.isdisjoint(reach),
         deterministic=deterministic,
         unambiguous_checked_to_bound=_unambiguous(a),
         all_observable=all(l is not None for l in a.events.values()),

@@ -21,10 +21,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterable
 
-from .epl import Arc, WeightSetSolver, _Budget, digraph, has_path_with_weight
+from .epl import Arc, _Budget, digraph, has_path_with_weight
 from .epset import eps_intersect, eps_min_abs_witness, eps_shift
+from .estimator import unobs_solver
 from .graphutil import can_reach, find_cycle, find_path, reachable, states_on_cycles
-from .model import Transition, WeightedAutomaton, zero_weight
+from .model import Transition, WeightedAutomaton
 from .verdict import FAILS, HOLDS, SD, UNKNOWN, Verdict
 
 Pair = tuple[str, str]
@@ -48,29 +49,10 @@ class SelfComposition:
     unknown_queries: tuple = ()
     stats: dict = field(default_factory=dict)
 
-    def arcs_from(self, state: Pair) -> list[CCTransition]:
-        return [t for t in sorted(self.transitions, key=repr) if t.source == state]
-
 
 def _require_ready(a: WeightedAutomaton) -> None:
     if not a.is_normalized() or not a.is_integral():
         raise ValueError("normalize and integer-scale the automaton first")
-
-
-def _zero_paths(a: WeightedAutomaton, start: str) -> dict[str, tuple[Transition, ...]]:
-    """Concrete silent zero-weight paths from start to each closure member."""
-    z = zero_weight(a.k)
-    out: dict[str, tuple[Transition, ...]] = {start: ()}
-    queue = [start]
-    while queue:
-        q = queue.pop(0)
-        for t in a.arcs_from[q]:
-            if a.is_observable(t[1]) or t[3] != z:
-                continue
-            if t[2] not in out:
-                out[t[2]] = out[q] + (t,)
-                queue.append(t[2])
-    return out
 
 
 class _Synchronizer:
@@ -82,9 +64,7 @@ class _Synchronizer:
         self.unknown: list[tuple] = []
         self.queries = 0
         if a.k == 1:
-            self._unobs = a.unobs_transitions
-            arcs = [(s, int(w[0]), d) for (s, e, d, w) in self._unobs]
-            self.solver = WeightSetSolver(digraph(1, sorted(a.states), arcs))
+            self.solver = unobs_solver(a)
         else:
             self._products: dict[Pair, tuple] = {}
 
@@ -110,17 +90,13 @@ class _Synchronizer:
         return left, right
 
     def _walk_arcs(self, walk: Iterable[Arc]) -> tuple[Transition, ...]:
-        # arc ids index into the unobservable transition list the solver saw
-        return tuple(self._unobs[arc.aid] for arc in walk)
+        return tuple(self.a.unobs_transitions[arc.aid] for arc in walk)
 
     def _product(self, q1: str, q2: str):
         key = (q1, q2)
         if key in self._products:
             return self._products[key]
-        left_reach = reachable([q1], lambda q: (t[2] for t in self.a.arcs_from[q]
-                                                if not self.a.is_observable(t[1])))
-        right_reach = reachable([q2], lambda q: (t[2] for t in self.a.arcs_from[q]
-                                                 if not self.a.is_observable(t[1])))
+        left_reach, right_reach = self.a.silent_reach[q1], self.a.silent_reach[q2]
         verts = [(p1, p2) for p1 in sorted(left_reach) for p2 in sorted(right_reach)]
         arcs = []
         origin = []
@@ -159,16 +135,6 @@ def build_self_composition(a: WeightedAutomaton,
     obs = a.obs_transitions
     stats = {"epl_queries": 0, "fast_path": not a.unobs_transitions}
 
-    zero_paths = {q: _zero_paths(a, q) for q in sorted(a.states)}
-    closures = {q: sorted(zero_paths[q]) for q in zero_paths}
-
-    # observable arcs usable from q: those whose source is silently reachable
-    silent_reach = {
-        q: reachable([q], lambda s: (t[2] for t in a.arcs_from[s]
-                                     if not a.is_observable(t[1])))
-        for q in sorted(a.states)
-    }
-
     sync = None if stats["fast_path"] else _Synchronizer(a, budget)
 
     initial = frozenset((p, q) for p in a.initial for q in a.initial)
@@ -180,11 +146,12 @@ def build_self_composition(a: WeightedAutomaton,
     seen = set(queue)
     while queue:
         q1, q2 = queue.pop(0)
+        # observable arcs usable from q: those whose source is silently reachable
         for t1 in obs:
-            if t1[0] not in silent_reach[q1]:
+            if t1[0] not in a.silent_reach[q1]:
                 continue
             for t2 in obs:
-                if t2[0] not in silent_reach[q2] or a.label(t1[1]) != a.label(t2[1]):
+                if t2[0] not in a.silent_reach[q2] or a.label(t1[1]) != a.label(t2[1]):
                     continue
                 if stats["fast_path"]:
                     if t1[0] != q1 or t2[0] != q2 or t1[3] != t2[3]:
@@ -195,16 +162,16 @@ def build_self_composition(a: WeightedAutomaton,
                     if found == "UNKNOWN" or found is None:
                         continue
                 left_prefix, right_prefix = found
-                for q3 in closures[t1[2]]:
-                    for q4 in closures[t2[2]]:
+                for q3 in sorted(a.zero_paths[t1[2]]):
+                    for q4 in sorted(a.zero_paths[t2[2]]):
                         tr = CCTransition((q1, q2), (t1[1], t2[1]), (q3, q4))
                         if tr in transitions:
                             continue
                         transitions.add(tr)
                         label[(t1[1], t2[1])] = a.label(t1[1])
                         witnesses[tr] = (
-                            left_prefix + (t1,) + zero_paths[t1[2]][q3],
-                            right_prefix + (t2,) + zero_paths[t2[2]][q4],
+                            left_prefix + (t1,) + a.zero_paths[t1[2]][q3],
+                            right_prefix + (t2,) + a.zero_paths[t2[2]][q4],
                         )
                         if tr.target not in seen:
                             seen.add(tr.target)
@@ -245,9 +212,8 @@ def check_sd(a: WeightedAutomaton, cc: SelfComposition | None = None,
     def cc_succ(v):
         return [(t, t.target) for t in cc_succ_map[v]]
 
-    a_succ: dict[str, list[Transition]] = {q: sorted(a.arcs_from[q]) for q in a.states}
-    a_on_cycle = states_on_cycles(a.states, lambda q: (t[2] for t in a_succ[q]))
-    a_cycle_reachers = can_reach(a.states, lambda q: (t[2] for t in a_succ[q]), a_on_cycle)
+    a_on_cycle = states_on_cycles(a.states, lambda q: (t[2] for t in a.arcs_from[q]))
+    a_cycle_reachers = can_reach(a.states, lambda q: (t[2] for t in a.arcs_from[q]), a_on_cycle)
 
     cc_cycle_states = states_on_cycles(cc.states, lambda v: (t.target for t in cc_succ_map[v]))
     split_states = {
@@ -256,7 +222,7 @@ def check_sd(a: WeightedAutomaton, cc: SelfComposition | None = None,
     }
 
     def a_steps(q):
-        return [(t, t[2]) for t in a_succ[q]]
+        return [(t, t[2]) for t in a.arcs_from[q]]
 
     witness = None
     for q1p in sorted(cc_cycle_states):

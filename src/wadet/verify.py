@@ -24,12 +24,7 @@ from dataclasses import dataclass
 
 from .estimator import EstimatorAutomaton, EstTransition, build_detector, build_observer
 from .graphutil import find_cycle, find_path, states_on_cycles
-from .model import (
-    WeightedAutomaton,
-    normalize,
-    scale_to_integers,
-    states_reaching_unobs_cycle,
-)
+from .model import WeightedAutomaton, normalize, scale_to_integers
 from .selfcomp import SelfComposition, build_self_composition, check_sd
 from .verdict import FAILS, HOLDS, SD, SPD, UNKNOWN, WD, WPD, Verdict
 
@@ -61,10 +56,8 @@ def _l_omega_nonempty(a: WeightedAutomaton) -> bool:
 
 def _silent_cycle_witness(a: WeightedAutomaton) -> dict | None:
     """A reachable silent cycle of the automaton, with an access path."""
-    silent = {q: [t for t in a.arcs_from[q] if not a.is_observable(t[1])]
-              for q in a.states}
-    on_cycle = states_on_cycles(a.states, lambda q: (t[2] for t in silent[q]))
-    on_cycle &= a.reachable_states
+    on_cycle = states_on_cycles(a.reachable_states,
+                                lambda q: (t[2] for t in a.silent_arcs[q]))
     if not on_cycle:
         return None
     steps = lambda q: [(t, t[2]) for t in a.arcs_from[q]]
@@ -72,7 +65,7 @@ def _silent_cycle_witness(a: WeightedAutomaton) -> dict | None:
         hit = find_path(steps, q0, on_cycle)
         if hit is not None:
             path, anchor = hit
-            cycle = find_cycle(lambda q: [(t, t[2]) for t in silent[q]], anchor)
+            cycle = find_cycle(lambda q: [(t, t[2]) for t in a.silent_arcs[q]], anchor)
             return {"kind": "silent-cycle", "origin": q0,
                     "path": [t for (_, t, _) in path],
                     "cycle": [t for (_, t, _) in cycle]}
@@ -89,12 +82,11 @@ def _spd_fails_on(a: WeightedAutomaton, est: EstimatorAutomaton,
     """Shared body of the detector (Thm-9 style) and observer (Thm-8 style)
     evaluations; cycle_rule picks the states allowed on an ambiguous cycle."""
     steps = _est_steps(est)
-    stallers = states_reaching_unobs_cycle(a)
 
     for x in sorted(est.states, key=sorted):
-        if len(x) > 1 and any(q in stallers for q in x):
+        if len(x) > 1 and not a.stall_states.isdisjoint(x):
             access, _ = find_path(steps, est.initial, {x})
-            anchor = sorted(q for q in x if q in stallers)[0]
+            anchor = min(x & a.stall_states)
             return {"kind": "ambiguous-estimate-can-stall",
                     "access": _events_of(access), "state": sorted(x),
                     "anchor": anchor}
@@ -186,9 +178,8 @@ def check_wpd(a: WeightedAutomaton, observer: EstimatorAutomaton | None = None) 
                        "no infinite run exists")
     if observer is None:
         observer = build_observer(a)
-    stallers = states_reaching_unobs_cycle(a)
     # the initial estimate is an exact closure even in bounded mode
-    if len(observer.initial) == 1 and next(iter(observer.initial)) in stallers:
+    if len(observer.initial) == 1 and next(iter(observer.initial)) in a.stall_states:
         return Verdict(WPD, HOLDS, {
             "kind": "singleton-estimate-can-stall",
             "access": [], "state": sorted(observer.initial)})
@@ -196,7 +187,7 @@ def check_wpd(a: WeightedAutomaton, observer: EstimatorAutomaton | None = None) 
         return Verdict(WPD, UNKNOWN, None, "bounded estimator did not close")
     steps = _est_steps(observer)
     for x in sorted(observer.states, key=sorted):
-        if len(x) == 1 and next(iter(x)) in stallers:
+        if len(x) == 1 and next(iter(x)) in a.stall_states:
             access, _ = find_path(steps, observer.initial, {x})
             return Verdict(WPD, HOLDS, {
                 "kind": "singleton-estimate-can-stall",

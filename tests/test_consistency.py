@@ -82,16 +82,13 @@ def test_singleton_cycle_witnesses_replay_to_singletons():
 
 
 def test_stall_witnesses_expose_real_silent_cycles():
-    from wadet.model import states_reaching_unobs_cycle
-
     hits = 0
     for a in population(120):
         res = check_all(a)
         spd = res.verdicts[SPD]
         if spd.status != FAILS or spd.witness["kind"] != "ambiguous-estimate-can-stall":
             continue
-        stallers = states_reaching_unobs_cycle(res.automaton)
-        assert spd.witness["anchor"] in stallers
+        assert spd.witness["anchor"] in res.automaton.stall_states
         gamma = accumulate(spd.witness["access"])
         assert len(oracle_estimate(res.automaton, gamma)) > 1
         hits += 1

@@ -8,13 +8,11 @@ from wadet.epset import (
     eps_complement,
     eps_difference,
     eps_intersect,
-    eps_is_empty,
     eps_min_abs_witness,
     eps_reflect,
     eps_shift,
     eps_sumset,
     eps_union,
-    eps_witness,
     nspan,
     _recanon,
 )
@@ -58,7 +56,7 @@ def naive_member(raw, n):
 
 
 def test_complement_of_universe_is_empty():
-    assert eps_is_empty(eps_complement(EPSet.universe()))
+    assert eps_complement(EPSet.universe()).is_empty()
     assert eps_complement(EPSet.empty()) == EPSet.universe()
 
 
@@ -76,9 +74,9 @@ def test_difference_punches_hole_and_recanonicalizes():
 
 
 def test_witnesses():
-    assert eps_witness(EPSet.empty()) is None
-    assert eps_is_empty(EPSet.empty())
-    assert eps_witness(EPSet.finite([11])) == 11
+    assert eps_min_abs_witness(EPSet.empty()) is None
+    assert EPSet.empty().is_empty()
+    assert eps_min_abs_witness(EPSet.finite([11])) == 11
     holed = eps_difference(EPSet.upward(2), EPSet.finite([11]))
     assert eps_min_abs_witness(holed) == 2
 

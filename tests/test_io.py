@@ -140,6 +140,14 @@ def test_cli_input_error_exit_code(tmp_path, capsys):
     bad.write_text("{")
     assert main(["check", "sd", str(bad)]) == 3
     assert main(["validate", str(tmp_path / "missing.json")]) == 3
+    capsys.readouterr()
+    doc = io.serialize(validate(A1_description()))
+    for key, value in (("initial", ["a"]), ("events", [3]), ("transitions", [None]),
+                       ("k", True), ("states", "ab"), ("initial", {"q0": ["0"]}),
+                       ("events", "e"), ("transitions", {})):
+        bad.write_text(json.dumps({**doc, key: value}))
+        assert main(["check", "all", str(bad)]) == 3, (key, value)
+        assert key in json.loads(capsys.readouterr().err)["error"]
 
 
 # -- DOT export -----------------------------------------------------------------
@@ -200,13 +208,15 @@ def test_cli_check_all_matches_golden(a1_file, capsys):
     assert out == golden("check_all_A1.json")
 
 
-def test_cli_observer_matches_golden(capsys, tmp_path):
-    fx = load_fixture("A0")
-    path = tmp_path / "A0.json"
-    path.write_text(io.dumps(io.serialize(fx.automaton)))
-    code, out = run_cli(capsys, "observer", str(path))
-    assert code == 0
-    assert out == golden("observer_A0.json")
+@pytest.mark.parametrize("fixture, argv, code, name", [
+    pytest.param("A0", ("observer",), 0, "observer_A0.json", id="observer_A0"),
+    pytest.param("A0", ("detector",), 0, "detector_A0.json", id="detector_A0"),
+    pytest.param("robot", ("check", "all"), 1, "check_all_robot.json", id="check_all_robot"),
+])
+def test_cli_observer_matches_golden(capsys, tmp_path, fixture, argv, code, name):
+    path = tmp_path / f"{fixture}.json"
+    path.write_text(io.dumps(io.serialize(load_fixture(fixture).automaton)))
+    assert run_cli(capsys, *argv, str(path)) == (code, golden(name))
 
 
 def test_cli_estimate_vector_weights(capsys, tmp_path):

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from wadet.corpus import random_automaton
 from wadet.model import (
     ValidationError,
     WeightedAutomaton,
@@ -11,7 +12,6 @@ from wadet.model import (
     normalize,
     scale_to_integers,
     scale_weights,
-    states_reaching_unobs_cycle,
     structure_report,
     validate,
     zero_weight,
@@ -222,5 +222,51 @@ def test_reachable_states_match_path_enumeration(aut_a0):
 
 
 def test_states_reaching_unobs_cycle(aut_a0, aut_a1):
-    assert states_reaching_unobs_cycle(aut_a0) == {"q0", "q2"}
-    assert states_reaching_unobs_cycle(aut_a1) == {"q1", "q2"}
+    assert aut_a0.stall_states == {"q0", "q2"}
+    assert aut_a1.stall_states == {"q1", "q2"}
+
+
+# -- silent structure ---------------------------------------------------
+
+
+def silent_distances(a, q, zero_only):
+    """Breadth-first over the raw transition set, apart from the model's
+    cached adjacency: silent-path length from q to each reached state."""
+    z = zero_weight(a.k)
+    dist, queue = {q: 0}, [q]
+    for s in queue:
+        for (src, e, d, w) in a.transitions:
+            if src == s and a.label(e) is None and (w == z or not zero_only) \
+                    and d not in dist:
+                dist[d] = dist[s] + 1
+                queue.append(d)
+    return dist
+
+
+def test_silent_structure_matches_definitions():
+    seen_paths = seen_stalls = 0
+    draws = (random_automaton(seed, unobs_fraction=f) for seed in range(60) for f in (0.35, 0.7))
+    for a in draws:
+        z = zero_weight(a.k)
+        reach = {q: set(silent_distances(a, q, zero_only=False)) for q in a.states}
+        for q in a.states:
+            assert a.silent_reach[q] == reach[q]
+            assert set(a.silent_arcs[q]) == {t for t in a.transitions
+                                             if t[0] == q and a.label(t[1]) is None}
+            dist = silent_distances(a, q, zero_only=True)
+            paths = a.zero_paths[q]
+            assert paths.keys() == instantaneous_closure(a, {q}) == dist.keys()
+            for r, path in paths.items():
+                at = q
+                for t in path:  # replays as a silent zero-weight walk
+                    assert t in a.transitions and t[0] == at
+                    assert a.label(t[1]) is None and t[3] == z
+                    at = t[2]
+                assert at == r and len(path) == dist[r]
+                seen_paths += len(path) > 0
+        self_reaching = {r for r in a.states
+                         if any(r in reach[t[2]] for t in a.transitions
+                                if t[0] == r and a.label(t[1]) is None)}
+        assert a.stall_states == {q for q in a.states if reach[q] & self_reaching}
+        seen_stalls += bool(a.stall_states)
+    assert seen_paths >= 10 and seen_stalls >= 10
