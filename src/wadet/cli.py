@@ -1,6 +1,8 @@
 """Command-line interface.
 
-Exit codes: 0 = HOLDS / success, 1 = FAILS, 2 = UNKNOWN, 3 = input error.
+Exit codes: 0 = HOLDS / success, 1 = FAILS, 2 = UNKNOWN, 3 = input error
+(a malformed document or option value), 4 = internal error (a failed
+invariant or precondition check, or any other bug).
 `check all` exits with the worst status among the four properties.
 Observation strings use accumulated weights: "(rho,1);(rho,3)" and, for
 vector weights, "(a,1 0 0 0);(b,1 -1 0 0)".
@@ -12,6 +14,7 @@ import argparse
 import json
 import re
 import sys
+import traceback
 
 from . import corpus, io, oracle
 from .model import ValidationError, normalize, scale_to_integers, structure_report
@@ -20,6 +23,7 @@ from .verify import check_all
 
 EXIT = {HOLDS: 0, FAILS: 1, UNKNOWN: 2}
 INPUT_ERROR = 3
+INTERNAL_ERROR = 4
 
 
 def _read_automaton(path: str):
@@ -150,8 +154,11 @@ def cmd_estimate(args) -> int:
 
 def cmd_gen(args) -> int:
     if args.generator == "subset-sum":
-        weights = [int(x) for x in args.weights.split(",") if x.strip()]
-        a = corpus.subset_sum_automaton(weights, args.target)
+        try:
+            weights = [int(x) for x in args.weights.split(",") if x.strip()]
+            a = corpus.subset_sum_automaton(weights, args.target)
+        except ValueError as exc:
+            raise io.ParseError(str(exc), "--weights/--target") from exc
     elif args.generator == "random":
         a = corpus.random_automaton(args.seed, k=args.k)
     else:
@@ -166,6 +173,8 @@ def cmd_gen(args) -> int:
 
 
 def cmd_oracle(args) -> int:
+    if args.oracle_command == "estimate" and args.horizon > oracle.MAX_HORIZON:
+        raise io.ParseError(f"at most {oracle.MAX_HORIZON}, got {args.horizon}", "--horizon")
     a = _read_automaton(args.file)
     if args.oracle_command == "estimate":
         gamma = _parse_obs(args.obs, a.k)
@@ -294,12 +303,13 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (io.ParseError, ValidationError, ValueError, KeyError) as exc:
+    except (io.ParseError, ValidationError, OSError, UnicodeDecodeError) as exc:
         print(json.dumps({"error": str(exc)}), file=sys.stderr)
         return INPUT_ERROR
-    except OSError as exc:
-        print(json.dumps({"error": str(exc)}), file=sys.stderr)
-        return INPUT_ERROR
+    except Exception as exc:  # InternalError or a bug, a failed precondition included
+        print(json.dumps({"error": f"internal error: {exc!r}",
+                          "traceback": traceback.format_exc()}), file=sys.stderr)
+        return INTERNAL_ERROR
 
 
 if __name__ == "__main__":

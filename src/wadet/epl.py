@@ -6,7 +6,12 @@ every walk decomposes into a simple path plus simple cycles that attach,
 transitively, to the path's vertex set.  Simple paths and simple cycles
 are aggregated by (vertex set, weight), cycle insertion is explored as a
 monotone growth of the visited vertex set, and the repeatable part is an
-N-span of the cycle weights available inside the final vertex set.
+N-span of the cycle weights available inside the final vertex set.  The
+decomposition yields sets only; once a weight is known to be a member,
+a witness walk with the fewest arcs comes from a breadth-first search
+over (vertex, accumulated weight) states, which ends because the set is
+exact.  That search is pseudo-polynomial in the weights, so callers that
+only need to decide ask for the set.
 
 For higher dimensions the decision question (is there a walk of exactly
 weight z?) is answered by enumerating candidate arc supports and solving
@@ -19,11 +24,12 @@ returned.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import ceil, gcd
+from math import gcd
 from typing import Iterable, Sequence
 
 from .epset import EPSet, eps_shift, eps_union_many, nspan
 from .graphutil import reachable
+from .verdict import InternalError
 
 Vec = tuple[int, ...]
 
@@ -75,6 +81,25 @@ def walk_weight(walk: Sequence[Arc], k: int) -> Vec:
     return tuple(total)
 
 
+def _adjacency(graph: WeightedDigraph) -> tuple[dict, dict]:
+    """Out-arcs and in-arcs of every vertex."""
+    succ: dict[object, list[Arc]] = {x: [] for x in graph.vertices}
+    pred: dict[object, list[Arc]] = {x: [] for x in graph.vertices}
+    for a in graph.arcs:
+        succ[a.tail].append(a)
+        pred[a.head].append(a)
+    return succ, pred
+
+
+def _region(succ: dict, pred: dict, u, v) -> set:
+    """Vertices on some u->v walk, and u itself when u == v."""
+    region = (reachable([u], lambda x: (a.head for a in succ[x]))
+              & reachable([v], lambda x: (a.tail for a in pred[x])))
+    if u == v:
+        region.add(u)
+    return region
+
+
 def replay_walk(walk: Sequence[Arc], u, v) -> bool:
     """Check arc chaining from u to v (empty walk only when u == v)."""
     if not walk:
@@ -99,301 +124,142 @@ class WeightSetSolver:
             if not isinstance(a.weight[0], int):
                 raise ValueError("weights must be pre-scaled to integers")
         self.graph = graph
-        self._succ: dict[object, list[Arc]] = {v: [] for v in graph.vertices}
-        self._pred: dict[object, list[Arc]] = {v: [] for v in graph.vertices}
-        for a in graph.arcs:
-            self._succ[a.tail].append(a)
-            self._pred[a.head].append(a)
+        self._succ, self._pred = _adjacency(graph)
         self._sets: dict[tuple, EPSet] = {}
-        self._cycles_cache: dict[frozenset, dict] = {}
+        self._cycles_cache: dict[frozenset, set[tuple[frozenset, int]]] = {}
 
     # -- public ---------------------------------------------------------
 
     def weight_set(self, u, v) -> EPSet:
         key = (u, v)
         if key not in self._sets:
-            self._sets[key] = self._compute(u, v, want_walk=None)[0]
+            self._sets[key] = self._compute(u, v)
         return self._sets[key]
 
     def witness_walk(self, u, v, z: int) -> tuple[Arc, ...] | None:
+        """A u->v walk of weight z with the fewest arcs, or None when z is
+        not in the weight set.  Breadth-first over (vertex, accumulated
+        weight) states; the search ends because the set is exact.  It
+        visits every state that a shorter walk reaches: loops 997 and -991
+        on one vertex give weight 1 with 1657 arcs after about 1.4 million
+        states."""
         if z not in self.weight_set(u, v):
             return None
-        _, walk = self._compute(u, v, want_walk=z)
-        assert walk is not None and replay_walk(walk, u, v)
-        assert walk_weight(walk, 1) == (z,)
+        region = _region(self._succ, self._pred, u, v)
+        # per vertex, the arc that first reached each accumulated weight
+        parent: dict[object, dict[int, Arc | None]] = {x: {} for x in region}
+        parent[u][0] = None
+        frontier = [(u, 0)]
+        while z not in parent[v]:
+            if not frontier:
+                raise InternalError(f"no walk {u!r}->{v!r} of weight {z} in its weight set")
+            nxt = []
+            for x, w in frontier:
+                for a in self._succ[x]:
+                    reached = parent.get(a.head)
+                    if reached is not None and w + a.weight[0] not in reached:
+                        reached[w + a.weight[0]] = a
+                        nxt.append((a.head, w + a.weight[0]))
+            frontier = nxt
+        walk = []
+        x, w = v, z
+        while (a := parent[x][w]) is not None:
+            walk.append(a)
+            x, w = a.tail, w - a.weight[0]
+        walk.reverse()
+        if not (replay_walk(walk, u, v) and walk_weight(walk, 1) == (z,)):
+            raise InternalError(f"witness walk {u!r}->{v!r} does not replay to weight {z}")
         return tuple(walk)
 
     # -- decomposition ----------------------------------------------------
 
-    def _region(self, u, v) -> set:
-        fwd = reachable([u], lambda x: (a.head for a in self._succ[x]))
-        bwd = reachable([v], lambda x: (a.tail for a in self._pred[x]))
-        region = fwd & bwd
+    def _simple_paths(self, u, v, region: set) -> set[tuple[frozenset, int]]:
+        """(vertex set, weight) of every simple u->v path."""
         if u == v:
-            region.add(u)
-        return region
-
-    def _simple_paths(self, u, v, region: set) -> dict[tuple[frozenset, int], list[Arc]]:
-        """Simple u->v paths grouped by (vertex set, weight); one exemplar each."""
-        if u == v:
-            return {(frozenset([u]), 0): []}
-        found: dict[tuple[frozenset, int], list[Arc]] = {}
-        # DP over (current vertex, visited set) keeping one exemplar per weight
-        layer: dict[tuple[object, frozenset], dict[int, list[Arc]]] = {
-            (u, frozenset([u])): {0: []}
-        }
+            return {(frozenset([u]), 0)}
+        found: set[tuple[frozenset, int]] = set()
+        # DP over (current vertex, visited set), weights aggregated
+        layer: dict[tuple[object, frozenset], set[int]] = {(u, frozenset([u])): {0}}
         while layer:
-            nxt: dict[tuple[object, frozenset], dict[int, list[Arc]]] = {}
-            for (cur, visited), by_weight in layer.items():
+            nxt: dict[tuple[object, frozenset], set[int]] = {}
+            for (cur, visited), weights in layer.items():
                 for a in self._succ[cur]:
                     h = a.head
                     if h not in region or h in visited:
                         continue
-                    for w, arcs in by_weight.items():
-                        w2 = w + a.weight[0]
-                        path = arcs + [a]
-                        if h == v:
-                            found.setdefault((visited | {v}, w2), path)
-                        else:
-                            slot = nxt.setdefault((h, visited | {h}), {})
-                            slot.setdefault(w2, path)
+                    shifted = {w + a.weight[0] for w in weights}
+                    if h == v:
+                        found.update((visited | {v}, w) for w in shifted)
+                    else:
+                        nxt.setdefault((h, visited | {h}), set()).update(shifted)
             layer = nxt
         return found
 
-    def _simple_cycles(self, region: set) -> dict[tuple[frozenset, int], list[Arc]]:
-        """Simple cycles within region grouped by (vertex set, weight)."""
+    def _simple_cycles(self, region: set) -> set[tuple[frozenset, int]]:
+        """(vertex set, weight) of every simple cycle within region."""
         key = frozenset(region)
         if key in self._cycles_cache:
             return self._cycles_cache[key]
         order = {x: i for i, x in enumerate(sorted(region, key=repr))}
-        found: dict[tuple[frozenset, int], list[Arc]] = {}
+        found: set[tuple[frozenset, int]] = set()
         for anchor in region:
             base = order[anchor]
-            layer: dict[tuple[object, frozenset], dict[int, list[Arc]]] = {
-                (anchor, frozenset([anchor])): {0: []}
+            layer: dict[tuple[object, frozenset], set[int]] = {
+                (anchor, frozenset([anchor])): {0}
             }
             while layer:
-                nxt: dict[tuple[object, frozenset], dict[int, list[Arc]]] = {}
-                for (cur, visited), by_weight in layer.items():
+                nxt: dict[tuple[object, frozenset], set[int]] = {}
+                for (cur, visited), weights in layer.items():
                     for a in self._succ[cur]:
                         h = a.head
                         if h == anchor:
-                            for w, arcs in by_weight.items():
-                                found.setdefault((visited, w + a.weight[0]), arcs + [a])
+                            found.update((visited, w + a.weight[0]) for w in weights)
                             continue
                         if h not in region or order[h] <= base or h in visited:
                             continue
-                        for w, arcs in by_weight.items():
-                            slot = nxt.setdefault((h, visited | {h}), {})
-                            slot.setdefault(w + a.weight[0], arcs + [a])
+                        slot = nxt.setdefault((h, visited | {h}), set())
+                        slot.update(w + a.weight[0] for w in weights)
                 layer = nxt
         self._cycles_cache[key] = found
         return found
 
     def _chain_states(self, start: frozenset,
-                      cycles: dict[tuple[frozenset, int], list[Arc]]):
-        """All (vertex set, inserted-weight) states reachable by inserting
-        vertex-growing cycles, with parents for reconstruction."""
-        start_state = (start, 0)
-        parents: dict[tuple[frozenset, int], tuple | None] = {start_state: None}
-        frontier = [start_state]
+                      cycles: set[tuple[frozenset, int]]) -> set[tuple[frozenset, int]]:
+        """All (vertex set, inserted weight) states reachable from start by
+        inserting cycles that meet the vertex set and grow it."""
+        states = {(start, 0)}
+        frontier = [(start, 0)]
         while frontier:
-            nv: list[tuple[frozenset, int]] = []
+            nxt: list[tuple[frozenset, int]] = []
             for (vs, base) in frontier:
-                for (cvs, cw), _ in cycles.items():
+                for (cvs, cw) in cycles:
                     if cvs <= vs or not (cvs & vs):
                         continue
                     state = (vs | cvs, base + cw)
-                    if state not in parents:
-                        parents[state] = ((vs, base), (cvs, cw))
-                        nv.append(state)
-            frontier = nv
-        return parents
+                    if state not in states:
+                        states.add(state)
+                        nxt.append(state)
+            frontier = nxt
+        return states
 
-    def _span_generators(self, vs: frozenset,
-                         cycles: dict[tuple[frozenset, int], list[Arc]]) -> list[int]:
-        return sorted({cw for (cvs, cw) in cycles if cvs <= vs})
-
-    def _compute(self, u, v, want_walk: int | None) -> tuple[EPSet, list[Arc] | None]:
-        region = self._region(u, v)
-        if u not in region or v not in region:
-            return (EPSet.finite([0]) if u == v else EPSet.empty()), ([] if u == v and want_walk == 0 else None)
-        paths = self._simple_paths(u, v, region)
-        if not paths:
-            return EPSet.empty(), None
+    def _compute(self, u, v) -> EPSet:
+        region = _region(self._succ, self._pred, u, v)
+        if not region:
+            return EPSet.empty()
         cycles = self._simple_cycles(region)
         pieces: list[EPSet] = []
-        span_cache: dict[frozenset, tuple[list[int], EPSet]] = {}
-        for (pvs, pw), path_arcs in sorted(paths.items(), key=lambda kv: (sorted(map(repr, kv[0][0])), kv[0][1])):
-            parents = self._chain_states(pvs, cycles)
-            for (vs, base) in sorted(parents, key=lambda s: (sorted(map(repr, s[0])), s[1])):
-                if vs not in span_cache:
-                    gens = self._span_generators(vs, cycles)
-                    span_cache[vs] = (gens, nspan(gens))
-                gens, span = span_cache[vs]
-                if want_walk is None:
-                    pieces.append(eps_shift(span, pw + base))
-                    continue
-                target = want_walk - pw - base
-                if target not in span:
-                    continue
-                counts = nspan_witness(gens, target)
-                if counts is None:
-                    continue
-                walk = self._assemble(u, path_arcs, pvs, parents, (vs, base), counts, cycles)
-                return EPSet.empty(), walk
-        if want_walk is not None:
-            raise AssertionError("witness requested for non-member weight")
-        return eps_union_many(pieces), None
-
-    def _assemble(self, u, path_arcs: list[Arc], path_vs: frozenset, parents,
-                  chain_end, counts: dict[int, int],
-                  cycles: dict[tuple[frozenset, int], list[Arc]]) -> list[Arc]:
-        # chain insertions in discovery order (root to leaf)
-        chain: list[tuple[frozenset, int]] = []
-        state = chain_end
-        while parents[state] is not None:
-            prev, cyc = parents[state]
-            chain.append(cyc)
-            state = prev
-        chain.reverse()
-        walk = list(path_arcs)
-
-        def splice(cycle_arcs: list[Arc], copies: int) -> None:
-            nonlocal walk
-            cyc_vertices = {a.tail for a in cycle_arcs}
-            verts = [u] + [a.head for a in walk]
-            pos = next(i for i, x in enumerate(verts) if x in cyc_vertices)
-            at = verts[pos]
-            start = next(i for i, a in enumerate(cycle_arcs) if a.tail == at)
-            rotated = cycle_arcs[start:] + cycle_arcs[:start]
-            walk = walk[:pos] + rotated * copies + walk[pos:]
-
-        for (cvs, cw) in chain:
-            splice(cycles[(cvs, cw)], 1)
-        final_vs = chain_end[0]
-        for gen_weight, count in counts.items():
-            if count == 0:
-                continue
-            exemplar = next(arcs for (cvs, cw), arcs in sorted(
-                cycles.items(), key=lambda kv: (kv[0][1], sorted(map(repr, kv[0][0]))))
-                if cw == gen_weight and cvs <= final_vs)
-            splice(exemplar, count)
-        return walk
+        spans: dict[frozenset, EPSet] = {}
+        for (pvs, pw) in self._simple_paths(u, v, region):
+            for (vs, base) in self._chain_states(pvs, cycles):
+                if vs not in spans:
+                    spans[vs] = nspan(sorted({cw for (cvs, cw) in cycles if cvs <= vs}))
+                pieces.append(eps_shift(spans[vs], pw + base))
+        return eps_union_many(pieces)
 
 
 def weight_set(graph: WeightedDigraph, u, v) -> EPSet:
     """Exact set of walk weights from u to v (k = 1, integer weights)."""
     return WeightSetSolver(graph).weight_set(u, v)
-
-
-# ---------------------------------------------------------------------
-# N-span witnesses (counts for a target value)
-# ---------------------------------------------------------------------
-
-
-def _ext_gcd(a: int, b: int) -> tuple[int, int, int]:
-    """(g, x, y) with x*a + y*b = g >= 0."""
-    if b == 0:
-        return (abs(a), 1 if a >= 0 else -1, 0)
-    g, x, y = _ext_gcd(b, a % b)
-    return g, y, x - (a // b) * y
-
-
-def nspan_witness(generators: Sequence[int], target: int) -> dict[int, int] | None:
-    """Nonnegative counts per generator summing to target, or None."""
-    gens = sorted({g for g in generators if g != 0})
-    if not gens:
-        return {} if target == 0 else None
-    pos = [g for g in gens if g > 0]
-    neg = [g for g in gens if g < 0]
-    if pos and not neg:
-        return _witness_same_sign(pos, target)
-    if neg and not pos:
-        flipped = _witness_same_sign([-g for g in neg], -target)
-        return None if flipped is None else {-g: c for g, c in flipped.items()}
-    return _witness_mixed(gens, target)
-
-
-def _witness_same_sign(pos: list[int], target: int) -> dict[int, int] | None:
-    if target < 0:
-        return None
-    d = 0
-    for g in pos:
-        d = gcd(d, g)
-    if target % d:
-        return None
-    m = max(pos)
-    bound = m * m + 2 * m
-    counts: dict[int, int] = {}
-    if target > bound:
-        # peel copies of the largest generator; the remainder stays above
-        # every gap of the semigroup, hence remains achievable
-        extra = ceil((target - bound) / m)
-        counts[m] = extra
-        target -= extra * m
-    parent: list[int | None] = [None] * (target + 1)
-    reach = bytearray(target + 1)
-    reach[0] = 1
-    for n in range(1, target + 1):
-        for g in pos:
-            if g <= n and reach[n - g]:
-                reach[n] = 1
-                parent[n] = g
-                break
-    if not reach[target]:
-        return None
-    n = target
-    while n > 0:
-        g = parent[n]
-        counts[g] = counts.get(g, 0) + 1
-        n -= g
-    return counts
-
-
-def _witness_mixed(gens: list[int], target: int) -> dict[int, int] | None:
-    d = 0
-    for g in gens:
-        d = gcd(d, abs(g))
-    if target % d:
-        return None
-    # integer (possibly negative) combination via iterated extended gcd
-    coeffs: dict[int, int] = {}
-    g_cur = 0
-    for g in gens:
-        gg, x, y = _ext_gcd(g_cur, g)
-        coeffs = {h: c * x for h, c in coeffs.items()}
-        coeffs[g] = coeffs.get(g, 0) + y
-        g_cur = gg
-    scale = target // d
-    coeffs = {h: c * scale for h, c in coeffs.items()}
-    p = min(g for g in gens if g > 0)
-    q = max(g for g in gens if g < 0)
-    d2, xp, xq = _ext_gcd(p, -q)  # xp*p + xq*(-q) = d2
-    coeffs.setdefault(p, 0)
-    coeffs.setdefault(q, 0)
-    for h in list(coeffs):
-        if h in (p, q) or coeffs[h] >= 0:
-            continue
-        step = d2 // gcd(abs(h), d2)  # least delta with delta*h = 0 (mod d2)
-        delta = ceil(-coeffs[h] / step) * step
-        coeffs[h] += delta
-        v = delta * h  # multiple of d2; cancel it through the (p, q) pair
-        assert v % d2 == 0
-        coeffs[p] += xp * (-v // d2)
-        coeffs[q] += -xq * (-v // d2)
-    # zero pump on (p, q): adds (-q/d2)*p + (p/d2)*q = 0
-    qp, qq = (-q) // d2, p // d2
-    pump = 0
-    if coeffs[p] < 0:
-        pump = ceil(-coeffs[p] / qp)
-    if coeffs[q] < 0:
-        pump = max(pump, ceil(-coeffs[q] / qq))
-    coeffs[p] += pump * qp
-    coeffs[q] += pump * qq
-    assert all(c >= 0 for c in coeffs.values())
-    assert sum(h * c for h, c in coeffs.items()) == target
-    return {h: c for h, c in coeffs.items() if c > 0}
 
 
 # ---------------------------------------------------------------------
@@ -426,32 +292,20 @@ def has_path_with_weight(graph: WeightedDigraph, u, v, z: Sequence[int],
     if len(z) != graph.k:
         raise ValueError(f"weight dimension mismatch: {z} vs k={graph.k}")
     if graph.k == 1:
-        solver = WeightSetSolver(graph)
-        if z[0] not in solver.weight_set(u, v):
-            return EplAnswer("NO")
-        return EplAnswer("YES", solver.witness_walk(u, v, z[0]))
+        walk = WeightSetSolver(graph).witness_walk(u, v, z[0])
+        return EplAnswer("NO") if walk is None else EplAnswer("YES", walk)
     if isinstance(budget, int):
         budget = _Budget(budget)
     return _multi_dim(graph, u, v, z, budget)
 
 
 def _multi_dim(graph: WeightedDigraph, u, v, z: Vec, budget: _Budget) -> EplAnswer:
-    succ: dict[object, list[Arc]] = {x: [] for x in graph.vertices}
-    pred: dict[object, list[Arc]] = {x: [] for x in graph.vertices}
-    for a in graph.arcs:
-        succ[a.tail].append(a)
-        pred[a.head].append(a)
-    fwd = reachable([u], lambda x: (a.head for a in succ[x]))
-    bwd = reachable([v], lambda x: (a.tail for a in pred[x]))
-    region = fwd & bwd
-    if u == v:
-        region.add(u)
-    if u not in region or v not in region:
-        if u == v and z == (0,) * graph.k:
-            return EplAnswer("YES", ())
-        return EplAnswer("NO")
+    succ, pred = _adjacency(graph)
+    region = _region(succ, pred, u, v)
     if u == v and z == (0,) * graph.k:
         return EplAnswer("YES", ())
+    if u not in region or v not in region:
+        return EplAnswer("NO")
 
     arcs = sorted((a for a in graph.arcs if a.tail in region and a.head in region),
                   key=lambda a: a.aid)
@@ -475,7 +329,8 @@ def _multi_dim(graph: WeightedDigraph, u, v, z: Vec, budget: _Budget) -> EplAnsw
         elif result is not None:
             walk = _euler_walk(result, u, v)
             if walk is not None:
-                assert walk_weight(walk, graph.k) == z and replay_walk(walk, u, v)
+                if walk_weight(walk, graph.k) != z or not replay_walk(walk, u, v):
+                    raise InternalError(f"walk for weight {z} does not replay")
                 return EplAnswer("YES", tuple(walk))
     return EplAnswer("UNKNOWN") if unknown else EplAnswer("NO")
 

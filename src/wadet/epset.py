@@ -23,6 +23,8 @@ from dataclasses import dataclass
 from math import gcd, lcm
 from typing import Callable, Iterable
 
+from .verdict import InternalError
+
 
 @dataclass(frozen=True)
 class Core:
@@ -200,7 +202,8 @@ def _canonical(lo: int, dn_res: frozenset[int], middle: frozenset[int],
         guard = lo - 2 * modulus - 2 * d_up
         while u_thr - 1 > guard and mem(u_thr - 1) == ((u_thr - 1) % d_up in r_up):
             u_thr -= 1
-        assert u_thr - 1 > guard, "threshold descent did not terminate"
+        if u_thr - 1 <= guard:
+            raise InternalError("threshold descent did not terminate")
         up = Core(u_thr, d_up, r_up)
 
     down = None
@@ -209,7 +212,8 @@ def _canonical(lo: int, dn_res: frozenset[int], middle: frozenset[int],
         guard = hi + 2 * modulus + 2 * d_dn
         while l_thr + 1 < guard and mem(l_thr + 1) == ((l_thr + 1) % d_dn in r_dn):
             l_thr += 1
-        assert l_thr + 1 < guard, "threshold ascent did not terminate"
+        if l_thr + 1 >= guard:
+            raise InternalError("threshold ascent did not terminate")
         down = Core(l_thr, d_dn, r_dn)
 
     lo_bound = l_thr + 1 if down is not None else lo + 1
@@ -312,7 +316,7 @@ def eps_min_abs_witness(s: EPSet) -> int | None:
             return a
         if -a in s:
             return -a
-    raise AssertionError("nonempty EPSet without witness in scan bound")
+    raise InternalError("nonempty EPSet without witness in scan bound")
 
 
 # ---------------------------------------------------------------------

@@ -64,8 +64,6 @@ def parse(document: Mapping) -> WeightedAutomaton:
     version = document.get("format_version", FORMAT_VERSION)
     if version != FORMAT_VERSION:
         raise ParseError(f"unsupported format_version {version!r}")
-    if isinstance(document.get("k"), bool):
-        raise ParseError(f"dimension must be a positive integer, got {document['k']!r}", "k")
     raw = {
         "k": document.get("k"),
         "states": _list_in(document, "states"),

@@ -140,7 +140,7 @@ def validate(raw: Mapping) -> WeightedAutomaton:
     problems: list[str] = []
 
     k = raw.get("k")
-    if not isinstance(k, int) or k < 1:
+    if not isinstance(k, int) or isinstance(k, bool) or k < 1:
         problems.append(f"dimension k must be a positive integer, got {k!r}")
         k = 1
 

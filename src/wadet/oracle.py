@@ -32,6 +32,7 @@ from .model import (
 )
 
 Obs = tuple[str, tuple[Fraction, ...]]  # (symbol, accumulated weight)
+MAX_HORIZON = 16  # longest path oracle_runs enumerates exhaustively
 
 
 class OracleUndecided(RuntimeError):
@@ -77,7 +78,7 @@ class BoundedRun:
 
 def oracle_runs(a: WeightedAutomaton, horizon: int = 12) -> list[BoundedRun]:
     """Every path from an initial state with at most `horizon` transitions."""
-    if horizon > 16:
+    if horizon > MAX_HORIZON:
         raise ValueError("horizon too large for exhaustive enumeration")
     runs = [BoundedRun(q, ()) for q in sorted(a.initial)]
     frontier = list(runs)

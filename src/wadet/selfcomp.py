@@ -18,10 +18,11 @@ component can still run forever in the original automaton.
 
 from __future__ import annotations
 
+from collections.abc import Callable, Iterator, Mapping
 from dataclasses import dataclass, field
-from typing import Iterable
+from functools import partial
 
-from .epl import Arc, _Budget, digraph, has_path_with_weight
+from .epl import _Budget, digraph, has_path_with_weight
 from .epset import eps_intersect, eps_min_abs_witness, eps_shift
 from .estimator import unobs_solver
 from .graphutil import can_reach, find_cycle, find_path, reachable, states_on_cycles
@@ -38,14 +39,34 @@ class CCTransition:
     target: Pair
 
 
+Paths = tuple[tuple[Transition, ...], tuple[Transition, ...]]
+
+
+class Witnesses(Mapping[CCTransition, Paths]):
+    """Per transition, one realizing pair of paths of the original
+    automaton, built each time it is read: deciding the properties reads
+    none, and a k = 1 silent walk can be long (epl.witness_walk)."""
+
+    def __init__(self) -> None:
+        self.make: dict[CCTransition, Callable[[], Paths]] = {}
+
+    def __getitem__(self, tr: CCTransition) -> Paths:
+        return self.make[tr]()
+
+    def __iter__(self) -> Iterator[CCTransition]:
+        return iter(self.make)
+
+    def __len__(self) -> int:
+        return len(self.make)
+
+
 @dataclass
 class SelfComposition:
     initial: frozenset[Pair]
     states: frozenset[Pair]
     transitions: frozenset[CCTransition]
     label: dict[tuple[str, str], str]
-    # per transition, one realizing pair of paths of the original automaton
-    witnesses: dict[CCTransition, tuple[tuple[Transition, ...], tuple[Transition, ...]]]
+    witnesses: Witnesses
     unknown_queries: tuple = ()
     stats: dict = field(default_factory=dict)
 
@@ -70,8 +91,9 @@ class _Synchronizer:
 
     def sync(self, q1: str, q2: str, t1: Transition, t2: Transition):
         """A silent pair of paths q1->src(t1), q2->src(t2) with equal total
-        weights including the observable arcs?  Returns (left, right) walks
-        of the original automaton, None, or "UNKNOWN"."""
+        weights including the observable arcs?  Returns None, "UNKNOWN", or
+        a function that builds the (left, right) walks of the original
+        automaton."""
         self.queries += 1
         if self.a.k == 1:
             return self._sync_dim1(q1, q2, t1, t2)
@@ -85,12 +107,12 @@ class _Synchronizer:
         if common.is_empty():
             return None
         total = eps_min_abs_witness(common)
-        left = self._walk_arcs(self.solver.witness_walk(q1, t1[0], total - w1))
-        right = self._walk_arcs(self.solver.witness_walk(q2, t2[0], total - w2))
-        return left, right
+        return lambda: (self._walk(q1, t1[0], total - w1),
+                        self._walk(q2, t2[0], total - w2))
 
-    def _walk_arcs(self, walk: Iterable[Arc]) -> tuple[Transition, ...]:
-        return tuple(self.a.unobs_transitions[arc.aid] for arc in walk)
+    def _walk(self, u: str, v: str, z: int) -> tuple[Transition, ...]:
+        return tuple(self.a.unobs_transitions[arc.aid]
+                     for arc in self.solver.witness_walk(u, v, z))
 
     def _product(self, q1: str, q2: str):
         key = (q1, q2)
@@ -126,7 +148,13 @@ class _Synchronizer:
         for arc in ans.walk:
             side, orig = origin[arc.aid]
             (left if side == "L" else right).append(orig)
-        return tuple(left), tuple(right)
+        return lambda: (tuple(left), tuple(right))
+
+
+def _joined(prefixes: Callable[[], Paths], t1: Transition, tail1: tuple,
+            t2: Transition, tail2: tuple) -> Paths:
+    left, right = prefixes()
+    return left + (t1,) + tail1, right + (t2,) + tail2
 
 
 def build_self_composition(a: WeightedAutomaton,
@@ -141,7 +169,7 @@ def build_self_composition(a: WeightedAutomaton,
     states: set[Pair] = set(initial)
     transitions: set[CCTransition] = set()
     label: dict[tuple[str, str], str] = {}
-    witnesses: dict[CCTransition, tuple] = {}
+    witnesses = Witnesses()
     queue = sorted(initial)
     seen = set(queue)
     while queue:
@@ -156,12 +184,11 @@ def build_self_composition(a: WeightedAutomaton,
                 if stats["fast_path"]:
                     if t1[0] != q1 or t2[0] != q2 or t1[3] != t2[3]:
                         continue
-                    found = ((), ())  # no silent prefixes exist
+                    prefixes = lambda: ((), ())  # no silent prefixes exist
                 else:
-                    found = sync.sync(q1, q2, t1, t2)
-                    if found == "UNKNOWN" or found is None:
+                    prefixes = sync.sync(q1, q2, t1, t2)
+                    if prefixes == "UNKNOWN" or prefixes is None:
                         continue
-                left_prefix, right_prefix = found
                 for q3 in sorted(a.zero_paths[t1[2]]):
                     for q4 in sorted(a.zero_paths[t2[2]]):
                         tr = CCTransition((q1, q2), (t1[1], t2[1]), (q3, q4))
@@ -169,10 +196,9 @@ def build_self_composition(a: WeightedAutomaton,
                             continue
                         transitions.add(tr)
                         label[(t1[1], t2[1])] = a.label(t1[1])
-                        witnesses[tr] = (
-                            left_prefix + (t1,) + a.zero_paths[t1[2]][q3],
-                            right_prefix + (t2,) + a.zero_paths[t2[2]][q4],
-                        )
+                        witnesses.make[tr] = partial(
+                            _joined, prefixes, t1, a.zero_paths[t1[2]][q3],
+                            t2, a.zero_paths[t2[2]][q4])
                         if tr.target not in seen:
                             seen.add(tr.target)
                             states.add(tr.target)

@@ -1,4 +1,5 @@
-"""Per-property results with machine-checkable witnesses."""
+"""Per-property results with machine-checkable witnesses, and the error
+raised when an invariant of the analysis fails."""
 
 from __future__ import annotations
 
@@ -45,3 +46,7 @@ def _jsonable(obj):
     if hasattr(obj, "numerator") and hasattr(obj, "denominator"):
         return str(obj)
     return repr(obj)
+
+
+class InternalError(RuntimeError):
+    """An invariant of the analysis failed: a bug, never an input error."""

@@ -6,7 +6,7 @@ to a silent cycle, or the detector has a reachable cycle visiting only
 two-element estimates.  A cross-check re-evaluates the same property on
 the observer (fails iff an ambiguous reachable estimate can stall
 silently, or some reachable observer cycle avoids singletons) and the two
-answers are asserted equal.
+answers must agree; a disagreement raises InternalError.
 
 Weak (periodic) detectability is decided on the observer: the property
 holds vacuously when no infinite run exists or when some infinite run
@@ -26,7 +26,7 @@ from .estimator import EstimatorAutomaton, EstTransition, build_detector, build_
 from .graphutil import find_cycle, find_path, states_on_cycles
 from .model import WeightedAutomaton, normalize, scale_to_integers
 from .selfcomp import SelfComposition, build_self_composition, check_sd
-from .verdict import FAILS, HOLDS, SD, SPD, UNKNOWN, WD, WPD, Verdict
+from .verdict import FAILS, HOLDS, SD, SPD, UNKNOWN, WD, WPD, InternalError, Verdict
 
 
 # ---------------------------------------------------------------------
@@ -119,8 +119,8 @@ def check_spd(a: WeightedAutomaton, detector: EstimatorAutomaton | None = None,
     witness = _spd_fails_on(a, detector, lambda x: len(x) == 2)
     if cross_check and observer is not None and observer.exact:
         other = _spd_fails_on(a, observer, lambda x: len(x) > 1)
-        assert (witness is None) == (other is None), \
-            "detector and observer evaluations disagree"
+        if (witness is None) != (other is None):
+            raise InternalError("detector and observer evaluations disagree")
     if witness is not None:
         return Verdict(SPD, FAILS, witness)
     return Verdict(SPD, HOLDS, None)

@@ -6,13 +6,12 @@ from wadet.epl import (
     EplAnswer,
     digraph,
     has_path_with_weight,
-    nspan_witness,
     replay_walk,
     walk_weight,
     weight_set,
     WeightSetSolver,
 )
-from wadet.epset import EPSet
+from wadet.epset import EPSet, nspan
 
 
 def enumerate_walk_weights(graph, u, max_len=12):
@@ -35,6 +34,12 @@ def enumerate_walk_weights(graph, u, max_len=12):
                     nxt.add(state)
         frontier = nxt
     return reach
+
+
+def fewest_arcs(graph, u, v, z, max_len=12):
+    """First step at which enumerate_walk_weights reaches (v, z), or None."""
+    return next((n for n in range(max_len + 1)
+                 if z in enumerate_walk_weights(graph, u, n)[v]), None)
 
 
 # -- hand-checked examples ----------------------------------------------------
@@ -130,17 +135,44 @@ def test_weight_set_matches_walk_enumeration(seed):
                 assert walk_weight(walk, 1) == (w,)
 
 
-@pytest.mark.parametrize("seed", range(25))
-def test_witness_walks_replay(seed):
-    rng = random.Random(1000 + seed)
+# (graph, u, v, {member weight: fewest arcs of a walk}, non-member weights)
+HAND_WALKS = {
+    # the only walk leaves any window around z = 0 by 1000
+    "far-excursion": (digraph(1, ["u", "m", "v"], [("u", 1000, "m"), ("m", -1000, "v")]),
+                      "u", "v", {0: 2}, [1, 1000]),
+    # 89 is the Frobenius number of {10, 11}; 1001 = 91 * 11
+    "past-frobenius": (digraph(1, ["x"], [("x", 10, "x"), ("x", 11, "x")]),
+                       "x", "x", {0: 0, 90: 9, 1001: 91}, [89, -10]),
+    # 1 = 78 * 97 - 85 * 89 and -1 = 11 * 97 - 12 * 89, both with the fewest loops
+    "mixed-loops": (digraph(1, ["x"], [("x", 97, "x"), ("x", -89, "x")]),
+                    "x", "x", {1: 163, -1: 23, 8: 2}, []),
+}
+
+
+def walk_case(case):
+    if case in HAND_WALKS:
+        return HAND_WALKS[case]
+    rng = random.Random(1000 + case)
     g = random_graph(rng, max_vertices=5)
     u, v = rng.choice(g.vertices), rng.choice(g.vertices)
+    s = weight_set(g, u, v)
+    hits = [w for w in range(-30, 31) if w in s][:12]
+    misses = [w for w in range(-30, 31) if w not in s][:4]
+    return g, u, v, {w: fewest_arcs(g, u, v, w) for w in hits}, misses
+
+
+@pytest.mark.parametrize("seed", [*range(25), *HAND_WALKS])
+def test_witness_walks_replay(seed):
+    g, u, v, members, non_members = walk_case(seed)
     solver = WeightSetSolver(g)
     s = solver.weight_set(u, v)
-    hits = [w for w in range(-30, 31) if w in s]
-    for w in hits[:12]:
+    for w in non_members:
+        assert w not in s and solver.witness_walk(u, v, w) is None
+    for w, arcs in members.items():
         walk = solver.witness_walk(u, v, w)
         assert replay_walk(walk, u, v) and walk_weight(walk, 1) == (w,)
+        if arcs is not None:  # known within 12 steps, or by hand
+            assert len(walk) == arcs, (w, walk)
 
 
 def test_self_weight_set_contains_zero_always():
@@ -151,7 +183,12 @@ def test_self_weight_set_contains_zero_always():
         assert 0 in weight_set(g, u, u)
 
 
-# -- span witnesses -------------------------------------------------------
+# -- N-span witnesses: walks on a bouquet (one vertex, one loop per generator) --
+
+
+def bouquet_walk(generators, target):
+    g = digraph(1, ["x"], [("x", w, "x") for w in generators])
+    return WeightSetSolver(g).witness_walk("x", "x", target)
 
 
 @pytest.mark.parametrize("seed", range(60))
@@ -159,17 +196,17 @@ def test_nspan_witness_sums_correctly(seed):
     rng = random.Random(seed)
     gens = [rng.randint(-8, 8) for _ in range(rng.randint(1, 4))]
     target = rng.randint(-120, 120)
-    counts = nspan_witness(gens, target)
-    if counts is not None:
-        assert all(c > 0 for c in counts.values())
-        assert all(g in gens for g in counts)
-        assert sum(g * c for g, c in counts.items()) == target
+    walk = bouquet_walk(gens, target)
+    assert (walk is None) == (target not in nspan(gens))
+    if walk is not None:
+        assert all(a.weight[0] in gens for a in walk)
+        assert sum(a.weight[0] for a in walk) == target
 
 
 def test_nspan_witness_large_positive_target():
-    counts = nspan_witness([3, 5], 10 ** 6 + 1)
-    assert counts is not None
-    assert sum(g * c for g, c in counts.items()) == 10 ** 6 + 1
-    assert nspan_witness([4, 6], 7) is None
-    assert nspan_witness([], 0) == {}
-    assert nspan_witness([], 3) is None
+    walk = bouquet_walk([3, 5], 10 ** 6 + 1)
+    assert sum(a.weight[0] for a in walk) == 10 ** 6 + 1
+    assert len(walk) == 2 + 199999  # two 3s, the rest 5s
+    assert bouquet_walk([4, 6], 7) is None
+    assert bouquet_walk([], 0) == ()
+    assert bouquet_walk([], 3) is None

@@ -7,6 +7,7 @@ from wadet import io
 from wadet.cli import main
 from wadet.corpus import load_fixture
 from wadet.model import validate
+from wadet.verdict import InternalError
 
 from conftest import A1_description
 
@@ -148,6 +149,25 @@ def test_cli_input_error_exit_code(tmp_path, capsys):
         bad.write_text(json.dumps({**doc, key: value}))
         assert main(["check", "all", str(bad)]) == 3, (key, value)
         assert key in json.loads(capsys.readouterr().err)["error"]
+    bad.write_bytes(b"\xff{}")
+    for argv, key in ((["check", "all", str(bad)], "utf-8"),
+                      (["gen", "subset-sum", "--weights", "2,x", "--target", "5"], "--weights"),
+                      (["gen", "subset-sum", "--weights", "2,-3", "--target", "5"], "--weights"),
+                      (["oracle", "estimate", str(bad), "--obs", "", "--horizon", "17"],
+                       "--horizon")):
+        assert main(argv) == 3, argv
+        assert key in json.loads(capsys.readouterr().err)["error"]
+
+
+def test_cli_internal_error_exit_code(a1_file, capsys, monkeypatch):
+    # a failed invariant or precondition, or a bug, is neither FAILS (1) nor
+    # an input error (3)
+    for error in (AssertionError, KeyError, ValueError, InternalError):
+        def broken(a):
+            raise error("broken invariant")
+        monkeypatch.setattr("wadet.cli.check_all", broken)
+        assert main(["check", "all", a1_file]) == 4, error
+        assert "broken invariant" in json.loads(capsys.readouterr().err)["error"]
 
 
 # -- DOT export -----------------------------------------------------------------
@@ -228,12 +248,14 @@ def test_cli_estimate_vector_weights(capsys, tmp_path):
     assert out["estimate"] == ["e4p2"]
 
 
-def test_console_script_entry_point(a1_file):
+@pytest.mark.parametrize("flags", [[], ["-O"]], ids=["plain", "optimized"])
+def test_console_script_entry_point(a1_file, flags):
+    import pathlib
     import subprocess
     import sys
     proc = subprocess.run(
-        [sys.executable, "-m", "wadet.cli", "check", "sd", a1_file],
+        [sys.executable, *flags, "-m", "wadet.cli", "check", "all", a1_file],
         capture_output=True, text=True,
     )
-    assert proc.returncode == 0
-    assert json.loads(proc.stdout)["verdict"]["status"] == "HOLDS"
+    assert proc.returncode == 1, proc.stderr
+    assert proc.stdout == (pathlib.Path(__file__).parent / "data" / "check_all_A1.json").read_text()

@@ -58,6 +58,10 @@ def test_validate_rejects_dimension_mismatch():
     with pytest.raises(ValidationError) as err:
         validate(raw)
     assert any("dimension" in p for p in err.value.problems)
+    # a bool is an int in Python, but not a dimension
+    with pytest.raises(ValidationError) as err:
+        validate({**A1_description(), "k": True})
+    assert any("dimension k" in p for p in err.value.problems)
 
 
 def test_validate_rejects_missing_initial():

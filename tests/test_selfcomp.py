@@ -1,8 +1,10 @@
 import random
 
+from wadet.epl import WeightSetSolver
 from wadet.model import validate
 from wadet.selfcomp import CCTransition, build_self_composition, check_sd
 from wadet.verdict import FAILS, HOLDS
+from wadet.verify import check_all
 
 from conftest import A0_description, A1_description
 from test_model import chain_description
@@ -98,6 +100,34 @@ def test_cc_witnesses_replay_on_all_observable():
     cc = build_self_composition(a)
     assert cc.stats["fast_path"]
     check_witnesses(a, cc)
+
+
+def test_deciding_builds_no_silent_walks(monkeypatch):
+    # silent loops 9973 and -9910: the walk of weight -1 that pairs (a, b)
+    # has 3156 arcs, and the search for it visits about 5 million states
+    raw = {
+        "k": 1,
+        "states": ["s", "p", "r"],
+        "initial": {"s": [0]},
+        "events": {"u": None, "v": None, "a": "a", "b": "a"},
+        "transitions": [("s", "u", "s", [9973]), ("s", "v", "s", [-9910]),
+                        ("s", "a", "p", [1]), ("s", "b", "r", [0]),
+                        ("p", "a", "p", [0]), ("r", "a", "r", [0])],
+    }
+
+    def no_walk(self, u, v, z):
+        raise AssertionError(f"walk {u}->{v} of weight {z} built while deciding")
+
+    monkeypatch.setattr(WeightSetSolver, "witness_walk", no_walk)
+    result = check_all(validate(raw))
+    assert {p: v.status for p, v in result.verdicts.items()} == {
+        "SD": FAILS, "SPD": FAILS, "WD": HOLDS, "WPD": HOLDS}
+    cc = result.self_composition
+    assert len(cc.witnesses) == len(cc.transitions) == 8
+    monkeypatch.undo()
+    # a pair is still built when read
+    split = CCTransition(("p", "r"), ("a", "a"), ("p", "r"))
+    assert cc.witnesses[split] == ((("p", "a", "p", (0,)),), (("r", "a", "r", (0,)),))
 
 
 def test_cc_witnesses_replay_on_random_instances():

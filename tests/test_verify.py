@@ -93,7 +93,36 @@ def test_detector_observer_agreement_on_random_instances():
         prepared, _ = scale_to_integers(normalize(a))
         det = build_detector(prepared)
         obs = build_observer(prepared)
-        check_spd(prepared, det, obs)  # asserts agreement internally
+        check_spd(prepared, det, obs)  # raises InternalError on disagreement
+
+
+# A1 fails SPD on its detector; a one-state observer says it holds
+DISAGREEING_SPD = """
+from wadet.corpus import load_fixture
+from wadet.estimator import EstimatorAutomaton, build_detector
+from wadet.model import normalize, scale_to_integers
+from wadet.verdict import InternalError
+from wadet.verify import check_spd
+
+if __debug__:
+    raise SystemExit("not optimized")
+a, _ = scale_to_integers(normalize(load_fixture("A1").automaton))
+one_state = EstimatorAutomaton("observer", 1, frozenset({"q0"}),
+                               frozenset({frozenset({"q0"})}), (), True)
+try:
+    check_spd(a, build_detector(a), one_state)
+except InternalError:
+    raise SystemExit(0)
+raise SystemExit("disagreement not detected")
+"""
+
+
+def test_spd_cross_check_runs_optimized():
+    import subprocess
+    import sys
+    proc = subprocess.run([sys.executable, "-O", "-c", DISAGREEING_SPD],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_scaling_invariance_on_corpus_and_random():
