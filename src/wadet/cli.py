@@ -147,7 +147,12 @@ def cmd_check(args) -> int:
 def cmd_estimate(args) -> int:
     a = _read_automaton(args.file)
     gamma = _parse_obs(args.obs, a.k)
-    estimate = oracle.oracle_estimate(a, gamma)
+    try:
+        estimate = oracle.oracle_estimate(a, gamma)
+    except oracle.OracleUndecided as exc:  # k > 1 budget exhausted
+        _emit({"observation": args.obs, "estimate": None, "status": UNKNOWN,
+               "notes": str(exc)})
+        return EXIT[UNKNOWN]
     _emit({"observation": args.obs, "estimate": sorted(estimate)})
     return 0
 

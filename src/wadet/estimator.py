@@ -13,6 +13,10 @@ weight, and the stored witness is the member of smallest absolute value.
 For k > 1 a bounded walk enumeration replaces the cell algebra.  The
 construction notes whether the enumeration reached a fixed point; when it
 did not, downstream verdicts degrade to UNKNOWN rather than guessing.
+
+Each prepared automaton owns one k = 1 solver over its silent arcs
+(unobs_solver, shared with the self-composition) and one successor menu
+per (estimate, symbol), which the observer and the detector share.
 """
 
 from __future__ import annotations
@@ -52,24 +56,21 @@ class EstimatorAutomaton:
     exact: bool
 
 
-def _require_ready(a: WeightedAutomaton) -> None:
-    if not a.is_normalized():
-        raise ValueError("automaton must be normalized first")
-    if not a.is_integral():
-        raise ValueError("automaton must be scaled to integer weights first")
-
-
 def unobs_solver(a: WeightedAutomaton) -> WeightSetSolver:
-    """Weight-set solver over the unobservable subgraph (k = 1); its arc
-    ids index a.unobs_transitions."""
-    arcs = [(s, int(w[0]), d) for (s, e, d, w) in a.unobs_transitions]
-    return WeightSetSolver(digraph(1, sorted(a.states), arcs))
+    """The weight-set solver over the unobservable subgraph (k = 1); its
+    arc ids index a.unobs_transitions.  Built once per automaton and kept
+    in its __dict__, as functools.cached_property keeps its values."""
+    if "_unobs_solver" not in a.__dict__:
+        a.require_prepared()
+        arcs = [(s, int(w[0]), d) for (s, e, d, w) in a.unobs_transitions]
+        a.__dict__["_unobs_solver"] = WeightSetSolver(digraph(1, sorted(a.states), arcs))
+    return a.__dict__["_unobs_solver"]
 
 
-def successor_target_sets(a: WeightedAutomaton, x: Iterable[str], sigma: str,
-                          solver: WeightSetSolver | None = None) -> dict[str, EPSet]:
+def successor_target_sets(a: WeightedAutomaton, x: Iterable[str],
+                          sigma: str) -> dict[str, EPSet]:
     """T(q2): all weights of paths (silent prefix + one sigma-event) from x to q2."""
-    solver = solver if solver is not None else unobs_solver(a)
+    solver = unobs_solver(a)
     tsets: dict[str, EPSet] = {}
     xs = sorted(set(x))
     for (q1, e, q2, w) in a.obs_transitions:
@@ -84,19 +85,18 @@ def successor_target_sets(a: WeightedAutomaton, x: Iterable[str], sigma: str,
     return tsets
 
 
-def successor_cells(a: WeightedAutomaton, x: Iterable[str], sigma: str,
-                    solver: WeightSetSolver | None = None,
-                    ) -> list[tuple[frozenset[str], EPSet, int]]:
+def successor_cells(a: WeightedAutomaton, x: Iterable[str],
+                    sigma: str) -> list[tuple[frozenset[str], EPSet, int]]:
     """All (target, cell, witness) triples for estimates from x under sigma.
 
     The cells partition the union of the T(q2); for any concrete weight t
     exactly one cell contains t, and its target is the estimate
     M(A, (sigma, t) | x).
     """
-    _require_ready(a)
+    a.require_prepared()
     if a.k != 1:
         raise ValueError("exact cells require k = 1; use the bounded builders")
-    tsets = successor_target_sets(a, x, sigma, solver)
+    tsets = successor_target_sets(a, x, sigma)
     groups: dict[EPSet, list[str]] = {}
     for q2, s in sorted(tsets.items()):
         groups.setdefault(s, []).append(q2)
@@ -123,18 +123,17 @@ def successor_cells(a: WeightedAutomaton, x: Iterable[str], sigma: str,
 # ---------------------------------------------------------------------
 
 
-def _bounded_successor_groups(a: WeightedAutomaton, x: Iterable[str], sigma: str,
-                              max_len: int, node_cap: int,
-                              ) -> tuple[dict[tuple, set[str]], bool]:
-    """Map weight vector -> raw successor set, via silent walks of bounded
-    length.  The flag reports whether the enumeration closed (fixed point)."""
+WALK_LEN = 16  # longest silent walk the k > 1 enumeration follows
+NODE_CAP = 20000  # most (state, weight) nodes it visits per menu
+
+
+def _bounded_menu(a: WeightedAutomaton, x: Iterable[str], sigma: str) -> tuple[tuple, bool]:
+    """The menu from silent walks of at most WALK_LEN arcs, and whether the
+    enumeration closed (fixed point)."""
     zero = tuple(0 for _ in range(a.k))
     seen: set[tuple[str, tuple]] = {(q, zero) for q in x}
     frontier = set(seen)
-    exact = True
-    for _ in range(max_len):
-        if not frontier:
-            break
+    for _ in range(WALK_LEN):
         nxt: set[tuple[str, tuple]] = set()
         for (q, w) in frontier:
             for (_, _, d, wt) in a.silent_arcs[q]:
@@ -142,23 +141,26 @@ def _bounded_successor_groups(a: WeightedAutomaton, x: Iterable[str], sigma: str
                 if (d, w2) not in seen:
                     seen.add((d, w2))
                     nxt.add((d, w2))
-                    if len(seen) > node_cap:
+                    if len(seen) > NODE_CAP:
                         return _harvest(a, seen, sigma), False
         frontier = nxt
-    if frontier:
-        exact = False
-    return _harvest(a, seen, sigma), exact
+    return _harvest(a, seen, sigma), not frontier
 
 
-def _harvest(a: WeightedAutomaton, seen: set, sigma: str) -> dict[tuple, set[str]]:
+def _harvest(a: WeightedAutomaton, seen: set, sigma: str) -> tuple:
+    """Per successor estimate, the least weight vector of a sigma-arc out
+    of the (state, silent weight) nodes seen."""
     by_weight: dict[tuple, set[str]] = {}
     for (q1, w) in seen:
         for (_, e, q2, wt) in a.arcs_from[q1]:
-            if a.label(e) != sigma:
-                continue
-            total = tuple(int(wi + ti) for wi, ti in zip(w, wt))
-            by_weight.setdefault(total, set()).add(q2)
-    return by_weight
+            if a.label(e) == sigma:
+                total = tuple(int(wi + ti) for wi, ti in zip(w, wt))
+                by_weight.setdefault(total, set()).add(q2)
+    by_target: dict[frozenset[str], list[tuple]] = {}
+    for w, qs in by_weight.items():
+        by_target.setdefault(instantaneous_closure(a, qs), []).append(w)
+    return tuple((target, None, min(ws)) for target, ws in sorted(
+        by_target.items(), key=lambda kv: sorted(kv[0])))
 
 
 # ---------------------------------------------------------------------
@@ -166,22 +168,15 @@ def _harvest(a: WeightedAutomaton, seen: set, sigma: str) -> dict[tuple, set[str
 # ---------------------------------------------------------------------
 
 
-DEFAULT_WALK_LEN = 16
-DEFAULT_NODE_CAP = 20000
-
-
-def _successor_menu(a: WeightedAutomaton, x: frozenset[str], sigma: str, solver,
-                    max_len: int, node_cap: int):
-    """Uniform view: list of (target, cell_or_None, witness_weight), exact flag."""
-    if a.k == 1:
-        return successor_cells(a, x, sigma, solver), True
-    groups, exact = _bounded_successor_groups(a, x, sigma, max_len, node_cap)
-    by_target: dict[frozenset[str], list[tuple]] = {}
-    for w, qs in groups.items():
-        by_target.setdefault(instantaneous_closure(a, qs), []).append(w)
-    menu = [(target, None, min(ws)) for target, ws in sorted(
-        by_target.items(), key=lambda kv: sorted(kv[0]))]
-    return menu, exact
+def _successor_menu(a: WeightedAutomaton, x: frozenset[str], sigma: str):
+    """Uniform view: tuple of (target, cell_or_None, witness_weight), exact
+    flag.  Computed once per (x, sigma) and automaton, for the observer and
+    the detector alike, and kept in a.__dict__ like unobs_solver."""
+    menus = a.__dict__.setdefault("_successor_menus", {})
+    if (x, sigma) not in menus:
+        menus[x, sigma] = ((tuple(successor_cells(a, x, sigma)), True) if a.k == 1
+                           else _bounded_menu(a, x, sigma))
+    return menus[x, sigma]
 
 
 def _canonical_order(transitions: list[EstTransition]) -> tuple[EstTransition, ...]:
@@ -190,13 +185,11 @@ def _canonical_order(transitions: list[EstTransition]) -> tuple[EstTransition, .
 
 
 def _explore(kind: str, a: WeightedAutomaton,
-             split: Callable[[frozenset[str]], list[frozenset[str]]],
-             max_len: int, node_cap: int) -> EstimatorAutomaton:
+             split: Callable[[frozenset[str]], list[frozenset[str]]]) -> EstimatorAutomaton:
     """Breadth-first concatenation of current-state estimates from the
     initial closure; split(target) gives the states each successor
     estimate becomes."""
-    _require_ready(a)
-    solver = unobs_solver(a) if a.k == 1 else None
+    a.require_prepared()
     x0 = instantaneous_closure(a, a.initial.keys())
     states: set[frozenset[str]] = {x0}
     transitions: list[EstTransition] = []
@@ -205,7 +198,7 @@ def _explore(kind: str, a: WeightedAutomaton,
     while queue:
         x = queue.pop(0)
         for sigma in sorted(a.sigma):
-            menu, ok = _successor_menu(a, x, sigma, solver, max_len, node_cap)
+            menu, ok = _successor_menu(a, x, sigma)
             exact = exact and ok
             for target, cell, witness in menu:
                 if not target:
@@ -225,16 +218,14 @@ def _pairs(target: frozenset[str]) -> list[frozenset[str]]:
     return [frozenset(pair) for pair in combinations(sorted(target), 2)]
 
 
-def build_observer(a: WeightedAutomaton, *, max_len: int = DEFAULT_WALK_LEN,
-                   node_cap: int = DEFAULT_NODE_CAP) -> EstimatorAutomaton:
+def build_observer(a: WeightedAutomaton) -> EstimatorAutomaton:
     """Deterministic estimator over (symbol, weight) events; one transition
     per nonempty cell."""
-    return _explore("observer", a, lambda target: [target], max_len, node_cap)
+    return _explore("observer", a, lambda target: [target])
 
 
-def build_detector(a: WeightedAutomaton, *, max_len: int = DEFAULT_WALK_LEN,
-                   node_cap: int = DEFAULT_NODE_CAP) -> EstimatorAutomaton:
+def build_detector(a: WeightedAutomaton) -> EstimatorAutomaton:
     """Nondeterministic estimator whose states (besides the initial one)
     are the 1- and 2-element state sets; estimates of size >= 2 fan out to
     all their 2-element subsets."""
-    return _explore("detector", a, _pairs, max_len, node_cap)
+    return _explore("detector", a, _pairs)

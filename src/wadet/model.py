@@ -125,6 +125,12 @@ class WeightedAutomaton:
         z = zero_weight(self.k)
         return all(w == z for w in self.initial.values())
 
+    def require_prepared(self) -> None:
+        """The precondition of every construction: normalize() and
+        scale_to_integers() have been applied."""
+        if not self.is_normalized() or not self.is_integral():
+            raise ValueError("normalize and integer-scale the automaton first")
+
 
 # ---------------------------------------------------------------------
 # validation

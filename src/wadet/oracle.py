@@ -21,7 +21,7 @@ from fractions import Fraction
 from typing import Iterable, Sequence
 
 from .epl import digraph, has_path_with_weight
-from .estimator import successor_target_sets, unobs_solver
+from .estimator import successor_target_sets
 from .model import (
     Transition,
     WeightedAutomaton,
@@ -101,15 +101,12 @@ class EstimateChain:
     """Cached successor-chain estimator over a normalized integral automaton."""
 
     def __init__(self, a: WeightedAutomaton, budget: int = 10 ** 6):
-        if not a.is_normalized() or not a.is_integral():
-            raise ValueError("EstimateChain needs a normalized integral automaton")
+        a.require_prepared()
         self.a = a
         self.budget = budget
         self.x0 = instantaneous_closure(a, a.initial.keys())
         self._tsets: dict[tuple[frozenset, str], dict] = {}
-        if a.k == 1:
-            self._solver = unobs_solver(a)
-        else:
+        if a.k != 1:
             arcs = [(s, tuple(int(x) for x in w), d) for (s, e, d, w) in a.unobs_transitions]
             self._graph = digraph(a.k, sorted(a.states), arcs)
             self._multi_cache: dict[tuple, frozenset] = {}
@@ -120,7 +117,7 @@ class EstimateChain:
         if self.a.k == 1:
             key = (x, sigma)
             if key not in self._tsets:
-                self._tsets[key] = successor_target_sets(self.a, x, sigma, self._solver)
+                self._tsets[key] = successor_target_sets(self.a, x, sigma)
             tsets = self._tsets[key]
             raw = {q2 for q2, s in tsets.items() if delta[0] in s}
             return instantaneous_closure(self.a, raw)

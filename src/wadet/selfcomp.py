@@ -71,11 +71,6 @@ class SelfComposition:
     stats: dict = field(default_factory=dict)
 
 
-def _require_ready(a: WeightedAutomaton) -> None:
-    if not a.is_normalized() or not a.is_integral():
-        raise ValueError("normalize and integer-scale the automaton first")
-
-
 class _Synchronizer:
     """Decides and witnesses weight-synchronized silent prefixes."""
 
@@ -159,7 +154,7 @@ def _joined(prefixes: Callable[[], Paths], t1: Transition, tail1: tuple,
 
 def build_self_composition(a: WeightedAutomaton,
                            budget: int = 10 ** 6) -> SelfComposition:
-    _require_ready(a)
+    a.require_prepared()
     obs = a.obs_transitions
     stats = {"epl_queries": 0, "fast_path": not a.unobs_transitions}
 
@@ -225,7 +220,7 @@ def check_sd(a: WeightedAutomaton, cc: SelfComposition | None = None,
     Fails iff some composition state on a cycle can reach a state with
     distinct components whose left component can still reach a cycle of
     the automaton."""
-    _require_ready(a)
+    a.require_prepared()
     if cc is None:
         cc = build_self_composition(a, budget)
 

@@ -1,6 +1,10 @@
 import random
 from itertools import combinations
 
+import pytest
+
+from wadet import estimator, io
+from wadet.corpus import load_fixture
 from wadet.epset import (
     EPSet,
     eps_complement,
@@ -13,8 +17,9 @@ from wadet.estimator import (
     successor_cells,
     successor_target_sets,
 )
-from wadet.model import instantaneous_closure, validate
+from wadet.model import instantaneous_closure, normalize, scale_to_integers, validate
 from wadet.oracle import oracle_estimate
+from wadet.verify import check_all
 
 from test_model import chain_description
 from test_selfcomp import random_automaton_raw
@@ -49,6 +54,13 @@ def test_cells_a1_pair(aut_a1):
 def test_cells_empty_when_no_targets(aut_a1):
     assert successor_cells(aut_a1, {"q3"}, "rho") != []  # q3 reaches q4's loop
     assert successor_cells(aut_a1, {"q4"}, "zeta") == []  # no such label anywhere
+    # no answer at all before integer scaling: the silent weight 1/2 would
+    # otherwise be read as 0
+    unscaled = validate({"k": 1, "states": ["p", "q", "r"], "initial": {"p": [0]},
+                         "events": {"u": None, "a": "a"},
+                         "transitions": [("p", "u", "q", ["1/2"]), ("q", "a", "r", [1])]})
+    with pytest.raises(ValueError, match="integer-scale"):
+        successor_target_sets(unscaled, {"p"}, "a")
 
 
 def test_cells_partition_union_of_targets(aut_a0, aut_a1):
@@ -148,6 +160,36 @@ def test_detector_of_a1_equals_observer(aut_a1):
 def test_detector_of_a0_equals_observer(aut_a0):
     obs, det = build_observer(aut_a0), build_detector(aut_a0)
     assert arcs(obs) == arcs(det)
+
+
+def prepared_fixture(name):
+    return scale_to_integers(normalize(load_fixture(name).automaton))[0]
+
+
+@pytest.mark.parametrize("name", ["A0", "A1"])
+def test_silent_solver_and_menus_are_built_once(name, monkeypatch):
+    built = []
+
+    class CountingSolver(estimator.WeightSetSolver):
+        def __init__(self, graph):
+            built.append(graph)
+            super().__init__(graph)
+
+    monkeypatch.setattr(estimator, "WeightSetSolver", CountingSolver)
+    check_all(load_fixture(name).automaton)
+    assert len(built) == 1  # shared by the self-composition, observer and detector
+
+    calls = []
+    cells = estimator.successor_cells
+    monkeypatch.setattr(estimator, "successor_cells",
+                        lambda *args: calls.append(args) or cells(*args))
+    a = prepared_fixture(name)
+    build_observer(a)
+    calls.clear()
+    detector = build_detector(a)
+    assert calls == []  # every menu the detector reads, the observer computed
+    assert io.estimator_to_json(detector) == io.estimator_to_json(
+        build_detector(prepared_fixture(name)))
 
 
 def test_detector_sizes_are_bounded(aut_a0, aut_a1):

@@ -159,7 +159,7 @@ def test_cli_input_error_exit_code(tmp_path, capsys):
         assert key in json.loads(capsys.readouterr().err)["error"]
 
 
-def test_cli_internal_error_exit_code(a1_file, capsys, monkeypatch):
+def test_cli_internal_error_exit_code(a1_file, capsys, monkeypatch, tmp_path):
     # a failed invariant or precondition, or a bug, is neither FAILS (1) nor
     # an input error (3)
     for error in (AssertionError, KeyError, ValueError, InternalError):
@@ -168,6 +168,17 @@ def test_cli_internal_error_exit_code(a1_file, capsys, monkeypatch):
         monkeypatch.setattr("wadet.cli.check_all", broken)
         assert main(["check", "all", a1_file]) == 4, error
         assert "broken invariant" in json.loads(capsys.readouterr().err)["error"]
+    # an exhausted budget is UNKNOWN (2), not an internal error: fifteen
+    # silent loops of weight (1, 0) outgrow the k > 1 walk search
+    path = tmp_path / "loops.json"
+    path.write_text(io.dumps(io.serialize(validate({
+        "k": 2, "states": ["q", "r"], "initial": {"q": [0, 0]},
+        "events": {**{f"u{i}": None for i in range(15)}, "a": "a"},
+        "transitions": [("q", f"u{i}", "q", [1, 0]) for i in range(15)]
+        + [("q", "a", "r", [0, 0])]}))))
+    code, out = run_cli(capsys, "estimate", str(path), "--obs", "(a,0 1)")
+    assert code == 2
+    assert out["estimate"] is None and out["status"] == "UNKNOWN" and out["notes"]
 
 
 # -- DOT export -----------------------------------------------------------------

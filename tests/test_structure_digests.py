@@ -1,0 +1,68 @@
+"""Outputs stay byte-identical: sha256 digests of verdicts and structures.
+
+`tests/data/structure_digests.json` holds, per automaton, the sha256 of
+each of the four `check_all` verdict JSONs and of the self-composition,
+observer and detector JSON, serialized as the CLI prints them.  A change
+that must not alter any output keeps every digest; a change that alters
+outputs on purpose rewrites the file with
+
+    PYTHONPATH=src python tests/test_structure_digests.py
+"""
+
+import hashlib
+import json
+import pathlib
+from functools import cache
+
+import pytest
+
+from wadet import io
+from wadet.corpus import load_fixture, random_automaton
+from wadet.verify import check_all
+
+DIGESTS = pathlib.Path(__file__).parent / "data" / "structure_digests.json"
+SEEDS = range(60)
+
+
+def automata():
+    """Name -> automaton: the three fixtures, then random draws with the
+    default generator and with mostly silent, wider-weighted events."""
+    out = {name: load_fixture(name).automaton for name in ("A0", "A1", "robot")}
+    for seed in SEEDS:
+        out[f"random-{seed}"] = random_automaton(seed, k=1)
+    for seed in SEEDS:
+        out[f"silent-{seed}"] = random_automaton(seed, k=1, unobs_fraction=0.7,
+                                                 weight_range=(-3, 3))
+    return out
+
+
+def digests(a) -> dict[str, str]:
+    result = check_all(a)
+    documents = {p: v.to_json() for p, v in result.verdicts.items()}
+    documents["selfcomp"] = io.selfcomp_to_json(result.self_composition, result.scale)
+    documents["observer"] = io.estimator_to_json(result.observer, result.scale)
+    documents["detector"] = io.estimator_to_json(result.detector, result.scale)
+    return {name: hashlib.sha256(io.dumps(doc).encode()).hexdigest()
+            for name, doc in documents.items()}
+
+
+@cache
+def recorded() -> dict:
+    return json.loads(DIGESTS.read_text())
+
+
+AUTOMATA = automata()
+
+
+@pytest.mark.parametrize("name", list(AUTOMATA))
+def test_outputs_match_recorded_digests(name):
+    assert digests(AUTOMATA[name]) == recorded()[name]
+
+
+def test_digest_file_covers_every_automaton():
+    assert list(recorded()) == list(AUTOMATA)
+
+
+if __name__ == "__main__":
+    DIGESTS.write_text(json.dumps({name: digests(a) for name, a in AUTOMATA.items()},
+                                  indent=1) + "\n")

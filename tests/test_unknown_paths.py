@@ -45,8 +45,8 @@ def test_generous_budget_decides_sd():
 
 def test_truncated_estimator_degrades_to_unknown():
     a = weighted_silent_loop()
-    observer = build_observer(a, max_len=3)
-    detector = build_detector(a, max_len=3)
+    observer = build_observer(a)
+    detector = build_detector(a)
     assert not observer.exact and not detector.exact
     assert check_spd(a, detector).status == UNKNOWN
     # weak detectability is still decided: the silent loop means some
@@ -72,7 +72,7 @@ def test_wpd_unknown_when_inexact_and_undecided_by_structure():
             ("p", "u", "z", [1, 1]),
         ],
     })
-    observer = build_observer(a, max_len=3)
+    observer = build_observer(a)
     assert not observer.exact
     assert check_wpd(a, observer).status == UNKNOWN
     assert check_wd(a, observer).witness["kind"] == "silent-cycle"
