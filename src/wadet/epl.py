@@ -127,6 +127,7 @@ class WeightSetSolver:
         self._succ, self._pred = _adjacency(graph)
         self._sets: dict[tuple, EPSet] = {}
         self._cycles_cache: dict[frozenset, set[tuple[frozenset, int]]] = {}
+        self._spans: dict[tuple[int, ...], EPSet] = {}  # nspan by sorted generators
 
     # -- public ---------------------------------------------------------
 
@@ -252,7 +253,10 @@ class WeightSetSolver:
         for (pvs, pw) in self._simple_paths(u, v, region):
             for (vs, base) in self._chain_states(pvs, cycles):
                 if vs not in spans:
-                    spans[vs] = nspan(sorted({cw for (cvs, cw) in cycles if cvs <= vs}))
+                    gens = tuple(sorted({cw for (cvs, cw) in cycles if cvs <= vs}))
+                    if gens not in self._spans:
+                        self._spans[gens] = nspan(gens)
+                    spans[vs] = self._spans[gens]
                 pieces.append(eps_shift(spans[vs], pw + base))
         return eps_union_many(pieces)
 

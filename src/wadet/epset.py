@@ -5,8 +5,10 @@ most one upward tail {n >= U : n mod d in R} and at most one downward
 tail {n <= L : n mod d in R}.  These are exactly the subsets of Z
 definable by a one-variable Presburger formula, and they are closed
 under union, intersection, complement, shift, reflection and sumset.
-Every constructor canonicalizes, so structural equality coincides with
-set equality.
+Every operation returns the canonical form, so structural equality
+coincides with set equality.  The boolean operations also accept raw
+presentations (an EPSet built directly); eps_shift and eps_reflect move
+a canonical set without re-canonicalizing it.
 
 Canonical form:
   * tail periods are minimal (residue sets are folded),
@@ -20,10 +22,10 @@ Canonical form:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 from math import gcd, lcm
+from operator import or_
 from typing import Callable, Iterable
-
-from .verdict import InternalError
 
 
 @dataclass(frozen=True)
@@ -130,111 +132,151 @@ class EPSet:
 # ---------------------------------------------------------------------
 
 
-def _up_period(s: EPSet) -> int:
-    return s.up.period if s.up is not None else 1
-
-
-def _down_period(s: EPSet) -> int:
-    return s.down.period if s.down is not None else 1
-
-
-def _hi_safe(s: EPSet) -> int:
-    """Least H such that membership on [H, oo) is governed by the up core
-    alone (period _up_period).  Safe for non-canonical presentations."""
-    cands = [0]
-    if s.up is not None:
-        cands.append(s.up.threshold)
-    if s.exceptions:
-        cands.append(max(s.exceptions) + 1)
-    if s.down is not None:
-        cands.append(s.down.threshold + 1)
-    return max(cands)
-
-
-def _lo_safe(s: EPSet) -> int:
-    cands = [0]
-    if s.down is not None:
-        cands.append(s.down.threshold)
-    if s.exceptions:
-        cands.append(min(s.exceptions) - 1)
-    if s.up is not None:
-        cands.append(s.up.threshold - 1)
-    return min(cands)
-
-
 def _divisors(n: int) -> list[int]:
-    out = [d for d in range(1, n + 1) if n % d == 0]
+    """The divisors of n >= 1 in increasing order, by trial division up to
+    the square root."""
+    small, large = [], []
+    d = 1
+    while d * d <= n:
+        if n % d == 0:
+            small.append(d)
+            if d * d != n:
+                large.append(n // d)
+        d += 1
+    return small + large[::-1]
+
+
+# Residue sets mod a modulus m are bitsets: bit r stands for residue r.
+
+
+def _bits(x: int) -> list[int]:
+    """Positions of the set bits of x >= 0, lowest first."""
+    out = []
+    while x:
+        low = x & -x
+        out.append(low.bit_length() - 1)
+        x ^= low
     return out
 
 
-def _min_shift_period(residues: frozenset[int], modulus: int) -> int:
-    """Smallest e | modulus with residues + e = residues (mod modulus)."""
-    for e in _divisors(modulus):
-        if {(r + e) % modulus for r in residues} == set(residues):
-            return e
-    return modulus
+def _spread(core: Core | None, modulus: int) -> int:
+    """The residues of a core mod a multiple of its period."""
+    if core is None:
+        return 0
+    mask, width = sum(1 << r for r in core.residues), core.period
+    while width < modulus:
+        mask |= mask << width
+        width *= 2
+    return mask & ((1 << modulus) - 1)
 
 
-def _canonical(lo: int, dn_res: frozenset[int], middle: frozenset[int],
-               hi: int, up_res: frozenset[int], modulus: int) -> EPSet:
+def _window(mask: int, a: int, b: int, modulus: int) -> int:
+    """Bit i is set iff a + i lies in [a, b) and has its residue in mask;
+    needs b - a <= modulus."""
+    k = a % modulus
+    rotated = (mask >> k) | (mask << (modulus - k))
+    return rotated & ((1 << (b - a)) - 1)
+
+
+def _fold(mask: int, modulus: int) -> tuple[int, frozenset[int]]:
+    """Least period e | modulus of a residue set, and its residues mod e."""
+    full = (1 << modulus) - 1
+    e = next(e for e in _divisors(modulus)
+             if ((mask << e) | (mask >> (modulus - e))) & full == mask)
+    return e, frozenset(_bits(mask & ((1 << e) - 1)))
+
+
+def _canonical(lo: int, hi: int, modulus: int, dn_res: int, up_res: int,
+               runs: list[tuple[int, int, int]]) -> EPSet:
     """Build the canonical EPSet whose membership is: up_res mod modulus on
-    [hi, oo), dn_res mod modulus on (-oo, lo], and `middle` on (lo, hi)."""
-
-    def mem(n: int) -> bool:
-        if n >= hi:
-            return n % modulus in up_res
-        if n <= lo:
-            return n % modulus in dn_res
-        return n in middle
-
-    d_up = _min_shift_period(up_res, modulus) if up_res else 1
-    r_up = frozenset(r % d_up for r in up_res)
-    d_dn = _min_shift_period(dn_res, modulus) if dn_res else 1
-    r_dn = frozenset(r % d_dn for r in dn_res)
-
-    if up_res and dn_res and d_up == d_dn and r_up == r_dn and \
-            all(mem(n) == (n % d_up in r_up) for n in range(lo + 1, hi)):
-        return EPSet(frozenset(), Core(0, d_up, r_up), Core(-1, d_up, r_up))
-
-    up = None
-    u_thr = hi
+    [hi, oo), dn_res mod modulus on (-oo, lo], and the residues res on each
+    run [a, b) of (lo, hi).  The descent and the ascent of the thresholds
+    read, per run, the last (or first) residue that differs from the tail;
+    exceptions are listed only where they are members."""
+    u_thr, l_thr = hi, lo
+    up = down = None
+    start, end = 0, len(runs)  # the runs that may hold exceptions
     if up_res:
-        guard = lo - 2 * modulus - 2 * d_up
-        while u_thr - 1 > guard and mem(u_thr - 1) == ((u_thr - 1) % d_up in r_up):
-            u_thr -= 1
-        if u_thr - 1 <= guard:
-            raise InternalError("threshold descent did not terminate")
-        up = Core(u_thr, d_up, r_up)
-
-    down = None
-    l_thr = lo
+        for end in range(len(runs), 0, -1):
+            a, b, res = runs[end - 1]
+            a = max(a, b - modulus)
+            w = _window(res ^ up_res, a, b, modulus)
+            if w:
+                u_thr = a + w.bit_length()
+                break
+        else:
+            if dn_res == up_res:
+                d, r = _fold(up_res, modulus)
+                return EPSet(frozenset(), Core(0, d, r), Core(-1, d, r))
+            w = _window(dn_res ^ up_res, lo + 1 - modulus, lo + 1, modulus)
+            u_thr, end = lo + 1 - modulus + w.bit_length(), 0
+        up = Core(u_thr, *_fold(up_res, modulus))
     if dn_res:
-        guard = hi + 2 * modulus + 2 * d_dn
-        while l_thr + 1 < guard and mem(l_thr + 1) == ((l_thr + 1) % d_dn in r_dn):
-            l_thr += 1
-        if l_thr + 1 >= guard:
-            raise InternalError("threshold ascent did not terminate")
-        down = Core(l_thr, d_dn, r_dn)
+        for start in range(len(runs)):
+            a, b, res = runs[start]
+            w = _window(res ^ dn_res, a, min(b, a + modulus), modulus)
+            if w:
+                l_thr = a + (w & -w).bit_length() - 2
+                break
+        else:
+            # dn_res == up_res with an agreeing middle has returned above
+            w = _window(dn_res ^ up_res, hi, hi + modulus, modulus)
+            l_thr, start = hi + (w & -w).bit_length() - 2, len(runs)
+        down = Core(l_thr, *_fold(dn_res, modulus))
+    members: list[int] = []
+    for a, b, res in runs[start:end]:
+        a, b = max(a, l_thr + 1), min(b, u_thr)
+        if a < b:
+            for i in _bits(_window(res, a, min(b, a + modulus), modulus)):
+                members.extend(range(a + i, b, modulus))
+    return EPSet(frozenset(members), up, down)
 
-    lo_bound = l_thr + 1 if down is not None else lo + 1
-    hi_bound = u_thr if up is not None else hi
-    exceptions = frozenset(n for n in range(lo_bound, hi_bound) if mem(n))
-    return EPSet(exceptions, up, down)
 
+def _combine(sets: list[EPSet], f: Callable[..., int]) -> EPSet:
+    """Boolean combination; accepts non-canonical presentations.  f acts
+    bitwise on ints (|, &, ~), so one call combines whole residue sets.
 
-def _combine(sets: list[EPSet], f: Callable[..., bool]) -> EPSet:
-    """Pointwise boolean combination; accepts non-canonical presentations."""
+    The thresholds of the inputs cut the line into runs on which every
+    input is periodic mod the lcm of the periods; each exception point of
+    an input is a run of its own, evaluated by membership.  Below the
+    lowest cut only the down cores count, from the highest cut on only
+    the up cores."""
     modulus = 1
+    thresholds: set[int] = set()
+    points: set[int] = set()
     for s in sets:
-        modulus = lcm(modulus, _up_period(s), _down_period(s))
-    hi = max(_hi_safe(s) for s in sets)
-    lo = min(_lo_safe(s) for s in sets)
-    up_res = frozenset(r for r in range(modulus)
-                       if f(*((hi + ((r - hi) % modulus)) in s for s in sets)))
-    dn_res = frozenset(r for r in range(modulus)
-                       if f(*((lo - ((lo - r) % modulus)) in s for s in sets)))
-    middle = frozenset(n for n in range(lo + 1, hi) if f(*(n in s for s in sets)))
-    return _canonical(lo, dn_res, middle, hi, up_res, modulus)
+        points |= s.exceptions
+        if s.up is not None:
+            modulus = lcm(modulus, s.up.period)
+            thresholds.add(s.up.threshold)
+        if s.down is not None:
+            modulus = lcm(modulus, s.down.period)
+            thresholds.add(s.down.threshold + 1)
+    cuts = sorted(thresholds | points | {e + 1 for e in points}) or [0]
+    lo, hi = cuts[0] - 1, cuts[-1]
+    full = (1 << modulus) - 1
+    # per input: up threshold, up residues, down threshold, down residues
+    cores = [(s.up.threshold if s.up is not None else hi + 1, _spread(s.up, modulus),
+              s.down.threshold if s.down is not None else lo - 1, _spread(s.down, modulus))
+             for s in sets]
+
+    def pattern(n: int) -> int:
+        """Residues of the result on the run through n, exceptions aside."""
+        return f(*[(up if n >= u else 0) | (dn if n <= d else 0)
+                   for u, up, d, dn in cores]) & full
+
+    runs: list[tuple[int, int, int]] = []
+    current = None
+    for a, b in zip(cuts, cuts[1:]):
+        if a in thresholds:
+            current = None
+        if a in points:
+            runs.append((a, b, (f(*[a in s for s in sets]) & 1) << (a % modulus)))
+        else:
+            if current is None:
+                current = pattern(a)
+            runs.append((a, b, current))
+    return _canonical(lo, hi, modulus, pattern(lo), pattern(hi), runs)
 
 
 def _recanon(s: EPSet) -> EPSet:
@@ -247,48 +289,65 @@ def _recanon(s: EPSet) -> EPSet:
 
 
 def eps_union(s: EPSet, t: EPSet) -> EPSet:
-    return _combine([s, t], lambda a, b: a or b)
+    return _combine([s, t], lambda a, b: a | b)
 
 
 def eps_intersect(s: EPSet, t: EPSet) -> EPSet:
-    return _combine([s, t], lambda a, b: a and b)
+    return _combine([s, t], lambda a, b: a & b)
 
 
 def eps_difference(s: EPSet, t: EPSet) -> EPSet:
-    return _combine([s, t], lambda a, b: a and not b)
+    return _combine([s, t], lambda a, b: a & ~b)
 
 
 def eps_complement(s: EPSet) -> EPSet:
-    return _combine([s], lambda a: not a)
+    return _combine([s], lambda a: ~a)
 
 
 def eps_union_many(sets: Iterable[EPSet]) -> EPSet:
     sets = list(sets)
     if not sets:
         return EPSet.empty()
-    return _combine(sets, lambda *flags: any(flags))
+    return _combine(sets, lambda *masks: reduce(or_, masks))
+
+
+def _is_periodic(s: EPSet) -> bool:
+    """Whether a canonical set is periodic on all of Z (anchored at 0/-1)."""
+    return (s.up is not None and s.down is not None and not s.exceptions
+            and s.up.threshold == 0 and s.down.threshold == -1
+            and s.up.period == s.down.period and s.up.residues == s.down.residues)
 
 
 def eps_shift(s: EPSet, c: int) -> EPSet:
-    """{n + c : n in s}."""
+    """{n + c : n in s} for a canonical s.  Translation keeps the canonical
+    form; a set periodic on all of Z stays anchored at 0/-1."""
 
-    def core(k: Core | None) -> Core | None:
+    def core(k: Core | None, threshold: int) -> Core | None:
         if k is None:
             return None
-        return Core(k.threshold + c, k.period, frozenset((r + c) % k.period for r in k.residues))
+        return Core(threshold, k.period, frozenset((r + c) % k.period for r in k.residues))
 
-    return _recanon(EPSet(frozenset(n + c for n in s.exceptions), core(s.up), core(s.down)))
+    if _is_periodic(s):
+        return EPSet(frozenset(), core(s.up, 0), core(s.down, -1))
+    return EPSet(frozenset(n + c for n in s.exceptions),
+                 core(s.up, s.up.threshold + c) if s.up is not None else None,
+                 core(s.down, s.down.threshold + c) if s.down is not None else None)
 
 
 def eps_reflect(s: EPSet) -> EPSet:
-    """{-n : n in s}."""
+    """{-n : n in s} for a canonical s.  Reflection keeps the canonical
+    form; a set periodic on all of Z stays anchored at 0/-1."""
 
-    def core(k: Core | None) -> Core | None:
+    def core(k: Core | None, threshold: int) -> Core | None:
         if k is None:
             return None
-        return Core(-k.threshold, k.period, frozenset((-r) % k.period for r in k.residues))
+        return Core(threshold, k.period, frozenset((-r) % k.period for r in k.residues))
 
-    return _recanon(EPSet(frozenset(-n for n in s.exceptions), core(s.down), core(s.up)))
+    if _is_periodic(s):
+        return EPSet(frozenset(), core(s.up, 0), core(s.down, -1))
+    return EPSet(frozenset(-n for n in s.exceptions),
+                 core(s.down, -s.down.threshold) if s.down is not None else None,
+                 core(s.up, -s.up.threshold) if s.up is not None else None)
 
 
 # ---------------------------------------------------------------------
@@ -296,27 +355,22 @@ def eps_reflect(s: EPSet) -> EPSet:
 # ---------------------------------------------------------------------
 
 
-def _witness_scan_bound(s: EPSet) -> int:
-    b = 1
-    if s.exceptions:
-        b = max(b, max(abs(n) for n in s.exceptions))
-    if s.up is not None:
-        b = max(b, abs(s.up.threshold) + s.up.period)
-    if s.down is not None:
-        b = max(b, abs(s.down.threshold) + s.down.period)
-    return b + 1
-
-
 def eps_min_abs_witness(s: EPSet) -> int | None:
-    """Member of smallest absolute value, ties broken toward nonnegative."""
-    if s.is_empty():
-        return None
-    for a in range(_witness_scan_bound(s) + 1):
-        if a in s:
-            return a
-        if -a in s:
-            return -a
-    raise InternalError("nonempty EPSet without witness in scan bound")
+    """Member of smallest absolute value, ties broken toward nonnegative.
+    The candidates are the exceptions and, per tail residue, the members
+    nearest 0 on either side of it, clipped to the tail."""
+    candidates = list(s.exceptions)
+    if s.up is not None:
+        u, p = s.up.threshold, s.up.period
+        for r in s.up.residues:
+            first = u + (r - u) % p
+            candidates.extend([first] if first >= 0 else [r % p, r % p - p])
+    if s.down is not None:
+        l, p = s.down.threshold, s.down.period
+        for r in s.down.residues:
+            last = l - (l - r) % p
+            candidates.extend([last] if last <= 0 else [r % p, r % p - p])
+    return min(candidates, key=lambda n: (abs(n), n < 0), default=None)
 
 
 # ---------------------------------------------------------------------
@@ -328,34 +382,32 @@ def nspan(generators: Iterable[int]) -> EPSet:
     """{ sum_i n_i * g_i : n_i in N } for the given integer generators.
 
     All zero or empty -> {0}.  Same sign -> a numerical semigroup scaled
-    by the gcd: computed by sieving up to max|g|^2 + max|g|, beyond which
-    exactly the multiples of the gcd remain (the largest gap of the
-    coprime semigroup is below max|g|^2 / gcd).  Mixed signs -> the full
-    group gcd * Z.
+    by the gcd d: the generators divided by d are sieved up to m^2 + m
+    (m the largest of them), beyond which every integer is a sum (the
+    largest gap of a coprime semigroup is below m^2); the result is
+    scaled back by d.  Mixed signs -> the full group d * Z.
     """
     gens = sorted({g for g in generators if g != 0})
     if not gens:
         return EPSet.finite([0])
     pos = [g for g in gens if g > 0]
     neg = [g for g in gens if g < 0]
+    d = 0
+    for g in gens:
+        d = gcd(d, abs(g))
     if pos and neg:
-        d = 0
-        for g in gens:
-            d = gcd(d, abs(g))
         return EPSet.congruent(0, d)
     if neg:
         return eps_reflect(nspan([-g for g in gens]))
-    d = 0
-    for g in pos:
-        d = gcd(d, g)
+    pos = [g // d for g in pos]
     m = max(pos)
     threshold = m * m + m
     reach = bytearray(threshold + 1)
     reach[0] = 1
     for n in range(1, threshold + 1):
         reach[n] = any(g <= n and reach[n - g] for g in pos)
-    members = frozenset(n for n in range(threshold) if reach[n])
-    return _recanon(EPSet(members, Core(threshold, d, frozenset([0])), None))
+    members = frozenset(d * n for n in range(threshold) if reach[n])
+    return _recanon(EPSet(members, Core(d * threshold, d, frozenset([0])), None))
 
 
 def eps_sumset(s: EPSet, t: EPSet) -> EPSet:
@@ -386,11 +438,14 @@ def _pieces(s: EPSet) -> list[tuple[str, int, int]]:
 
 
 def _progression(kind: str, first: int, period: int) -> EPSet:
+    """The canonical set {first}, {first + i * period : i >= 0} ("up") or
+    {first - i * period : i >= 0} ("down")."""
     if kind == "fin":
         return EPSet.finite([first])
+    residue = frozenset([first % period])
     if kind == "up":
-        return EPSet(frozenset(), Core(first, period, frozenset([first % period])), None)
-    return EPSet(frozenset(), None, Core(first, period, frozenset([first % period])))
+        return EPSet(frozenset(), Core(first - period + 1, period, residue), None)
+    return EPSet(frozenset(), None, Core(first + period - 1, period, residue))
 
 
 def _sum_piece(ka: str, a: int, pa: int, kb: str, b: int, pb: int) -> EPSet:

@@ -28,11 +28,12 @@ from typing import Callable, Iterable
 from .epl import WeightSetSolver, digraph
 from .epset import (
     EPSet,
-    eps_complement,
+    eps_difference,
     eps_intersect,
     eps_min_abs_witness,
     eps_shift,
     eps_union,
+    eps_union_many,
 )
 from .model import WeightedAutomaton, instantaneous_closure
 
@@ -91,7 +92,10 @@ def successor_cells(a: WeightedAutomaton, x: Iterable[str],
 
     The cells partition the union of the T(q2); for any concrete weight t
     exactly one cell contains t, and its target is the estimate
-    M(A, (sigma, t) | x).
+    M(A, (sigma, t) | x).  They come from partition refinement: starting
+    from the union, every cell is split by each distinct T-set into the
+    part inside and the part outside, and empty parts are dropped, so the
+    work grows with cells times T-sets.
     """
     a.require_prepared()
     if a.k != 1:
@@ -100,20 +104,20 @@ def successor_cells(a: WeightedAutomaton, x: Iterable[str],
     groups: dict[EPSet, list[str]] = {}
     for q2, s in sorted(tsets.items()):
         groups.setdefault(s, []).append(q2)
-    reps = sorted(groups.items(), key=lambda kv: sorted(kv[1]))
-    out = []
-    for pick in range(1, 1 << len(reps)):
-        cell: EPSet | None = None
-        for i, (s, _) in enumerate(reps):
-            part = s if pick >> i & 1 else eps_complement(s)
-            cell = part if cell is None else eps_intersect(cell, part)
-            if cell.is_empty():
-                break
-        if cell is None or cell.is_empty():
-            continue
-        raw_target = {q2 for i, (_, qs) in enumerate(reps) if pick >> i & 1 for q2 in qs}
-        target = instantaneous_closure(a, raw_target)
-        out.append((target, cell, eps_min_abs_witness(cell)))
+    if not groups:
+        return []
+    cells: list[tuple[EPSet, frozenset[str]]] = [(eps_union_many(groups), frozenset())]
+    for s, qs in groups.items():
+        split = []
+        for cell, raw_target in cells:
+            inside, outside = eps_intersect(cell, s), eps_difference(cell, s)
+            if not inside.is_empty():
+                split.append((inside, raw_target.union(qs)))
+            if not outside.is_empty():
+                split.append((outside, raw_target))
+        cells = split
+    out = [(instantaneous_closure(a, raw_target), cell, eps_min_abs_witness(cell))
+           for cell, raw_target in cells]
     out.sort(key=lambda c: (abs(c[2]), c[2] < 0, sorted(c[0])))
     return out
 

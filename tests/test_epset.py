@@ -1,4 +1,6 @@
 import itertools
+import time
+from math import lcm
 
 from hypothesis import given, settings, strategies as st
 
@@ -13,7 +15,9 @@ from wadet.epset import (
     eps_shift,
     eps_sumset,
     eps_union,
+    eps_union_many,
     nspan,
+    _divisors,
     _recanon,
 )
 
@@ -50,6 +54,121 @@ def naive_member(raw, n):
     if raw.down is not None and n <= raw.down.threshold and n % raw.down.period in raw.down.residues:
         return True
     return n in raw.exceptions
+
+
+# -- pointwise reference for the set algebra ---------------------------------
+#
+# wadet.epset works run by run between the cuts of its inputs; this
+# reference tests every integer between the safe bounds and steps the
+# thresholds one integer at a time, which is cheap on the small
+# presentations drawn here.
+
+
+def ref_canonical(lo, dn_res, middle, hi, up_res, modulus):
+    """The canonical EPSet with membership up_res mod modulus on [hi, oo),
+    dn_res on (-oo, lo] and `middle` on (lo, hi), found by stepping the
+    thresholds one integer at a time."""
+
+    def mem(n):
+        if n >= hi:
+            return n % modulus in up_res
+        if n <= lo:
+            return n % modulus in dn_res
+        return n in middle
+
+    def fold(res):
+        for e in range(1, modulus + 1):
+            if modulus % e == 0 and {(r + e) % modulus for r in res} == set(res):
+                return e, frozenset(r % e for r in res)
+
+    d_up, r_up = fold(up_res) if up_res else (1, frozenset())
+    d_dn, r_dn = fold(dn_res) if dn_res else (1, frozenset())
+    if up_res and dn_res and (d_up, r_up) == (d_dn, r_dn) and \
+            all(mem(n) == (n % d_up in r_up) for n in range(lo + 1, hi)):
+        return EPSet(frozenset(), Core(0, d_up, r_up), Core(-1, d_up, r_up))
+    up, u_thr = None, hi
+    if up_res:
+        while mem(u_thr - 1) == ((u_thr - 1) % d_up in r_up):
+            u_thr -= 1
+        up = Core(u_thr, d_up, r_up)
+    down, l_thr = None, lo
+    if dn_res:
+        while mem(l_thr + 1) == ((l_thr + 1) % d_dn in r_dn):
+            l_thr += 1
+        down = Core(l_thr, d_dn, r_dn)
+    return EPSet(frozenset(n for n in range(l_thr + 1, u_thr) if mem(n)), up, down)
+
+
+def ref_combine(sets, f):
+    """Pointwise boolean combination of raw presentations; f takes bools."""
+    modulus, hi, lo = 1, 0, 0
+    for s in sets:
+        for c in (s.up, s.down):
+            if c is not None:
+                modulus = lcm(modulus, c.period)
+        hi = max([hi, *(n + 1 for n in s.exceptions)]
+                 + ([s.up.threshold] if s.up else []) + ([s.down.threshold + 1] if s.down else []))
+        lo = min([lo, *(n - 1 for n in s.exceptions)]
+                 + ([s.down.threshold] if s.down else []) + ([s.up.threshold - 1] if s.up else []))
+    up_res = frozenset(r for r in range(modulus)
+                       if f(*((hi + (r - hi) % modulus) in s for s in sets)))
+    dn_res = frozenset(r for r in range(modulus)
+                       if f(*((lo - (lo - r) % modulus) in s for s in sets)))
+    middle = frozenset(n for n in range(lo + 1, hi) if f(*(n in s for s in sets)))
+    return ref_canonical(lo, dn_res, middle, hi, up_res, modulus)
+
+
+def raw_shift(raw, c):
+    """The presentation moved by c, not canonicalized."""
+
+    def core(k):
+        return k and Core(k.threshold + c, k.period, frozenset((r + c) % k.period for r in k.residues))
+
+    return EPSet(frozenset(n + c for n in raw.exceptions), core(raw.up), core(raw.down))
+
+
+def raw_reflect(raw):
+    def core(k):
+        return k and Core(-k.threshold, k.period, frozenset((-r) % k.period for r in k.residues))
+
+    return EPSet(frozenset(-n for n in raw.exceptions), core(raw.down), core(raw.up))
+
+
+@settings(max_examples=300, deadline=None)
+@given(raw_epset_st, raw_epset_st, st.integers(-40, 40))
+def test_set_algebra_equals_pointwise_reference(a, b, c):
+    assert _recanon(a) == ref_combine([a], lambda x: x)
+    assert eps_union(a, b) == ref_combine([a, b], lambda x, y: x or y)
+    assert eps_intersect(a, b) == ref_combine([a, b], lambda x, y: x and y)
+    assert eps_difference(a, b) == ref_combine([a, b], lambda x, y: x and not y)
+    assert eps_complement(a) == ref_combine([a], lambda x: not x)
+    assert eps_union_many([a, b, raw_shift(b, c)]) == ref_combine(
+        [a, b, raw_shift(b, c)], lambda *xs: any(xs))
+    assert eps_shift(_recanon(a), c) == ref_combine([raw_shift(a, c)], lambda x: x)
+    assert eps_reflect(_recanon(a)) == ref_combine([raw_reflect(a)], lambda x: x)
+
+
+@settings(max_examples=300, deadline=None)
+@given(raw_epset_st, st.one_of(st.integers(-10 ** 9, 10 ** 9),
+                               st.sampled_from([10 ** 9, -10 ** 9, 999_999_937])))
+def test_canonical_form_is_translation_invariant(raw, c):
+    # no window scan: the shifted presentation spans up to 10^9 integers
+    assert _recanon(raw_shift(raw, c)) == eps_shift(_recanon(raw), c)
+    assert _recanon(raw_reflect(raw_shift(raw, c))) == eps_reflect(eps_shift(_recanon(raw), c))
+
+
+@settings(max_examples=300, deadline=None)
+@given(raw_epset_st)
+def test_min_abs_witness_equals_scan(raw):
+    s = _recanon(raw)
+    scan = next((n for a in range(200) for n in (a, -a) if naive_member(raw, n)), None)
+    assert eps_min_abs_witness(s) == eps_min_abs_witness(raw) == scan
+
+
+def test_divisors_by_trial_division():
+    for n in range(1, 400):
+        assert _divisors(n) == [d for d in range(1, n + 1) if n % d == 0]
+    assert _divisors(10 ** 12) == sorted(2 ** i * 5 ** j for i in range(13) for j in range(13))
 
 
 # -- hand-checked examples ----------------------------------------------------
@@ -190,6 +309,17 @@ def test_nspan_against_coin_sums(gens):
         for n in range(-cap, cap + 1):
             if n in span:
                 assert n in brute
+
+
+def test_nspan_divides_by_the_gcd_first():
+    start = time.perf_counter()
+    thousand, pair = nspan([1000]), nspan([600, 900])
+    assert time.perf_counter() - start < 0.5
+    assert thousand == EPSet(frozenset(), Core(-999, 1000, frozenset([0])), None)
+    assert members(thousand, range(-3000, 3001)) == {0, 1000, 2000, 3000}
+    small = nspan([2, 3])
+    assert members(pair, range(-1000, 10_000)) == {300 * n for n in range(-3, 34) if n in small}
+    assert nspan([-600, -900]) == eps_reflect(pair)
 
 
 def test_nspan_mixed_signs_is_full_gcd_class():

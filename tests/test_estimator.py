@@ -4,11 +4,12 @@ from itertools import combinations
 import pytest
 
 from wadet import estimator, io
-from wadet.corpus import load_fixture
+from wadet.corpus import load_fixture, random_automaton
 from wadet.epset import (
     EPSet,
     eps_complement,
     eps_intersect,
+    eps_min_abs_witness,
     eps_union_many,
 )
 from wadet.estimator import (
@@ -74,6 +75,62 @@ def test_cells_partition_union_of_targets(aut_a0, aut_a1):
                 assert union_t == union_c
                 for (_, c1, _), (_, c2, _) in combinations(cells, 2):
                     assert eps_intersect(c1, c2).is_empty()
+
+
+def pattern_cells(a, x, sigma):
+    """Test-only reference for successor_cells: one intersection of every
+    T-set or its complement per nonempty pattern, 2^(distinct T-sets)
+    patterns in all."""
+    groups = {}
+    for q2, s in sorted(successor_target_sets(a, x, sigma).items()):
+        groups.setdefault(s, []).append(q2)
+    reps = sorted(groups.items(), key=lambda kv: sorted(kv[1]))
+    out = []
+    for pick in range(1, 1 << len(reps)):
+        cell = None
+        for i, (s, _) in enumerate(reps):
+            part = s if pick >> i & 1 else eps_complement(s)
+            cell = part if cell is None else eps_intersect(cell, part)
+        if cell.is_empty():
+            continue
+        raw_target = {q2 for i, (_, qs) in enumerate(reps) if pick >> i & 1 for q2 in qs}
+        out.append((instantaneous_closure(a, raw_target), cell, eps_min_abs_witness(cell)))
+    out.sort(key=lambda c: (abs(c[2]), c[2] < 0, sorted(c[0])))
+    return out
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_refined_cells_equal_pattern_enumeration(seed):
+    a = scale_to_integers(normalize(random_automaton(seed, k=1, unobs_fraction=0.5)))[0]
+    estimates = set(build_observer(a).states) | {frozenset([q]) for q in a.states}
+    for x in sorted(estimates, key=sorted):
+        for sigma in sorted(a.sigma):
+            assert successor_cells(a, x, sigma) == pattern_cells(a, x, sigma)
+
+
+def fan(weights, silent_loop):
+    """One state with a silent loop and one observable arc per weight, each
+    to its own target."""
+    return scale_to_integers(normalize(validate({
+        "k": 1,
+        "states": ["p"] + [f"t{i}" for i in range(len(weights))],
+        "initial": {"p": [0]},
+        "events": {"u": None, "a": "a"},
+        "transitions": [("p", "u", "p", [silent_loop])]
+        + [("p", "a", f"t{i}", [w]) for i, w in enumerate(weights)],
+    })))[0]
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_refined_cells_equal_pattern_enumeration_on_fans(seed):
+    rng = random.Random(seed)
+    n = rng.randint(2, 10)
+    weights = [rng.choice([0, 1, 2, 3, 5, 7, 12, -4]) for _ in range(n)]
+    a = fan(weights, rng.choice([2, 3, 4, 6, -5]))
+    cells = successor_cells(a, {"p"}, "a")
+    assert cells == pattern_cells(a, {"p"}, "a")
+    # per residue class of the loop, each distinct weight opens one cell
+    assert len(cells) == len(set(weights))
 
 
 # -- observer -------------------------------------------------------------

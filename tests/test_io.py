@@ -259,6 +259,27 @@ def test_cli_estimate_vector_weights(capsys, tmp_path):
     assert out["estimate"] == ["e4p2"]
 
 
+@pytest.mark.parametrize("weight", ["10000000", "1e400"], ids=["1e7", "1e400"])
+def test_huge_weights_end_to_end(capsys, tmp_path, weight):
+    # one state, one observable self-loop: set operations follow the size
+    # of the sets' representations, not the magnitude of the weight
+    import time
+    from wadet.verify import check_all
+    doc = {"format_version": 1, "k": 1, "states": ["q"],
+           "initial": [{"state": "q", "weight": ["0"]}],
+           "events": [{"name": "a", "label": "a"}],
+           "transitions": [{"from": "q", "event": "a", "to": "q", "weight": [weight]}]}
+    start = time.perf_counter()
+    result = check_all(io.parse(doc))
+    assert time.perf_counter() - start < 2.0
+    assert result.statuses() == {"SD": "HOLDS", "SPD": "HOLDS", "WD": "HOLDS", "WPD": "HOLDS"}
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(doc))
+    code, out = run_cli(capsys, "check", "all", str(path))
+    assert code == 0
+    assert {p: v["status"] for p, v in out["verdicts"].items()} == result.statuses()
+
+
 @pytest.mark.parametrize("flags", [[], ["-O"]], ids=["plain", "optimized"])
 def test_console_script_entry_point(a1_file, flags):
     import pathlib
