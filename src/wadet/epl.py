@@ -1,17 +1,18 @@
 """Exact-path-length engine over integer-weighted digraphs.
 
 For one-dimensional weights the full achievable-weight set of walks
-between two vertices is computed exactly as an eventually periodic set:
-every walk decomposes into a simple path plus simple cycles that attach,
-transitively, to the path's vertex set.  Simple paths and simple cycles
-are aggregated by (vertex set, weight), cycle insertion is explored as a
-monotone growth of the visited vertex set, and the repeatable part is an
-N-span of the cycle weights available inside the final vertex set.  The
-decomposition yields sets only; once a weight is known to be a member,
-a witness walk with the fewest arcs comes from a breadth-first search
-over (vertex, accumulated weight) states, which ends because the set is
-exact.  That search is pseudo-polynomial in the weights, so callers that
-only need to decide ask for the set.
+between two vertices is computed exactly as an eventually periodic set,
+one row W(u, .) per source, strongly connected component (SCC) by SCC in
+topological order.  Inside an SCC the set has a closed form: a point, a
+congruence class, or, when the nonzero cycles have one sign, the union
+of the progressions m + c * N, where c is the weight of a closed walk of
+that sign and m the least weight of each residue class mod c
+(epset.least_by_residue; mirrored for negative cycles).  Composing the
+SCCs is a sumset.  Once a weight is known to be a member, a witness walk
+with the fewest arcs comes from a breadth-first search over (vertex,
+accumulated weight) states, which ends because the set is exact.  That
+search is pseudo-polynomial in the weights, so callers that only need
+to decide ask for the set.
 
 For higher dimensions the decision question (is there a walk of exactly
 weight z?) is answered by enumerating candidate arc supports and solving
@@ -24,11 +25,12 @@ returned.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gcd
+from math import gcd, inf
 from typing import Iterable, Sequence
 
-from .epset import EPSet, eps_shift, eps_union_many, nspan
-from .graphutil import reachable
+from .epset import (EPSet, eps_reflect, eps_shift, eps_sumset, eps_union_many,
+                    from_minima, least_by_residue)
+from .graphutil import reachable, strongly_connected_components
 from .verdict import InternalError
 
 Vec = tuple[int, ...]
@@ -125,17 +127,17 @@ class WeightSetSolver:
                 raise ValueError("weights must be pre-scaled to integers")
         self.graph = graph
         self._succ, self._pred = _adjacency(graph)
-        self._sets: dict[tuple, EPSet] = {}
-        self._cycles_cache: dict[frozenset, set[tuple[frozenset, int]]] = {}
-        self._spans: dict[tuple[int, ...], EPSet] = {}  # nspan by sorted generators
+        comps = strongly_connected_components(
+            graph.vertices, lambda x: (a.head for a in self._succ[x]))
+        self._sccs = [frozenset(c) for c in reversed(comps)]  # topological order
+        self._scc = {x: c for c in self._sccs for x in c}
+        self._rows: dict[object, dict[object, EPSet]] = {}
+        self._withins: dict[object, dict[object, EPSet]] = {}
 
     # -- public ---------------------------------------------------------
 
     def weight_set(self, u, v) -> EPSet:
-        key = (u, v)
-        if key not in self._sets:
-            self._sets[key] = self._compute(u, v)
-        return self._sets[key]
+        return self._row(u).get(v, EPSet.empty())
 
     def witness_walk(self, u, v, z: int) -> tuple[Arc, ...] | None:
         """A u->v walk of weight z with the fewest arcs, or None when z is
@@ -172,93 +174,90 @@ class WeightSetSolver:
             raise InternalError(f"witness walk {u!r}->{v!r} does not replay to weight {z}")
         return tuple(walk)
 
-    # -- decomposition ----------------------------------------------------
+    # -- SCC by SCC ---------------------------------------------------------
 
-    def _simple_paths(self, u, v, region: set) -> set[tuple[frozenset, int]]:
-        """(vertex set, weight) of every simple u->v path."""
-        if u == v:
-            return {(frozenset([u]), 0)}
-        found: set[tuple[frozenset, int]] = set()
-        # DP over (current vertex, visited set), weights aggregated
-        layer: dict[tuple[object, frozenset], set[int]] = {(u, frozenset([u])): {0}}
-        while layer:
-            nxt: dict[tuple[object, frozenset], set[int]] = {}
-            for (cur, visited), weights in layer.items():
-                for a in self._succ[cur]:
-                    h = a.head
-                    if h not in region or h in visited:
-                        continue
-                    shifted = {w + a.weight[0] for w in weights}
-                    if h == v:
-                        found.update((visited | {v}, w) for w in shifted)
-                    else:
-                        nxt.setdefault((h, visited | {h}), set()).update(shifted)
-            layer = nxt
-        return found
+    def _row(self, u) -> dict[object, EPSet]:
+        """W(u, y) for every y reachable from u.  A walk from u enters each
+        SCC it meets once, at some b, and stays inside until it leaves:
+        W(u, y) is the union over b of entry[b] + W_C(b, y)."""
+        if u in self._rows:
+            return self._rows[u]
+        row: dict[object, EPSet] = {}
+        pending: dict[object, list[EPSet]] = {u: [EPSet.finite([0])]}
+        for comp in self._sccs:
+            entry = {b: _union(pending.pop(b)) for b in comp if b in pending}
+            if not entry:
+                continue
+            for y in comp:
+                row[y] = _union([eps_sumset(e, self._within(b)[y]) for b, e in entry.items()])
+                for a in self._succ[y]:
+                    if a.head not in comp:
+                        pending.setdefault(a.head, []).append(eps_shift(row[y], a.weight[0]))
+        self._rows[u] = row
+        return row
 
-    def _simple_cycles(self, region: set) -> set[tuple[frozenset, int]]:
-        """(vertex set, weight) of every simple cycle within region."""
-        key = frozenset(region)
-        if key in self._cycles_cache:
-            return self._cycles_cache[key]
-        order = {x: i for i, x in enumerate(sorted(region, key=repr))}
-        found: set[tuple[frozenset, int]] = set()
-        for anchor in region:
-            base = order[anchor]
-            layer: dict[tuple[object, frozenset], set[int]] = {
-                (anchor, frozenset([anchor])): {0}
-            }
-            while layer:
-                nxt: dict[tuple[object, frozenset], set[int]] = {}
-                for (cur, visited), weights in layer.items():
-                    for a in self._succ[cur]:
-                        h = a.head
-                        if h == anchor:
-                            found.update((visited, w + a.weight[0]) for w in weights)
-                            continue
-                        if h not in region or order[h] <= base or h in visited:
-                            continue
-                        slot = nxt.setdefault((h, visited | {h}), set())
-                        slot.update(w + a.weight[0] for w in weights)
-                layer = nxt
-        self._cycles_cache[key] = found
-        return found
+    def _within(self, b) -> dict[object, EPSet]:
+        """W_C(b, y) for y in the SCC C of b, the weights of walks that stay
+        in C.  With potentials p along a search tree from b, a walk to y
+        weighs p(y) plus the excesses p(tail) + w - p(head) of its arcs.
+        Let d be their gcd: d = 0 gives {p(y)}; cycles of both signs give
+        p(y) + dZ; one sign gives, per residue mod the weight c of a closed
+        walk of that sign at b, the least weight, which starts a
+        progression of period c."""
+        if b in self._withins:
+            return self._withins[b]
+        comp = self._scc[b]
+        out = {x: [a for a in self._succ[x] if a.head in comp] for x in comp}
+        p = {b: 0}
+        stack = [b]
+        while stack:
+            x = stack.pop()
+            for a in out[x]:
+                if a.head not in p:
+                    p[a.head] = p[x] + a.weight[0]
+                    stack.append(a.head)
+        d = gcd(*(p[x] + a.weight[0] - p[a.head] for x in comp for a in out[x]))
+        g = None
+        for sign in (1, -1) if d else ():
+            if (g := _distances_to(b, out, sign)) is not None:
+                break
+        if d == 0:
+            table = {y: EPSet.finite([p[y]]) for y in comp}
+        elif g is None:
+            table = {y: EPSet.congruent(p[y], d) for y in comp}
+        else:
+            # weights times sign, whose cycles are >= 0; g(x) is the least
+            # weight of a walk x -> b, so w - g(x) + g(y) >= 0 on each arc
+            c = min(t for x in comp for a in out[x]
+                    if (t := sign * (p[x] + a.weight[0]) + g[a.head]) > 0)
+            least = least_by_residue(
+                b, lambda x: [(a.head, sign * a.weight[0] - g[x] + g[a.head]) for a in out[x]], c)
+            table = {y: from_minima([m - g[y] for m in least[y].values()], c) for y in comp}
+            if sign < 0:
+                table = {y: eps_reflect(s) for y, s in table.items()}
+        self._withins[b] = table
+        return table
 
-    def _chain_states(self, start: frozenset,
-                      cycles: set[tuple[frozenset, int]]) -> set[tuple[frozenset, int]]:
-        """All (vertex set, inserted weight) states reachable from start by
-        inserting cycles that meet the vertex set and grow it."""
-        states = {(start, 0)}
-        frontier = [(start, 0)]
-        while frontier:
-            nxt: list[tuple[frozenset, int]] = []
-            for (vs, base) in frontier:
-                for (cvs, cw) in cycles:
-                    if cvs <= vs or not (cvs & vs):
-                        continue
-                    state = (vs | cvs, base + cw)
-                    if state not in states:
-                        states.add(state)
-                        nxt.append(state)
-            frontier = nxt
-        return states
 
-    def _compute(self, u, v) -> EPSet:
-        region = _region(self._succ, self._pred, u, v)
-        if not region:
-            return EPSet.empty()
-        cycles = self._simple_cycles(region)
-        pieces: list[EPSet] = []
-        spans: dict[frozenset, EPSet] = {}
-        for (pvs, pw) in self._simple_paths(u, v, region):
-            for (vs, base) in self._chain_states(pvs, cycles):
-                if vs not in spans:
-                    gens = tuple(sorted({cw for (cvs, cw) in cycles if cvs <= vs}))
-                    if gens not in self._spans:
-                        self._spans[gens] = nspan(gens)
-                    spans[vs] = self._spans[gens]
-                pieces.append(eps_shift(spans[vs], pw + base))
-        return eps_union_many(pieces)
+def _union(sets: list[EPSet]) -> EPSet:
+    return sets[0] if len(sets) == 1 else eps_union_many(sets)
+
+
+def _distances_to(b, out: dict, sign: int) -> dict | None:
+    """Least weight of a walk x -> b for every x, the arc weights times
+    sign, or None when some cycle is negative (Bellman-Ford)."""
+    g = dict.fromkeys(out, inf)
+    g[b] = 0
+    for _ in range(len(out)):
+        changed = False
+        for x, arcs in out.items():
+            for a in arcs:
+                if sign * a.weight[0] + g[a.head] < g[x]:
+                    g[x] = sign * a.weight[0] + g[a.head]
+                    changed = True
+        if not changed:
+            return g
+    return None
 
 
 def weight_set(graph: WeightedDigraph, u, v) -> EPSet:

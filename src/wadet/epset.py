@@ -23,6 +23,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import reduce
+from heapq import heappop, heappush
+from itertools import count
 from math import gcd, lcm
 from operator import or_
 from typing import Callable, Iterable
@@ -378,42 +380,65 @@ def eps_min_abs_witness(s: EPSet) -> int | None:
 # ---------------------------------------------------------------------
 
 
+def least_by_residue(start, succ: Callable, c: int) -> dict:
+    """Least weight per (vertex, residue mod c) of the walks from start, as
+    {vertex: {residue: weight}}; succ(x) yields (y, w) pairs with w >= 0.
+    Dijkstra over (vertex, residue) states, so at most c per vertex."""
+    best: dict = {}
+    heap = [(0, 0, start)]
+    tie = count(1)  # vertices need not be comparable
+    while heap:
+        w, _, x = heappop(heap)
+        row = best.setdefault(x, {})
+        if w % c in row:
+            continue
+        row[w % c] = w
+        for y, dw in succ(x):
+            if (w + dw) % c not in best.get(y, ()):
+                heappush(heap, (w + dw, next(tie), y))
+    return best
+
+
+def from_minima(minima: Iterable[int], c: int) -> EPSet:
+    """The union of the progressions m + c * N, at most one m per residue
+    mod c.  Between consecutive minima the residue set is constant."""
+    cuts = sorted(minima)
+    if not cuts:
+        return EPSet.empty()
+    runs, mask = [], 0
+    for a, b in zip(cuts, cuts[1:]):
+        mask |= 1 << a % c
+        runs.append((a, b, mask))
+    return _canonical(cuts[0] - 1, cuts[-1], c, 0, mask | 1 << cuts[-1] % c, runs)
+
+
 def nspan(generators: Iterable[int]) -> EPSet:
     """{ sum_i n_i * g_i : n_i in N } for the given integer generators.
 
-    All zero or empty -> {0}.  Same sign -> a numerical semigroup scaled
-    by the gcd d: the generators divided by d are sieved up to m^2 + m
-    (m the largest of them), beyond which every integer is a sum (the
-    largest gap of a coprime semigroup is below m^2); the result is
-    scaled back by d.  Mixed signs -> the full group d * Z.
+    All zero or empty -> {0}.  Mixed signs -> the full group d * Z, d the
+    gcd.  Same sign -> a numerical semigroup: with c the smallest
+    generator it is the union of m + c * N over the least member m of
+    each residue class mod c, the walks of a one-vertex graph.
     """
     gens = sorted({g for g in generators if g != 0})
     if not gens:
         return EPSet.finite([0])
-    pos = [g for g in gens if g > 0]
-    neg = [g for g in gens if g < 0]
-    d = 0
-    for g in gens:
-        d = gcd(d, abs(g))
-    if pos and neg:
-        return EPSet.congruent(0, d)
-    if neg:
+    if gens[0] < 0 < gens[-1]:
+        return EPSet.congruent(0, gcd(*gens))
+    if gens[0] < 0:
         return eps_reflect(nspan([-g for g in gens]))
-    pos = [g // d for g in pos]
-    m = max(pos)
-    threshold = m * m + m
-    reach = bytearray(threshold + 1)
-    reach[0] = 1
-    for n in range(1, threshold + 1):
-        reach[n] = any(g <= n and reach[n - g] for g in pos)
-    members = frozenset(d * n for n in range(threshold) if reach[n])
-    return _recanon(EPSet(members, Core(d * threshold, d, frozenset([0])), None))
+    least = least_by_residue(0, lambda _: [(0, g) for g in gens], gens[0])
+    return from_minima(least[0].values(), gens[0])
 
 
 def eps_sumset(s: EPSet, t: EPSet) -> EPSet:
     """{a + b : a in s, b in t}."""
     if s.is_empty() or t.is_empty():
         return EPSet.empty()
+    if s.is_finite() and len(s.exceptions) == 1:
+        return eps_shift(t, next(iter(s.exceptions)))
+    if t.is_finite() and len(t.exceptions) == 1:
+        return eps_shift(s, next(iter(t.exceptions)))
     pieces: list[EPSet] = []
     for kind_a, a, pa in _pieces(s):
         for kind_b, b, pb in _pieces(t):

@@ -18,7 +18,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from itertools import islice
+from typing import Iterable, Iterator, Sequence
 
 from .epl import digraph, has_path_with_weight
 from .estimator import successor_target_sets
@@ -80,16 +81,21 @@ def oracle_runs(a: WeightedAutomaton, horizon: int = 12) -> list[BoundedRun]:
     """Every path from an initial state with at most `horizon` transitions."""
     if horizon > MAX_HORIZON:
         raise ValueError("horizon too large for exhaustive enumeration")
-    runs = [BoundedRun(q, ()) for q in sorted(a.initial)]
-    frontier = list(runs)
+    return list(_runs(a, horizon))
+
+
+def _runs(a: WeightedAutomaton, horizon: int) -> Iterator[BoundedRun]:
+    """Paths from initial states in length order, up to `horizon`
+    transitions, each built when it is asked for."""
+    layer = [BoundedRun(q, ()) for q in sorted(a.initial)]
+    yield from layer
     for _ in range(horizon):
         nxt = []
-        for run in frontier:
+        for run in layer:
             for t in a.arcs_from[run.end]:
                 nxt.append(BoundedRun(run.start, run.path + (t,)))
-        runs.extend(nxt)
-        frontier = nxt
-    return runs
+                yield nxt[-1]
+        layer = nxt
 
 
 # ---------------------------------------------------------------------
@@ -230,22 +236,6 @@ class Counterexample:
     details: dict
 
 
-def _stems(a: WeightedAutomaton, horizon: int, cap: int):
-    """Paths from initial states in length order, capped."""
-    out = [BoundedRun(q, ()) for q in sorted(a.initial)]
-    frontier = list(out)
-    for _ in range(horizon):
-        nxt = []
-        for run in frontier:
-            for t in a.arcs_from[run.end]:
-                nxt.append(BoundedRun(run.start, run.path + (t,)))
-                if len(out) + len(nxt) >= cap:
-                    return out + nxt
-        out.extend(nxt)
-        frontier = nxt
-    return out
-
-
 def _simple_cycles_at(a: WeightedAutomaton, q: str, horizon: int,
                       cap: int = 64) -> list[tuple[Transition, ...]]:
     cycles = []
@@ -304,7 +294,7 @@ def oracle_falsify(a: WeightedAutomaton, prop: str, horizon: int = 8,
     prop = prop.upper()
     norm, _ = scale_to_integers(normalize(a))
     chain = EstimateChain(norm)
-    stems = _stems(norm, horizon, stem_cap)
+    stems = list(islice(_runs(norm, horizon), stem_cap))
 
     found_wd_witness = False
     found_wpd_witness = False

@@ -65,7 +65,6 @@ class SelfComposition:
     initial: frozenset[Pair]
     states: frozenset[Pair]
     transitions: frozenset[CCTransition]
-    label: dict[tuple[str, str], str]
     witnesses: Witnesses
     unknown_queries: tuple = ()
     stats: dict = field(default_factory=dict)
@@ -163,7 +162,6 @@ def build_self_composition(a: WeightedAutomaton,
     initial = frozenset((p, q) for p in a.initial for q in a.initial)
     states: set[Pair] = set(initial)
     transitions: set[CCTransition] = set()
-    label: dict[tuple[str, str], str] = {}
     witnesses = Witnesses()
     queue = sorted(initial)
     seen = set(queue)
@@ -190,7 +188,6 @@ def build_self_composition(a: WeightedAutomaton,
                         if tr in transitions:
                             continue
                         transitions.add(tr)
-                        label[(t1[1], t2[1])] = a.label(t1[1])
                         witnesses.make[tr] = partial(
                             _joined, prefixes, t1, a.zero_paths[t1[2]][q3],
                             t2, a.zero_paths[t2[2]][q4])
@@ -205,7 +202,7 @@ def build_self_composition(a: WeightedAutomaton,
     else:
         unknown = ()
     return SelfComposition(initial, frozenset(states), frozenset(transitions),
-                           label, witnesses, unknown, stats)
+                           witnesses, unknown, stats)
 
 
 # ---------------------------------------------------------------------

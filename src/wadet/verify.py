@@ -20,6 +20,7 @@ fallback (k > 1) failed to close or an exact-path-length budget ran out.
 
 from __future__ import annotations
 
+from collections.abc import Set
 from dataclasses import dataclass
 
 from .estimator import EstimatorAutomaton, EstTransition, build_detector, build_observer
@@ -92,22 +93,27 @@ def _spd_fails_on(a: WeightedAutomaton, est: EstimatorAutomaton,
                     "anchor": anchor}
 
     allowed = {x for x in est.states if cycle_rule(x)}
-    sub_steps = lambda x: [(t, y) for (t, y) in steps(x) if y in allowed]
-    cyclic = states_on_cycles(allowed, lambda x: (y for (_, y) in sub_steps(x)))
-    if cyclic:
-        target = sorted(cyclic, key=sorted)[0]
-        access, _ = find_path(steps, est.initial, {target})
-        cycle = find_cycle(sub_steps, target)
-        return {"kind": "ambiguous-cycle",
-                "access": _events_of(access), "cycle": _events_of(cycle),
-                "cycle_states": [sorted(x) for x in
-                                 [target] + [y for (_, _, y) in cycle]]}
-    return None
+    found = _cycle_within(steps, est.initial, allowed, allowed)
+    return None if found is None else {"kind": "ambiguous-cycle", **found}
+
+
+def _cycle_within(steps, initial: frozenset, allowed: Set[frozenset],
+                  anchors: Set[frozenset]) -> dict | None:
+    """A cycle reachable from initial that stays in `allowed` and passes a
+    state of `anchors`: its access events, its events and its states."""
+    sub = lambda x: [(t, y) for (t, y) in steps(x) if y in allowed]
+    cyclic = states_on_cycles(allowed, lambda x: (y for (_, y) in sub(x))) & anchors
+    if not cyclic:
+        return None
+    target = sorted(cyclic, key=sorted)[0]
+    access, _ = find_path(steps, initial, {target})
+    cycle = find_cycle(sub, target)
+    return {"access": _events_of(access), "cycle": _events_of(cycle),
+            "cycle_states": [sorted(x) for x in [target] + [y for (_, _, y) in cycle]]}
 
 
 def check_spd(a: WeightedAutomaton, detector: EstimatorAutomaton | None = None,
-              observer: EstimatorAutomaton | None = None,
-              cross_check: bool = True) -> Verdict:
+              observer: EstimatorAutomaton | None = None) -> Verdict:
     """Strong periodic detectability, decided on the detector; when an
     observer is supplied the observer-side evaluation must agree."""
     if detector is None:
@@ -117,7 +123,7 @@ def check_spd(a: WeightedAutomaton, detector: EstimatorAutomaton | None = None,
         # found violation nor its absence can be trusted
         return Verdict(SPD, UNKNOWN, None, "bounded estimator did not close")
     witness = _spd_fails_on(a, detector, lambda x: len(x) == 2)
-    if cross_check and observer is not None and observer.exact:
+    if observer is not None and observer.exact:
         other = _spd_fails_on(a, observer, lambda x: len(x) > 1)
         if (witness is None) != (other is None):
             raise InternalError("detector and observer evaluations disagree")
@@ -129,27 +135,6 @@ def check_spd(a: WeightedAutomaton, detector: EstimatorAutomaton | None = None,
 # ---------------------------------------------------------------------
 # weak detectability and weak periodic detectability
 # ---------------------------------------------------------------------
-
-
-def _singleton_cycle_witness(est: EstimatorAutomaton, all_singletons: bool) -> dict | None:
-    steps = _est_steps(est)
-    if all_singletons:
-        allowed = {x for x in est.states if len(x) == 1}
-        sub = lambda x: [(t, y) for (t, y) in steps(x) if y in allowed]
-        cyclic = states_on_cycles(allowed, lambda x: (y for (_, y) in sub(x)))
-    else:
-        sub = steps
-        cyclic = {x for x in states_on_cycles(est.states,
-                                              lambda x: (y for (_, y) in steps(x)))
-                  if len(x) == 1}
-    if not cyclic:
-        return None
-    target = sorted(cyclic, key=sorted)[0]
-    access, _ = find_path(steps, est.initial, {target})
-    cycle = find_cycle(sub, target)
-    return {"kind": "singleton-cycle", "access": _events_of(access),
-            "cycle": _events_of(cycle),
-            "cycle_states": [sorted(x) for x in [target] + [y for (_, _, y) in cycle]]}
 
 
 def check_wd(a: WeightedAutomaton, observer: EstimatorAutomaton | None = None) -> Verdict:
@@ -164,9 +149,10 @@ def check_wd(a: WeightedAutomaton, observer: EstimatorAutomaton | None = None) -
         observer = build_observer(a)
     if not observer.exact:
         return Verdict(WD, UNKNOWN, None, "bounded estimator did not close")
-    witness = _singleton_cycle_witness(observer, all_singletons=True)
-    if witness is not None:
-        return Verdict(WD, HOLDS, witness)
+    singletons = {x for x in observer.states if len(x) == 1}
+    found = _cycle_within(_est_steps(observer), observer.initial, singletons, singletons)
+    if found is not None:
+        return Verdict(WD, HOLDS, {"kind": "singleton-cycle", **found})
     return Verdict(WD, FAILS, {"kind": "no-detection-route",
                                "nonsingleton_cycles_only": True})
 
@@ -192,9 +178,10 @@ def check_wpd(a: WeightedAutomaton, observer: EstimatorAutomaton | None = None) 
             return Verdict(WPD, HOLDS, {
                 "kind": "singleton-estimate-can-stall",
                 "access": _events_of(access), "state": sorted(x)})
-    witness = _singleton_cycle_witness(observer, all_singletons=False)
-    if witness is not None:
-        return Verdict(WPD, HOLDS, witness)
+    found = _cycle_within(steps, observer.initial, observer.states,
+                          {x for x in observer.states if len(x) == 1})
+    if found is not None:
+        return Verdict(WPD, HOLDS, {"kind": "singleton-cycle", **found})
     return Verdict(WPD, FAILS, {"kind": "no-detection-route"})
 
 

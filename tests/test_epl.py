@@ -1,9 +1,13 @@
 import random
+import time
 
 import pytest
 
+from wadet import check_all, validate
 from wadet.epl import (
     EplAnswer,
+    _adjacency,
+    _region,
     digraph,
     has_path_with_weight,
     replay_walk,
@@ -11,7 +15,7 @@ from wadet.epl import (
     weight_set,
     WeightSetSolver,
 )
-from wadet.epset import EPSet, nspan
+from wadet.epset import EPSet, eps_shift, eps_union_many, nspan
 
 
 def enumerate_walk_weights(graph, u, max_len=12):
@@ -40,6 +44,53 @@ def fewest_arcs(graph, u, v, z, max_len=12):
     """First step at which enumerate_walk_weights reaches (v, z), or None."""
     return next((n for n in range(max_len + 1)
                  if z in enumerate_walk_weights(graph, u, n)[v]), None)
+
+
+def ref_weight_set(graph, u, v):
+    """Walk weights u -> v by decomposition: every walk is a simple path
+    plus simple cycles that attach, transitively, to its vertex set; the
+    repeatable part is the N-span of the cycle weights inside the final
+    vertex set.  Exponential in the size of a strongly connected part."""
+    succ, pred = _adjacency(graph)
+    region = _region(succ, pred, u, v)
+
+    def simple(start, stop_at, anchor=None):
+        """(vertex set, weight) of simple walks from start to stop_at(h);
+        with an anchor, only through vertices ordered after it."""
+        found, layer = set(), {(start, frozenset([start])): {0}}
+        while layer:
+            nxt = {}
+            for (cur, seen), weights in layer.items():
+                for a in succ[cur]:
+                    h, shifted = a.head, {w + a.weight[0] for w in weights}
+                    if stop_at(h):
+                        found.update((seen | {h}, w) for w in shifted)
+                    elif h in region and h not in seen and (anchor is None or order[h] > anchor):
+                        nxt.setdefault((h, seen | {h}), set()).update(shifted)
+            layer = nxt
+        return found
+
+    order = {x: i for i, x in enumerate(sorted(region, key=repr))}
+    cycles = set()
+    for x in region:
+        cycles |= simple(x, lambda h, x=x: h == x, order[x])
+    paths = {(frozenset([u]), 0)} if u == v else simple(u, lambda h: h == v)
+    pieces = []
+    for (pvs, pw) in paths:
+        states, frontier = {(pvs, 0)}, [(pvs, 0)]
+        while frontier:  # insert cycles that meet the vertex set and grow it
+            nxt = []
+            for (vs, base) in frontier:
+                for (cvs, cw) in cycles:
+                    state = (vs | cvs, base + cw)
+                    if cvs & vs and not cvs <= vs and state not in states:
+                        states.add(state)
+                        nxt.append(state)
+            frontier = nxt
+        for (vs, base) in states:
+            gens = [cw for (cvs, cw) in cycles if cvs <= vs]
+            pieces.append(eps_shift(nspan(gens), pw + base))
+    return eps_union_many(pieces)
 
 
 # -- hand-checked examples ----------------------------------------------------
@@ -210,3 +261,47 @@ def test_nspan_witness_large_positive_target():
     assert bouquet_walk([4, 6], 7) is None
     assert bouquet_walk([], 0) == ()
     assert bouquet_walk([], 3) is None
+
+
+# -- the SCC engine against the decomposition -----------------------------------
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_weight_sets_equal_decomposition(seed):
+    rng = random.Random(seed)
+    for _ in range(60):
+        g = random_graph(rng, max_vertices=5, weight_range=(-9, 9))
+        solver = WeightSetSolver(g)
+        for u in g.vertices:
+            for v in g.vertices:
+                assert solver.weight_set(u, v) == ref_weight_set(g, u, v), (g, u, v)
+
+
+def probe_arcs(n, mixed):
+    """Complete silent digraph on s0..s{n-1}; positive or mixed-sign weights."""
+    return [(f"s{i}", (37 * i + 101 * j) % 97 + (-48 if mixed else 1), f"s{j}")
+            for i in range(n) for j in range(n) if i != j]
+
+
+@pytest.mark.parametrize("mixed", [False, True], ids=["positive", "mixed"])
+def test_complete_silent_digraph_of_seven(mixed):
+    # one silent SCC of 7 states: the decomposition enumerates its simple
+    # cycles, paths and chain states, and did not finish within 100 s
+    arcs = probe_arcs(7, mixed)
+    a = validate({"k": 1, "states": [f"s{i}" for i in range(7)], "initial": {"s0": (0,)},
+                  "events": {"u": None, "a": "a"},
+                  "transitions": [(s, "u", d, (w,)) for (s, w, d) in arcs]
+                  + [("s0", "a", "s1", (1,)), ("s6", "a", "s0", (2,))]})
+    start = time.perf_counter()
+    check_all(a)
+    assert time.perf_counter() - start < 2
+    g = digraph(1, [f"s{i}" for i in range(7)], arcs)
+    solver = WeightSetSolver(g)
+    brute = enumerate_walk_weights(g, "s0", 12)
+    for v in g.vertices:
+        s = solver.weight_set("s0", v)
+        assert all(w in s for w in brute[v]), v
+        for w in range(-100, 101):
+            if w in s and w not in brute[v]:
+                walk = solver.witness_walk("s0", v, w)
+                assert replay_walk(walk, "s0", v) and walk_weight(walk, 1) == (w,)
