@@ -15,16 +15,21 @@ search is pseudo-polynomial in the weights, so callers that only need
 to decide ask for the set.
 
 For higher dimensions the decision question (is there a walk of exactly
-weight z?) is answered by enumerating candidate arc supports and solving
-the resulting flow-with-weight system by bounded depth-first search; the
-search is budgeted and exhaustion surfaces as UNKNOWN, never as a silent
-wrong answer.  YES always carries a walk that is replayed before being
-returned.
+weight z?) is first put to a breadth-first probe over (vertex, weight)
+states inside a window around z.  It answers YES with the walk it finds,
+and NO when it runs out of states without having dropped one for leaving
+the window: the states it saw are then closed under successors, so the
+answer is exact.  Otherwise the question goes to an enumeration of
+candidate arc supports, whose flow-with-weight systems are solved by
+bounded depth-first search.  The probe and the search spend one budget,
+and exhaustion surfaces as UNKNOWN, never as a silent wrong answer.  YES
+always carries a walk that is replayed before being returned.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 from math import gcd, inf
 from typing import Iterable, Sequence
 
@@ -49,6 +54,9 @@ class WeightedDigraph:
     k: int
     vertices: tuple
     arcs: tuple[Arc, ...]
+    # vertex -> vertices reachable from it / that reach it, filled on demand
+    _forward: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _backward: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         vs = set(self.vertices)
@@ -57,6 +65,40 @@ class WeightedDigraph:
                 raise ValueError(f"arc endpoints not declared: {a}")
             if len(a.weight) != self.k:
                 raise ValueError(f"arc weight has wrong dimension: {a}")
+
+    @cached_property
+    def out_arcs(self) -> dict[object, list[Arc]]:
+        """Out-arcs of every vertex, in arc order."""
+        out: dict[object, list[Arc]] = {x: [] for x in self.vertices}
+        for a in self.arcs:
+            out[a.tail].append(a)
+        return out
+
+    @cached_property
+    def in_arcs(self) -> dict[object, list[Arc]]:
+        """In-arcs of every vertex, in arc order."""
+        into: dict[object, list[Arc]] = {x: [] for x in self.vertices}
+        for a in self.arcs:
+            into[a.head].append(a)
+        return into
+
+    def reach_from(self, u) -> frozenset:
+        """Vertices reachable from u, u included."""
+        if u not in self._forward:
+            out = self.out_arcs
+            self._forward[u] = frozenset(reachable([u], lambda x: (a.head for a in out[x])))
+        return self._forward[u]
+
+    def reach_to(self, v) -> frozenset:
+        """Vertices that reach v, v included."""
+        if v not in self._backward:
+            into = self.in_arcs
+            self._backward[v] = frozenset(reachable([v], lambda x: (a.tail for a in into[x])))
+        return self._backward[v]
+
+    def region(self, u, v) -> frozenset:
+        """Vertices on some u->v walk (the empty one too when u == v)."""
+        return self.reach_from(u) & self.reach_to(v)
 
 
 def digraph(k: int, vertices: Iterable, arcs: Iterable[tuple]) -> WeightedDigraph:
@@ -83,25 +125,6 @@ def walk_weight(walk: Sequence[Arc], k: int) -> Vec:
     return tuple(total)
 
 
-def _adjacency(graph: WeightedDigraph) -> tuple[dict, dict]:
-    """Out-arcs and in-arcs of every vertex."""
-    succ: dict[object, list[Arc]] = {x: [] for x in graph.vertices}
-    pred: dict[object, list[Arc]] = {x: [] for x in graph.vertices}
-    for a in graph.arcs:
-        succ[a.tail].append(a)
-        pred[a.head].append(a)
-    return succ, pred
-
-
-def _region(succ: dict, pred: dict, u, v) -> set:
-    """Vertices on some u->v walk, and u itself when u == v."""
-    region = (reachable([u], lambda x: (a.head for a in succ[x]))
-              & reachable([v], lambda x: (a.tail for a in pred[x])))
-    if u == v:
-        region.add(u)
-    return region
-
-
 def replay_walk(walk: Sequence[Arc], u, v) -> bool:
     """Check arc chaining from u to v (empty walk only when u == v)."""
     if not walk:
@@ -126,7 +149,7 @@ class WeightSetSolver:
             if not isinstance(a.weight[0], int):
                 raise ValueError("weights must be pre-scaled to integers")
         self.graph = graph
-        self._succ, self._pred = _adjacency(graph)
+        self._succ = graph.out_arcs
         comps = strongly_connected_components(
             graph.vertices, lambda x: (a.head for a in self._succ[x]))
         self._sccs = [frozenset(c) for c in reversed(comps)]  # topological order
@@ -148,7 +171,7 @@ class WeightSetSolver:
         states."""
         if z not in self.weight_set(u, v):
             return None
-        region = _region(self._succ, self._pred, u, v)
+        region = self.graph.region(u, v)
         # per vertex, the arc that first reached each accumulated weight
         parent: dict[object, dict[int, Arc | None]] = {x: {} for x in region}
         parent[u][0] = None
@@ -271,6 +294,7 @@ def weight_set(graph: WeightedDigraph, u, v) -> EPSet:
 
 
 DEFAULT_BUDGET = 10 ** 6
+PROBE_NODES = 20000  # most budget one breadth-first probe may spend
 
 
 @dataclass
@@ -287,9 +311,13 @@ def has_path_with_weight(graph: WeightedDigraph, u, v, z: Sequence[int],
     """Is there a walk from u to v with total weight exactly z?
 
     Dimension 1 is decided exactly through the weight-set machinery and
-    never returns UNKNOWN.  Higher dimensions enumerate arc supports and
-    solve the balance/weight system within a node budget; passing a
-    _Budget instance lets callers share one budget across many queries.
+    never returns UNKNOWN.  Higher dimensions first run a breadth-first
+    probe (at most PROBE_NODES steps), which decides YES, and decides NO
+    when it exhausts its states without dropping one for leaving its
+    window.  Otherwise they enumerate arc supports and solve the
+    balance/weight system.  Probe and enumeration spend the same node
+    budget; passing a _Budget instance lets callers share one budget
+    across many queries.
     """
     z = tuple(int(x) for x in z)
     if len(z) != graph.k:
@@ -303,21 +331,21 @@ def has_path_with_weight(graph: WeightedDigraph, u, v, z: Sequence[int],
 
 
 def _multi_dim(graph: WeightedDigraph, u, v, z: Vec, budget: _Budget) -> EplAnswer:
-    succ, pred = _adjacency(graph)
-    region = _region(succ, pred, u, v)
-    if u == v and z == (0,) * graph.k:
+    if u == v and not any(z):
         return EplAnswer("YES", ())
-    if u not in region or v not in region:
+    region = graph.region(u, v)
+    if u not in region:
         return EplAnswer("NO")
+
+    cap = max(0, min(budget.nodes, PROBE_NODES))
+    probe = _Budget(cap)
+    answer = _bounded_walk_probe(graph, region, u, v, z, probe)
+    budget.spend(cap - max(probe.nodes, 0))  # charge what the probe spent
+    if answer is not None:
+        return answer
 
     arcs = sorted((a for a in graph.arcs if a.tail in region and a.head in region),
                   key=lambda a: a.aid)
-
-    probe = _bounded_walk_probe(succ, region, u, v, z,
-                                _Budget(min(budget.nodes, 20000)))
-    if probe is not None:
-        return EplAnswer("YES", probe)
-
     if len(arcs) > 14:  # support enumeration is 2^|arcs|
         return EplAnswer("UNKNOWN")
 
@@ -338,17 +366,26 @@ def _multi_dim(graph: WeightedDigraph, u, v, z: Vec, budget: _Budget) -> EplAnsw
     return EplAnswer("UNKNOWN") if unknown else EplAnswer("NO")
 
 
-def _bounded_walk_probe(succ, region, u, v, z: Vec, budget: _Budget,
-                        max_len: int = 64) -> tuple[Arc, ...] | None:
-    """Cheap breadth-first probe for an easy YES."""
+def _bounded_walk_probe(graph: WeightedDigraph, region, u, v, z: Vec, budget: _Budget,
+                        max_len: int = 64) -> EplAnswer | None:
+    """Breadth-first over (vertex, accumulated weight) states whose
+    coordinates stay within a window around z: YES with the walk that
+    first reaches (v, z), or NO when the frontier empties and no
+    successor was dropped for leaving the window.  The NO is exact: the
+    states seen are then closed under successors within the region, and
+    every walk from u to v stays in the region, so (v, z) is not
+    reachable.  Running out of budget or of max_len steps, or a dropped
+    successor, leaves the question open (None)."""
     start = (u, (0,) * len(z))
     seen: set[tuple[object, Vec]] = {start}
     frontier: dict[tuple[object, Vec], tuple] = {start: ()}
     window = 4 * max(map(abs, z), default=1) + 64
+    out = graph.out_arcs
+    pruned = False
     for _ in range(max_len):
         nxt: dict[tuple[object, Vec], tuple] = {}
         for (x, w), walk in frontier.items():
-            for a in succ[x]:
+            for a in out[x]:
                 if a.head not in region:
                     continue
                 if not budget.spend():
@@ -359,13 +396,15 @@ def _bounded_walk_probe(succ, region, u, v, z: Vec, budget: _Budget,
                     continue
                 walk2 = walk + (a,)
                 if a.head == v and w2 == z:
-                    return walk2
+                    return EplAnswer("YES", walk2)
                 if all(abs(c) <= window for c in w2):
                     seen.add(key)
                     nxt[key] = walk2
+                else:
+                    pruned = True
         frontier = nxt
         if not frontier:
-            return None
+            return None if pruned else EplAnswer("NO")
     return None
 
 

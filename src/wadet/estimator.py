@@ -23,6 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
+from operator import add
 from typing import Callable, Iterable
 
 from .epl import WeightSetSolver, digraph
@@ -131,17 +132,32 @@ WALK_LEN = 16  # longest silent walk the k > 1 enumeration follows
 NODE_CAP = 20000  # most (state, weight) nodes it visits per menu
 
 
+def _integer_arcs(a: WeightedAutomaton) -> tuple[dict, dict]:
+    """The arcs as (target, integer weight vector): silent ones per source,
+    observable ones per (source, label).  Built once per automaton and
+    kept in its __dict__, like unobs_solver."""
+    if "_integer_arcs" not in a.__dict__:
+        silent = {q: tuple((d, tuple(map(int, w))) for (_, _, d, w) in arcs)
+                  for q, arcs in a.silent_arcs.items()}
+        observable: dict[tuple[str, str], list] = {}
+        for (s, e, d, w) in a.obs_transitions:
+            observable.setdefault((s, a.label(e)), []).append((d, tuple(map(int, w))))
+        a.__dict__["_integer_arcs"] = silent, observable
+    return a.__dict__["_integer_arcs"]
+
+
 def _bounded_menu(a: WeightedAutomaton, x: Iterable[str], sigma: str) -> tuple[tuple, bool]:
     """The menu from silent walks of at most WALK_LEN arcs, and whether the
     enumeration closed (fixed point)."""
-    zero = tuple(0 for _ in range(a.k))
+    silent, _ = _integer_arcs(a)
+    zero = (0,) * a.k
     seen: set[tuple[str, tuple]] = {(q, zero) for q in x}
     frontier = set(seen)
     for _ in range(WALK_LEN):
         nxt: set[tuple[str, tuple]] = set()
         for (q, w) in frontier:
-            for (_, _, d, wt) in a.silent_arcs[q]:
-                w2 = tuple(int(wi + ti) for wi, ti in zip(w, wt))
+            for d, wt in silent[q]:
+                w2 = tuple(map(add, w, wt))
                 if (d, w2) not in seen:
                     seen.add((d, w2))
                     nxt.add((d, w2))
@@ -154,12 +170,11 @@ def _bounded_menu(a: WeightedAutomaton, x: Iterable[str], sigma: str) -> tuple[t
 def _harvest(a: WeightedAutomaton, seen: set, sigma: str) -> tuple:
     """Per successor estimate, the least weight vector of a sigma-arc out
     of the (state, silent weight) nodes seen."""
+    _, observable = _integer_arcs(a)
     by_weight: dict[tuple, set[str]] = {}
     for (q1, w) in seen:
-        for (_, e, q2, wt) in a.arcs_from[q1]:
-            if a.label(e) == sigma:
-                total = tuple(int(wi + ti) for wi, ti in zip(w, wt))
-                by_weight.setdefault(total, set()).add(q2)
+        for q2, wt in observable.get((q1, sigma), ()):
+            by_weight.setdefault(tuple(map(add, w, wt)), set()).add(q2)
     by_target: dict[frozenset[str], list[tuple]] = {}
     for w, qs in by_weight.items():
         by_target.setdefault(instantaneous_closure(a, qs), []).append(w)

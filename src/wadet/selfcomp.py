@@ -7,9 +7,13 @@ the silent subgraph: a pair of observable arcs from sources reachable
 from the pair (q1, q2) synchronizes iff the shifted achievable-weight
 sets intersect.  For higher dimensions the asynchronous product (left
 arcs keep their weight, right arcs negated) is queried for a walk of the
-appropriate weight; the query is budgeted and an exhausted budget marks
-the transition as possibly missing, which downgrades a would-be HOLDS
-verdict to UNKNOWN.
+appropriate weight.  Most queries are settled by the exact-path-length
+engine's breadth-first probe: YES with a walk, or an exact NO when it
+runs out of states inside its window.  The query is budgeted and an
+exhausted budget marks the transition as possibly missing, which
+downgrades a would-be HOLDS verdict to UNKNOWN.  In both cases the
+answer depends only on (q1, q2, source 1, source 2, w2 - w1), so one
+answer is kept per such key and build.
 
 Strong detectability fails exactly when the self-composition can run
 forever, afterwards split into two distinct states, and the left
@@ -22,7 +26,7 @@ from collections.abc import Callable, Iterator, Mapping
 from dataclasses import dataclass, field
 from functools import partial
 
-from .epl import _Budget, digraph, has_path_with_weight
+from .epl import Vec, _Budget, digraph, has_path_with_weight
 from .epset import eps_intersect, eps_min_abs_witness, eps_shift
 from .estimator import unobs_solver
 from .graphutil import can_reach, find_cycle, find_path, reachable, states_on_cycles
@@ -71,38 +75,53 @@ class SelfComposition:
 
 
 class _Synchronizer:
-    """Decides and witnesses weight-synchronized silent prefixes."""
+    """Decides and witnesses weight-synchronized silent prefixes.  The
+    answer depends only on the key (q1, q2, source 1, source 2, w2 - w1),
+    so each distinct key is decided once per build."""
 
     def __init__(self, a: WeightedAutomaton, budget: int):
         self.a = a
         self.budget = _Budget(budget)  # shared across all queries of one build
         self.unknown: list[tuple] = []
         self.queries = 0
+        self.answers: dict[tuple, object] = {}
         if a.k == 1:
             self.solver = unobs_solver(a)
         else:
             self._products: dict[Pair, tuple] = {}
+            self._silent = [(t, tuple(int(x) for x in t[3])) for t in a.unobs_transitions]
 
-    def sync(self, q1: str, q2: str, t1: Transition, t2: Transition):
+    def sync(self, q1: str, q2: str, t1: Transition, w1: Vec, t2: Transition, w2: Vec):
         """A silent pair of paths q1->src(t1), q2->src(t2) with equal total
-        weights including the observable arcs?  Returns None, "UNKNOWN", or
-        a function that builds the (left, right) walks of the original
-        automaton."""
+        weights including the observable arcs, whose weights w1 and w2 are
+        given as integer tuples?  Returns None, "UNKNOWN", or a function
+        that builds the (left, right) walks of the original automaton."""
         self.queries += 1
-        if self.a.k == 1:
-            return self._sync_dim1(q1, q2, t1, t2)
-        return self._sync_product(q1, q2, t1, t2)
-
-    def _sync_dim1(self, q1, q2, t1, t2):
-        w1, w2 = int(t1[3][0]), int(t2[3][0])
-        set1 = eps_shift(self.solver.weight_set(q1, t1[0]), w1)
-        set2 = eps_shift(self.solver.weight_set(q2, t2[0]), w2)
-        common = eps_intersect(set1, set2)
-        if common.is_empty():
+        key = (q1, q2, t1[0], t2[0], tuple(y - x for x, y in zip(w1, w2)))
+        if key not in self.answers:
+            decide = self._sync_dim1 if self.a.k == 1 else self._sync_product
+            self.answers[key] = decide(*key)
+        answer = self.answers[key]
+        if answer is None:
             return None
-        total = eps_min_abs_witness(common)
-        return lambda: (self._walk(q1, t1[0], total - w1),
-                        self._walk(q2, t2[0], total - w2))
+        if self.a.k == 1:
+            return partial(self._walks_dim1, key, answer, w1[0])
+        if answer == "UNKNOWN":
+            self.unknown.append(((q1, q2), t1, t2))
+        return answer
+
+    def _sync_dim1(self, q1, q2, s1, s2, z):
+        """W(q1, s1) & (W(q2, s2) + z), or None when empty."""
+        common = eps_intersect(self.solver.weight_set(q1, s1),
+                               eps_shift(self.solver.weight_set(q2, s2), z[0]))
+        return None if common.is_empty() else common
+
+    def _walks_dim1(self, key, common, w1: int) -> Paths:
+        """The prefixes whose total weight, observable arcs included, is
+        the member of common + w1 nearest 0."""
+        q1, q2, s1, s2, z = key
+        left = eps_min_abs_witness(eps_shift(common, w1)) - w1
+        return self._walk(q1, s1, left), self._walk(q2, s2, left - z[0])
 
     def _walk(self, u: str, v: str, z: int) -> tuple[Transition, ...]:
         return tuple(self.a.unobs_transitions[arc.aid]
@@ -116,33 +135,32 @@ class _Synchronizer:
         verts = [(p1, p2) for p1 in sorted(left_reach) for p2 in sorted(right_reach)]
         arcs = []
         origin = []
-        for (s, e, d, w) in self.a.unobs_transitions:
+        for t, w in self._silent:
+            s, d = t[0], t[2]
             if s in left_reach and d in left_reach:
                 for p2 in sorted(right_reach):
-                    arcs.append(((s, p2), tuple(int(x) for x in w), (d, p2)))
-                    origin.append(("L", (s, e, d, w)))
+                    arcs.append(((s, p2), w, (d, p2)))
+                    origin.append(("L", t))
             if s in right_reach and d in right_reach:
+                negated = tuple(-x for x in w)
                 for p1 in sorted(left_reach):
-                    arcs.append(((p1, s), tuple(-int(x) for x in w), (p1, d)))
-                    origin.append(("R", (s, e, d, w)))
+                    arcs.append(((p1, s), negated, (p1, d)))
+                    origin.append(("R", t))
         graph = digraph(self.a.k, verts, arcs)
         self._products[key] = (graph, origin)
         return graph, origin
 
-    def _sync_product(self, q1, q2, t1, t2):
+    def _sync_product(self, q1, q2, s1, s2, z):
         graph, origin = self._product(q1, q2)
-        z = tuple(int(b) - int(a) for a, b in zip(t1[3], t2[3]))
-        ans = has_path_with_weight(graph, (q1, q2), (t1[0], t2[0]), z, self.budget)
-        if ans.status == "UNKNOWN":
-            self.unknown.append(((q1, q2), t1, t2))
-            return "UNKNOWN"
-        if ans.status == "NO":
-            return None
+        ans = has_path_with_weight(graph, (q1, q2), (s1, s2), z, self.budget)
+        if ans.status != "YES":
+            return None if ans.status == "NO" else "UNKNOWN"
         left, right = [], []
         for arc in ans.walk:
             side, orig = origin[arc.aid]
             (left if side == "L" else right).append(orig)
-        return lambda: (tuple(left), tuple(right))
+        walks = (tuple(left), tuple(right))
+        return lambda: walks
 
 
 def _joined(prefixes: Callable[[], Paths], t1: Transition, tail1: tuple,
@@ -154,7 +172,10 @@ def _joined(prefixes: Callable[[], Paths], t1: Transition, tail1: tuple,
 def build_self_composition(a: WeightedAutomaton,
                            budget: int = 10 ** 6) -> SelfComposition:
     a.require_prepared()
-    obs = a.obs_transitions
+    # per state, the observable arcs usable from it (those whose source is
+    # silently reachable) as (transition, label, integer weight)
+    obs = [(t, a.label(t[1]), tuple(int(x) for x in t[3])) for t in a.obs_transitions]
+    usable = {q: [o for o in obs if o[0][0] in a.silent_reach[q]] for q in a.states}
     stats = {"epl_queries": 0, "fast_path": not a.unobs_transitions}
 
     sync = None if stats["fast_path"] else _Synchronizer(a, budget)
@@ -167,19 +188,16 @@ def build_self_composition(a: WeightedAutomaton,
     seen = set(queue)
     while queue:
         q1, q2 = queue.pop(0)
-        # observable arcs usable from q: those whose source is silently reachable
-        for t1 in obs:
-            if t1[0] not in a.silent_reach[q1]:
-                continue
-            for t2 in obs:
-                if t2[0] not in a.silent_reach[q2] or a.label(t1[1]) != a.label(t2[1]):
+        for t1, label1, w1 in usable[q1]:
+            for t2, label2, w2 in usable[q2]:
+                if label1 != label2:
                     continue
                 if stats["fast_path"]:
-                    if t1[0] != q1 or t2[0] != q2 or t1[3] != t2[3]:
+                    if t1[0] != q1 or t2[0] != q2 or w1 != w2:
                         continue
                     prefixes = lambda: ((), ())  # no silent prefixes exist
                 else:
-                    prefixes = sync.sync(q1, q2, t1, t2)
+                    prefixes = sync.sync(q1, q2, t1, w1, t2, w2)
                     if prefixes == "UNKNOWN" or prefixes is None:
                         continue
                 for q3 in sorted(a.zero_paths[t1[2]]):

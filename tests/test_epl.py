@@ -3,11 +3,10 @@ import time
 
 import pytest
 
-from wadet import check_all, validate
+from wadet import check_all, epl, validate
 from wadet.epl import (
     EplAnswer,
-    _adjacency,
-    _region,
+    _Budget,
     digraph,
     has_path_with_weight,
     replay_walk,
@@ -51,8 +50,7 @@ def ref_weight_set(graph, u, v):
     plus simple cycles that attach, transitively, to its vertex set; the
     repeatable part is the N-span of the cycle weights inside the final
     vertex set.  Exponential in the size of a strongly connected part."""
-    succ, pred = _adjacency(graph)
-    region = _region(succ, pred, u, v)
+    succ, region = graph.out_arcs, graph.region(u, v)
 
     def simple(start, stop_at, anchor=None):
         """(vertex set, weight) of simple walks from start to stop_at(h);
@@ -305,3 +303,60 @@ def test_complete_silent_digraph_of_seven(mixed):
             if w in s and w not in brute[v]:
                 walk = solver.witness_walk("s0", v, w)
                 assert replay_walk(walk, "s0", v) and walk_weight(walk, 1) == (w,)
+
+
+# -- the k > 1 probe: an exhausted, unpruned probe decides NO ----------------------
+
+
+def count_support_calls(monkeypatch, fail=False):
+    """Patch epl._solve_support to count its calls, or to fail on any."""
+    calls = []
+    original = epl._solve_support
+
+    def solve(*args):
+        if fail:
+            raise AssertionError("support search reached")
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(epl, "_solve_support", solve)
+    return calls
+
+
+def test_exhausted_probe_answers_no(monkeypatch):
+    count_support_calls(monkeypatch, fail=True)
+    # a zero-weight cycle: the probe's states close after three steps
+    g = digraph(2, ["x", "y"], [("x", (1, -1), "y"), ("y", (-1, 1), "x")])
+    assert has_path_with_weight(g, "x", "y", (2, -2)).status == "NO"
+    assert has_path_with_weight(g, "x", "x", (1, 0)).status == "NO"
+    chain = digraph(2, ["u", "m", "v"], [("u", (1, 0), "m"), ("m", (0, 1), "v")])
+    assert has_path_with_weight(chain, "u", "v", (2, 1)).status == "NO"
+
+
+def test_window_pruned_probe_falls_back_to_supports(monkeypatch):
+    calls = count_support_calls(monkeypatch)
+    # the only walk leaves the probe's window around z = 0 by 1000
+    g = digraph(2, ["u", "m", "v"], [("u", (1000, 0), "m"), ("m", (-1000, 0), "v")])
+    ans = has_path_with_weight(g, "u", "v", (0, 0))
+    assert ans.status == "YES" and calls
+    assert replay_walk(ans.walk, "u", "v") and walk_weight(ans.walk, 2) == (0, 0)
+
+
+def test_window_pruned_no_is_still_correct(monkeypatch):
+    calls = count_support_calls(monkeypatch)
+    g = digraph(2, ["u", "m", "v"], [("u", (1000, 0), "m"), ("m", (-1000, 0), "v")])
+    assert has_path_with_weight(g, "u", "v", (1, 0)).status == "NO"
+    assert calls
+
+
+def test_probe_spends_the_shared_budget():
+    # the probe reaches the weights (c, 0) with |c| <= 64, two arcs per
+    # state, and stops at its length bound; the support search answers
+    g = digraph(2, ["x"], [("x", (1, 0), "x"), ("x", (-1, 0), "x")])
+    budget = _Budget(10 ** 6)
+    assert has_path_with_weight(g, "x", "x", (0, 1), budget).status == "NO"
+    assert budget.nodes < 10 ** 6 - 2 * 127
+    # the probe alone spends more than 100 nodes, which leaves the support
+    # search nothing
+    small = _Budget(100)
+    assert has_path_with_weight(g, "x", "x", (0, 1), small).status == "UNKNOWN"

@@ -1,6 +1,8 @@
 import random
 
-from wadet.epl import WeightSetSolver
+from wadet import selfcomp
+from wadet.corpus import random_automaton
+from wadet.epl import WeightSetSolver, has_path_with_weight
 from wadet.model import validate
 from wadet.selfcomp import CCTransition, build_self_composition, check_sd
 from wadet.verdict import FAILS, HOLDS
@@ -197,3 +199,42 @@ def test_sd_fails_iff_subset_sums():
     without = validate(chain_description((2, 4), 5))
     assert check_sd(with_solution).status == FAILS
     assert check_sd(without).status == HOLDS
+
+
+def test_sync_memo_answers_as_fresh_queries(monkeypatch):
+    # k = 2 draws with the default and with a mostly silent event mix;
+    # seed 17 of both and seed 39 of the first take seconds and are left out
+    built = []
+
+    class Recording(selfcomp._Synchronizer):
+        def __init__(self, *args):
+            super().__init__(*args)
+            built.append(self)
+
+    monkeypatch.setattr(selfcomp, "_Synchronizer", Recording)
+    seen = []
+    draws = [random_automaton(seed, k=2) for seed in range(40) if seed not in (17, 39)]
+    draws += [random_automaton(seed, k=2, unobs_fraction=0.6) for seed in range(40)
+              if seed != 17]
+    for a in draws:
+        built.clear()
+        build_self_composition(a)
+        for sync in built:
+            for (q1, q2, s1, s2, z), answer in sync.answers.items():
+                graph, _ = sync._product(q1, q2)
+                fresh = has_path_with_weight(graph, (q1, q2), (s1, s2), z).status
+                status = ("NO" if answer is None else
+                          "UNKNOWN" if answer == "UNKNOWN" else "YES")
+                assert status == fresh, (a, q1, q2, s1, s2, z)
+                if status == "YES":
+                    left, right = answer()
+                    for cur, end, walk in ((q1, s1, left), (q2, s2, right)):
+                        for (s, e, d, w) in walk:
+                            assert s == cur and a.label(e) is None
+                            cur = d
+                        assert cur == end
+                    total = [sum(t[3][i] for t in left) - sum(t[3][i] for t in right)
+                             for i in range(2)]
+                    assert tuple(total) == z, (a, total, z)
+                seen.append(status)
+    assert seen.count("YES") > 10 and seen.count("NO") > 10, seen
