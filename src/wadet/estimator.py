@@ -15,8 +15,10 @@ construction notes whether the enumeration reached a fixed point; when it
 did not, downstream verdicts degrade to UNKNOWN rather than guessing.
 
 Each prepared automaton owns one k = 1 solver over its silent arcs
-(unobs_solver, shared with the self-composition) and one successor menu
-per (estimate, symbol), which the observer and the detector share.
+(unobs_solver, shared with the self-composition), for k > 1 the finite
+silent row of each state (silent_rows, read by the self-composition),
+and one successor menu per (estimate, symbol), which the observer and
+the detector share.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 from operator import add
-from typing import Callable, Iterable
+from typing import Callable, Iterable, Mapping
 
 from .epl import WeightSetSolver, digraph
 from .epset import (
@@ -36,7 +38,8 @@ from .epset import (
     eps_union,
     eps_union_many,
 )
-from .model import WeightedAutomaton, instantaneous_closure
+from .graphutil import can_reach, strongly_connected_components
+from .model import Transition, WeightedAutomaton, instantaneous_closure
 
 
 @dataclass(frozen=True)
@@ -146,19 +149,138 @@ def _integer_arcs(a: WeightedAutomaton) -> tuple[dict, dict]:
     return a.__dict__["_integer_arcs"]
 
 
+def finite_silent_states(a: WeightedAutomaton) -> frozenset[str]:
+    """The states q whose silent row R(q), the set of (y, weight of w) over
+    all silent walks w from q to y, is finite.
+
+    R(q) is finite exactly when every silent cycle that q reaches weighs
+    zero.  If q reaches a cycle C at y of weight c != 0, a walk P from q to
+    y followed by n turns of C gives (y, P + n c), a new node for every n.
+    If every cycle q reaches weighs zero, cutting a closed sub-walk out of
+    a walk from q keeps its ends and its weight (a closed walk splits into
+    simple cycles), so every node of R(q) is the end of a simple path, and
+    there are finitely many.
+
+    A cycle lies inside one strongly connected component (SCC), and every
+    cycle of an SCC C weighs zero exactly when potentials p along a search
+    tree of C agree on every arc of C, p(tail) + w = p(head) in every
+    coordinate.  If they agree, a cycle weighs the telescoping sum of
+    p(head) - p(tail), which is zero.  If an arc x -w-> y of C disagrees,
+    take a walk B from y back to the root inside C: the tree path to y
+    then B, and the tree path to x, the arc, then B, are closed walks
+    whose weights differ by p(x) + w - p(y) != 0, so one of them is
+    nonzero and so is one of its simple cycles.  R(q) is therefore finite
+    exactly when q reaches no SCC whose potentials disagree."""
+    silent, _ = _integer_arcs(a)
+
+    def succ(q):
+        return (d for d, _ in silent[q])
+
+    infinite: set[str] = set()
+    for comp in strongly_connected_components(sorted(a.states), succ):
+        inside = set(comp)
+        p = {comp[0]: (0,) * a.k}
+        stack = [comp[0]]
+        while stack:
+            x = stack.pop()
+            for d, w in silent[x]:
+                if d in inside and d not in p:
+                    p[d] = tuple(map(add, p[x], w))
+                    stack.append(d)
+        if any(d in inside and tuple(map(add, p[x], w)) != p[d]
+               for x in comp for d, w in silent[x]):
+            infinite.update(comp)
+    return frozenset(a.states - can_reach(a.states, succ, infinite))
+
+
+class _SilentRows(dict):
+    """state -> its silent row, built on first lookup.  It keeps the arcs
+    rather than the automaton, so that holding it in a.__dict__ makes no
+    reference cycle and the automaton is freed as soon as it is dropped."""
+
+    def __init__(self, a: WeightedAutomaton):
+        super().__init__()
+        silent, _ = _integer_arcs(a)
+        self.arcs = {q: tuple(zip(a.silent_arcs[q], silent[q])) for q in a.states}
+        self.finite = finite_silent_states(a)
+        self.zero = (0,) * a.k
+
+    def __missing__(self, q: str) -> tuple[dict, dict] | None:
+        row = self[q] = self._build(q) if q in self.finite else None
+        return row
+
+    def _build(self, q: str) -> tuple[dict, dict] | None:
+        start = (q, self.zero)
+        parent: dict[tuple[str, tuple], tuple | None] = {start: None}
+        frontier = [start]
+        while frontier:
+            nxt = []
+            for node in frontier:
+                x, w = node
+                for t, (d, wt) in self.arcs[x]:
+                    reached = (d, tuple(map(add, w, wt)))
+                    if reached not in parent:
+                        parent[reached] = (node, t)
+                        nxt.append(reached)
+                        if len(parent) > NODE_CAP:
+                            return None
+            frontier = nxt
+        weights: dict[str, list[tuple]] = {}
+        for y, w in parent:
+            weights.setdefault(y, []).append(w)
+        return parent, weights
+
+
+def silent_rows(a: WeightedAutomaton) -> Mapping[str, tuple[dict, dict] | None]:
+    """Per state q, the silent row R(q) as (parent, weights), or None when
+    R(q) is infinite (finite_silent_states) or holds more than NODE_CAP
+    nodes.  A row is built breadth-first on first lookup, once per state
+    and automaton: parent maps every node to (previous node, silent
+    transition), the arc that first reached it, and the start (q, 0) to
+    None; weights maps every state y to the weights of R(q) at y, fewest
+    arcs first.  Kept in a.__dict__, like unobs_solver."""
+    if "_silent_rows" not in a.__dict__:
+        a.__dict__["_silent_rows"] = _SilentRows(a)
+    return a.__dict__["_silent_rows"]
+
+
+def row_walk(parent: dict, node: tuple) -> tuple[Transition, ...]:
+    """The silent walk that first reached node, read off parent pointers."""
+    walk = []
+    while (step := parent[node]) is not None:
+        node, t = step
+        walk.append(t)
+    return tuple(reversed(walk))
+
+
+def _reaching_sigma(a: WeightedAutomaton, sigma: str) -> frozenset[str]:
+    """The states with a silent walk to the source of a sigma-arc.  Kept
+    in a.__dict__ per symbol, like unobs_solver."""
+    cache = a.__dict__.setdefault("_reaching_sigma", {})
+    if sigma not in cache:
+        silent, observable = _integer_arcs(a)
+        sources = {s for (s, label) in observable if label == sigma}
+        cache[sigma] = frozenset(can_reach(a.states, lambda q: (d for d, _ in silent[q]), sources))
+    return cache[sigma]
+
+
 def _bounded_menu(a: WeightedAutomaton, x: Iterable[str], sigma: str) -> tuple[tuple, bool]:
     """The menu from silent walks of at most WALK_LEN arcs, and whether the
-    enumeration closed (fixed point)."""
+    enumeration closed (fixed point).  It visits only states that silently
+    reach a sigma-source: a node at any other state has no sigma-arc and
+    leads to none, so dropping it leaves a closed menu as it was, and with
+    no such state the menu is empty and exact."""
     silent, _ = _integer_arcs(a)
+    useful = _reaching_sigma(a, sigma)
     zero = (0,) * a.k
-    seen: set[tuple[str, tuple]] = {(q, zero) for q in x}
+    seen: set[tuple[str, tuple]] = {(q, zero) for q in x if q in useful}
     frontier = set(seen)
     for _ in range(WALK_LEN):
         nxt: set[tuple[str, tuple]] = set()
         for (q, w) in frontier:
             for d, wt in silent[q]:
                 w2 = tuple(map(add, w, wt))
-                if (d, w2) not in seen:
+                if d in useful and (d, w2) not in seen:
                     seen.add((d, w2))
                     nxt.add((d, w2))
                     if len(seen) > NODE_CAP:

@@ -1,19 +1,24 @@
 """Self-composition and the strong-detectability check.
 
 The self-composition synchronizes pairs of equally-labeled observable
-events whose preceding silent-prefix-plus-event weights coincide.  For
-one-dimensional weights the synchronization test is decided exactly on
-the silent subgraph: a pair of observable arcs from sources reachable
-from the pair (q1, q2) synchronizes iff the shifted achievable-weight
-sets intersect.  For higher dimensions the asynchronous product (left
-arcs keep their weight, right arcs negated) is queried for a walk of the
-appropriate weight.  Most queries are settled by the exact-path-length
-engine's breadth-first probe: YES with a walk, or an exact NO when it
-runs out of states inside its window.  The query is budgeted and an
-exhausted budget marks the transition as possibly missing, which
-downgrades a would-be HOLDS verdict to UNKNOWN.  In both cases the
-answer depends only on (q1, q2, source 1, source 2, w2 - w1), so one
-answer is kept per such key and build.
+events whose preceding silent-prefix-plus-event weights coincide.  The
+answer depends only on the key (q1, q2, source 1, source 2, z = w2 - w1),
+so one answer is kept per such key and build.  For one-dimensional
+weights the synchronization test is decided exactly on the silent
+subgraph: a pair of observable arcs from sources reachable from the pair
+(q1, q2) synchronizes iff the shifted achievable-weight sets intersect.
+For higher dimensions the silent rows of q1 and q2 answer first
+(estimator.silent_rows): a row is the finite set of (state, weight) nodes
+that silent walks from a state reach, which exists exactly when no
+reachable silent cycle has nonzero weight, and the key is then a lookup
+in two finite sets.  Only when a row is infinite or larger than
+estimator.NODE_CAP is the asynchronous product (left arcs keep their
+weight, right arcs negated) queried for a walk of weight z.  Most such
+queries are settled by the exact-path-length engine's breadth-first
+probe: YES with a walk, or an exact NO when it runs out of states inside
+its window.  The query is budgeted and an exhausted budget marks the
+transition as possibly missing, which downgrades a would-be HOLDS
+verdict to UNKNOWN.
 
 Strong detectability fails exactly when the self-composition can run
 forever, afterwards split into two distinct states, and the left
@@ -25,10 +30,11 @@ from __future__ import annotations
 from collections.abc import Callable, Iterator, Mapping
 from dataclasses import dataclass, field
 from functools import partial
+from operator import sub
 
 from .epl import Vec, _Budget, digraph, has_path_with_weight
 from .epset import eps_intersect, eps_min_abs_witness, eps_shift
-from .estimator import unobs_solver
+from .estimator import row_walk, silent_rows, unobs_solver
 from .graphutil import can_reach, find_cycle, find_path, reachable, states_on_cycles
 from .model import Transition, WeightedAutomaton
 from .verdict import FAILS, HOLDS, SD, UNKNOWN, Verdict
@@ -77,7 +83,9 @@ class SelfComposition:
 class _Synchronizer:
     """Decides and witnesses weight-synchronized silent prefixes.  The
     answer depends only on the key (q1, q2, source 1, source 2, w2 - w1),
-    so each distinct key is decided once per build."""
+    so each distinct key is decided once per build.  For k > 1 the silent
+    rows of q1 and q2 decide it (_sync_rows), and the product graph only
+    when one of them is infinite or over the cap (_sync_product)."""
 
     def __init__(self, a: WeightedAutomaton, budget: int):
         self.a = a
@@ -88,6 +96,7 @@ class _Synchronizer:
         if a.k == 1:
             self.solver = unobs_solver(a)
         else:
+            self._rows = silent_rows(a)
             self._products: dict[Pair, tuple] = {}
             self._silent = [(t, tuple(int(x) for x in t[3])) for t in a.unobs_transitions]
 
@@ -99,7 +108,7 @@ class _Synchronizer:
         self.queries += 1
         key = (q1, q2, t1[0], t2[0], tuple(y - x for x, y in zip(w1, w2)))
         if key not in self.answers:
-            decide = self._sync_dim1 if self.a.k == 1 else self._sync_product
+            decide = self._sync_dim1 if self.a.k == 1 else self._sync_rows
             self.answers[key] = decide(*key)
         answer = self.answers[key]
         if answer is None:
@@ -126,6 +135,25 @@ class _Synchronizer:
     def _walk(self, u: str, v: str, z: int) -> tuple[Transition, ...]:
         return tuple(self.a.unobs_transitions[arc.aid]
                      for arc in self.solver.witness_walk(u, v, z))
+
+    def _sync_rows(self, q1, q2, s1, s2, z):
+        """Some x in W(q1, s1) with x - z in W(q2, s2), W being the silent
+        walk weights that the rows of q1 and q2 list.  This is the product
+        query: a product walk from (q1, q2) to (s1, s2) interleaves a silent
+        walk q1 -> s1 of weight x with one q2 -> s2 of weight y, the latter
+        negated, so it weighs x - y; and any two such walks interleave into
+        one, the left walk first.  Hence a product walk of weight z exists
+        exactly when some x in W(q1, s1) has x - z in W(q2, s2).  When
+        either row is None the product graph answers instead."""
+        row1, row2 = self._rows[q1], self._rows[q2]
+        if row1 is None or row2 is None:
+            return self._sync_product(q1, q2, s1, s2, z)
+        (parent1, weights1), (parent2, _) = row1, row2
+        for x in weights1[s1]:
+            y = tuple(map(sub, x, z))
+            if (s2, y) in parent2:
+                return lambda: (row_walk(parent1, (s1, x)), row_walk(parent2, (s2, y)))
+        return None
 
     def _product(self, q1: str, q2: str):
         key = (q1, q2)

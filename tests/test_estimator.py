@@ -343,3 +343,82 @@ def test_detector_covers_observer_on_corpus(aut_a0, aut_a1):
         obs, det = build_observer(aut), build_detector(aut)
         ok, bad = detector_covers_observer(aut, obs, det)
         assert ok, bad
+
+
+# -- silent rows and menus for k > 1 ----------------------------------------
+
+
+def silent_graph(*arcs):
+    """A k = 2 automaton of silent arcs (x, weight, y) on states s0, s1, ..."""
+    states = sorted({f"s{v}" for (x, _, y) in arcs for v in (x, y)})
+    return validate({
+        "k": 2, "states": states, "initial": {states[0]: [0, 0]},
+        "events": {f"u{i}": None for i in range(len(arcs))},
+        "transitions": [(f"s{x}", f"u{i}", f"s{y}", list(w))
+                        for i, (x, w, y) in enumerate(arcs)]})
+
+
+@pytest.mark.parametrize("arcs, finite", [
+    ([(0, (1, 0), 1), (1, (-1, 0), 0)], {"s0", "s1"}),  # zero-weight 2-cycle
+    ([(0, (1, 1), 0)], set()),  # (1, 1) self-loop
+    ([(0, (0, 0), 1), (1, (1, 1), 1)], set()),  # s0 is upstream of the loop
+    ([(0, (1, 1), 0), (0, (0, 0), 1), (1, (0, 2), 2)], {"s1", "s2"}),  # downstream only
+])
+def test_finite_silent_states(arcs, finite):
+    assert estimator.finite_silent_states(silent_graph(*arcs)) == finite
+
+
+def closed_enumeration(a, q, levels):
+    """The (state, weight) nodes of silent walks from q, when a breadth-first
+    enumeration adds no node after at most `levels` levels; None otherwise."""
+    frontier = {(q, (0, 0))}
+    seen = set(frontier)
+    for _ in range(levels):
+        frontier = {(t[2], (w[0] + int(t[3][0]), w[1] + int(t[3][1])))
+                    for (x, w) in frontier for t in a.silent_arcs[x]} - seen
+        if not frontier:
+            return seen
+        seen |= frontier
+    return None
+
+
+def test_finite_silent_states_match_enumeration():
+    # a finite row has every node at the end of a simple path, so it closes
+    # within |states| levels; an infinite one never closes
+    counts = {True: 0, False: 0}
+    for seed in range(150):
+        a = random_automaton(seed, max_states=4, weight_range=(-1, 1), k=2,
+                             unobs_fraction=1.0)
+        finite = estimator.finite_silent_states(a)
+        for q in sorted(a.states):
+            nodes = closed_enumeration(a, q, 3 * len(a.states))
+            assert (q in finite) == (nodes is not None), (seed, q)
+            if nodes is not None:
+                parent, weights = estimator.silent_rows(a)[q]
+                assert set(parent) == nodes
+                assert {(y, w) for y, ws in weights.items() for w in ws} == nodes
+                for node in parent:
+                    walk = estimator.row_walk(parent, node)
+                    assert walk == () or walk[0][0] == q and walk[-1][2] == node[0]
+                    assert all(s[2] == t[0] for s, t in zip(walk, walk[1:]))
+                    assert tuple(sum(int(t[3][i]) for t in walk) for i in (0, 1)) == node[1]
+            else:
+                assert estimator.silent_rows(a)[q] is None
+            counts[nodes is not None] += 1
+    assert min(counts.values()) > 50, counts
+
+
+def test_menu_without_sigma_sources_in_reach_is_exact():
+    # r's (1, 1) loop cannot reach the a-arc, so the menu closes and SPD is
+    # decided as for the k = 1 analogue
+    def doc(k, weights):
+        return validate({
+            "k": k, "states": ["q", "r"], "initial": {"q": [0] * k},
+            "events": {"u": None, "a": "a"},
+            "transitions": [(s, e, d, list(w)) for (s, e, d), w in zip(
+                [("q", "u", "r"), ("r", "u", "r"), ("q", "a", "q")], weights)]})
+
+    result = check_all(doc(2, [(1, 0), (1, 1), (0, 1)]))
+    assert result.detector.exact and result.observer.exact
+    assert result.verdicts["SPD"].status == "HOLDS"
+    assert result.statuses() == check_all(doc(1, [(1,), (1,), (1,)])).statuses()

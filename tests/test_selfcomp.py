@@ -1,9 +1,9 @@
 import random
 
 from wadet import selfcomp
-from wadet.corpus import random_automaton
+from wadet.corpus import load_fixture, random_automaton
 from wadet.epl import WeightSetSolver, has_path_with_weight
-from wadet.model import validate
+from wadet.model import normalize, scale_to_integers, validate
 from wadet.selfcomp import CCTransition, build_self_composition, check_sd
 from wadet.verdict import FAILS, HOLDS
 from wadet.verify import check_all
@@ -202,25 +202,38 @@ def test_sd_fails_iff_subset_sums():
 
 
 def test_sync_memo_answers_as_fresh_queries(monkeypatch):
-    # k = 2 draws with the default and with a mostly silent event mix;
-    # seed 17 of both and seed 39 of the first take seconds and are left out
+    # k = 2 draws with the default and with a mostly silent event mix, and
+    # the robot fixture (k = 4); seed 17 of both and seed 39 of the first
+    # take seconds and are left out.  Keys whose silent rows are finite are
+    # answered from the rows, the others by the product graph: both routes
+    # must agree with a fresh product query.
     built = []
+    by_product = set()
 
     class Recording(selfcomp._Synchronizer):
         def __init__(self, *args):
             super().__init__(*args)
             built.append(self)
 
+        def _sync_product(self, *key):
+            by_product.add(key)
+            return super()._sync_product(*key)
+
     monkeypatch.setattr(selfcomp, "_Synchronizer", Recording)
     seen = []
+    routes = {"rows": 0, "product": 0}
     draws = [random_automaton(seed, k=2) for seed in range(40) if seed not in (17, 39)]
     draws += [random_automaton(seed, k=2, unobs_fraction=0.6) for seed in range(40)
               if seed != 17]
+    draws.append(scale_to_integers(normalize(load_fixture("robot").automaton))[0])
     for a in draws:
         built.clear()
+        by_product.clear()
         build_self_composition(a)
         for sync in built:
-            for (q1, q2, s1, s2, z), answer in sync.answers.items():
+            for key, answer in sync.answers.items():
+                q1, q2, s1, s2, z = key
+                routes["product" if key in by_product else "rows"] += 1
                 graph, _ = sync._product(q1, q2)
                 fresh = has_path_with_weight(graph, (q1, q2), (s1, s2), z).status
                 status = ("NO" if answer is None else
@@ -234,7 +247,8 @@ def test_sync_memo_answers_as_fresh_queries(monkeypatch):
                             cur = d
                         assert cur == end
                     total = [sum(t[3][i] for t in left) - sum(t[3][i] for t in right)
-                             for i in range(2)]
+                             for i in range(a.k)]
                     assert tuple(total) == z, (a, total, z)
                 seen.append(status)
     assert seen.count("YES") > 10 and seen.count("NO") > 10, seen
+    assert min(routes.values()) >= 10, routes

@@ -58,8 +58,8 @@ def test_truncated_estimator_degrades_to_unknown():
 
 
 def test_wpd_unknown_when_inexact_and_undecided_by_structure():
-    # ambiguous from the start (two initials), silent weighted loop keeps
-    # the enumeration open, and the holds-routes don't apply
+    # ambiguous from the start (two initials), a silent weighted loop at an
+    # a-source keeps the enumeration open, and the holds-routes don't apply
     a = validate({
         "k": 2,
         "states": ["p", "q", "z"],
@@ -67,6 +67,7 @@ def test_wpd_unknown_when_inexact_and_undecided_by_structure():
         "events": {"u": None, "a": "a"},
         "transitions": [
             ("z", "u", "z", [1, 1]),
+            ("z", "a", "z", [1, 0]),
             ("p", "a", "p", [1, 0]),
             ("q", "a", "q", [1, 0]),
             ("p", "u", "z", [1, 1]),
