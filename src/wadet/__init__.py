@@ -5,6 +5,7 @@ from .epset import (
     eps_complement,
     eps_difference,
     eps_intersect,
+    eps_meets,
     eps_min_abs_witness,
     eps_reflect,
     eps_shift,

@@ -8,7 +8,9 @@ under union, intersection, complement, shift, reflection and sumset.
 Every operation returns the canonical form, so structural equality
 coincides with set equality.  The boolean operations also accept raw
 presentations (an EPSet built directly); eps_shift and eps_reflect move
-a canonical set without re-canonicalizing it.
+a canonical set without re-canonicalizing it.  The yes/no question
+eps_meets(s, t, c), whether s & (t + c) is nonempty, is answered at the
+size of the two representations and builds no set at all.
 
 Canonical form:
   * tail periods are minimal (residue sets are folded),
@@ -311,6 +313,53 @@ def eps_union_many(sets: Iterable[EPSet]) -> EPSet:
     if not sets:
         return EPSet.empty()
     return _combine(sets, lambda *masks: reduce(or_, masks))
+
+
+def eps_meets(s: EPSet, t: EPSet, c: int = 0) -> bool:
+    """Whether s & (t + c) is nonempty, at the size of the two
+    representations (raw presentations are read with union semantics).
+
+    An exception of either side is tested by membership in the other; a
+    tail of s and a tail of t + c meet by the residues of their cores
+    (_cores_meet).  No shifted set and no residue set mod the lcm of the
+    periods is built."""
+    if any(n - c in t for n in s.exceptions) or any(n + c in s for n in t.exceptions):
+        return True
+    return any(_cores_meet(x, x_up, y, y_up, c)
+               for x, x_up in ((s.up, True), (s.down, False)) if x is not None
+               for y, y_up in ((t.up, True), (t.down, False)) if y is not None)
+
+
+def _cores_meet(x: Core, x_up: bool, y: Core, y_up: bool, c: int) -> bool:
+    """Some n in the tail x with n - c in the tail y?  Such an n has
+    n = r (mod p) and n = s + c (mod q) for residues r of x and s of y,
+    which is solvable iff r = s + c (mod g), g = gcd(p, q); the solutions
+    form one class mod lcm(p, q).  Two tails in the same direction share
+    an unbounded half-line, so a compatible pair suffices.  An up tail and
+    a down tail share only the interval [lo, hi]; narrower than the lcm,
+    it holds a member iff the least solution >= lo of some compatible
+    pair is <= hi, found in closed form by the Chinese remainder theorem."""
+    p, q = x.period, y.period
+    if x_up != y_up:
+        lo, hi = (x.threshold, y.threshold + c) if x_up else (y.threshold + c, x.threshold)
+        if lo > hi:
+            return False
+    g = gcd(p, q)
+    by_class: dict[int, list[int]] = {}
+    for r in x.residues:
+        by_class.setdefault(r % g, []).append(r)
+    shifted = [(s + c) % q for s in y.residues]
+    m = p // g * q
+    if x_up == y_up or hi - lo + 1 >= m:
+        return any(s % g in by_class for s in shifted)
+    qg = q // g
+    inv = pow(p // g, -1, qg)
+    for s in shifted:
+        for r in by_class.get(s % g, ()):
+            n = r + p * ((s - r) // g * inv % qg)  # n = r (mod p), n = s (mod q)
+            if lo + (n - lo) % m <= hi:
+                return True
+    return False
 
 
 def _is_periodic(s: EPSet) -> bool:

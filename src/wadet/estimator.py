@@ -33,6 +33,7 @@ from .epset import (
     EPSet,
     eps_difference,
     eps_intersect,
+    eps_meets,
     eps_min_abs_witness,
     eps_shift,
     eps_union,
@@ -99,7 +100,8 @@ def successor_cells(a: WeightedAutomaton, x: Iterable[str],
     M(A, (sigma, t) | x).  They come from partition refinement: starting
     from the union, every cell is split by each distinct T-set into the
     part inside and the part outside, and empty parts are dropped, so the
-    work grows with cells times T-sets.
+    work grows with cells times T-sets.  A cell that does not meet the
+    T-set (eps_meets) is its own outside part, and no set is built for it.
     """
     a.require_prepared()
     if a.k != 1:
@@ -114,9 +116,11 @@ def successor_cells(a: WeightedAutomaton, x: Iterable[str],
     for s, qs in groups.items():
         split = []
         for cell, raw_target in cells:
-            inside, outside = eps_intersect(cell, s), eps_difference(cell, s)
-            if not inside.is_empty():
-                split.append((inside, raw_target.union(qs)))
+            if not eps_meets(cell, s):
+                split.append((cell, raw_target))
+                continue
+            split.append((eps_intersect(cell, s), raw_target.union(qs)))
+            outside = eps_difference(cell, s)
             if not outside.is_empty():
                 split.append((outside, raw_target))
         cells = split

@@ -116,6 +116,13 @@ class WeightedAutomaton:
         on_cycle = states_on_cycles(self.states, lambda q: (t[2] for t in self.silent_arcs[q]))
         return frozenset(q for q in self.states if self.silent_reach[q] & on_cycle)
 
+    @cached_property
+    def has_infinite_run(self) -> bool:
+        """Does some infinite run exist, i.e. is a cycle reachable?"""
+        reach = self.reachable_states
+        return bool(states_on_cycles(
+            reach, lambda q: (t[2] for t in self.arcs_from[q] if t[2] in reach)))
+
     def is_integral(self) -> bool:
         if any(w.denominator != 1 for wt in self.initial.values() for w in wt):
             return False

@@ -7,6 +7,8 @@ so one answer is kept per such key and build.  For one-dimensional
 weights the synchronization test is decided exactly on the silent
 subgraph: a pair of observable arcs from sources reachable from the pair
 (q1, q2) synchronizes iff the shifted achievable-weight sets intersect.
+Each key keeps only that yes/no answer, decided by epset.eps_meets; the
+intersection itself is built only when a witness is read.
 For higher dimensions the silent rows of q1 and q2 answer first
 (estimator.silent_rows): a row is the finite set of (state, weight) nodes
 that silent walks from a state reach, which exists exactly when no
@@ -33,7 +35,7 @@ from functools import partial
 from operator import sub
 
 from .epl import Vec, _Budget, digraph, has_path_with_weight
-from .epset import eps_intersect, eps_min_abs_witness, eps_shift
+from .epset import eps_intersect, eps_meets, eps_min_abs_witness, eps_shift
 from .estimator import row_walk, silent_rows, unobs_solver
 from .graphutil import can_reach, find_cycle, find_path, reachable, states_on_cycles
 from .model import Transition, WeightedAutomaton
@@ -114,21 +116,24 @@ class _Synchronizer:
         if answer is None:
             return None
         if self.a.k == 1:
-            return partial(self._walks_dim1, key, answer, w1[0])
+            return partial(self._walks_dim1, key, w1[0])
         if answer == "UNKNOWN":
             self.unknown.append(((q1, q2), t1, t2))
         return answer
 
     def _sync_dim1(self, q1, q2, s1, s2, z):
-        """W(q1, s1) & (W(q2, s2) + z), or None when empty."""
+        """True when W(q1, s1) & (W(q2, s2) + z) is nonempty, else None;
+        decided by eps_meets, which builds no set."""
+        return eps_meets(self.solver.weight_set(q1, s1),
+                         self.solver.weight_set(q2, s2), z[0]) or None
+
+    def _walks_dim1(self, key, w1: int) -> Paths:
+        """The prefixes whose total weight, observable arcs included, is
+        the member of common + w1 nearest 0, common being W(q1, s1) &
+        (W(q2, s2) + z), built only now that a witness is read."""
+        q1, q2, s1, s2, z = key
         common = eps_intersect(self.solver.weight_set(q1, s1),
                                eps_shift(self.solver.weight_set(q2, s2), z[0]))
-        return None if common.is_empty() else common
-
-    def _walks_dim1(self, key, common, w1: int) -> Paths:
-        """The prefixes whose total weight, observable arcs included, is
-        the member of common + w1 nearest 0."""
-        q1, q2, s1, s2, z = key
         left = eps_min_abs_witness(eps_shift(common, w1)) - w1
         return self._walk(q1, s1, left), self._walk(q2, s2, left - z[0])
 
@@ -271,7 +276,7 @@ def check_sd(a: WeightedAutomaton, cc: SelfComposition | None = None,
     for t in cc.transitions:
         cc_succ_map[t.source].append(t)
     for lst in cc_succ_map.values():
-        lst.sort(key=repr)
+        lst.sort(key=lambda t: (t.source, t.events, t.target))
 
     def cc_succ(v):
         return [(t, t.target) for t in cc_succ_map[v]]

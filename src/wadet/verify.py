@@ -48,13 +48,6 @@ def _events_of(path: list) -> list[tuple[str, object]]:
     return [(t.symbol, t.weight) for (_, t, _) in path]
 
 
-def _l_omega_nonempty(a: WeightedAutomaton) -> bool:
-    """Does some infinite run exist, i.e. is a cycle reachable?"""
-    reach = a.reachable_states
-    return bool(states_on_cycles(
-        reach, lambda q: (t[2] for t in a.arcs_from[q] if t[2] in reach)))
-
-
 def _silent_cycle_witness(a: WeightedAutomaton) -> dict | None:
     """A reachable silent cycle of the automaton, with an access path."""
     on_cycle = states_on_cycles(a.reachable_states,
@@ -139,7 +132,7 @@ def check_spd(a: WeightedAutomaton, detector: EstimatorAutomaton | None = None,
 
 def check_wd(a: WeightedAutomaton, observer: EstimatorAutomaton | None = None) -> Verdict:
     """Weak detectability via the observer."""
-    if not _l_omega_nonempty(a):
+    if not a.has_infinite_run:
         return Verdict(WD, HOLDS, {"kind": "no-infinite-run"},
                        "no infinite run exists")
     silent = _silent_cycle_witness(a)
@@ -159,7 +152,7 @@ def check_wd(a: WeightedAutomaton, observer: EstimatorAutomaton | None = None) -
 
 def check_wpd(a: WeightedAutomaton, observer: EstimatorAutomaton | None = None) -> Verdict:
     """Weak periodic detectability via the observer."""
-    if not _l_omega_nonempty(a):
+    if not a.has_infinite_run:
         return Verdict(WPD, HOLDS, {"kind": "no-infinite-run"},
                        "no infinite run exists")
     if observer is None:

@@ -10,6 +10,7 @@ from wadet.epset import (
     eps_complement,
     eps_difference,
     eps_intersect,
+    eps_meets,
     eps_min_abs_witness,
     eps_reflect,
     eps_shift,
@@ -223,6 +224,32 @@ def test_shift_and_reflect():
 
 
 # -- randomized algebra laws -------------------------------------------
+
+
+@settings(max_examples=300, deadline=None)
+@given(raw_epset_st, raw_epset_st, st.integers(-60, 60))
+def test_meets_equals_nonempty_intersection(a, b, c):
+    assert eps_meets(a, b, c) == (not eps_intersect(a, eps_shift(b, c)).is_empty())
+
+
+def test_meets_large_coprime_periods_in_closed_form():
+    # an up tail mod P and a down tail mod Q built to share the member n0;
+    # the common members are n0 + P*Q*Z, so n0 is the only one in
+    # [n0 - P*Q + 1, n0] and the window's upper end decides the answer.
+    # A search that steps through the class would need up to P*Q steps.
+    P, Q = 10 ** 7 + 19, 10 ** 6 + 3
+    start = time.perf_counter()
+    for n0, c in [(123_456_789_012, 0), (98_765_432_101, -31_337), (5, 7)]:
+        lo = n0 - P * Q + 1
+        up = EPSet(frozenset(), Core(lo, P, frozenset([n0 % P])), None)
+        for hi, want in [(n0, True), (n0 - 1, False)]:
+            down = EPSet(frozenset(), None, Core(hi - c, Q, frozenset([(n0 - c) % Q])))
+            assert (n0 in up and n0 - c in down) == want
+            assert eps_meets(up, down, c) is want
+            assert eps_meets(down, up, -c) is want
+        # two tails in one direction always share a class here, gcd 1
+        assert eps_meets(up, EPSet(frozenset(), Core(-lo, Q, frozenset([3])), None), c)
+    assert time.perf_counter() - start < 0.5
 
 
 @settings(max_examples=150, deadline=None)

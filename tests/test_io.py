@@ -259,16 +259,31 @@ def test_cli_estimate_vector_weights(capsys, tmp_path):
     assert out["estimate"] == ["e4p2"]
 
 
-@pytest.mark.parametrize("weight", ["10000000", "1e400"], ids=["1e7", "1e400"])
-def test_huge_weights_end_to_end(capsys, tmp_path, weight):
-    # one state, one observable self-loop: set operations follow the size
-    # of the sets' representations, not the magnitude of the weight
+@pytest.mark.parametrize("weight, silent", [
+    pytest.param("10000000", False, id="1e7"),
+    pytest.param("1e400", False, id="1e400"),
+    pytest.param("10000000", True, id="silent-1e7"),
+    pytest.param("100000000", True, id="silent-1e8"),
+])
+def test_huge_weights_end_to_end(capsys, tmp_path, weight, silent):
+    # set operations follow the size of the sets' representations, not the
+    # magnitude of the weight: one state with one observable self-loop of
+    # that weight, or a silent self-loop of that weight at q with the
+    # observable arcs q -a/1-> r and q -a/2-> q (its N-span has period w)
     import time
     from wadet.verify import check_all
-    doc = {"format_version": 1, "k": 1, "states": ["q"],
-           "initial": [{"state": "q", "weight": ["0"]}],
-           "events": [{"name": "a", "label": "a"}],
-           "transitions": [{"from": "q", "event": "a", "to": "q", "weight": [weight]}]}
+    if silent:
+        doc = {"format_version": 1, "k": 1, "states": ["q", "r"],
+               "initial": [{"state": "q", "weight": ["0"]}],
+               "events": [{"name": "u", "label": None}, {"name": "a", "label": "a"}],
+               "transitions": [{"from": "q", "event": "u", "to": "q", "weight": [weight]},
+                               {"from": "q", "event": "a", "to": "r", "weight": ["1"]},
+                               {"from": "q", "event": "a", "to": "q", "weight": ["2"]}]}
+    else:
+        doc = {"format_version": 1, "k": 1, "states": ["q"],
+               "initial": [{"state": "q", "weight": ["0"]}],
+               "events": [{"name": "a", "label": "a"}],
+               "transitions": [{"from": "q", "event": "a", "to": "q", "weight": [weight]}]}
     start = time.perf_counter()
     result = check_all(io.parse(doc))
     assert time.perf_counter() - start < 2.0

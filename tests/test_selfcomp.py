@@ -132,6 +132,34 @@ def test_deciding_builds_no_silent_walks(monkeypatch):
     assert cc.witnesses[split] == ((("p", "a", "p", (0,)),), (("r", "a", "r", (0,)),))
 
 
+def test_deciding_builds_no_k1_intersection(monkeypatch):
+    # silent loops 3 and -2 at s: which prefix pairs synchronize is a
+    # question about W(s, s) = Z only, and eps_meets answers it
+    raw = {
+        "k": 1,
+        "states": ["s", "p", "r"],
+        "initial": {"s": [0]},
+        "events": {"u": None, "v": None, "a": "a", "b": "a"},
+        "transitions": [("s", "u", "s", [3]), ("s", "v", "s", [-2]),
+                        ("s", "a", "p", [1]), ("s", "b", "r", [0]),
+                        ("p", "a", "p", [0]), ("r", "a", "r", [0])],
+    }
+
+    def no_intersection(s, t):
+        raise AssertionError("intersection built while deciding")
+
+    monkeypatch.setattr(selfcomp, "eps_intersect", no_intersection)
+    result = check_all(validate(raw))
+    assert {p: v.status for p, v in result.verdicts.items()} == {
+        "SD": FAILS, "SPD": FAILS, "WD": HOLDS, "WPD": HOLDS}
+    monkeypatch.undo()
+    # each witness pair is built when read, and its two sides weigh the same
+    cc = result.self_composition
+    check_witnesses(result.automaton, cc)
+    for left, right in cc.witnesses.values():
+        assert sum(t[3][0] for t in left) == sum(t[3][0] for t in right)
+
+
 def test_cc_witnesses_replay_on_random_instances():
     rng = random.Random(77)
     for _ in range(30):
