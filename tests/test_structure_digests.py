@@ -22,17 +22,24 @@ from wadet.verify import check_all
 
 DIGESTS = pathlib.Path(__file__).parent / "data" / "structure_digests.json"
 SEEDS = range(60)
+# the k = 2 draws among seeds 0-39 whose observer and detector are exact;
+# the other four (11, 17, 38, 39) have inexact structures, which list only
+# what their bounded enumeration found
+VECTOR_SEEDS = [seed for seed in range(40) if seed not in (11, 17, 38, 39)]
 
 
 def automata():
     """Name -> automaton: the three fixtures, then random draws with the
-    default generator and with mostly silent, wider-weighted events."""
+    default generator, with mostly silent, wider-weighted events, and
+    with k = 2."""
     out = {name: load_fixture(name).automaton for name in ("A0", "A1", "robot")}
     for seed in SEEDS:
         out[f"random-{seed}"] = random_automaton(seed, k=1)
     for seed in SEEDS:
         out[f"silent-{seed}"] = random_automaton(seed, k=1, unobs_fraction=0.7,
                                                  weight_range=(-3, 3))
+    for seed in VECTOR_SEEDS:
+        out[f"vector-{seed}"] = random_automaton(seed, k=2)
     return out
 
 
