@@ -10,9 +10,13 @@ instantaneous closure of the pattern.  Cells make the infinite-alphabet
 pre-observer finite: any member of a cell is a valid representative
 weight, and the stored witness is the member of smallest absolute value.
 
-For k > 1 a bounded walk enumeration replaces the cell algebra.  The
-construction notes whether the enumeration reached a fixed point; when it
-did not, downstream verdicts degrade to UNKNOWN rather than guessing.
+For k > 1 the menus are read off the silent rows: the row of a state is
+the finite set of (state, weight) nodes its silent walks reach, built to
+a fixed point.  A row is finite iff no nonzero silent cycle lies at a
+live state in reach, a live state being one that silently reaches the
+source of an observable arc.  A menu that meets an infinite row, or one
+over NODE_CAP, is empty and inexact, and downstream verdicts degrade to
+UNKNOWN rather than guessing.
 
 Each prepared automaton owns one k = 1 solver over its silent arcs
 (unobs_solver, shared with the self-composition), for k > 1 the finite
@@ -49,7 +53,7 @@ class EstTransition:
     symbol: str
     weight: object  # int for k = 1, tuple[int, ...] otherwise
     target: frozenset[str]
-    cell: EPSet | None  # all weights inducing this target; None in bounded mode
+    cell: EPSet | None  # all weights inducing this target; None for k > 1
 
 
 @dataclass(frozen=True)
@@ -101,7 +105,9 @@ def successor_cells(a: WeightedAutomaton, x: Iterable[str],
     from the union, every cell is split by each distinct T-set into the
     part inside and the part outside, and empty parts are dropped, so the
     work grows with cells times T-sets.  A cell that does not meet the
-    T-set (eps_meets) is its own outside part, and no set is built for it.
+    T-set (eps_meets) is its own outside part, and no set is built for it;
+    a cell that its inside part equals (canonical forms, so equality is
+    containment) has an empty outside part, and no difference is built.
     """
     a.require_prepared()
     if a.k != 1:
@@ -119,10 +125,10 @@ def successor_cells(a: WeightedAutomaton, x: Iterable[str],
             if not eps_meets(cell, s):
                 split.append((cell, raw_target))
                 continue
-            split.append((eps_intersect(cell, s), raw_target.union(qs)))
-            outside = eps_difference(cell, s)
-            if not outside.is_empty():
-                split.append((outside, raw_target))
+            inside = eps_intersect(cell, s)
+            split.append((inside, raw_target.union(qs)))
+            if inside != cell:
+                split.append((eps_difference(cell, s), raw_target))
         cells = split
     out = [(instantaneous_closure(a, raw_target), cell, eps_min_abs_witness(cell))
            for cell, raw_target in cells]
@@ -131,37 +137,45 @@ def successor_cells(a: WeightedAutomaton, x: Iterable[str],
 
 
 # ---------------------------------------------------------------------
-# bounded successor enumeration for k > 1
+# silent rows and successor menus for k > 1
 # ---------------------------------------------------------------------
 
 
-WALK_LEN = 16  # longest silent walk the k > 1 enumeration follows
-NODE_CAP = 20000  # most (state, weight) nodes it visits per menu
+NODE_CAP = 20000  # most (state, weight) nodes a silent row holds
 
 
 def _integer_arcs(a: WeightedAutomaton) -> tuple[dict, dict]:
-    """The arcs as (target, integer weight vector): silent ones per source,
-    observable ones per (source, label).  Built once per automaton and
-    kept in its __dict__, like unobs_solver."""
+    """The arcs with integer weight vectors: observable ones per (source,
+    label) as (target, weight), and silent ones per source as (transition,
+    target, weight), kept only when they enter a live state, one with a
+    silent walk to the source of an observable arc.  Every state of a
+    silent walk to a live state is live, so the kept arcs carry every
+    such walk, and the rows, read only at observable-arc sources, lose
+    nothing.  Built once per automaton and kept in its __dict__, like
+    unobs_solver."""
     if "_integer_arcs" not in a.__dict__:
-        silent = {q: tuple((d, tuple(map(int, w))) for (_, _, d, w) in arcs)
-                  for q, arcs in a.silent_arcs.items()}
         observable: dict[tuple[str, str], list] = {}
         for (s, e, d, w) in a.obs_transitions:
             observable.setdefault((s, a.label(e)), []).append((d, tuple(map(int, w))))
+        live = can_reach(a.states, lambda q: (t[2] for t in a.silent_arcs[q]),
+                         {s for s, _ in observable})
+        silent = {q: tuple((t, t[2], tuple(map(int, t[3])))
+                           for t in arcs if t[2] in live)
+                  for q, arcs in a.silent_arcs.items()}
         a.__dict__["_integer_arcs"] = silent, observable
     return a.__dict__["_integer_arcs"]
 
 
 def finite_silent_states(a: WeightedAutomaton) -> frozenset[str]:
     """The states q whose silent row R(q), the set of (y, weight of w) over
-    all silent walks w from q to y, is finite.
+    all walks w from q to y of kept silent arcs (_integer_arcs), is finite.
 
-    R(q) is finite exactly when every silent cycle that q reaches weighs
-    zero.  If q reaches a cycle C at y of weight c != 0, a walk P from q to
-    y followed by n turns of C gives (y, P + n c), a new node for every n.
-    If every cycle q reaches weighs zero, cutting a closed sub-walk out of
-    a walk from q keeps its ends and its weight (a closed walk splits into
+    The kept cycles are the silent cycles at live states, and R(q) is
+    finite exactly when every one that q reaches weighs zero.  If q reaches
+    a kept cycle C at y of weight c != 0, a walk P from q to y followed by
+    n turns of C gives (y, P + n c), a new node for every n.  If every
+    kept cycle q reaches weighs zero, cutting a closed sub-walk out of a
+    walk from q keeps its ends and its weight (a closed walk splits into
     simple cycles), so every node of R(q) is the end of a simple path, and
     there are finitely many.
 
@@ -178,7 +192,7 @@ def finite_silent_states(a: WeightedAutomaton) -> frozenset[str]:
     silent, _ = _integer_arcs(a)
 
     def succ(q):
-        return (d for d, _ in silent[q])
+        return (d for _, d, _ in silent[q])
 
     infinite: set[str] = set()
     for comp in strongly_connected_components(sorted(a.states), succ):
@@ -187,12 +201,12 @@ def finite_silent_states(a: WeightedAutomaton) -> frozenset[str]:
         stack = [comp[0]]
         while stack:
             x = stack.pop()
-            for d, w in silent[x]:
+            for _, d, w in silent[x]:
                 if d in inside and d not in p:
                     p[d] = tuple(map(add, p[x], w))
                     stack.append(d)
         if any(d in inside and tuple(map(add, p[x], w)) != p[d]
-               for x in comp for d, w in silent[x]):
+               for x in comp for _, d, w in silent[x]):
             infinite.update(comp)
     return frozenset(a.states - can_reach(a.states, succ, infinite))
 
@@ -204,8 +218,7 @@ class _SilentRows(dict):
 
     def __init__(self, a: WeightedAutomaton):
         super().__init__()
-        silent, _ = _integer_arcs(a)
-        self.arcs = {q: tuple(zip(a.silent_arcs[q], silent[q])) for q in a.states}
+        self.arcs, _ = _integer_arcs(a)
         self.finite = finite_silent_states(a)
         self.zero = (0,) * a.k
 
@@ -221,7 +234,7 @@ class _SilentRows(dict):
             nxt = []
             for node in frontier:
                 x, w = node
-                for t, (d, wt) in self.arcs[x]:
+                for t, d, wt in self.arcs[x]:
                     reached = (d, tuple(map(add, w, wt)))
                     if reached not in parent:
                         parent[reached] = (node, t)
@@ -238,11 +251,11 @@ class _SilentRows(dict):
 def silent_rows(a: WeightedAutomaton) -> Mapping[str, tuple[dict, dict] | None]:
     """Per state q, the silent row R(q) as (parent, weights), or None when
     R(q) is infinite (finite_silent_states) or holds more than NODE_CAP
-    nodes.  A row is built breadth-first on first lookup, once per state
-    and automaton: parent maps every node to (previous node, silent
-    transition), the arc that first reached it, and the start (q, 0) to
-    None; weights maps every state y to the weights of R(q) at y, fewest
-    arcs first.  Kept in a.__dict__, like unobs_solver."""
+    nodes.  A row is built breadth-first to its fixed point on first
+    lookup, once per state and automaton: parent maps every node to
+    (previous node, silent transition), the arc that first reached it, and
+    the start (q, 0) to None; weights maps every state y to the weights of
+    R(q) at y, fewest arcs first.  Kept in a.__dict__, like unobs_solver."""
     if "_silent_rows" not in a.__dict__:
         a.__dict__["_silent_rows"] = _SilentRows(a)
     return a.__dict__["_silent_rows"]
@@ -257,55 +270,26 @@ def row_walk(parent: dict, node: tuple) -> tuple[Transition, ...]:
     return tuple(reversed(walk))
 
 
-def _reaching_sigma(a: WeightedAutomaton, sigma: str) -> frozenset[str]:
-    """The states with a silent walk to the source of a sigma-arc.  Kept
-    in a.__dict__ per symbol, like unobs_solver."""
-    cache = a.__dict__.setdefault("_reaching_sigma", {})
-    if sigma not in cache:
-        silent, observable = _integer_arcs(a)
-        sources = {s for (s, label) in observable if label == sigma}
-        cache[sigma] = frozenset(can_reach(a.states, lambda q: (d for d, _ in silent[q]), sources))
-    return cache[sigma]
-
-
-def _bounded_menu(a: WeightedAutomaton, x: Iterable[str], sigma: str) -> tuple[tuple, bool]:
-    """The menu from silent walks of at most WALK_LEN arcs, and whether the
-    enumeration closed (fixed point).  It visits only states that silently
-    reach a sigma-source: a node at any other state has no sigma-arc and
-    leads to none, so dropping it leaves a closed menu as it was, and with
-    no such state the menu is empty and exact."""
-    silent, _ = _integer_arcs(a)
-    useful = _reaching_sigma(a, sigma)
-    zero = (0,) * a.k
-    seen: set[tuple[str, tuple]] = {(q, zero) for q in x if q in useful}
-    frontier = set(seen)
-    for _ in range(WALK_LEN):
-        nxt: set[tuple[str, tuple]] = set()
-        for (q, w) in frontier:
-            for d, wt in silent[q]:
-                w2 = tuple(map(add, w, wt))
-                if d in useful and (d, w2) not in seen:
-                    seen.add((d, w2))
-                    nxt.add((d, w2))
-                    if len(seen) > NODE_CAP:
-                        return _harvest(a, seen, sigma), False
-        frontier = nxt
-    return _harvest(a, seen, sigma), not frontier
-
-
-def _harvest(a: WeightedAutomaton, seen: set, sigma: str) -> tuple:
-    """Per successor estimate, the least weight vector of a sigma-arc out
-    of the (state, silent weight) nodes seen."""
+def _row_menu(a: WeightedAutomaton, x: Iterable[str], sigma: str) -> tuple[tuple, bool]:
+    """Per successor estimate, the least weight vector of a silent walk
+    from x followed by one sigma-arc, read off the rows of the states of
+    x, which list every silent walk to a sigma-source; and whether every
+    row closed.  If one did not, the menu is empty and inexact."""
+    rows = silent_rows(a)
     _, observable = _integer_arcs(a)
     by_weight: dict[tuple, set[str]] = {}
-    for (q1, w) in seen:
-        for q2, wt in observable.get((q1, sigma), ()):
-            by_weight.setdefault(tuple(map(add, w, wt)), set()).add(q2)
+    for q in x:
+        if rows[q] is None:
+            return (), False
+        for y, ws in rows[q][1].items():
+            for q2, wt in observable.get((y, sigma), ()):
+                for w in ws:
+                    by_weight.setdefault(tuple(map(add, w, wt)), set()).add(q2)
     by_target: dict[frozenset[str], list[tuple]] = {}
     for w, qs in by_weight.items():
         by_target.setdefault(instantaneous_closure(a, qs), []).append(w)
     return tuple((target, None, min(ws)) for target, ws in sorted(
-        by_target.items(), key=lambda kv: sorted(kv[0])))
+        by_target.items(), key=lambda kv: sorted(kv[0]))), True
 
 
 # ---------------------------------------------------------------------
@@ -320,7 +304,7 @@ def _successor_menu(a: WeightedAutomaton, x: frozenset[str], sigma: str):
     menus = a.__dict__.setdefault("_successor_menus", {})
     if (x, sigma) not in menus:
         menus[x, sigma] = ((tuple(successor_cells(a, x, sigma)), True) if a.k == 1
-                           else _bounded_menu(a, x, sigma))
+                           else _row_menu(a, x, sigma))
     return menus[x, sigma]
 
 

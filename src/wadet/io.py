@@ -57,6 +57,14 @@ def _entries(document: Mapping, key: str):
         yield f"{key}[{i}]", entry
 
 
+def _name_in(entry: Mapping, key: str, context: str):
+    """entry[key], a name that keys a mapping: not a JSON array or object."""
+    value = entry.get(key)
+    if isinstance(value, (list, Mapping)):
+        raise ParseError(f"must be a name, got {value!r}", f"{context}.{key}")
+    return value
+
+
 def parse(document: Mapping) -> WeightedAutomaton:
     """Decode an automaton document (already JSON-decoded) and validate it."""
     if not isinstance(document, Mapping):
@@ -72,9 +80,9 @@ def parse(document: Mapping) -> WeightedAutomaton:
         "transitions": [],
     }
     for ctx, entry in _entries(document, "initial"):
-        raw["initial"][entry.get("state")] = _weight_in(entry.get("weight"), f"{ctx}.weight")
+        raw["initial"][_name_in(entry, "state", ctx)] = _weight_in(entry.get("weight"), f"{ctx}.weight")
     for ctx, entry in _entries(document, "events"):
-        raw["events"][entry.get("name")] = entry.get("label")
+        raw["events"][_name_in(entry, "name", ctx)] = entry.get("label")
     for ctx, entry in _entries(document, "transitions"):
         raw["transitions"].append((
             entry.get("from"), entry.get("event"), entry.get("to"),

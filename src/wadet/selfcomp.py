@@ -11,10 +11,11 @@ Each key keeps only that yes/no answer, decided by epset.eps_meets; the
 intersection itself is built only when a witness is read.
 For higher dimensions the silent rows of q1 and q2 answer first
 (estimator.silent_rows): a row is the finite set of (state, weight) nodes
-that silent walks from a state reach, which exists exactly when no
-reachable silent cycle has nonzero weight, and the key is then a lookup
-in two finite sets.  Only when a row is infinite or larger than
-estimator.NODE_CAP is the asynchronous product (left arcs keep their
+that silent walks from a state reach at live states, those that silently
+reach an observable-arc source.  It is finite iff no nonzero silent cycle
+lies at a live state in reach, and the key is then a lookup in two finite
+sets.  Only when a row is infinite or larger than estimator.NODE_CAP is
+the asynchronous product of the same silent arcs (left arcs keep their
 weight, right arcs negated) queried for a walk of weight z.  Most such
 queries are settled by the exact-path-length engine's breadth-first
 probe: YES with a walk, or an exact NO when it runs out of states inside
@@ -100,7 +101,7 @@ class _Synchronizer:
         else:
             self._rows = silent_rows(a)
             self._products: dict[Pair, tuple] = {}
-            self._silent = [(t, tuple(int(x) for x in t[3])) for t in a.unobs_transitions]
+            self._silent = [(t, w) for q in sorted(a.states) for t, _, w in self._rows.arcs[q]]
 
     def sync(self, q1: str, q2: str, t1: Transition, w1: Vec, t2: Transition, w2: Vec):
         """A silent pair of paths q1->src(t1), q2->src(t2) with equal total

@@ -145,7 +145,9 @@ def test_cli_input_error_exit_code(tmp_path, capsys):
     doc = io.serialize(validate(A1_description()))
     for key, value in (("initial", ["a"]), ("events", [3]), ("transitions", [None]),
                        ("k", True), ("states", "ab"), ("initial", {"q0": ["0"]}),
-                       ("events", "e"), ("transitions", {})):
+                       ("events", "e"), ("transitions", {}),
+                       ("initial", [{"state": ["q0"], "weight": ["0"]}]),
+                       ("events", [{"name": {"u": 1}, "label": None}])):
         bad.write_text(json.dumps({**doc, key: value}))
         assert main(["check", "all", str(bad)]) == 3, (key, value)
         assert key in json.loads(capsys.readouterr().err)["error"]
