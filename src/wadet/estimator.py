@@ -111,7 +111,7 @@ def successor_cells(a: WeightedAutomaton, x: Iterable[str],
     """
     a.require_prepared()
     if a.k != 1:
-        raise ValueError("exact cells require k = 1; use the bounded builders")
+        raise ValueError("exact cells require k = 1; k > 1 menus come from the silent rows")
     tsets = successor_target_sets(a, x, sigma)
     groups: dict[EPSet, list[str]] = {}
     for q2, s in sorted(tsets.items()):
@@ -212,7 +212,8 @@ def finite_silent_states(a: WeightedAutomaton) -> frozenset[str]:
 
 
 class _SilentRows(dict):
-    """state -> its silent row, built on first lookup.  It keeps the arcs
+    """state -> its silent row, built on first lookup.  It holds the kept
+    silent arcs (arcs, read by the self-composition's product graph too)
     rather than the automaton, so that holding it in a.__dict__ makes no
     reference cycle and the automaton is freed as soon as it is dropped."""
 

@@ -80,7 +80,8 @@ def parse(document: Mapping) -> WeightedAutomaton:
         "transitions": [],
     }
     for ctx, entry in _entries(document, "initial"):
-        raw["initial"][_name_in(entry, "state", ctx)] = _weight_in(entry.get("weight"), f"{ctx}.weight")
+        raw["initial"][_name_in(entry, "state", ctx)] = _weight_in(entry.get("weight"),
+                                                                   f"{ctx}.weight")
     for ctx, entry in _entries(document, "events"):
         raw["events"][_name_in(entry, "name", ctx)] = entry.get("label")
     for ctx, entry in _entries(document, "transitions"):

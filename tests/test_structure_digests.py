@@ -23,8 +23,8 @@ from wadet.verify import check_all
 DIGESTS = pathlib.Path(__file__).parent / "data" / "structure_digests.json"
 SEEDS = range(60)
 # the k = 2 draws among seeds 0-39 whose observer and detector are exact;
-# the other four (11, 17, 38, 39) have inexact structures, which list only
-# what their bounded enumeration found
+# the other four (11, 17, 38, 39) have inexact structures, whose listed
+# transitions depend on where the enumeration stops
 VECTOR_SEEDS = [seed for seed in range(40) if seed not in (11, 17, 38, 39)]
 
 
