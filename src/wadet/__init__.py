@@ -7,6 +7,7 @@ from .epset import (
     eps_intersect,
     eps_meets,
     eps_min_abs_witness,
+    eps_partition,
     eps_reflect,
     eps_shift,
     eps_sumset,

@@ -10,7 +10,10 @@ coincides with set equality.  The boolean operations also accept raw
 presentations (an EPSet built directly); eps_shift and eps_reflect move
 a canonical set without re-canonicalizing it.  The yes/no question
 eps_meets(s, t, c), whether s & (t + c) is nonempty, is answered at the
-size of the two representations and builds no set at all.
+size of the two representations and builds no set at all.  eps_partition
+splits the union of labelled raw pieces into its atoms, the sets of
+integers with one pattern of labels, in the one sweep over the cuts that
+a boolean operation makes.
 
 Canonical form:
   * tail periods are minimal (residue sets are folded),
@@ -29,7 +32,7 @@ from heapq import heappop, heappush
 from itertools import count
 from math import gcd, lcm
 from operator import or_
-from typing import Callable, Iterable
+from typing import Callable, Hashable, Iterable
 
 
 @dataclass(frozen=True)
@@ -236,15 +239,20 @@ def _canonical(lo: int, hi: int, modulus: int, dn_res: int, up_res: int,
     return EPSet(frozenset(members), up, down)
 
 
-def _combine(sets: list[EPSet], f: Callable[..., int]) -> EPSet:
-    """Boolean combination; accepts non-canonical presentations.  f acts
-    bitwise on ints (|, &, ~), so one call combines whole residue sets.
+def _sweep(sets: list[EPSet], value: Callable[[list[int], int], object]) -> tuple:
+    """One pass over the common cuts of raw presentations.
 
     The thresholds of the inputs cut the line into runs on which every
     input is periodic mod the lcm of the periods; each exception point of
-    an input is a run of its own, evaluated by membership.  Below the
-    lowest cut only the down cores count, from the highest cut on only
-    the up cores."""
+    an input is a run of its own.  Below the lowest cut only the down
+    cores count, from the highest cut on only the up cores.  On each run
+    value(masks, keep) reads the inputs' residue masks (bitsets mod the
+    modulus, see _spread): keep is every residue on an interval, where it
+    is called once per stretch between thresholds, and the residue of the
+    point at an exception point, where the masks say membership.
+
+    Returns (lo, hi, modulus, value at the down tail (-oo, lo], value at
+    the up tail [hi, oo), runs), each run (a, b, value) over [a, b)."""
     modulus = 1
     thresholds: set[int] = set()
     points: set[int] = set()
@@ -264,23 +272,30 @@ def _combine(sets: list[EPSet], f: Callable[..., int]) -> EPSet:
               s.down.threshold if s.down is not None else lo - 1, _spread(s.down, modulus))
              for s in sets]
 
-    def pattern(n: int) -> int:
-        """Residues of the result on the run through n, exceptions aside."""
-        return f(*[(up if n >= u else 0) | (dn if n <= d else 0)
-                   for u, up, d, dn in cores]) & full
+    def pattern(n: int) -> object:
+        """The value on the run through n, exceptions aside."""
+        return value([(up if n >= u else 0) | (dn if n <= d else 0)
+                      for u, up, d, dn in cores], full)
 
-    runs: list[tuple[int, int, int]] = []
+    runs: list[tuple[int, int, object]] = []
     current = None
     for a, b in zip(cuts, cuts[1:]):
         if a in thresholds:
             current = None
         if a in points:
-            runs.append((a, b, (f(*[a in s for s in sets]) & 1) << (a % modulus)))
+            bit = 1 << a % modulus
+            runs.append((a, b, value([bit if a in s else 0 for s in sets], bit)))
         else:
             if current is None:
                 current = pattern(a)
             runs.append((a, b, current))
-    return _canonical(lo, hi, modulus, pattern(lo), pattern(hi), runs)
+    return lo, hi, modulus, pattern(lo), pattern(hi), runs
+
+
+def _combine(sets: list[EPSet], f: Callable[..., int]) -> EPSet:
+    """Boolean combination; accepts non-canonical presentations.  f acts
+    bitwise on ints (|, &, ~), so one call combines whole residue sets."""
+    return _canonical(*_sweep(sets, lambda masks, keep: f(*masks) & keep))
 
 
 def _recanon(s: EPSet) -> EPSet:
@@ -313,6 +328,58 @@ def eps_union_many(sets: Iterable[EPSet]) -> EPSet:
     if not sets:
         return EPSet.empty()
     return _combine(sets, lambda *masks: reduce(or_, masks))
+
+
+def eps_partition(pieces: Iterable[tuple[EPSet, Hashable]]) -> dict[frozenset, EPSet]:
+    """The atoms of the union of labelled raw pieces: per set of labels L,
+    the integers that lie in some piece of every label in L and in no
+    piece of any other label, keyed by L; empty atoms are left out.
+
+    One _sweep over the cuts of all the pieces: on each run the residues
+    of a label are the OR of its pieces' masks, and the run's residues are
+    split by those masks with bit operations, so that each atom gets its
+    residues run by run (bit i of an atom's key stands for the i-th label).
+    An atom absent from a stretch of runs gets one empty run over it, and
+    one _canonical call makes its canonical form."""
+    pieces = list(pieces)
+    labels = list(dict.fromkeys(label for _, label in pieces))
+    owner = [labels.index(label) for _, label in pieces]
+
+    def split(masks: list[int], keep: int) -> list[tuple[int, int]]:
+        """(key, residues) of each atom that has residues on the run."""
+        by_label = [0] * len(labels)
+        for i, m in zip(owner, masks):
+            by_label[i] |= m
+        parts = [(0, keep)]
+        for i, m in enumerate(by_label):
+            if m & keep:
+                parts = [part for key, c in parts
+                         for part in ((key | 1 << i, c & m), (key, c & ~m)) if part[1]]
+        return [part for part in parts if part[0]]
+
+    lo, hi, modulus, down, up, runs = _sweep([s for s, _ in pieces], split)
+    atoms: dict[int, list] = {}  # key -> [down residues, up residues, runs, end]
+    for key, res in down:
+        atoms[key] = [res, 0, [], lo + 1]
+    for key, res in up:
+        atoms.setdefault(key, [0, 0, [], lo + 1])[1] = res
+    for a, b, parts in runs:
+        for key, res in parts:
+            atom = atoms.get(key)
+            if atom is None:
+                atom = atoms[key] = [0, 0, [], lo + 1]
+            if atom[3] < a:
+                atom[2].append((atom[3], a, 0))
+            atom[2].append((a, b, res))
+            atom[3] = b
+    out: dict[frozenset, EPSet] = {}
+    for key, (dn_res, up_res, atom_runs, end) in atoms.items():
+        if end < hi:
+            atom_runs.append((end, hi, 0))
+        s = _canonical(lo, hi, modulus, dn_res, up_res, atom_runs)
+        if not s.is_empty():
+            out[frozenset(label for i, label in enumerate(labels) if key >> i & 1)] = s
+    return out
 
 
 def eps_meets(s: EPSet, t: EPSet, c: int = 0) -> bool:

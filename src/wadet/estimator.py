@@ -3,12 +3,15 @@
 Both structures concatenate current-state estimates along (symbol, weight)
 events.  For one-dimensional integer weights the set of weights reaching
 a target state q2 from the current estimate x under a symbol is an exact
-eventually periodic set T(q2); the distinct boolean patterns over the
-family {T(q2)} partition the achievable weights into cells, and each
-nonempty cell yields exactly one transition whose target is the
-instantaneous closure of the pattern.  Cells make the infinite-alphabet
-pre-observer finite: any member of a cell is a valid representative
-weight, and the stored witness is the member of smallest absolute value.
+eventually periodic set T(q2), the union of the pieces W(q, q1) + w over
+the states q of x and the symbol's arcs q1 -w-> q2.  The cells are the
+atoms of all those pieces labelled by their targets (epset.eps_partition,
+one sweep over their common cuts): the cell of a set L of states holds
+the weights that lie in T(q2) exactly for the q2 in L, and each nonempty
+cell yields exactly one transition, whose target is the instantaneous
+closure of L.  Cells make the infinite-alphabet pre-observer finite: any
+member of a cell is a valid representative weight, and the stored
+witness is the member of smallest absolute value.
 
 For k > 1 the menus are read off the silent rows: the row of a state is
 the finite set of (state, weight) nodes its silent walks reach, built to
@@ -33,16 +36,7 @@ from operator import add
 from typing import Callable, Iterable, Mapping
 
 from .epl import WeightSetSolver, digraph
-from .epset import (
-    EPSet,
-    eps_difference,
-    eps_intersect,
-    eps_meets,
-    eps_min_abs_witness,
-    eps_shift,
-    eps_union,
-    eps_union_many,
-)
+from .epset import EPSet, eps_min_abs_witness, eps_partition, eps_shift, eps_union
 from .graphutil import can_reach, strongly_connected_components
 from .model import Transition, WeightedAutomaton, instantaneous_closure
 
@@ -77,21 +71,29 @@ def unobs_solver(a: WeightedAutomaton) -> WeightSetSolver:
     return a.__dict__["_unobs_solver"]
 
 
-def successor_target_sets(a: WeightedAutomaton, x: Iterable[str],
-                          sigma: str) -> dict[str, EPSet]:
-    """T(q2): all weights of paths (silent prefix + one sigma-event) from x to q2."""
+def _successor_pieces(a: WeightedAutomaton, x: Iterable[str],
+                      sigma: str) -> list[tuple[EPSet, str]]:
+    """(W(q, q1) + w, q2) per state q of x and sigma-arc q1 -w-> q2 with
+    W(q, q1), the silent weights from q to q1, nonempty."""
     solver = unobs_solver(a)
-    tsets: dict[str, EPSet] = {}
+    pieces = []
     xs = sorted(set(x))
     for (q1, e, q2, w) in a.obs_transitions:
         if a.label(e) != sigma:
             continue
         for q in xs:
             ws = solver.weight_set(q, q1)
-            if ws.is_empty():
-                continue
-            piece = eps_shift(ws, int(w[0]))
-            tsets[q2] = eps_union(tsets[q2], piece) if q2 in tsets else piece
+            if not ws.is_empty():
+                pieces.append((eps_shift(ws, int(w[0])), q2))
+    return pieces
+
+
+def successor_target_sets(a: WeightedAutomaton, x: Iterable[str],
+                          sigma: str) -> dict[str, EPSet]:
+    """T(q2): all weights of paths (silent prefix + one sigma-event) from x to q2."""
+    tsets: dict[str, EPSet] = {}
+    for piece, q2 in _successor_pieces(a, x, sigma):
+        tsets[q2] = eps_union(tsets[q2], piece) if q2 in tsets else piece
     return tsets
 
 
@@ -101,37 +103,24 @@ def successor_cells(a: WeightedAutomaton, x: Iterable[str],
 
     The cells partition the union of the T(q2); for any concrete weight t
     exactly one cell contains t, and its target is the estimate
-    M(A, (sigma, t) | x).  They come from partition refinement: starting
-    from the union, every cell is split by each distinct T-set into the
-    part inside and the part outside, and empty parts are dropped, so the
-    work grows with cells times T-sets.  A cell that does not meet the
-    T-set (eps_meets) is its own outside part, and no set is built for it;
-    a cell that its inside part equals (canonical forms, so equality is
-    containment) has an empty outside part, and no difference is built.
+    M(A, (sigma, t) | x).  The cell of raw target L holds the weights that
+    lie in T(q2) exactly for the q2 in L.  T(q2) is the union of the
+    pieces W(q, q1) + w, one per state q of x and sigma-arc q1 -w-> q2, so
+    that cell is the atom of L of eps_partition over the pieces labelled
+    by q2: the weights in some piece of every label in L and in no piece
+    of another label.  One sweep over the cuts of all the pieces, bit
+    operations per run and one canonical form per cell build them all.
+    Canonical forms are unique, so each cell, and with it its witness
+    (the member of least absolute value), is the one any other exact route
+    builds, partition refinement by the T-sets say; the cells are
+    disjoint, so no two share a witness, and the sort below fixes the
+    order of the menu.
     """
     a.require_prepared()
     if a.k != 1:
         raise ValueError("exact cells require k = 1; k > 1 menus come from the silent rows")
-    tsets = successor_target_sets(a, x, sigma)
-    groups: dict[EPSet, list[str]] = {}
-    for q2, s in sorted(tsets.items()):
-        groups.setdefault(s, []).append(q2)
-    if not groups:
-        return []
-    cells: list[tuple[EPSet, frozenset[str]]] = [(eps_union_many(groups), frozenset())]
-    for s, qs in groups.items():
-        split = []
-        for cell, raw_target in cells:
-            if not eps_meets(cell, s):
-                split.append((cell, raw_target))
-                continue
-            inside = eps_intersect(cell, s)
-            split.append((inside, raw_target.union(qs)))
-            if inside != cell:
-                split.append((eps_difference(cell, s), raw_target))
-        cells = split
     out = [(instantaneous_closure(a, raw_target), cell, eps_min_abs_witness(cell))
-           for cell, raw_target in cells]
+           for raw_target, cell in eps_partition(_successor_pieces(a, x, sigma)).items()]
     out.sort(key=lambda c: (abs(c[2]), c[2] < 0, sorted(c[0])))
     return out
 

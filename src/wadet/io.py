@@ -83,7 +83,7 @@ def parse(document: Mapping) -> WeightedAutomaton:
         raw["initial"][_name_in(entry, "state", ctx)] = _weight_in(entry.get("weight"),
                                                                    f"{ctx}.weight")
     for ctx, entry in _entries(document, "events"):
-        raw["events"][_name_in(entry, "name", ctx)] = entry.get("label")
+        raw["events"][_name_in(entry, "name", ctx)] = _name_in(entry, "label", ctx)
     for ctx, entry in _entries(document, "transitions"):
         raw["transitions"].append((
             entry.get("from"), entry.get("event"), entry.get("to"),

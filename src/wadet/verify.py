@@ -36,12 +36,17 @@ from .verdict import FAILS, HOLDS, SD, SPD, UNKNOWN, WD, WPD, InternalError, Ver
 
 
 def _est_steps(est: EstimatorAutomaton):
-    succ: dict[frozenset, list[EstTransition]] = {x: [] for x in est.states}
-    for t in est.transitions:
-        succ[t.source].append(t)
-    for lst in succ.values():
-        lst.sort(key=lambda t: (t.symbol, repr(t.weight), sorted(t.target)))
-    return lambda x: [(t, t.target) for t in succ[x]]
+    """Per estimate, its (transition, target) steps in a fixed order.  The
+    checkers share one map per structure, kept in its __dict__ as
+    estimator.unobs_solver keeps its solver; equality reads fields only."""
+    if "_steps" not in est.__dict__:
+        succ: dict[frozenset, list[EstTransition]] = {x: [] for x in est.states}
+        for t in est.transitions:
+            succ[t.source].append(t)
+        for lst in succ.values():
+            lst.sort(key=lambda t: (t.symbol, repr(t.weight), sorted(t.target)))
+        est.__dict__["_steps"] = lambda x: [(t, t.target) for t in succ[x]]
+    return est.__dict__["_steps"]
 
 
 def _events_of(path: list) -> list[tuple[str, object]]:

@@ -1,5 +1,6 @@
 import itertools
 import time
+from itertools import combinations
 from math import lcm
 
 from hypothesis import given, settings, strategies as st
@@ -12,6 +13,7 @@ from wadet.epset import (
     eps_intersect,
     eps_meets,
     eps_min_abs_witness,
+    eps_partition,
     eps_reflect,
     eps_shift,
     eps_sumset,
@@ -147,6 +149,26 @@ def test_set_algebra_equals_pointwise_reference(a, b, c):
         [a, b, raw_shift(b, c)], lambda *xs: any(xs))
     assert eps_shift(_recanon(a), c) == ref_combine([raw_shift(a, c)], lambda x: x)
     assert eps_reflect(_recanon(a)) == ref_combine([raw_reflect(a)], lambda x: x)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.tuples(raw_epset_st, st.sampled_from(["x", "y", "z"])),
+                min_size=1, max_size=5))
+def test_partition_equals_pointwise_reference(pieces):
+    sets = [s for s, _ in pieces]
+
+    def labels_at(xs):
+        return frozenset(label for (_, label), x in zip(pieces, xs) if x)
+
+    atoms = eps_partition(pieces)
+    for key, atom in atoms.items():
+        assert key and not atom.is_empty()
+        assert atom == ref_combine(sets, lambda *xs: labels_at(xs) == key)
+    for s, t in combinations(atoms.values(), 2):
+        assert eps_intersect(s, t).is_empty()
+    assert eps_union_many(atoms.values()) == ref_combine(sets, lambda *xs: any(xs))
+    seen = {labels_at([n in s for s in sets]) for n in WINDOW}
+    assert seen - {frozenset()} <= set(atoms)
 
 
 @settings(max_examples=300, deadline=None)

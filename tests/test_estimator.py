@@ -3,7 +3,7 @@ from itertools import combinations
 
 import pytest
 
-from wadet import estimator, io
+from wadet import epset, estimator, io
 from wadet.corpus import load_fixture, random_automaton
 from wadet.epset import (
     EPSet,
@@ -131,6 +131,41 @@ def test_refined_cells_equal_pattern_enumeration_on_fans(seed):
     assert cells == pattern_cells(a, {"p"}, "a")
     # per residue class of the loop, each distinct weight opens one cell
     assert len(cells) == len(set(weights))
+
+
+SILENT_DENSE = {
+    "k": 1,
+    "states": ["s0", "s1", "s2"],
+    "initial": {"s0": [0]},
+    "events": {"u": None, "a": "a", "b": "b"},
+    "transitions": [("s0", "u", "s1", [2]), ("s0", "u", "s2", [3]), ("s1", "u", "s0", [1]),
+                    ("s1", "u", "s2", [3]), ("s2", "u", "s0", [2]), ("s2", "u", "s1", [1]),
+                    ("s0", "a", "s1", [0]), ("s1", "a", "s1", [2]), ("s2", "a", "s0", [1])]
+    + [(q, "b", q, [1]) for q in ("s0", "s1", "s2")],
+}
+
+
+def test_successor_cells_sweep_the_cuts_once(monkeypatch):
+    """Every menu comes from one sweep over the cuts of its pieces: no
+    T-set union and no set operation per cell."""
+    menus = []
+    for seed in range(12):
+        rng = random.Random(seed)
+        n = rng.randint(2, 10)
+        weights = [rng.choice([0, 1, 2, 3, 5, 7, 12, -4]) for _ in range(n)]
+        menus.append((fan(weights, rng.choice([2, 3, 4, 6, -5])), frozenset(["p"]), "a"))
+    dense = scale_to_integers(normalize(validate(SILENT_DENSE)))[0]
+    menus += [(dense, x, sigma) for x in sorted(build_observer(dense).states, key=sorted)
+              for sigma in sorted(dense.sigma)]
+    for a, x, sigma in menus:
+        successor_cells(a, x, sigma)  # the silent weight sets are solved once
+    sweeps = []
+    sweep = epset._sweep
+    monkeypatch.setattr(epset, "_sweep", lambda *args: sweeps.append(args) or sweep(*args))
+    for a, x, sigma in menus:
+        sweeps.clear()
+        assert successor_cells(a, x, sigma) != []
+        assert len(sweeps) == 1, (x, sigma)
 
 
 # -- observer -------------------------------------------------------------

@@ -147,7 +147,9 @@ def test_cli_input_error_exit_code(tmp_path, capsys):
                        ("k", True), ("states", "ab"), ("initial", {"q0": ["0"]}),
                        ("events", "e"), ("transitions", {}),
                        ("initial", [{"state": ["q0"], "weight": ["0"]}]),
-                       ("events", [{"name": {"u": 1}, "label": None}])):
+                       ("events", [{"name": {"u": 1}, "label": None}]),
+                       *(("events", [{**doc["events"][0], "label": label}, *doc["events"][1:]])
+                         for label in (["x"], {"a": 1}))):
         bad.write_text(json.dumps({**doc, key: value}))
         assert main(["check", "all", str(bad)]) == 3, (key, value)
         assert key in json.loads(capsys.readouterr().err)["error"]

@@ -1,6 +1,7 @@
 import random
 from fractions import Fraction
 
+from wadet import verify
 from wadet.estimator import build_detector, build_observer
 from wadet.model import normalize, scale_to_integers, scale_weights, structure_report, validate
 from wadet.verdict import FAILS, HOLDS, SD, SPD, WD, WPD
@@ -162,3 +163,15 @@ def test_analysis_result_exposes_structures(aut_a1):
     assert res.observer.kind == "observer"
     assert res.detector.kind == "detector"
     assert res.self_composition.states
+
+
+def test_checkers_share_one_step_map_per_structure(aut_a0, aut_a1, monkeypatch):
+    calls = []
+    steps = verify._est_steps
+    monkeypatch.setattr(verify, "_est_steps",
+                        lambda est: calls.append((est, steps(est))) or calls[-1][1])
+    results = [check_all(a) for a in (aut_a0, aut_a1, validate(chain_description((2, 3), 5)))]
+    structures = [est for res in results for est in (res.observer, res.detector)]
+    assert len(calls) > len(structures)  # some structure is read by two checkers
+    for est in structures:
+        assert len({id(fn) for e, fn in calls if e is est}) <= 1
