@@ -121,12 +121,16 @@ def fan(weights, silent_loop):
     })))[0]
 
 
+def fan_draw(seed):
+    """A fan of 2-10 drawn weights, some repeated, and its weights."""
+    rng = random.Random(seed)
+    weights = [rng.choice([0, 1, 2, 3, 5, 7, 12, -4]) for _ in range(rng.randint(2, 10))]
+    return fan(weights, rng.choice([2, 3, 4, 6, -5])), weights
+
+
 @pytest.mark.parametrize("seed", range(12))
 def test_refined_cells_equal_pattern_enumeration_on_fans(seed):
-    rng = random.Random(seed)
-    n = rng.randint(2, 10)
-    weights = [rng.choice([0, 1, 2, 3, 5, 7, 12, -4]) for _ in range(n)]
-    a = fan(weights, rng.choice([2, 3, 4, 6, -5]))
+    a, weights = fan_draw(seed)
     cells = successor_cells(a, {"p"}, "a")
     assert cells == pattern_cells(a, {"p"}, "a")
     # per residue class of the loop, each distinct weight opens one cell
@@ -148,12 +152,7 @@ SILENT_DENSE = {
 def test_successor_cells_sweep_the_cuts_once(monkeypatch):
     """Every menu comes from one sweep over the cuts of its pieces: no
     T-set union and no set operation per cell."""
-    menus = []
-    for seed in range(12):
-        rng = random.Random(seed)
-        n = rng.randint(2, 10)
-        weights = [rng.choice([0, 1, 2, 3, 5, 7, 12, -4]) for _ in range(n)]
-        menus.append((fan(weights, rng.choice([2, 3, 4, 6, -5])), frozenset(["p"]), "a"))
+    menus = [(fan_draw(seed)[0], frozenset(["p"]), "a") for seed in range(12)]
     dense = scale_to_integers(normalize(validate(SILENT_DENSE)))[0]
     menus += [(dense, x, sigma) for x in sorted(build_observer(dense).states, key=sorted)
               for sigma in sorted(dense.sigma)]
