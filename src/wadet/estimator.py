@@ -21,15 +21,22 @@ source of an observable arc.  A menu that meets an infinite row, or one
 over NODE_CAP, is empty and inexact, and downstream verdicts degrade to
 UNKNOWN rather than guessing.
 
+Both kinds of menu read one table per automaton (arc_totals): per state
+q and observable arc t = s -e/w-> d usable from q, the totals P(q, t) =
+{x + w : x the weight of a silent walk q -> s}, which is the piece
+W(q, s) + w for k = 1 and a finite set read off the row of q for k > 1.
+The self-composition decides its synchronizations from the same table.
+
 Each prepared automaton owns one k = 1 solver over its silent arcs
-(unobs_solver, shared with the self-composition), for k > 1 the finite
-silent row of each state (silent_rows, read by the self-composition),
-and one successor menu per (estimate, symbol), which the observer and
-the detector share.
+(unobs_solver), for k > 1 the finite silent row of each state
+(silent_rows), the table of totals over them (arc_totals), and one
+successor menu per (estimate, symbol), which the observer and the
+detector share.
 """
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 from itertools import combinations
 from operator import add
@@ -73,19 +80,11 @@ def unobs_solver(a: WeightedAutomaton) -> WeightSetSolver:
 
 def _successor_pieces(a: WeightedAutomaton, x: Iterable[str],
                       sigma: str) -> list[tuple[EPSet, str]]:
-    """(W(q, q1) + w, q2) per state q of x and sigma-arc q1 -w-> q2 with
-    W(q, q1), the silent weights from q to q1, nonempty."""
-    solver = unobs_solver(a)
-    pieces = []
-    xs = sorted(set(x))
-    for (q1, e, q2, w) in a.obs_transitions:
-        if a.label(e) != sigma:
-            continue
-        for q in xs:
-            ws = solver.weight_set(q, q1)
-            if not ws.is_empty():
-                pieces.append((eps_shift(ws, int(w[0])), q2))
-    return pieces
+    """(P(q, t), d) per state q of x and sigma-arc t = s -e/w-> d usable
+    from q, P(q, t) = W(q, s) + w being read off arc_totals."""
+    table = arc_totals(a)
+    return [(totals, t[2]) for q in sorted(set(x))
+            for t, _, _, totals in table[q][1].get(sigma, ())]
 
 
 def successor_target_sets(a: WeightedAutomaton, x: Iterable[str],
@@ -133,25 +132,20 @@ def successor_cells(a: WeightedAutomaton, x: Iterable[str],
 NODE_CAP = 20000  # most (state, weight) nodes a silent row holds
 
 
-def _integer_arcs(a: WeightedAutomaton) -> tuple[dict, dict]:
-    """The arcs with integer weight vectors: observable ones per (source,
-    label) as (target, weight), and silent ones per source as (transition,
-    target, weight), kept only when they enter a live state, one with a
-    silent walk to the source of an observable arc.  Every state of a
-    silent walk to a live state is live, so the kept arcs carry every
-    such walk, and the rows, read only at observable-arc sources, lose
-    nothing.  Built once per automaton and kept in its __dict__, like
+def _integer_arcs(a: WeightedAutomaton) -> dict[str, tuple]:
+    """The silent arcs with integer weight vectors per source as
+    (transition, target, weight), kept only when they enter a live state,
+    one with a silent walk to the source of an observable arc.  Every
+    state of a silent walk to a live state is live, so the kept arcs carry
+    every such walk, and the rows, read only at observable-arc sources,
+    lose nothing.  Built once per automaton and kept in its __dict__, like
     unobs_solver."""
     if "_integer_arcs" not in a.__dict__:
-        observable: dict[tuple[str, str], list] = {}
-        for (s, e, d, w) in a.obs_transitions:
-            observable.setdefault((s, a.label(e)), []).append((d, tuple(map(int, w))))
         live = can_reach(a.states, lambda q: (t[2] for t in a.silent_arcs[q]),
-                         {s for s, _ in observable})
-        silent = {q: tuple((t, t[2], tuple(map(int, t[3])))
-                           for t in arcs if t[2] in live)
-                  for q, arcs in a.silent_arcs.items()}
-        a.__dict__["_integer_arcs"] = silent, observable
+                         {t[0] for t in a.obs_transitions})
+        a.__dict__["_integer_arcs"] = {
+            q: tuple((t, t[2], tuple(map(int, t[3]))) for t in arcs if t[2] in live)
+            for q, arcs in a.silent_arcs.items()}
     return a.__dict__["_integer_arcs"]
 
 
@@ -178,7 +172,7 @@ def finite_silent_states(a: WeightedAutomaton) -> frozenset[str]:
     whose weights differ by p(x) + w - p(y) != 0, so one of them is
     nonzero and so is one of its simple cycles.  R(q) is therefore finite
     exactly when q reaches no SCC whose potentials disagree."""
-    silent, _ = _integer_arcs(a)
+    silent = _integer_arcs(a)
 
     def succ(q):
         return (d for _, d, _ in silent[q])
@@ -208,7 +202,7 @@ class _SilentRows(dict):
 
     def __init__(self, a: WeightedAutomaton):
         super().__init__()
-        self.arcs, _ = _integer_arcs(a)
+        self.arcs = _integer_arcs(a)
         self.finite = finite_silent_states(a)
         self.zero = (0,) * a.k
 
@@ -260,21 +254,72 @@ def row_walk(parent: dict, node: tuple) -> tuple[Transition, ...]:
     return tuple(reversed(walk))
 
 
+# ---------------------------------------------------------------------
+# totals per (state, observable arc), for every dimension
+# ---------------------------------------------------------------------
+
+
+class _ArcTotals(dict):
+    """state -> (arcs, by_label), built on first lookup.  arcs lists the
+    observable arcs usable from the state as (transition, label, integer
+    weight, totals) in the order of a.obs_transitions; by_label maps each
+    label to its arcs, in the same order.  Like _SilentRows it holds what
+    it reads (reach sets, arcs, and the k = 1 solver or the k > 1 rows),
+    never the automaton, so that it makes no reference cycle through
+    a.__dict__."""
+
+    def __init__(self, a: WeightedAutomaton):
+        super().__init__()
+        self.reach = a.silent_reach
+        self.arcs = [(t, a.label(t[1]), tuple(map(int, t[3]))) for t in a.obs_transitions]
+        self.solver = unobs_solver(a) if a.k == 1 else None
+        self.rows = silent_rows(a) if a.k > 1 else None
+
+    def __missing__(self, q: str) -> tuple[tuple, dict]:
+        reach = self.reach[q]
+        arcs = tuple((t, label, w, self._totals(q, t[0], w))
+                     for t, label, w in self.arcs if t[0] in reach)
+        by_label: dict[str, list] = {}
+        for arc in arcs:
+            by_label.setdefault(arc[1], []).append(arc)
+        entry = self[q] = arcs, by_label
+        return entry
+
+    def _totals(self, q: str, s: str, w: tuple):
+        if self.solver is not None:
+            return eps_shift(self.solver.weight_set(q, s), w[0])
+        row = self.rows[q]
+        return None if row is None else frozenset(tuple(map(add, x, w)) for x in row[1][s])
+
+
+def arc_totals(a: WeightedAutomaton) -> Mapping[str, tuple[tuple, dict]]:
+    """Per state q, its usable observable arcs t = s -e/w-> d (s silently
+    reachable from q), each with its totals P(q, t) = {x + w : x the weight
+    of a silent walk q -> s}, the one fact that the self-composition's
+    synchronization test and every successor menu read.  P(q, t) is the
+    EPSet W(q, s) + w for k = 1; for k > 1 it is the finite set of weight
+    vectors read off the silent row of q, or None when that row is None
+    (silent_rows).  Every observable-arc source is live, so a row lists
+    every silent walk to it.  Kept in a.__dict__, like silent_rows."""
+    if "_arc_totals" not in a.__dict__:
+        a.__dict__["_arc_totals"] = _ArcTotals(a)
+    return a.__dict__["_arc_totals"]
+
+
 def _row_menu(a: WeightedAutomaton, x: Iterable[str], sigma: str) -> tuple[tuple, bool]:
     """Per successor estimate, the least weight vector of a silent walk
-    from x followed by one sigma-arc, read off the rows of the states of
-    x, which list every silent walk to a sigma-source; and whether every
-    row closed.  If one did not, the menu is empty and inexact."""
+    from x followed by one sigma-arc, read off the totals of the states of
+    x (arc_totals); and whether every row of those states closed.  If one
+    did not, the menu is empty and inexact."""
     rows = silent_rows(a)
-    _, observable = _integer_arcs(a)
+    table = arc_totals(a)
     by_weight: dict[tuple, set[str]] = {}
     for q in x:
         if rows[q] is None:
             return (), False
-        for y, ws in rows[q][1].items():
-            for q2, wt in observable.get((y, sigma), ()):
-                for w in ws:
-                    by_weight.setdefault(tuple(map(add, w, wt)), set()).add(q2)
+        for t, _, _, totals in table[q][1].get(sigma, ()):
+            for w in totals:
+                by_weight.setdefault(w, set()).add(t[2])
     by_target: dict[frozenset[str], list[tuple]] = {}
     for w, qs in by_weight.items():
         by_target.setdefault(instantaneous_closure(a, qs), []).append(w)
@@ -313,9 +358,9 @@ def _explore(kind: str, a: WeightedAutomaton,
     states: set[frozenset[str]] = {x0}
     transitions: list[EstTransition] = []
     exact = True
-    queue = [x0]
+    queue = deque([x0])
     while queue:
-        x = queue.pop(0)
+        x = queue.popleft()
         for sigma in sorted(a.sigma):
             menu, ok = _successor_menu(a, x, sigma)
             exact = exact and ok

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from collections import deque
 from typing import Callable, Hashable, Iterable, Iterator, TypeVar
 
 V = TypeVar("V", bound=Hashable)
@@ -102,9 +103,9 @@ def find_path(steps: Callable[[V], Iterable[tuple]], start: V,
     if start in targets:
         return [], start
     parents: dict[V, tuple | None] = {start: None}
-    queue = [start]
+    queue = deque([start])
     while queue:
-        v = queue.pop(0)
+        v = queue.popleft()
         for step, w in steps(v):
             if w not in parents:
                 parents[w] = (v, step)
@@ -123,10 +124,10 @@ def find_path(steps: Callable[[V], Iterable[tuple]], start: V,
 def find_cycle(steps: Callable[[V], Iterable[tuple]], at: V) -> list | None:
     """A concrete cycle through `at` as a list of (v, step, v') triples."""
     parents: dict[V, tuple] = {}
-    queue = [at]
+    queue = deque([at])
     seen: set[V] = set()
     while queue:
-        v = queue.pop(0)
+        v = queue.popleft()
         for step, w in steps(v):
             if w == at:
                 cyc = [(v, step, w)]

@@ -7,6 +7,7 @@ the silent label.  All operations treat automata as immutable values.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -24,7 +25,9 @@ def zero_weight(k: int) -> Weight:
 
 
 def make_weight(entries: Iterable, k: int | None = None) -> Weight:
-    w = tuple(Fraction(e) for e in entries)
+    """The entries as a weight; an entry that is already a Fraction (as
+    io.parse builds them) is kept as it is."""
+    w = tuple(e if type(e) is Fraction else Fraction(e) for e in entries)
     if k is not None and len(w) != k:
         raise ValueError(f"weight {w} has dimension {len(w)}, expected {k}")
     return w
@@ -100,9 +103,9 @@ class WeightedAutomaton:
         out = {}
         for start in self.states:
             paths: dict[str, tuple[Transition, ...]] = {start: ()}
-            queue = [start]
+            queue = deque([start])
             while queue:
-                q = queue.pop(0)
+                q = queue.popleft()
                 for t in self.silent_arcs[q]:
                     if t[3] == z and t[2] not in paths:
                         paths[t[2]] = paths[q] + (t,)

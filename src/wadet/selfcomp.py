@@ -1,22 +1,25 @@
 """Self-composition and the strong-detectability check.
 
 The self-composition synchronizes pairs of equally-labeled observable
-events whose preceding silent-prefix-plus-event weights coincide.  The
-answer depends only on the key (q1, q2, source 1, source 2, z = w2 - w1),
-so one answer is kept per such key and build.  For one-dimensional
-weights the synchronization test is decided exactly on the silent
-subgraph: a pair of observable arcs from sources reachable from the pair
-(q1, q2) synchronizes iff the shifted achievable-weight sets intersect.
-Each key keeps only that yes/no answer, decided by epset.eps_meets; the
-intersection itself is built only when a witness is read.
-For higher dimensions the silent rows of q1 and q2 answer first
+events whose preceding silent-prefix-plus-event weights coincide.  For a
+composition state (q1, q2) and same-label arcs t1, t2 usable from q1 and
+q2 it reads the totals P(q1, t1) and P(q2, t2) of estimator.arc_totals,
+the weights of a silent walk from the state to the arc's source plus the
+arc's weight, and the pair synchronizes iff the two share a member.  For
+one-dimensional weights the totals are eventually periodic sets and
+epset.eps_meets decides that without building a set.  For higher
+dimensions they are the finite sets read off the silent rows
 (estimator.silent_rows): a row is the finite set of (state, weight) nodes
 that silent walks from a state reach at live states, those that silently
 reach an observable-arc source.  It is finite iff no nonzero silent cycle
-lies at a live state in reach, and the key is then a lookup in two finite
-sets.  Only when a row is infinite or larger than estimator.NODE_CAP is
-the asynchronous product of the same silent arcs (left arcs keep their
-weight, right arcs negated) queried for a walk of weight z.  Most such
+lies at a live state in reach.  The common total, and from it the
+witness walks, are found only when a witness is read.
+
+Only when a row is infinite or larger than estimator.NODE_CAP, so that
+its totals are None, is the asynchronous product of the same silent arcs
+(left arcs keep their weight, right arcs negated) queried for a walk of
+weight w2 - w1.  That answer depends only on the key (q1, q2, source 1,
+source 2, w2 - w1), so one answer is kept per key and build.  Most such
 queries are settled by the exact-path-length engine's breadth-first
 probe: YES with a walk, or an exact NO when it runs out of states inside
 its window.  The query is budgeted and an exhausted budget marks the
@@ -30,14 +33,15 @@ component can still run forever in the original automaton.
 
 from __future__ import annotations
 
+from collections import deque
 from collections.abc import Callable, Iterator, Mapping
 from dataclasses import dataclass, field
 from functools import partial
 from operator import sub
 
 from .epl import Vec, _Budget, digraph, has_path_with_weight
-from .epset import eps_intersect, eps_meets, eps_min_abs_witness, eps_shift
-from .estimator import row_walk, silent_rows, unobs_solver
+from .epset import EPSet, eps_intersect, eps_meets, eps_min_abs_witness
+from .estimator import arc_totals, row_walk, silent_rows, unobs_solver
 from .graphutil import can_reach, find_cycle, find_path, reachable, states_on_cycles
 from .model import Transition, WeightedAutomaton
 from .verdict import FAILS, HOLDS, SD, UNKNOWN, Verdict
@@ -84,82 +88,34 @@ class SelfComposition:
 
 
 class _Synchronizer:
-    """Decides and witnesses weight-synchronized silent prefixes.  The
-    answer depends only on the key (q1, q2, source 1, source 2, w2 - w1),
-    so each distinct key is decided once per build.  For k > 1 the silent
-    rows of q1 and q2 decide it (_sync_rows), and the product graph only
-    when one of them is infinite or over the cap (_sync_product)."""
+    """The budgeted product route, for k > 1 same-label pairs whose totals
+    are None (an infinite row, or one over estimator.NODE_CAP).  The answer
+    depends only on the key (q1, q2, source 1, source 2, w2 - w1), so each
+    distinct key is decided once per build."""
 
     def __init__(self, a: WeightedAutomaton, budget: int):
         self.a = a
         self.budget = _Budget(budget)  # shared across all queries of one build
         self.unknown: list[tuple] = []
-        self.queries = 0
         self.answers: dict[tuple, object] = {}
-        if a.k == 1:
-            self.solver = unobs_solver(a)
-        else:
-            self._rows = silent_rows(a)
-            self._products: dict[Pair, tuple] = {}
-            self._silent = [(t, w) for q in sorted(a.states) for t, _, w in self._rows.arcs[q]]
+        self._products: dict[Pair, tuple] = {}
+        rows = silent_rows(a)
+        self._silent = [(t, w) for q in sorted(a.states) for t, _, w in rows.arcs[q]]
 
     def sync(self, q1: str, q2: str, t1: Transition, w1: Vec, t2: Transition, w2: Vec):
         """A silent pair of paths q1->src(t1), q2->src(t2) with equal total
         weights including the observable arcs, whose weights w1 and w2 are
-        given as integer tuples?  Returns None, "UNKNOWN", or a function
-        that builds the (left, right) walks of the original automaton."""
-        self.queries += 1
-        key = (q1, q2, t1[0], t2[0], tuple(y - x for x, y in zip(w1, w2)))
+        given as integer tuples?  Returns None, or a function that builds
+        the (left, right) walks of the original automaton; an exhausted
+        budget is None and recorded in unknown."""
+        key = (q1, q2, t1[0], t2[0], tuple(map(sub, w2, w1)))
         if key not in self.answers:
-            decide = self._sync_dim1 if self.a.k == 1 else self._sync_rows
-            self.answers[key] = decide(*key)
+            self.answers[key] = self._sync_product(*key)
         answer = self.answers[key]
-        if answer is None:
-            return None
-        if self.a.k == 1:
-            return partial(self._walks_dim1, key, w1[0])
         if answer == "UNKNOWN":
             self.unknown.append(((q1, q2), t1, t2))
+            return None
         return answer
-
-    def _sync_dim1(self, q1, q2, s1, s2, z):
-        """True when W(q1, s1) & (W(q2, s2) + z) is nonempty, else None;
-        decided by eps_meets, which builds no set."""
-        return eps_meets(self.solver.weight_set(q1, s1),
-                         self.solver.weight_set(q2, s2), z[0]) or None
-
-    def _walks_dim1(self, key, w1: int) -> Paths:
-        """The prefixes whose total weight, observable arcs included, is
-        the member of common + w1 nearest 0, common being W(q1, s1) &
-        (W(q2, s2) + z), built only now that a witness is read."""
-        q1, q2, s1, s2, z = key
-        common = eps_intersect(self.solver.weight_set(q1, s1),
-                               eps_shift(self.solver.weight_set(q2, s2), z[0]))
-        left = eps_min_abs_witness(eps_shift(common, w1)) - w1
-        return self._walk(q1, s1, left), self._walk(q2, s2, left - z[0])
-
-    def _walk(self, u: str, v: str, z: int) -> tuple[Transition, ...]:
-        return tuple(self.a.unobs_transitions[arc.aid]
-                     for arc in self.solver.witness_walk(u, v, z))
-
-    def _sync_rows(self, q1, q2, s1, s2, z):
-        """Some x in W(q1, s1) with x - z in W(q2, s2), W being the silent
-        walk weights that the rows of q1 and q2 list.  This is the product
-        query: a product walk from (q1, q2) to (s1, s2) interleaves a silent
-        walk q1 -> s1 of weight x with one q2 -> s2 of weight y, the latter
-        negated, so it weighs x - y; and any two such walks interleave into
-        one, the left walk first.  Hence a product walk of weight z exists
-        exactly when some x in W(q1, s1) has x - z in W(q2, s2).  When
-        either row is None the product graph answers instead."""
-        row1, row2 = self._rows[q1], self._rows[q2]
-        if row1 is None or row2 is None:
-            return self._sync_product(q1, q2, s1, s2, z)
-        (parent1, weights1), (parent2, _) = row1, row2
-        for x in weights1[s1]:
-            y = tuple(map(sub, x, z))
-            if (s2, y) in parent2:
-                return lambda: (row_walk(parent1, (s1, x)), row_walk(parent2, (s2, y)))
-        return None
 
     def _product(self, q1: str, q2: str):
         key = (q1, q2)
@@ -185,6 +141,13 @@ class _Synchronizer:
         return graph, origin
 
     def _sync_product(self, q1, q2, s1, s2, z):
+        """A product walk from (q1, q2) to (s1, s2) interleaves a silent
+        walk q1 -> s1 of weight x with one q2 -> s2 of weight y, the latter
+        negated, so it weighs x - y; and any two such walks interleave into
+        one, the left walk first.  Hence a product walk of weight z = w2 - w1
+        exists exactly when some x in W(q1, s1) has x - z in W(q2, s2), that
+        is when x + w1 lies in both totals P(q1, t1) and P(q2, t2): the
+        question the build answers from the totals when neither is None."""
         graph, origin = self._product(q1, q2)
         ans = has_path_with_weight(graph, (q1, q2), (s1, s2), z, self.budget)
         if ans.status != "YES":
@@ -197,6 +160,32 @@ class _Synchronizer:
         return lambda: walks
 
 
+def _meet(p1, p2) -> bool:
+    """Whether two totals share a member: EPSets for k = 1, decided by
+    eps_meets without building a set; finite sets of vectors for k > 1."""
+    return eps_meets(p1, p2) if isinstance(p1, EPSet) else not p1.isdisjoint(p2)
+
+
+def _prefixes(a: WeightedAutomaton, arc1: tuple, q1: str, arc2: tuple, q2: str) -> Paths:
+    """The silent prefixes q1 -> s1 and q2 -> s2 of two arcs (transition,
+    label, weight, totals) of arc_totals whose totals share a member m,
+    each prefix of weight m minus its arc's weight: for k = 1 m is the
+    member of P1 & P2 nearest 0 and epl.witness_walk builds the walks; for
+    k > 1 m is the least common total and the rows' parent pointers give
+    them.  Built only when a witness is read."""
+    (t1, _, w1, p1), (t2, _, w2, p2) = arc1, arc2
+    if a.k == 1:
+        m = eps_min_abs_witness(eps_intersect(p1, p2))
+        solver = unobs_solver(a)
+        return tuple(tuple(a.unobs_transitions[arc.aid]
+                           for arc in solver.witness_walk(q, t[0], m - w[0]))
+                     for q, t, w in ((q1, t1, w1), (q2, t2, w2)))
+    m = min(p1 & p2)
+    rows = silent_rows(a)
+    return tuple(row_walk(rows[q][0], (t[0], tuple(map(sub, m, w))))
+                 for q, t, w in ((q1, t1, w1), (q2, t2, w2)))
+
+
 def _joined(prefixes: Callable[[], Paths], t1: Transition, tail1: tuple,
             t2: Transition, tail2: tuple) -> Paths:
     left, right = prefixes()
@@ -206,33 +195,40 @@ def _joined(prefixes: Callable[[], Paths], t1: Transition, tail1: tuple,
 def build_self_composition(a: WeightedAutomaton,
                            budget: int = 10 ** 6) -> SelfComposition:
     a.require_prepared()
-    # per state, the observable arcs usable from it (those whose source is
-    # silently reachable) as (transition, label, integer weight)
-    obs = [(t, a.label(t[1]), tuple(int(x) for x in t[3])) for t in a.obs_transitions]
-    usable = {q: [o for o in obs if o[0][0] in a.silent_reach[q]] for q in a.states}
-    stats = {"epl_queries": 0, "fast_path": not a.unobs_transitions}
-
-    sync = None if stats["fast_path"] else _Synchronizer(a, budget)
+    table = arc_totals(a)
+    fast = not a.unobs_transitions
+    sync = _Synchronizer(a, budget) if a.k > 1 and not fast else None
+    queries = 0
 
     initial = frozenset((p, q) for p in a.initial for q in a.initial)
     states: set[Pair] = set(initial)
     transitions: set[CCTransition] = set()
     witnesses = Witnesses()
-    queue = sorted(initial)
+    queue = deque(sorted(initial))
     seen = set(queue)
     while queue:
-        q1, q2 = queue.pop(0)
-        for t1, label1, w1 in usable[q1]:
-            for t2, label2, w2 in usable[q2]:
-                if label1 != label2:
-                    continue
-                if stats["fast_path"]:
-                    if t1[0] != q1 or t2[0] != q2 or w1 != w2:
+        q1, q2 = queue.popleft()
+        by_label2 = table[q2][1]
+        # q1's arcs in the order of a.obs_transitions: the first pair that
+        # yields a transition gives its witness, and product queries spend
+        # one shared budget in this order
+        for arc1 in table[q1][0]:
+            t1, label, w1, p1 = arc1
+            for arc2 in by_label2.get(label, ()):
+                t2, _, w2, p2 = arc2
+                if fast:
+                    if w1 != w2:
                         continue
                     prefixes = lambda: ((), ())  # no silent prefixes exist
                 else:
-                    prefixes = sync.sync(q1, q2, t1, w1, t2, w2)
-                    if prefixes == "UNKNOWN" or prefixes is None:
+                    queries += 1
+                    if p1 is None or p2 is None:
+                        prefixes = sync.sync(q1, q2, t1, w1, t2, w2)
+                        if prefixes is None:
+                            continue
+                    elif _meet(p1, p2):
+                        prefixes = partial(_prefixes, a, arc1, q1, arc2, q2)
+                    else:
                         continue
                 for q3 in sorted(a.zero_paths[t1[2]]):
                     for q4 in sorted(a.zero_paths[t2[2]]):
@@ -248,11 +244,8 @@ def build_self_composition(a: WeightedAutomaton,
                             states.add(tr.target)
                             queue.append(tr.target)
         states.add((q1, q2))
-    if sync is not None:
-        stats["epl_queries"] = sync.queries
-        unknown = tuple(sync.unknown)
-    else:
-        unknown = ()
+    stats = {"epl_queries": queries, "fast_path": fast}
+    unknown = tuple(sync.unknown) if sync is not None else ()
     return SelfComposition(initial, frozenset(states), frozenset(transitions),
                            witnesses, unknown, stats)
 

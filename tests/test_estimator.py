@@ -22,6 +22,7 @@ from wadet.model import instantaneous_closure, normalize, scale_to_integers, val
 from wadet.oracle import EstimateChain, OracleUndecided, oracle_estimate
 from wadet.verify import check_all
 
+from conftest import A0_description, A1_description
 from test_model import chain_description
 from test_selfcomp import random_automaton_raw
 
@@ -165,6 +166,20 @@ def test_successor_cells_sweep_the_cuts_once(monkeypatch):
         sweeps.clear()
         assert successor_cells(a, x, sigma) != []
         assert len(sweeps) == 1, (x, sigma)
+
+
+def test_each_piece_is_shifted_once_per_automaton(monkeypatch):
+    """The piece P(q, t) = W(q, s) + w of a state q and a usable observable
+    arc t = s -e/w-> d is shifted once per automaton (estimator.arc_totals)
+    and read from there by the self-composition and by every menu."""
+    shifts = []
+    shift = estimator.eps_shift
+    monkeypatch.setattr(estimator, "eps_shift", lambda s, c: shifts.append(c) or shift(s, c))
+    for raw in (SILENT_DENSE, A0_description(), A1_description()):
+        shifts.clear()
+        a = check_all(validate(raw)).automaton
+        pieces = sum(t[0] in a.silent_reach[q] for q in a.states for t in a.obs_transitions)
+        assert 0 < len(shifts) <= pieces, (raw, len(shifts), pieces)
 
 
 # -- observer -------------------------------------------------------------

@@ -1,8 +1,10 @@
 import random
+from functools import partial
 
 from wadet import selfcomp
 from wadet.corpus import load_fixture, random_automaton
 from wadet.epl import WeightSetSolver, has_path_with_weight
+from wadet.estimator import arc_totals
 from wadet.model import normalize, scale_to_integers, validate
 from wadet.selfcomp import CCTransition, build_self_composition, check_sd
 from wadet.verdict import FAILS, HOLDS
@@ -232,20 +234,16 @@ def test_sd_fails_iff_subset_sums():
 def test_sync_memo_answers_as_fresh_queries(monkeypatch):
     # k = 2 draws with the default and with a mostly silent event mix, and
     # the robot fixture (k = 4); seed 17 of both and seed 39 of the first
-    # take seconds and are left out.  Keys whose silent rows are finite are
-    # answered from the rows, the others by the product graph: both routes
-    # must agree with a fresh product query.
+    # take seconds and are left out.  Same-label pairs whose totals are both
+    # finite are decided by the table (estimator.arc_totals), the others by
+    # the product graph, one answer per key: both routes must agree with a
+    # fresh product query.
     built = []
-    by_product = set()
 
     class Recording(selfcomp._Synchronizer):
         def __init__(self, *args):
             super().__init__(*args)
             built.append(self)
-
-        def _sync_product(self, *key):
-            by_product.add(key)
-            return super()._sync_product(*key)
 
     monkeypatch.setattr(selfcomp, "_Synchronizer", Recording)
     seen = []
@@ -256,27 +254,42 @@ def test_sync_memo_answers_as_fresh_queries(monkeypatch):
     draws.append(scale_to_integers(normalize(load_fixture("robot").automaton))[0])
     for a in draws:
         built.clear()
-        by_product.clear()
-        build_self_composition(a)
-        for sync in built:
-            for key, answer in sync.answers.items():
-                q1, q2, s1, s2, z = key
-                routes["product" if key in by_product else "rows"] += 1
-                graph, _ = sync._product(q1, q2)
-                fresh = has_path_with_weight(graph, (q1, q2), (s1, s2), z).status
-                status = ("NO" if answer is None else
-                          "UNKNOWN" if answer == "UNKNOWN" else "YES")
-                assert status == fresh, (a, q1, q2, s1, s2, z)
-                if status == "YES":
-                    left, right = answer()
-                    for cur, end, walk in ((q1, s1, left), (q2, s2, right)):
-                        for (s, e, d, w) in walk:
-                            assert s == cur and a.label(e) is None
-                            cur = d
-                        assert cur == end
-                    total = [sum(t[3][i] for t in left) - sum(t[3][i] for t in right)
-                             for i in range(a.k)]
-                    assert tuple(total) == z, (a, total, z)
-                seen.append(status)
+        cc = build_self_composition(a)
+        answers = [(key, answer, "product") for sync in built
+                   for key, answer in sync.answers.items()]
+        table = arc_totals(a)
+        for q1, q2 in sorted(cc.states):
+            for arc1 in table[q1][0]:
+                for arc2 in table[q2][1].get(arc1[1], ()):
+                    (t1, _, w1, p1), (t2, _, w2, p2) = arc1, arc2
+                    if p1 is None or p2 is None:
+                        continue
+                    key = (q1, q2, t1[0], t2[0], tuple(y - x for x, y in zip(w1, w2)))
+                    answer = (None if p1.isdisjoint(p2) else
+                              partial(selfcomp._prefixes, a, arc1, q1, arc2, q2))
+                    answers.append((key, answer, "rows"))
+        products = Recording(a, 10 ** 6)
+        fresh_status = {}
+        for key, answer, route in answers:
+            q1, q2, s1, s2, z = key
+            routes[route] += 1
+            if key not in fresh_status:
+                graph, _ = products._product(q1, q2)
+                fresh_status[key] = has_path_with_weight(graph, (q1, q2), (s1, s2), z).status
+            fresh = fresh_status[key]
+            status = ("NO" if answer is None else
+                      "UNKNOWN" if answer == "UNKNOWN" else "YES")
+            assert status == fresh, (a, q1, q2, s1, s2, z)
+            if status == "YES":
+                left, right = answer()
+                for cur, end, walk in ((q1, s1, left), (q2, s2, right)):
+                    for (s, e, d, w) in walk:
+                        assert s == cur and a.label(e) is None
+                        cur = d
+                    assert cur == end
+                total = [sum(t[3][i] for t in left) - sum(t[3][i] for t in right)
+                         for i in range(a.k)]
+                assert tuple(total) == z, (a, total, z)
+            seen.append(status)
     assert seen.count("YES") > 10 and seen.count("NO") > 10, seen
     assert min(routes.values()) >= 10, routes
