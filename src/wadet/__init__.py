@@ -3,7 +3,6 @@
 from .epset import (
     EPSet,
     eps_complement,
-    eps_difference,
     eps_intersect,
     eps_meets,
     eps_min_abs_witness,

@@ -315,10 +315,6 @@ def eps_intersect(s: EPSet, t: EPSet) -> EPSet:
     return _combine([s, t], lambda a, b: a & b)
 
 
-def eps_difference(s: EPSet, t: EPSet) -> EPSet:
-    return _combine([s, t], lambda a, b: a & ~b)
-
-
 def eps_complement(s: EPSet) -> EPSet:
     return _combine([s], lambda a: ~a)
 

@@ -14,12 +14,14 @@ member of a cell is a valid representative weight, and the stored
 witness is the member of smallest absolute value.
 
 For k > 1 the menus are read off the silent rows: the row of a state is
-the finite set of (state, weight) nodes its silent walks reach, built to
-a fixed point.  A row is finite iff no nonzero silent cycle lies at a
-live state in reach, a live state being one that silently reaches the
-source of an observable arc.  A menu that meets an infinite row, or one
-over NODE_CAP, is empty and inexact, and downstream verdicts degrade to
-UNKNOWN rather than guessing.
+the set of (state, weight) nodes its silent walks reach at live states,
+those that silently reach the source of an observable arc.  A row is
+finite iff no nonzero silent cycle lies at a live state in reach, and
+then every node ends a walk with no repeated state, so a breadth-first
+search that still finds new nodes |Q| levels deep has met an infinite
+row.  A menu that meets an infinite row, or one over NODE_CAP, is empty
+and inexact, and downstream verdicts degrade to UNKNOWN rather than
+guessing.
 
 Both kinds of menu read one table per automaton (arc_totals): per state
 q and observable arc t = s -e/w-> d usable from q, the totals P(q, t) =
@@ -44,7 +46,7 @@ from typing import Callable, Iterable, Mapping
 
 from .epl import WeightSetSolver, digraph
 from .epset import EPSet, eps_min_abs_witness, eps_partition, eps_shift, eps_union
-from .graphutil import can_reach, strongly_connected_components
+from .graphutil import can_reach
 from .model import Transition, WeightedAutomaton, instantaneous_closure
 
 
@@ -59,6 +61,10 @@ class EstTransition:
 
 @dataclass(frozen=True)
 class EstimatorAutomaton:
+    """An observer or a detector.  Its transitions are in canonical order
+    (_canonical_order): by sorted source, then symbol, repr(weight) and
+    sorted target."""
+
     kind: str  # "observer" | "detector"
     k: int
     initial: frozenset[str]
@@ -149,51 +155,6 @@ def _integer_arcs(a: WeightedAutomaton) -> dict[str, tuple]:
     return a.__dict__["_integer_arcs"]
 
 
-def finite_silent_states(a: WeightedAutomaton) -> frozenset[str]:
-    """The states q whose silent row R(q), the set of (y, weight of w) over
-    all walks w from q to y of kept silent arcs (_integer_arcs), is finite.
-
-    The kept cycles are the silent cycles at live states, and R(q) is
-    finite exactly when every one that q reaches weighs zero.  If q reaches
-    a kept cycle C at y of weight c != 0, a walk P from q to y followed by
-    n turns of C gives (y, P + n c), a new node for every n.  If every
-    kept cycle q reaches weighs zero, cutting a closed sub-walk out of a
-    walk from q keeps its ends and its weight (a closed walk splits into
-    simple cycles), so every node of R(q) is the end of a simple path, and
-    there are finitely many.
-
-    A cycle lies inside one strongly connected component (SCC), and every
-    cycle of an SCC C weighs zero exactly when potentials p along a search
-    tree of C agree on every arc of C, p(tail) + w = p(head) in every
-    coordinate.  If they agree, a cycle weighs the telescoping sum of
-    p(head) - p(tail), which is zero.  If an arc x -w-> y of C disagrees,
-    take a walk B from y back to the root inside C: the tree path to y
-    then B, and the tree path to x, the arc, then B, are closed walks
-    whose weights differ by p(x) + w - p(y) != 0, so one of them is
-    nonzero and so is one of its simple cycles.  R(q) is therefore finite
-    exactly when q reaches no SCC whose potentials disagree."""
-    silent = _integer_arcs(a)
-
-    def succ(q):
-        return (d for _, d, _ in silent[q])
-
-    infinite: set[str] = set()
-    for comp in strongly_connected_components(sorted(a.states), succ):
-        inside = set(comp)
-        p = {comp[0]: (0,) * a.k}
-        stack = [comp[0]]
-        while stack:
-            x = stack.pop()
-            for _, d, w in silent[x]:
-                if d in inside and d not in p:
-                    p[d] = tuple(map(add, p[x], w))
-                    stack.append(d)
-        if any(d in inside and tuple(map(add, p[x], w)) != p[d]
-               for x in comp for _, d, w in silent[x]):
-            infinite.update(comp)
-    return frozenset(a.states - can_reach(a.states, succ, infinite))
-
-
 class _SilentRows(dict):
     """state -> its silent row, built on first lookup.  It holds the kept
     silent arcs (arcs, read by the self-composition's product graph too)
@@ -203,18 +164,18 @@ class _SilentRows(dict):
     def __init__(self, a: WeightedAutomaton):
         super().__init__()
         self.arcs = _integer_arcs(a)
-        self.finite = finite_silent_states(a)
+        self.depth = len(a.states)
         self.zero = (0,) * a.k
 
     def __missing__(self, q: str) -> tuple[dict, dict] | None:
-        row = self[q] = self._build(q) if q in self.finite else None
+        row = self[q] = self._build(q)
         return row
 
     def _build(self, q: str) -> tuple[dict, dict] | None:
         start = (q, self.zero)
         parent: dict[tuple[str, tuple], tuple | None] = {start: None}
         frontier = [start]
-        while frontier:
+        for _ in range(self.depth):
             nxt = []
             for node in frontier:
                 x, w = node
@@ -226,6 +187,8 @@ class _SilentRows(dict):
                         if len(parent) > NODE_CAP:
                             return None
             frontier = nxt
+        if frontier:
+            return None
         weights: dict[str, list[tuple]] = {}
         for y, w in parent:
             weights.setdefault(y, []).append(w)
@@ -234,12 +197,21 @@ class _SilentRows(dict):
 
 def silent_rows(a: WeightedAutomaton) -> Mapping[str, tuple[dict, dict] | None]:
     """Per state q, the silent row R(q) as (parent, weights), or None when
-    R(q) is infinite (finite_silent_states) or holds more than NODE_CAP
-    nodes.  A row is built breadth-first to its fixed point on first
-    lookup, once per state and automaton: parent maps every node to
-    (previous node, silent transition), the arc that first reached it, and
-    the start (q, 0) to None; weights maps every state y to the weights of
-    R(q) at y, fewest arcs first.  Kept in a.__dict__, like unobs_solver."""
+    R(q) is infinite or holds more than NODE_CAP nodes.  R(q) is the set
+    of (y, weight of w) over all walks w from q to y of kept silent arcs
+    (_integer_arcs).  A row is built breadth-first on first lookup, once
+    per state and automaton, for at most |Q| levels, and it is None when
+    level |Q| is not empty.  That test is exact.  If q reaches a kept
+    cycle of weight c != 0, a walk P to it followed by n turns gives the
+    node P + n c for every n, so in a finite row every kept cycle in reach
+    weighs zero.  Cutting a closed sub-walk out of a walk then keeps both
+    ends and the weight, so every node is the end of a walk with no
+    repeated state, at most |Q| - 1 levels deep.  An infinite row, whose
+    levels are each finite, has nodes at every depth.  parent maps every
+    node to (previous node, silent transition), the arc that first
+    reached it, and the start (q, 0) to None; weights maps every state y
+    to the weights of R(q) at y, fewest arcs first.  Kept in a.__dict__,
+    like unobs_solver."""
     if "_silent_rows" not in a.__dict__:
         a.__dict__["_silent_rows"] = _SilentRows(a)
     return a.__dict__["_silent_rows"]

@@ -114,17 +114,26 @@ class WeightedAutomaton:
         return out
 
     @cached_property
+    def cycle_states(self) -> frozenset[str]:
+        """States on a cycle (any labels, self-loops included)."""
+        return frozenset(states_on_cycles(self.states,
+                                          lambda q: (t[2] for t in self.arcs_from[q])))
+
+    @cached_property
+    def silent_cycle_states(self) -> frozenset[str]:
+        """States on a silent cycle (any weights, self-loops included)."""
+        return frozenset(states_on_cycles(self.states,
+                                          lambda q: (t[2] for t in self.silent_arcs[q])))
+
+    @cached_property
     def stall_states(self) -> frozenset[str]:
         """States with a silent path (any weights) to a silent cycle."""
-        on_cycle = states_on_cycles(self.states, lambda q: (t[2] for t in self.silent_arcs[q]))
-        return frozenset(q for q in self.states if self.silent_reach[q] & on_cycle)
+        return frozenset(q for q in self.states if self.silent_reach[q] & self.silent_cycle_states)
 
     @cached_property
     def has_infinite_run(self) -> bool:
         """Does some infinite run exist, i.e. is a cycle reachable?"""
-        reach = self.reachable_states
-        return bool(states_on_cycles(
-            reach, lambda q: (t[2] for t in self.arcs_from[q] if t[2] in reach)))
+        return not self.cycle_states.isdisjoint(self.reachable_states)
 
     def is_integral(self) -> bool:
         if any(w.denominator != 1 for wt in self.initial.values() for w in wt):
@@ -135,10 +144,15 @@ class WeightedAutomaton:
         z = zero_weight(self.k)
         return all(w == z for w in self.initial.values())
 
+    @cached_property
+    def is_prepared(self) -> bool:
+        """Normalized and integral: one scan of the weights per automaton."""
+        return self.is_normalized() and self.is_integral()
+
     def require_prepared(self) -> None:
         """The precondition of every construction: normalize() and
         scale_to_integers() have been applied."""
-        if not self.is_normalized() or not self.is_integral():
+        if not self.is_prepared:
             raise ValueError("normalize and integer-scale the automaton first")
 
 

@@ -44,7 +44,7 @@ from .epset import EPSet, eps_intersect, eps_meets, eps_min_abs_witness
 from .estimator import arc_totals, row_walk, silent_rows, unobs_solver
 from .graphutil import can_reach, find_cycle, find_path, reachable, states_on_cycles
 from .model import Transition, WeightedAutomaton
-from .verdict import FAILS, HOLDS, SD, UNKNOWN, Verdict
+from .verdict import FAILS, HOLDS, SD, UNKNOWN, InternalError, Verdict
 
 Pair = tuple[str, str]
 
@@ -275,36 +275,36 @@ def check_sd(a: WeightedAutomaton, cc: SelfComposition | None = None,
     def cc_succ(v):
         return [(t, t.target) for t in cc_succ_map[v]]
 
-    a_on_cycle = states_on_cycles(a.states, lambda q: (t[2] for t in a.arcs_from[q]))
-    a_cycle_reachers = can_reach(a.states, lambda q: (t[2] for t in a.arcs_from[q]), a_on_cycle)
+    a_cycle_reachers = can_reach(a.states, lambda q: (t[2] for t in a.arcs_from[q]),
+                                 a.cycle_states)
 
-    cc_cycle_states = states_on_cycles(cc.states, lambda v: (t.target for t in cc_succ_map[v]))
+    cc_targets = lambda v: (t.target for t in cc_succ_map[v])
+    cc_cycle_states = states_on_cycles(cc.states, cc_targets)
     split_states = {
-        s for s in reachable(cc_cycle_states, lambda v: (t.target for t in cc_succ_map[v]))
+        s for s in reachable(cc_cycle_states, cc_targets)
         if s[0] != s[1] and s[0] in a_cycle_reachers
     }
 
     def a_steps(q):
         return [(t, t[2]) for t in a.arcs_from[q]]
 
-    witness = None
-    for q1p in sorted(cc_cycle_states):
-        into = find_path(cc_succ, q1p, split_states)
-        if into is None:
-            continue
+    # every composition state is reached from an initial pair (the build is
+    # breadth-first from them) and a cycle state has a cycle, so the least
+    # cycle state that reaches a split state anchors the witness
+    anchors = cc_cycle_states & can_reach(cc.states, cc_targets, split_states)
+    if anchors:
+        q1p = min(anchors)
+        split_path, q2p = find_path(cc_succ, q1p, split_states)
         cycle = find_cycle(cc_succ, q1p)
-        access = start = None
-        for q0p in sorted(cc.initial):
-            access = find_path(cc_succ, q0p, {q1p})
+        for start in sorted(cc.initial):
+            access = find_path(cc_succ, start, {q1p})
             if access is not None:
-                start = q0p
                 break
-        if access is None or cycle is None:
-            continue
-        split_path, q2p = into
-        a_path, anchor = find_path(a_steps, q2p[0], a_on_cycle)
+        else:
+            raise InternalError(f"composition state {q1p} is not reached from an initial pair")
+        a_path, anchor = find_path(a_steps, q2p[0], a.cycle_states)
         a_cycle = find_cycle(a_steps, anchor)
-        witness = {
+        return Verdict(SD, FAILS, {
             "kind": "self-composition-lasso",
             "origin": start,
             "cc_access": [t for (_, t, _) in access[0]],
@@ -313,11 +313,7 @@ def check_sd(a: WeightedAutomaton, cc: SelfComposition | None = None,
             "split_state": q2p,
             "a_path_to_cycle": [t for (_, t, _) in a_path],
             "a_cycle": [t for (_, t, _) in a_cycle],
-        }
-        break
-
-    if witness is not None:
-        return Verdict(SD, FAILS, witness)
+        })
     if cc.unknown_queries:
         return Verdict(SD, UNKNOWN, None,
                        "self-composition has possibly-missing transitions")

@@ -36,15 +36,14 @@ from .verdict import FAILS, HOLDS, SD, SPD, UNKNOWN, WD, WPD, InternalError, Ver
 
 
 def _est_steps(est: EstimatorAutomaton):
-    """Per estimate, its (transition, target) steps in a fixed order.  The
-    checkers share one map per structure, kept in its __dict__ as
-    estimator.unobs_solver keeps its solver; equality reads fields only."""
+    """Per estimate, its (transition, target) steps in the canonical order
+    of est.transitions.  The checkers share one map per structure, kept in
+    its __dict__ as estimator.unobs_solver keeps its solver; equality reads
+    fields only."""
     if "_steps" not in est.__dict__:
         succ: dict[frozenset, list[EstTransition]] = {x: [] for x in est.states}
         for t in est.transitions:
             succ[t.source].append(t)
-        for lst in succ.values():
-            lst.sort(key=lambda t: (t.symbol, repr(t.weight), sorted(t.target)))
         est.__dict__["_steps"] = lambda x: [(t, t.target) for t in succ[x]]
     return est.__dict__["_steps"]
 
@@ -55,8 +54,7 @@ def _events_of(path: list) -> list[tuple[str, object]]:
 
 def _silent_cycle_witness(a: WeightedAutomaton) -> dict | None:
     """A reachable silent cycle of the automaton, with an access path."""
-    on_cycle = states_on_cycles(a.reachable_states,
-                                lambda q: (t[2] for t in a.silent_arcs[q]))
+    on_cycle = a.silent_cycle_states & a.reachable_states
     if not on_cycle:
         return None
     steps = lambda q: [(t, t[2]) for t in a.arcs_from[q]]

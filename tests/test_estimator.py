@@ -61,8 +61,9 @@ def test_cells_empty_when_no_targets(aut_a1):
     unscaled = validate({"k": 1, "states": ["p", "q", "r"], "initial": {"p": [0]},
                          "events": {"u": None, "a": "a"},
                          "transitions": [("p", "u", "q", ["1/2"]), ("q", "a", "r", [1])]})
-    with pytest.raises(ValueError, match="integer-scale"):
-        successor_target_sets(unscaled, {"p"}, "a")
+    for _ in range(2):  # the check is kept per automaton and refuses every call
+        with pytest.raises(ValueError, match="integer-scale"):
+            successor_target_sets(unscaled, {"p"}, "a")
 
 
 def test_cells_partition_union_of_targets(aut_a0, aut_a1):
@@ -425,7 +426,9 @@ def silent_graph(*arcs):
     ([(0, (1, 1), 0), (0, (0, 0), 1), (1, (0, 2), 2)], {"s1", "s2"}),  # downstream only
 ])
 def test_finite_silent_states(arcs, finite):
-    assert estimator.finite_silent_states(silent_graph(*arcs)) == finite
+    a = silent_graph(*arcs)
+    rows = estimator.silent_rows(a)
+    assert {q for q in a.states if rows[q] is not None} == finite
 
 
 def test_silent_cycle_that_reaches_no_observable_arc_leaves_rows_finite():
@@ -434,8 +437,9 @@ def test_silent_cycle_that_reaches_no_observable_arc_leaves_rows_finite():
                   "events": {"u": None, "v": None, "a": "a"},
                   "transitions": [("s0", "u", "s1", [0, 0]), ("s1", "v", "s1", [1, 1]),
                                   ("s0", "a", "s0", [0, 0])]})
-    assert estimator.finite_silent_states(a) == {"s0", "s1"}
-    assert estimator.silent_rows(a)["s0"][1] == {"s0": [(0, 0)]}
+    rows = estimator.silent_rows(a)
+    assert {q for q in a.states if rows[q] is not None} == {"s0", "s1"}
+    assert rows["s0"][1] == {"s0": [(0, 0)]}
 
 
 def closed_enumeration(a, q, levels):
@@ -459,12 +463,12 @@ def test_finite_silent_states_match_enumeration():
     for seed in range(150):
         a = observed(random_automaton(seed, max_states=4, weight_range=(-1, 1), k=2,
                                       unobs_fraction=1.0))
-        finite = estimator.finite_silent_states(a)
+        rows = estimator.silent_rows(a)
         for q in sorted(a.states):
             nodes = closed_enumeration(a, q, 3 * len(a.states))
-            assert (q in finite) == (nodes is not None), (seed, q)
+            assert (rows[q] is not None) == (nodes is not None), (seed, q)
             if nodes is not None:
-                parent, weights = estimator.silent_rows(a)[q]
+                parent, weights = rows[q]
                 assert set(parent) == nodes
                 assert {(y, w) for y, ws in weights.items() for w in ws} == nodes
                 for node in parent:
@@ -472,8 +476,6 @@ def test_finite_silent_states_match_enumeration():
                     assert walk == () or walk[0][0] == q and walk[-1][2] == node[0]
                     assert all(s[2] == t[0] for s, t in zip(walk, walk[1:]))
                     assert tuple(sum(int(t[3][i]) for t in walk) for i in (0, 1)) == node[1]
-            else:
-                assert estimator.silent_rows(a)[q] is None
             counts[nodes is not None] += 1
     assert min(counts.values()) > 50, counts
 
@@ -510,6 +512,31 @@ def test_deep_silent_chain_menus_are_exact():
     assert result.observer.exact and result.detector.exact
     assert result.statuses() == check_all(silent_chain(1)).statuses()
     assert set(result.statuses().values()) == {"HOLDS"}
+
+
+class CountingDict(dict):
+    lookups = 0
+
+    def __getitem__(self, key):
+        self.lookups += 1
+        return super().__getitem__(key)
+
+
+def test_infinite_rows_stop_at_depth_not_cap(monkeypatch):
+    # with the cap far out of reach, a row whose level |Q| is not empty is
+    # None after at most |Q| levels, one arc lookup per node of each level
+    monkeypatch.setattr(estimator, "NODE_CAP", 10 ** 5)
+    chain = silent_chain(2)
+    ring = validate({"k": 2, "states": sorted(chain.states), "initial": dict(chain.initial),
+                     "events": dict(chain.events),
+                     "transitions": sorted(chain.transitions) + [("c19", "u", "c0", (1, 0))]})
+    for a in (silent_graph((0, (1, 1), 0)), ring):
+        rows = estimator.silent_rows(a)
+        rows.arcs = CountingDict(rows.arcs)
+        for q in sorted(a.states):
+            rows.arcs.lookups = 0
+            assert rows[q] is None, q
+            assert rows.arcs.lookups <= len(a.states) + 1, (q, rows.arcs.lookups)
 
 
 def ref_menu(a, x, sigma):

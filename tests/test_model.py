@@ -247,6 +247,26 @@ def silent_distances(a, q, zero_only):
     return dist
 
 
+def walk_reach(a, starts, silent):
+    """States reached from starts by walks (silent ones only if silent) over
+    the raw transition set, apart from the model's cached adjacency."""
+    seen = set(starts)
+    queue = list(seen)
+    for s in queue:
+        for (src, e, d, w) in a.transitions:
+            if src == s and (a.label(e) is None or not silent) and d not in seen:
+                seen.add(d)
+                queue.append(d)
+    return seen
+
+
+def on_closed_walks(a, silent):
+    """States q with a closed walk of at least one arc through q: some arc
+    out of q leads back to q."""
+    return {src for (src, e, d, w) in a.transitions
+            if (a.label(e) is None or not silent) and src in walk_reach(a, {d}, silent)}
+
+
 def test_silent_structure_matches_definitions():
     seen_paths = seen_stalls = 0
     draws = (random_automaton(seed, unobs_fraction=f) for seed in range(60) for f in (0.35, 0.7))
@@ -272,5 +292,9 @@ def test_silent_structure_matches_definitions():
                          if any(r in reach[t[2]] for t in a.transitions
                                 if t[0] == r and a.label(t[1]) is None)}
         assert a.stall_states == {q for q in a.states if reach[q] & self_reaching}
+        cycles = on_closed_walks(a, silent=False)
+        assert (a.cycle_states, a.silent_cycle_states, a.has_infinite_run) == (
+            cycles, on_closed_walks(a, silent=True),
+            bool(cycles & walk_reach(a, a.initial, silent=False)))
         seen_stalls += bool(a.stall_states)
     assert seen_paths >= 10 and seen_stalls >= 10
