@@ -150,8 +150,8 @@ class WeightSetSolver:
                 raise ValueError("weights must be pre-scaled to integers")
         self.graph = graph
         self._succ = graph.out_arcs
-        comps = strongly_connected_components(
-            graph.vertices, lambda x: (a.head for a in self._succ[x]))
+        comps = [c for c, _ in strongly_connected_components(
+            graph.vertices, lambda x: (a.head for a in self._succ[x]))]
         self._sccs = [frozenset(c) for c in reversed(comps)]  # topological order
         self._scc = {x: c for c in self._sccs for x in c}
         self._rows: dict[object, dict[object, EPSet]] = {}

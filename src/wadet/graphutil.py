@@ -20,14 +20,17 @@ def reachable(starts: Iterable[V], succ: Callable[[V], Iterable[V]]) -> set[V]:
     return seen
 
 
-def strongly_connected_components(vertices: Iterable[V],
-                                  succ: Callable[[V], Iterable[V]]) -> list[list[V]]:
-    """Tarjan, iterative.  Components in reverse topological order."""
+def strongly_connected_components(
+        vertices: Iterable[V],
+        succ: Callable[[V], Iterable[V]]) -> Iterator[tuple[list[V], bool]]:
+    """Tarjan, iterative, one succ call per vertex.  Yields each component
+    as it closes, so in reverse topological order (sinks first), with
+    whether it holds a cycle: more than one vertex, or a self-loop."""
     index: dict[V, int] = {}
     low: dict[V, int] = {}
     on_stack: set[V] = set()
+    looped: set[V] = set()
     stack: list[V] = []
-    components: list[list[V]] = []
     counter = 0
 
     for root in vertices:
@@ -52,6 +55,8 @@ def strongly_connected_components(vertices: Iterable[V],
                     break
                 if w in on_stack:
                     low[v] = min(low[v], index[w])
+                    if w == v:
+                        looped.add(v)
             if advanced:
                 continue
             work.pop()
@@ -66,22 +71,13 @@ def strongly_connected_components(vertices: Iterable[V],
                     comp.append(w)
                     if w == v:
                         break
-                components.append(comp)
-    return components
+                yield comp, len(comp) > 1 or v in looped
 
 
 def states_on_cycles(vertices: Iterable[V], succ: Callable[[V], Iterable[V]]) -> set[V]:
     """Vertices lying on some cycle (self-loops included)."""
-    verts = list(vertices)
-    out: set[V] = set()
-    for comp in strongly_connected_components(verts, succ):
-        if len(comp) > 1:
-            out.update(comp)
-        else:
-            v = comp[0]
-            if v in succ(v):
-                out.add(v)
-    return out
+    return {v for comp, cyclic in strongly_connected_components(vertices, succ)
+            if cyclic for v in comp}
 
 
 def can_reach(vertices: Iterable[V], succ: Callable[[V], Iterable[V]],

@@ -29,11 +29,16 @@ def rational_to_str(x: Fraction) -> str:
 
 
 def str_to_rational(text, context: str = "") -> Fraction:
+    """An exact rational from a JSON weight entry.  Integers, as ints or as
+    ASCII decimal strings with an optional "-", skip Fraction's string
+    parser; everything else is read by it."""
+    digits = text.removeprefix("-") if type(text) is str else ""
     try:
-        value = Fraction(str(text))
+        if type(text) is int or (digits.isascii() and digits.isdecimal()):
+            return Fraction(int(text))
+        return Fraction(str(text))
     except (ValueError, ZeroDivisionError) as exc:
         raise ParseError(f"bad rational {text!r} ({exc})", context) from exc
-    return value
 
 
 def _weight_in(entries, context: str) -> list[Fraction]:
@@ -171,8 +176,8 @@ def selfcomp_to_json(cc: SelfComposition, scale: int = 1) -> dict:
         "states": sorted(map(list, cc.states)),
         "complete": not cc.unknown_queries,
         "transitions": [
-            {"from": list(t.source), "events": list(t.events), "to": list(t.target)}
-            for t in sorted(cc.transitions, key=lambda t: (t.source, t.events, t.target))
+            {"from": list(s), "events": list(events), "to": list(target)}
+            for s in sorted(cc.successors) for events, target in cc.successors[s]
         ],
     }
 
@@ -209,10 +214,11 @@ def selfcomp_to_dot(cc: SelfComposition, name: str = "selfcomp") -> str:
     for s in sorted(cc.states):
         shape = "doublecircle" if s in cc.initial else "circle"
         lines.append(f'  "{_dot_escape(node(s))}" [shape={shape}];')
-    for t in sorted(cc.transitions, key=lambda t: (t.source, t.events, t.target)):
-        label = f"({t.events[0]},{t.events[1]})"
-        lines.append(f'  "{_dot_escape(node(t.source))}" -> "{_dot_escape(node(t.target))}" '
-                     f'[label="{_dot_escape(label)}"];')
+    for s in sorted(cc.successors):
+        for events, target in cc.successors[s]:
+            label = f"({events[0]},{events[1]})"
+            lines.append(f'  "{_dot_escape(node(s))}" -> "{_dot_escape(node(target))}" '
+                         f'[label="{_dot_escape(label)}"];')
     lines.append("}")
     return "\n".join(lines) + "\n"
 

@@ -9,26 +9,24 @@ arc's weight, and the pair synchronizes iff the two share a member.  For
 one-dimensional weights the totals are eventually periodic sets and
 epset.eps_meets decides that without building a set.  For higher
 dimensions they are the finite sets read off the silent rows
-(estimator.silent_rows): a row is the finite set of (state, weight) nodes
-that silent walks from a state reach at live states, those that silently
-reach an observable-arc source.  It is finite iff no nonzero silent cycle
-lies at a live state in reach.  The common total, and from it the
-witness walks, are found only when a witness is read.
+(estimator.silent_rows), finite iff no nonzero silent cycle lies at a
+live state in reach.  Only when a row is infinite or larger than
+estimator.NODE_CAP, so that its totals are None, is the asynchronous
+product of the same silent arcs (left arcs keep their weight, right arcs
+negated) queried for a walk of weight w2 - w1, one answer per key (q1,
+q2, source 1, source 2, w2 - w1) and build.  The query is budgeted, and
+an exhausted budget marks the transition as possibly missing, which
+downgrades a would-be HOLDS verdict to UNKNOWN.
 
-Only when a row is infinite or larger than estimator.NODE_CAP, so that
-its totals are None, is the asynchronous product of the same silent arcs
-(left arcs keep their weight, right arcs negated) queried for a walk of
-weight w2 - w1.  That answer depends only on the key (q1, q2, source 1,
-source 2, w2 - w1), so one answer is kept per key and build.  Most such
-queries are settled by the exact-path-length engine's breadth-first
-probe: YES with a walk, or an exact NO when it runs out of states inside
-its window.  The query is budgeted and an exhausted budget marks the
-transition as possibly missing, which downgrades a would-be HOLDS
-verdict to UNKNOWN.
+The build records per composition state its successors as sorted
+(events, target) keys, each with the first arc pair that synchronizes
+into it.  The transitions as objects and their witness walks are made
+from those lists only when read; deciding SD reads neither.
 
 Strong detectability fails exactly when the self-composition can run
 forever, afterwards split into two distinct states, and the left
-component can still run forever in the original automaton.
+component can still run forever in the original automaton.  check_sd
+finds the cycle states that reach such a split in one Tarjan pass.
 """
 
 from __future__ import annotations
@@ -36,13 +34,14 @@ from __future__ import annotations
 from collections import deque
 from collections.abc import Callable, Iterator, Mapping
 from dataclasses import dataclass, field
-from functools import partial
+from functools import cached_property, partial
+from itertools import product
 from operator import sub
 
 from .epl import Vec, _Budget, digraph, has_path_with_weight
-from .epset import EPSet, eps_intersect, eps_meets, eps_min_abs_witness
+from .epset import eps_intersect, eps_meets, eps_min_abs_witness
 from .estimator import arc_totals, row_walk, silent_rows, unobs_solver
-from .graphutil import can_reach, find_cycle, find_path, reachable, states_on_cycles
+from .graphutil import can_reach, find_cycle, find_path, strongly_connected_components
 from .model import Transition, WeightedAutomaton
 from .verdict import FAILS, HOLDS, SD, UNKNOWN, InternalError, Verdict
 
@@ -57,6 +56,11 @@ class CCTransition:
 
 
 Paths = tuple[tuple[Transition, ...], tuple[Transition, ...]]
+# the synchronizing arc pair t1, t2 behind a transition: a function that
+# builds the silent prefixes, then t1, the zero-weight tails after t1 by
+# end state, t2 and the tails after t2
+Sync = tuple[Callable[[], Paths], Transition, Mapping, Transition, Mapping]
+Successors = dict[Pair, dict[tuple[tuple[str, str], Pair], Sync]]
 
 
 class Witnesses(Mapping[CCTransition, Paths]):
@@ -64,27 +68,41 @@ class Witnesses(Mapping[CCTransition, Paths]):
     automaton, built each time it is read: deciding the properties reads
     none, and a k = 1 silent walk can be long (epl.witness_walk)."""
 
-    def __init__(self) -> None:
-        self.make: dict[CCTransition, Callable[[], Paths]] = {}
+    def __init__(self, successors: Successors) -> None:
+        self.successors = successors
 
     def __getitem__(self, tr: CCTransition) -> Paths:
-        return self.make[tr]()
+        prefixes, t1, tails1, t2, tails2 = self.successors[tr.source][tr.events, tr.target]
+        left, right = prefixes()
+        return left + (t1,) + tails1[tr.target[0]], right + (t2,) + tails2[tr.target[1]]
 
     def __iter__(self) -> Iterator[CCTransition]:
-        return iter(self.make)
+        for source in sorted(self.successors):
+            for events, target in self.successors[source]:
+                yield CCTransition(source, events, target)
 
     def __len__(self) -> int:
-        return len(self.make)
+        return sum(map(len, self.successors.values()))
 
 
 @dataclass
 class SelfComposition:
+    """successors[s] maps the key (events, target) of each transition out
+    of s, in sorted order, to the first arc pair that synchronizes into it;
+    transitions and witnesses are built from it when first read."""
     initial: frozenset[Pair]
     states: frozenset[Pair]
-    transitions: frozenset[CCTransition]
-    witnesses: Witnesses
+    successors: Successors
     unknown_queries: tuple = ()
     stats: dict = field(default_factory=dict)
+
+    @cached_property
+    def witnesses(self) -> Witnesses:
+        return Witnesses(self.successors)
+
+    @cached_property
+    def transitions(self) -> frozenset[CCTransition]:
+        return frozenset(self.witnesses)
 
 
 class _Synchronizer:
@@ -160,12 +178,6 @@ class _Synchronizer:
         return lambda: walks
 
 
-def _meet(p1, p2) -> bool:
-    """Whether two totals share a member: EPSets for k = 1, decided by
-    eps_meets without building a set; finite sets of vectors for k > 1."""
-    return eps_meets(p1, p2) if isinstance(p1, EPSet) else not p1.isdisjoint(p2)
-
-
 def _prefixes(a: WeightedAutomaton, arc1: tuple, q1: str, arc2: tuple, q2: str) -> Paths:
     """The silent prefixes q1 -> s1 and q2 -> s2 of two arcs (transition,
     label, weight, totals) of arc_totals whose totals share a member m,
@@ -186,12 +198,6 @@ def _prefixes(a: WeightedAutomaton, arc1: tuple, q1: str, arc2: tuple, q2: str) 
                  for q, t, w in ((q1, t1, w1), (q2, t2, w2)))
 
 
-def _joined(prefixes: Callable[[], Paths], t1: Transition, tail1: tuple,
-            t2: Transition, tail2: tuple) -> Paths:
-    left, right = prefixes()
-    return left + (t1,) + tail1, right + (t2,) + tail2
-
-
 def build_self_composition(a: WeightedAutomaton,
                            budget: int = 10 ** 6) -> SelfComposition:
     a.require_prepared()
@@ -199,16 +205,15 @@ def build_self_composition(a: WeightedAutomaton,
     fast = not a.unobs_transitions
     sync = _Synchronizer(a, budget) if a.k > 1 and not fast else None
     queries = 0
-
+    ends = {q: sorted(tails) for q, tails in a.zero_paths.items()}
     initial = frozenset((p, q) for p in a.initial for q in a.initial)
-    states: set[Pair] = set(initial)
-    transitions: set[CCTransition] = set()
-    witnesses = Witnesses()
+    successors: Successors = {}
     queue = deque(sorted(initial))
     seen = set(queue)
     while queue:
         q1, q2 = queue.popleft()
         by_label2 = table[q2][1]
+        out: dict = {}
         # q1's arcs in the order of a.obs_transitions: the first pair that
         # yields a transition gives its witness, and product queries spend
         # one shared budget in this order
@@ -226,33 +231,47 @@ def build_self_composition(a: WeightedAutomaton,
                         prefixes = sync.sync(q1, q2, t1, w1, t2, w2)
                         if prefixes is None:
                             continue
-                    elif _meet(p1, p2):
+                    # totals share a member: EPSets for k = 1, finite sets for k > 1
+                    elif eps_meets(p1, p2) if a.k == 1 else not p1.isdisjoint(p2):
                         prefixes = partial(_prefixes, a, arc1, q1, arc2, q2)
                     else:
                         continue
-                for q3 in sorted(a.zero_paths[t1[2]]):
-                    for q4 in sorted(a.zero_paths[t2[2]]):
-                        tr = CCTransition((q1, q2), (t1[1], t2[1]), (q3, q4))
-                        if tr in transitions:
-                            continue
-                        transitions.add(tr)
-                        witnesses.make[tr] = partial(
-                            _joined, prefixes, t1, a.zero_paths[t1[2]][q3],
-                            t2, a.zero_paths[t2[2]][q4])
-                        if tr.target not in seen:
-                            seen.add(tr.target)
-                            states.add(tr.target)
-                            queue.append(tr.target)
-        states.add((q1, q2))
-    stats = {"epl_queries": queries, "fast_path": fast}
+                pair = (prefixes, t1, a.zero_paths[t1[2]], t2, a.zero_paths[t2[2]])
+                events = (t1[1], t2[1])
+                for target in product(ends[t1[2]], ends[t2[2]]):
+                    out.setdefault((events, target), pair)
+                    if target not in seen:
+                        seen.add(target)
+                        queue.append(target)
+        successors[q1, q2] = dict(sorted(out.items()))
     unknown = tuple(sync.unknown) if sync is not None else ()
-    return SelfComposition(initial, frozenset(states), frozenset(transitions),
-                           witnesses, unknown, stats)
+    return SelfComposition(initial, frozenset(seen), successors, unknown,
+                           {"epl_queries": queries, "fast_path": fast})
 
 
 # ---------------------------------------------------------------------
 # strong detectability
 # ---------------------------------------------------------------------
+
+
+def _anchors(a: WeightedAutomaton, cc: SelfComposition) -> tuple[set[Pair], set[Pair]]:
+    """The split candidates, pairs of distinct states whose left state
+    reaches a cycle of the automaton, and the anchors, composition states
+    on a cycle that reach a candidate.  One Tarjan pass: its components
+    close sinks first, so a component reaches a candidate iff it holds one
+    or has an arc into a component already known to reach one."""
+    a_cycle_reachers = can_reach(a.states, lambda q: (t[2] for t in a.arcs_from[q]),
+                                 a.cycle_states)
+    candidates = {s for s in cc.states if s[0] != s[1] and s[0] in a_cycle_reachers}
+    targets = {s: [w for _, w in out] for s, out in cc.successors.items()}
+    reaching: set[Pair] = set()
+    anchors: set[Pair] = set()
+    for comp, cyclic in strongly_connected_components(targets, targets.__getitem__):
+        if any(s in candidates or not reaching.isdisjoint(targets[s]) for s in comp):
+            reaching.update(comp)
+            if cyclic:
+                anchors.update(comp)
+    return candidates, anchors
 
 
 def check_sd(a: WeightedAutomaton, cc: SelfComposition | None = None,
@@ -265,39 +284,19 @@ def check_sd(a: WeightedAutomaton, cc: SelfComposition | None = None,
     a.require_prepared()
     if cc is None:
         cc = build_self_composition(a, budget)
-
-    cc_succ_map: dict[Pair, list[CCTransition]] = {s: [] for s in cc.states}
-    for t in cc.transitions:
-        cc_succ_map[t.source].append(t)
-    for lst in cc_succ_map.values():
-        lst.sort(key=lambda t: (t.source, t.events, t.target))
-
-    def cc_succ(v):
-        return [(t, t.target) for t in cc_succ_map[v]]
-
-    a_cycle_reachers = can_reach(a.states, lambda q: (t[2] for t in a.arcs_from[q]),
-                                 a.cycle_states)
-
-    cc_targets = lambda v: (t.target for t in cc_succ_map[v])
-    cc_cycle_states = states_on_cycles(cc.states, cc_targets)
-    split_states = {
-        s for s in reachable(cc_cycle_states, cc_targets)
-        if s[0] != s[1] and s[0] in a_cycle_reachers
-    }
-
-    def a_steps(q):
-        return [(t, t[2]) for t in a.arcs_from[q]]
-
-    # every composition state is reached from an initial pair (the build is
-    # breadth-first from them) and a cycle state has a cycle, so the least
-    # cycle state that reaches a split state anchors the witness
-    anchors = cc_cycle_states & can_reach(cc.states, cc_targets, split_states)
+    candidates, anchors = _anchors(a, cc)
     if anchors:
+        # every composition state is reached from an initial pair, an
+        # anchor has a cycle and reaches a candidate: the least one anchors
+        # the witness, whose edges alone become transition objects
+        cc_steps = lambda v: [(key, key[1]) for key in cc.successors[v]]
+        edges = lambda path: [CCTransition(v, key[0], w) for (v, key, w) in path]
+        a_steps = lambda q: [(t, t[2]) for t in a.arcs_from[q]]
         q1p = min(anchors)
-        split_path, q2p = find_path(cc_succ, q1p, split_states)
-        cycle = find_cycle(cc_succ, q1p)
+        split_path, q2p = find_path(cc_steps, q1p, candidates)
+        cycle = find_cycle(cc_steps, q1p)
         for start in sorted(cc.initial):
-            access = find_path(cc_succ, start, {q1p})
+            access = find_path(cc_steps, start, {q1p})
             if access is not None:
                 break
         else:
@@ -307,9 +306,9 @@ def check_sd(a: WeightedAutomaton, cc: SelfComposition | None = None,
         return Verdict(SD, FAILS, {
             "kind": "self-composition-lasso",
             "origin": start,
-            "cc_access": [t for (_, t, _) in access[0]],
-            "cc_cycle": [t for (_, t, _) in cycle],
-            "cc_split_path": [t for (_, t, _) in split_path],
+            "cc_access": edges(access[0]),
+            "cc_cycle": edges(cycle),
+            "cc_split_path": edges(split_path),
             "split_state": q2p,
             "a_path_to_cycle": [t for (_, t, _) in a_path],
             "a_cycle": [t for (_, t, _) in a_cycle],

@@ -1,5 +1,6 @@
 import json
 import re
+from fractions import Fraction
 
 import pytest
 
@@ -34,6 +35,21 @@ def test_rationals_canonicalized():
     out = io.serialize(a)
     weights = {w for t in out["transitions"] for w in t["weight"]}
     assert "-1/2" in weights and "-3/6" not in weights
+
+
+@pytest.mark.parametrize("text", ["3", "-0", "007", "+3", " 3", "1_0", "٣", "--3", "-", "",
+                                  "1e400", "1/2", 1.5, True, None, 12, -12])
+def test_str_to_rational_matches_fraction_of_str(text):
+    # integers skip Fraction's string parser: same values, same errors
+    try:
+        expected = Fraction(str(text))
+    except (ValueError, ZeroDivisionError) as exc:
+        with pytest.raises(io.ParseError) as err:
+            io.str_to_rational(text, "w[0]")
+        assert str(err.value) == f"w[0]: bad rational {text!r} ({exc})"
+    else:
+        value = io.str_to_rational(text, "w[0]")
+        assert value == expected and type(value) is Fraction
 
 
 def test_malformed_json_reports_location():

@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 from wadet.corpus import random_automaton
+from wadet.graphutil import states_on_cycles
 from wadet.model import (
     ValidationError,
     WeightedAutomaton,
@@ -298,3 +299,16 @@ def test_silent_structure_matches_definitions():
             bool(cycles & walk_reach(a, a.initial, silent=False)))
         seen_stalls += bool(a.stall_states)
     assert seen_paths >= 10 and seen_stalls >= 10
+
+
+def test_states_on_cycles_calls_succ_once_per_vertex():
+    # a self-loop is seen in Tarjan's own scan, not by asking again
+    arcs = {"p": ["p", "q"], "q": ["r"], "r": ["q"], "s": ["s"], "t": ["p"], "u": []}
+    calls = []
+
+    def succ(v):
+        calls.append(v)
+        return arcs[v]
+
+    assert states_on_cycles(arcs, succ) == {"p", "q", "r", "s"}
+    assert sorted(calls) == sorted(arcs)

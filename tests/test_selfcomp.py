@@ -1,3 +1,4 @@
+import json
 import random
 from functools import partial
 
@@ -5,13 +6,15 @@ from wadet import selfcomp
 from wadet.corpus import load_fixture, random_automaton
 from wadet.epl import WeightSetSolver, has_path_with_weight
 from wadet.estimator import arc_totals
+from wadet.graphutil import can_reach, find_cycle, find_path, reachable, states_on_cycles
 from wadet.model import normalize, scale_to_integers, validate
 from wadet.selfcomp import CCTransition, build_self_composition, check_sd
-from wadet.verdict import FAILS, HOLDS
+from wadet.verdict import FAILS, HOLDS, SD, UNKNOWN, Verdict
 from wadet.verify import check_all
 
 from conftest import A0_description, A1_description
 from test_model import chain_description
+from test_structure_digests import AUTOMATA
 
 
 def arcs_of(cc):
@@ -229,6 +232,79 @@ def test_sd_fails_iff_subset_sums():
     without = validate(chain_description((2, 4), 5))
     assert check_sd(with_solution).status == FAILS
     assert check_sd(without).status == HOLDS
+
+
+def reference_check_sd(a, cc):
+    """check_sd by the three-pass definition, over cc.transitions: the
+    composition's cycle states, the split states reachable from them, and
+    the cycle states that reach a split state are the anchors."""
+    succ = {s: [] for s in cc.states}
+    for t in sorted(cc.transitions, key=lambda t: (t.source, t.events, t.target)):
+        succ[t.source].append(t)
+    steps = lambda v: [(t, t.target) for t in succ[v]]
+    targets = lambda v: (t.target for t in succ[v])
+    a_steps = lambda q: [(t, t[2]) for t in a.arcs_from[q]]
+    a_reachers = can_reach(a.states, lambda q: (t[2] for t in a.arcs_from[q]), a.cycle_states)
+    cycle_states = states_on_cycles(cc.states, targets)
+    split = {s for s in reachable(cycle_states, targets) if s[0] != s[1] and s[0] in a_reachers}
+    anchors = cycle_states & can_reach(cc.states, targets, split)
+    if not anchors:
+        if cc.unknown_queries:
+            return anchors, Verdict(SD, UNKNOWN, None,
+                                    "self-composition has possibly-missing transitions")
+        return anchors, Verdict(SD, HOLDS, None)
+    q1p = min(anchors)
+    split_path, q2p = find_path(steps, q1p, split)
+    start, access = next((s, p) for s in sorted(cc.initial) if (p := find_path(steps, s, {q1p})))
+    a_path, anchor = find_path(a_steps, q2p[0], a.cycle_states)
+    edges = lambda path: [t for (_, t, _) in path]
+    return anchors, Verdict(SD, FAILS, {
+        "kind": "self-composition-lasso",
+        "origin": start,
+        "cc_access": edges(access[0]),
+        "cc_cycle": edges(find_cycle(steps, q1p)),
+        "cc_split_path": edges(split_path),
+        "split_state": q2p,
+        "a_path_to_cycle": edges(a_path),
+        "a_cycle": edges(find_cycle(a_steps, anchor)),
+    })
+
+
+def test_one_pass_anchors_match_three_pass_reference():
+    # k = 2 compositions are built with a budget of 10^5 nodes, which keeps
+    # draws 17 and 39 to a second in all and gives every draw its default
+    # SD status; both deciders read the same composition
+    draws = [(a, 10 ** 6) for a in AUTOMATA.values()]
+    draws += [(random_automaton(seed, k=2), 10 ** 5) for seed in range(60)]
+    statuses = set()
+    for a, budget in draws:
+        a = scale_to_integers(normalize(a))[0]
+        cc = build_self_composition(a, budget)
+        anchors, expected = reference_check_sd(a, cc)
+        verdict = check_sd(a, cc)
+        assert selfcomp._anchors(a, cc)[1] == anchors
+        assert json.dumps(verdict.to_json()) == json.dumps(expected.to_json())
+        statuses.add(verdict.status)
+    assert statuses == {HOLDS, FAILS, UNKNOWN}
+
+
+def test_deciding_sd_builds_no_transition_objects(monkeypatch):
+    # the composition keeps (events, target) keys; only the edges of the
+    # SD witness paths become CCTransition objects
+    made = []
+
+    def counted(*args):
+        made.append(CCTransition(*args))
+        return made[-1]
+
+    monkeypatch.setattr(selfcomp, "CCTransition", counted)
+    for a, status in ((load_fixture("robot").automaton, FAILS), (validate(A1_description()), HOLDS)):
+        made.clear()
+        sd = check_all(a).verdicts["SD"]
+        assert sd.status == status
+        parts = ("cc_access", "cc_cycle", "cc_split_path")
+        witness_edges = [t for part in parts for t in sd.witness[part]] if sd.witness else []
+        assert made == witness_edges
 
 
 def test_sync_memo_answers_as_fresh_queries(monkeypatch):
