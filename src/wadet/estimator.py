@@ -34,12 +34,18 @@ Each prepared automaton owns one k = 1 solver over its silent arcs
 (silent_rows), the table of totals over them (arc_totals), and one
 successor menu per (estimate, symbol), which the observer and the
 detector share.
+
+A built structure keeps, per estimate, its steps as (symbol, weight,
+target, cell) tuples in canonical order (EstimatorAutomaton.successors);
+the checkers and the exports read these lists, and EstTransition objects
+are made only when transitions is read.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import combinations
 from operator import add
 from typing import Callable, Iterable, Mapping
@@ -61,16 +67,23 @@ class EstTransition:
 
 @dataclass(frozen=True)
 class EstimatorAutomaton:
-    """An observer or a detector.  Its transitions are in canonical order
-    (_canonical_order): by sorted source, then symbol, repr(weight) and
-    sorted target."""
+    """An observer or a detector.  successors[x] lists the steps out of
+    the estimate x as (symbol, weight, target, cell), in canonical order:
+    by symbol, then repr(weight) and sorted target.  transitions holds the
+    same steps as EstTransition objects, sources in sorted order, built
+    when first read; deciding the properties reads none."""
 
     kind: str  # "observer" | "detector"
     k: int
     initial: frozenset[str]
     states: frozenset[frozenset[str]]
-    transitions: tuple[EstTransition, ...]
+    successors: Mapping[frozenset[str], tuple[tuple, ...]] = field(hash=False)
     exact: bool
+
+    @cached_property
+    def transitions(self) -> tuple[EstTransition, ...]:
+        return tuple(EstTransition(x, *step) for x in sorted(self.successors, key=sorted)
+                     for step in self.successors[x])
 
 
 def unobs_solver(a: WeightedAutomaton) -> WeightSetSolver:
@@ -315,37 +328,37 @@ def _successor_menu(a: WeightedAutomaton, x: frozenset[str], sigma: str):
     return menus[x, sigma]
 
 
-def _canonical_order(transitions: list[EstTransition]) -> tuple[EstTransition, ...]:
-    return tuple(sorted(transitions, key=lambda t: (
-        sorted(t.source), t.symbol, repr(t.weight), sorted(t.target))))
-
-
 def _explore(kind: str, a: WeightedAutomaton,
              split: Callable[[frozenset[str]], list[frozenset[str]]]) -> EstimatorAutomaton:
     """Breadth-first concatenation of current-state estimates from the
     initial closure; split(target) gives the states each successor
-    estimate becomes."""
+    estimate becomes, in sorted order.  The steps of each estimate come
+    out in canonical order: symbols sorted, the entries of a menu by
+    repr(witness), which no two entries share (k = 1 cells are disjoint,
+    and a k > 1 target keeps the least weight of its own weights)."""
     a.require_prepared()
     x0 = instantaneous_closure(a, a.initial.keys())
     states: set[frozenset[str]] = {x0}
-    transitions: list[EstTransition] = []
+    successors: dict[frozenset[str], tuple[tuple, ...]] = {}
+    symbols = sorted(a.sigma)
     exact = True
     queue = deque([x0])
     while queue:
         x = queue.popleft()
-        for sigma in sorted(a.sigma):
+        steps = []
+        for sigma in symbols:
             menu, ok = _successor_menu(a, x, sigma)
             exact = exact and ok
-            for target, cell, witness in menu:
+            for target, cell, witness in sorted(menu, key=lambda entry: repr(entry[2])):
                 if not target:
                     continue
                 for sub in split(target):
-                    transitions.append(EstTransition(x, sigma, witness, sub, cell))
+                    steps.append((sigma, witness, sub, cell))
                     if sub not in states:
                         states.add(sub)
                         queue.append(sub)
-    return EstimatorAutomaton(kind, a.k, x0, frozenset(states),
-                              _canonical_order(transitions), exact)
+        successors[x] = tuple(steps)
+    return EstimatorAutomaton(kind, a.k, x0, frozenset(states), successors, exact)
 
 
 def _pairs(target: frozenset[str]) -> list[frozenset[str]]:

@@ -155,15 +155,14 @@ def estimator_to_json(est: EstimatorAutomaton, scale: int = 1) -> dict:
         "states": sorted((name(x) for x in est.states)),
         "transitions": [
             {
-                "from": name(t.source),
-                "symbol": t.symbol,
-                "weight": _weight_label(t.weight),
-                "to": name(t.target),
-                "cell": t.cell.to_json() if t.cell is not None else None,
+                "from": name(x),
+                "symbol": symbol,
+                "weight": _weight_label(weight),
+                "to": name(target),
+                "cell": cell.to_json() if cell is not None else None,
             }
-            for t in sorted(est.transitions,
-                            key=lambda t: (name(t.source), t.symbol,
-                                           repr(t.weight), name(t.target)))
+            for x in sorted(est.successors, key=sorted)
+            for symbol, weight, target, cell in est.successors[x]
         ],
     }
 
@@ -231,11 +230,11 @@ def estimator_to_dot(est: EstimatorAutomaton, name: str | None = None) -> str:
     for x in sorted(est.states, key=sorted):
         shape = "doublecircle" if x == est.initial else "circle"
         lines.append(f'  "{_dot_escape(node(x))}" [shape={shape}];')
-    for t in sorted(est.transitions, key=lambda t: (sorted(t.source), t.symbol,
-                                                    repr(t.weight), sorted(t.target))):
-        cell = f" in {t.cell}" if t.cell is not None and not t.cell.is_finite() else ""
-        label = f"({t.symbol},{_weight_label(t.weight)}){cell}"
-        lines.append(f'  "{_dot_escape(node(t.source))}" -> "{_dot_escape(node(t.target))}" '
-                     f'[label="{_dot_escape(label)}"];')
+    for x in sorted(est.successors, key=sorted):
+        for symbol, weight, target, cell in est.successors[x]:
+            shown = f" in {cell}" if cell is not None and not cell.is_finite() else ""
+            label = f"({symbol},{_weight_label(weight)}){shown}"
+            lines.append(f'  "{_dot_escape(node(x))}" -> "{_dot_escape(node(target))}" '
+                         f'[label="{_dot_escape(label)}"];')
     lines.append("}")
     return "\n".join(lines) + "\n"

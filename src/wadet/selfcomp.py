@@ -76,6 +76,10 @@ class Witnesses(Mapping[CCTransition, Paths]):
         left, right = prefixes()
         return left + (t1,) + tails1[tr.target[0]], right + (t2,) + tails2[tr.target[1]]
 
+    def __contains__(self, tr: object) -> bool:
+        return (isinstance(tr, CCTransition)
+                and (tr.events, tr.target) in self.successors.get(tr.source, ()))
+
     def __iter__(self) -> Iterator[CCTransition]:
         for source in sorted(self.successors):
             for events, target in self.successors[source]:

@@ -23,7 +23,7 @@ from __future__ import annotations
 from collections.abc import Set
 from dataclasses import dataclass
 
-from .estimator import EstimatorAutomaton, EstTransition, build_detector, build_observer
+from .estimator import EstimatorAutomaton, build_detector, build_observer
 from .graphutil import find_cycle, find_path, states_on_cycles
 from .model import WeightedAutomaton, normalize, scale_to_integers
 from .selfcomp import SelfComposition, build_self_composition, check_sd
@@ -36,20 +36,18 @@ from .verdict import FAILS, HOLDS, SD, SPD, UNKNOWN, WD, WPD, InternalError, Ver
 
 
 def _est_steps(est: EstimatorAutomaton):
-    """Per estimate, its (transition, target) steps in the canonical order
-    of est.transitions.  The checkers share one map per structure, kept in
-    its __dict__ as estimator.unobs_solver keeps its solver; equality reads
-    fields only."""
+    """Per estimate, its ((symbol, weight), target) steps in the canonical
+    order of est.successors.  The checkers share one map per structure,
+    kept in its __dict__ as estimator.unobs_solver keeps its solver;
+    equality reads fields only."""
     if "_steps" not in est.__dict__:
-        succ: dict[frozenset, list[EstTransition]] = {x: [] for x in est.states}
-        for t in est.transitions:
-            succ[t.source].append(t)
-        est.__dict__["_steps"] = lambda x: [(t, t.target) for t in succ[x]]
+        succ = est.successors
+        est.__dict__["_steps"] = lambda x: [((s, w), y) for s, w, y, _ in succ[x]]
     return est.__dict__["_steps"]
 
 
 def _events_of(path: list) -> list[tuple[str, object]]:
-    return [(t.symbol, t.weight) for (_, t, _) in path]
+    return [step for (_, step, _) in path]
 
 
 def _silent_cycle_witness(a: WeightedAutomaton) -> dict | None:
@@ -78,31 +76,32 @@ def _spd_fails_on(a: WeightedAutomaton, est: EstimatorAutomaton,
                   cycle_rule) -> dict | None:
     """Shared body of the detector (Thm-9 style) and observer (Thm-8 style)
     evaluations; cycle_rule picks the states allowed on an ambiguous cycle."""
-    steps = _est_steps(est)
-
-    for x in sorted(est.states, key=sorted):
-        if len(x) > 1 and not a.stall_states.isdisjoint(x):
-            access, _ = find_path(steps, est.initial, {x})
-            anchor = min(x & a.stall_states)
-            return {"kind": "ambiguous-estimate-can-stall",
-                    "access": _events_of(access), "state": sorted(x),
-                    "anchor": anchor}
+    stalled = [x for x in est.states if len(x) > 1 and not a.stall_states.isdisjoint(x)]
+    if stalled:
+        x = min(stalled, key=sorted)
+        access, _ = find_path(_est_steps(est), est.initial, {x})
+        return {"kind": "ambiguous-estimate-can-stall",
+                "access": _events_of(access), "state": sorted(x),
+                "anchor": min(x & a.stall_states)}
 
     allowed = {x for x in est.states if cycle_rule(x)}
-    found = _cycle_within(steps, est.initial, allowed, allowed)
+    found = _cycle_within(est, allowed, allowed)
     return None if found is None else {"kind": "ambiguous-cycle", **found}
 
 
-def _cycle_within(steps, initial: frozenset, allowed: Set[frozenset],
+def _cycle_within(est: EstimatorAutomaton, allowed: Set[frozenset],
                   anchors: Set[frozenset]) -> dict | None:
-    """A cycle reachable from initial that stays in `allowed` and passes a
-    state of `anchors`: its access events, its events and its states."""
-    sub = lambda x: [(t, y) for (t, y) in steps(x) if y in allowed]
-    cyclic = states_on_cycles(allowed, lambda x: (y for (_, y) in sub(x))) & anchors
+    """A cycle reachable from the initial estimate that stays in `allowed`
+    and passes a state of `anchors`: its access events, its events and its
+    states."""
+    cyclic = states_on_cycles(allowed, lambda x: [
+        y for _, _, y, _ in est.successors[x] if y in allowed]) & anchors
     if not cyclic:
         return None
-    target = sorted(cyclic, key=sorted)[0]
-    access, _ = find_path(steps, initial, {target})
+    target = min(cyclic, key=sorted)
+    steps = _est_steps(est)
+    sub = lambda x: [(step, y) for (step, y) in steps(x) if y in allowed]
+    access, _ = find_path(steps, est.initial, {target})
     cycle = find_cycle(sub, target)
     return {"access": _events_of(access), "cycle": _events_of(cycle),
             "cycle_states": [sorted(x) for x in [target] + [y for (_, _, y) in cycle]]}
@@ -146,7 +145,7 @@ def check_wd(a: WeightedAutomaton, observer: EstimatorAutomaton | None = None) -
     if not observer.exact:
         return Verdict(WD, UNKNOWN, None, "bounded estimator did not close")
     singletons = {x for x in observer.states if len(x) == 1}
-    found = _cycle_within(_est_steps(observer), observer.initial, singletons, singletons)
+    found = _cycle_within(observer, singletons, singletons)
     if found is not None:
         return Verdict(WD, HOLDS, {"kind": "singleton-cycle", **found})
     return Verdict(WD, FAILS, {"kind": "no-detection-route",
@@ -167,14 +166,14 @@ def check_wpd(a: WeightedAutomaton, observer: EstimatorAutomaton | None = None) 
             "access": [], "state": sorted(observer.initial)})
     if not observer.exact:
         return Verdict(WPD, UNKNOWN, None, "bounded estimator did not close")
-    steps = _est_steps(observer)
-    for x in sorted(observer.states, key=sorted):
-        if len(x) == 1 and next(iter(x)) in a.stall_states:
-            access, _ = find_path(steps, observer.initial, {x})
-            return Verdict(WPD, HOLDS, {
-                "kind": "singleton-estimate-can-stall",
-                "access": _events_of(access), "state": sorted(x)})
-    found = _cycle_within(steps, observer.initial, observer.states,
+    stalled = [x for x in observer.states if len(x) == 1 and next(iter(x)) in a.stall_states]
+    if stalled:
+        x = min(stalled, key=sorted)
+        access, _ = find_path(_est_steps(observer), observer.initial, {x})
+        return Verdict(WPD, HOLDS, {
+            "kind": "singleton-estimate-can-stall",
+            "access": _events_of(access), "state": sorted(x)})
+    found = _cycle_within(observer, observer.states,
                           {x for x in observer.states if len(x) == 1})
     if found is not None:
         return Verdict(WPD, HOLDS, {"kind": "singleton-cycle", **found})

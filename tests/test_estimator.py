@@ -13,6 +13,7 @@ from wadet.epset import (
     eps_union_many,
 )
 from wadet.estimator import (
+    EstTransition,
     build_detector,
     build_observer,
     successor_cells,
@@ -25,6 +26,7 @@ from wadet.verify import check_all
 from conftest import A0_description, A1_description
 from test_model import chain_description
 from test_selfcomp import random_automaton_raw
+from test_structure_digests import AUTOMATA
 
 
 def arcs(est):
@@ -611,3 +613,36 @@ def test_inexact_structures_agree_with_oracle_steps():
                 assert t.target == step if est.kind == "observer" else t.target <= step
                 checked += 1
     assert checked >= 10, checked
+
+
+# -- successor lists in canonical order ----------------------------------------
+
+
+def reference_transitions(kind, a):
+    """Test-only reference for the order of the successor lists: a flat
+    EstTransition list explored depth first over the same menus, then one
+    global sort by sorted source, symbol, repr(weight) and sorted target."""
+    split = (lambda target: [target]) if kind == "observer" else estimator._pairs
+    x0 = instantaneous_closure(a, a.initial.keys())
+    seen, stack, flat = {x0}, [x0], []
+    while stack:
+        x = stack.pop()
+        for sigma in a.sigma:
+            for target, cell, witness in estimator._successor_menu(a, x, sigma)[0]:
+                for sub in split(target) if target else ():
+                    flat.append(EstTransition(x, sigma, witness, sub, cell))
+                    if sub not in seen:
+                        seen.add(sub)
+                        stack.append(sub)
+    return seen, tuple(sorted(flat, key=lambda t: (
+        sorted(t.source), t.symbol, repr(t.weight), sorted(t.target))))
+
+
+def test_successor_lists_follow_the_global_order():
+    draws = list(AUTOMATA.values()) + [random_automaton(seed, k=2) for seed in range(60)]
+    for raw in draws:
+        a = scale_to_integers(normalize(raw))[0]
+        for est in (build_observer(a), build_detector(a)):
+            states, transitions = reference_transitions(est.kind, a)
+            assert set(est.successors) == est.states == states
+            assert est.transitions == transitions

@@ -137,6 +137,31 @@ def test_deciding_builds_no_silent_walks(monkeypatch):
     assert cc.witnesses[split] == ((("p", "a", "p", (0,)),), (("r", "a", "r", (0,)),))
 
 
+def test_witness_membership_builds_no_walks(monkeypatch):
+    # (a, b) out of (s, s) pairs the silent walks of weights 0 and 1 that
+    # the loops 97 and -91 make; membership reads the keys alone
+    raw = {
+        "k": 1,
+        "states": ["s", "p", "r"],
+        "initial": {"s": [0]},
+        "events": {"u": None, "v": None, "a": "a", "b": "a"},
+        "transitions": [("s", "u", "s", [97]), ("s", "v", "s", [-91]),
+                        ("s", "a", "p", [1]), ("s", "b", "r", [0])],
+    }
+    cc = build_self_composition(scale_to_integers(normalize(validate(raw)))[0])
+    walks = []
+    walk = WeightSetSolver.witness_walk
+    monkeypatch.setattr(WeightSetSolver, "witness_walk",
+                        lambda self, *args: walks.append(args) or walk(self, *args))
+    members = list(cc.transitions)
+    assert CCTransition(("s", "s"), ("a", "b"), ("p", "r")) in members
+    assert all(tr in cc.witnesses for tr in members)
+    assert CCTransition(("s", "s"), ("a", "a"), ("p", "r")) not in cc.witnesses
+    assert CCTransition(("p", "p"), ("a", "a"), ("p", "p")) not in cc.witnesses
+    assert walks == []
+    assert ("s", "s") not in cc.witnesses
+
+
 def test_deciding_builds_no_k1_intersection(monkeypatch):
     # silent loops 3 and -2 at s: which prefix pairs synchronize is a
     # question about W(s, s) = Z only, and eps_meets answers it

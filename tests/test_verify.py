@@ -1,8 +1,9 @@
 import random
 from fractions import Fraction
 
-from wadet import verify
-from wadet.estimator import build_detector, build_observer
+from wadet import estimator, verify
+from wadet.corpus import load_fixture
+from wadet.estimator import EstTransition, build_detector, build_observer
 from wadet.model import normalize, scale_to_integers, scale_weights, structure_report, validate
 from wadet.verdict import FAILS, HOLDS, SD, SPD, WD, WPD
 from wadet.verify import check_all, check_spd, check_wd, check_wpd
@@ -175,3 +176,21 @@ def test_checkers_share_one_step_map_per_structure(aut_a0, aut_a1, monkeypatch):
     assert len(calls) > len(structures)  # some structure is read by two checkers
     for est in structures:
         assert len({id(fn) for e, fn in calls if e is est}) <= 1
+
+
+def test_check_all_builds_no_estimator_transitions(aut_a0, aut_a1, monkeypatch):
+    # the checkers read the successor lists; EstTransition objects are made
+    # only when est.transitions is read
+    made = []
+
+    def counted(*args):
+        made.append(EstTransition(*args))
+        return made[-1]
+
+    monkeypatch.setattr(estimator, "EstTransition", counted)
+    results = [check_all(a) for a in (aut_a0, aut_a1, load_fixture("robot").automaton)]
+    assert made == []
+    for est in [s for res in results for s in (res.observer, res.detector)]:
+        before = len(made)
+        transitions = est.transitions
+        assert len(made) - before == len(transitions) > 0
