@@ -349,7 +349,9 @@ def _explore(kind: str, a: WeightedAutomaton,
         for sigma in symbols:
             menu, ok = _successor_menu(a, x, sigma)
             exact = exact and ok
-            for target, cell, witness in sorted(menu, key=lambda entry: repr(entry[2])):
+            if len(menu) > 1:  # most menus have one entry or none
+                menu = sorted(menu, key=lambda entry: repr(entry[2]))
+            for target, cell, witness in menu:
                 if not target:
                     continue
                 for sub in split(target):

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import islice
+from itertools import count, islice
 from typing import Iterable, Iterator, Sequence
 
 from .epl import digraph, has_path_with_weight
@@ -183,29 +183,47 @@ def oracle_estimate(a: WeightedAutomaton, gamma: Sequence, budget: int = 10 ** 6
     return EstimateChain(scaled, budget).estimate(deltas)
 
 
+def _enum_estimates(a: WeightedAutomaton, horizon: int) -> dict[tuple, set[str]]:
+    """Per observed sequence, the end states of the runs of at most
+    `horizon` arcs from an initial state that show it and whose arcs after
+    the last observable one weigh zero.  The runs are enumerated once per
+    automaton and horizon, each extending its parent's accumulated weight
+    and observations; kept in a.__dict__, like estimator.unobs_solver."""
+    cache = a.__dict__.setdefault("_enum_estimates", {})
+    if horizon in cache:
+        return cache[horizon]
+    if horizon > MAX_HORIZON:
+        raise ValueError("horizon too large for exhaustive enumeration")
+    norm = normalize(a)
+    index: dict[tuple, set[str]] = {}
+    # (state, accumulated weight, observations, zero-weight since the last
+    # observation) per run of the current length
+    layer = [(q, zero_weight(norm.k), (), True) for q in sorted(norm.initial)]
+    for depth in count():
+        for q, _, labels, instantaneous in layer:
+            if instantaneous:
+                index.setdefault(labels, set()).add(q)
+        if depth >= horizon:
+            break
+        nxt = []
+        for q, total, labels, instantaneous in layer:
+            for (_, e, d, w) in norm.arcs_from[q]:
+                step = tuple(x + y for x, y in zip(total, w))
+                label = norm.label(e)
+                if label is None:
+                    nxt.append((d, step, labels, instantaneous and not any(w)))
+                else:
+                    nxt.append((d, step, labels + ((label, step),), True))
+        layer = nxt
+    cache[horizon] = index
+    return index
+
+
 def oracle_estimate_enum(a: WeightedAutomaton, gamma: Sequence,
                          horizon: int = 8) -> frozenset[str]:
     """Path-enumeration variant of the estimate, bounded by `horizon`."""
-    norm = normalize(a)
     gamma = tuple((sigma, _as_vector(t, a.k)) for sigma, t in gamma)
-    z = zero_weight(norm.k)
-    out = set()
-    for run in oracle_runs(norm, horizon):
-        word = run.weighted_word
-        last_obs = 0
-        for i, (e, t) in enumerate(word):
-            if norm.label(e) is not None:
-                last_obs = i + 1
-        suffix = run.path[last_obs:]
-        labels = tuple((norm.label(e), t) for (e, t) in word[:last_obs]
-                       if norm.label(e) is not None)
-        if labels != gamma:
-            continue
-        if all(t[3] == z for t in suffix):  # silent suffix must be instantaneous
-            out.add(run.end)
-    if not gamma:
-        out |= set(norm.initial)
-    return frozenset(out)
+    return frozenset(_enum_estimates(a, horizon).get(gamma, ()))
 
 
 # ---------------------------------------------------------------------

@@ -18,15 +18,41 @@ q2, source 1, source 2, w2 - w1) and build.  The query is budgeted, and
 an exhausted budget marks the transition as possibly missing, which
 downgrades a would-be HOLDS verdict to UNKNOWN.
 
-The build records per composition state its successors as sorted
-(events, target) keys, each with the first arc pair that synchronizes
-into it.  The transitions as objects and their witness walks are made
-from those lists only when read; deciding SD reads neither.
+The successors of a composition state are sorted (events, target) keys,
+each with the first arc pair that synchronizes into it, computed by one
+function (_Expander.successors) for the breadth-first build and for the
+SD search alike.  The transitions as objects and their witness walks are
+made from those lists only when read; deciding SD reads neither.
 
 Strong detectability fails exactly when the self-composition can run
 forever, afterwards split into two distinct states, and the left
-component can still run forever in the original automaton.  check_sd
-finds the cycle states that reach such a split in one Tarjan pass.
+component can still run forever in the original automaton: when some
+reachable composition state on a cycle (an anchor) reaches a split
+candidate, a pair of distinct states whose left state reaches a cycle of
+the automaton.  check_sd decides this with one Tarjan search from the
+initial pairs in sorted order, which computes a state's successors when
+it first reaches it (on-the-fly SCC-based emptiness checking, Couvreur,
+FM 1999), and stops when the first cyclic component that reaches a
+candidate closes.
+
+- That component is made of anchors.  Tarjan closes a component only
+  after every component it has an arc into, so by induction on the
+  closing order each closed component is known to reach a candidate
+  exactly when it holds one or has an arc into a component known to
+  reach one.  A cyclic component puts each of its states on a cycle,
+  and every state the search visits is reachable.
+- A search that ends without one has visited every state reachable from
+  an initial pair, and has decided every component exactly: there is no
+  anchor in the composition.  The verdict is then HOLDS, or UNKNOWN when
+  a product query ran out of budget, since a missing transition could
+  hide an anchor.
+
+The witness is anchored at the least state q of that component.  Its
+access path (from the first initial pair that reaches q), its cycle
+through q and its split path from q are shortest paths among the visited
+states: those hold the search's path from its root to q and all that q
+reaches, which closed before q's component did.  check_sd(a, cc) runs
+the same search over cc.successors, so it gives the same witness.
 """
 
 from __future__ import annotations
@@ -202,26 +228,36 @@ def _prefixes(a: WeightedAutomaton, arc1: tuple, q1: str, arc2: tuple, q2: str) 
                  for q, t, w in ((q1, t1, w1), (q2, t2, w2)))
 
 
-def build_self_composition(a: WeightedAutomaton,
-                           budget: int = 10 ** 6) -> SelfComposition:
-    a.require_prepared()
-    table = arc_totals(a)
-    fast = not a.unobs_transitions
-    sync = _Synchronizer(a, budget) if a.k > 1 and not fast else None
-    queries = 0
-    ends = {q: sorted(tails) for q, tails in a.zero_paths.items()}
-    initial = frozenset((p, q) for p in a.initial for q in a.initial)
-    successors: Successors = {}
-    queue = deque(sorted(initial))
-    seen = set(queue)
-    while queue:
-        q1, q2 = queue.popleft()
-        by_label2 = table[q2][1]
+class _Expander:
+    """The successors of one composition state at a time: the breadth-first
+    build and the SD search both call successors, so they share one code
+    path, one product synchronizer (one budget) and one query count."""
+
+    def __init__(self, a: WeightedAutomaton, budget: int):
+        a.require_prepared()
+        self.a = a
+        self.table = arc_totals(a)
+        self.fast = not a.unobs_transitions
+        self.sync = _Synchronizer(a, budget) if a.k > 1 and not self.fast else None
+        self.queries = 0
+        self.ends = {q: sorted(tails) for q, tails in a.zero_paths.items()}
+
+    @property
+    def unknown(self) -> tuple:
+        return tuple(self.sync.unknown) if self.sync is not None else ()
+
+    def successors(self, state: Pair) -> dict[tuple[tuple[str, str], Pair], Sync]:
+        """The (events, target) keys out of state, in sorted order, each
+        with the first arc pair that synchronizes into it."""
+        a, fast, sync, ends = self.a, self.fast, self.sync, self.ends
+        queries = 0
+        q1, q2 = state
+        by_label2 = self.table[q2][1]
         out: dict = {}
         # q1's arcs in the order of a.obs_transitions: the first pair that
         # yields a transition gives its witness, and product queries spend
         # one shared budget in this order
-        for arc1 in table[q1][0]:
+        for arc1 in self.table[q1][0]:
             t1, label, w1, p1 = arc1
             for arc2 in by_label2.get(label, ()):
                 t2, _, w2, p2 = arc2
@@ -244,13 +280,30 @@ def build_self_composition(a: WeightedAutomaton,
                 events = (t1[1], t2[1])
                 for target in product(ends[t1[2]], ends[t2[2]]):
                     out.setdefault((events, target), pair)
-                    if target not in seen:
-                        seen.add(target)
-                        queue.append(target)
-        successors[q1, q2] = dict(sorted(out.items()))
-    unknown = tuple(sync.unknown) if sync is not None else ()
-    return SelfComposition(initial, frozenset(seen), successors, unknown,
-                           {"epl_queries": queries, "fast_path": fast})
+        self.queries += queries
+        return dict(sorted(out.items()))
+
+
+def _initial_pairs(a: WeightedAutomaton) -> frozenset[Pair]:
+    return frozenset((p, q) for p in a.initial for q in a.initial)
+
+
+def build_self_composition(a: WeightedAutomaton,
+                           budget: int = 10 ** 6) -> SelfComposition:
+    expander = _Expander(a, budget)
+    initial = _initial_pairs(a)
+    successors: Successors = {}
+    queue = deque(sorted(initial))
+    seen = set(queue)
+    while queue:
+        state = queue.popleft()
+        successors[state] = out = expander.successors(state)
+        for _, target in out:
+            if target not in seen:
+                seen.add(target)
+                queue.append(target)
+    return SelfComposition(initial, frozenset(seen), successors, expander.unknown,
+                           {"epl_queries": expander.queries, "fast_path": expander.fast})
 
 
 # ---------------------------------------------------------------------
@@ -258,24 +311,32 @@ def build_self_composition(a: WeightedAutomaton,
 # ---------------------------------------------------------------------
 
 
-def _anchors(a: WeightedAutomaton, cc: SelfComposition) -> tuple[set[Pair], set[Pair]]:
-    """The split candidates, pairs of distinct states whose left state
-    reaches a cycle of the automaton, and the anchors, composition states
-    on a cycle that reach a candidate.  One Tarjan pass: its components
-    close sinks first, so a component reaches a candidate iff it holds one
-    or has an arc into a component already known to reach one."""
+def _first_anchor(a: WeightedAutomaton, initial: frozenset[Pair],
+                  successors: Callable[[Pair], Mapping]) -> tuple[Pair | None, dict, set[Pair]]:
+    """Tarjan's search of the composition from the initial pairs in sorted
+    order, reading successors(s) once per state it reaches, until the first
+    cyclic component that reaches a split candidate closes (see the module
+    docstring).  Returns the least state of that component (None if the
+    search ends without one), the successors of every visited state, and
+    the visited split candidates."""
     a_cycle_reachers = can_reach(a.states, lambda q: (t[2] for t in a.arcs_from[q]),
                                  a.cycle_states)
-    candidates = {s for s in cc.states if s[0] != s[1] and s[0] in a_cycle_reachers}
-    targets = {s: [w for _, w in out] for s, out in cc.successors.items()}
+    outs: dict[Pair, Mapping] = {}
+    candidates: set[Pair] = set()
     reaching: set[Pair] = set()
-    anchors: set[Pair] = set()
-    for comp, cyclic in strongly_connected_components(targets, targets.__getitem__):
-        if any(s in candidates or not reaching.isdisjoint(targets[s]) for s in comp):
-            reaching.update(comp)
+
+    def targets(s: Pair) -> list[Pair]:
+        outs[s] = successors(s)
+        if s[0] != s[1] and s[0] in a_cycle_reachers:
+            candidates.add(s)
+        return [w for _, w in outs[s]]
+
+    for comp, cyclic in strongly_connected_components(sorted(initial), targets):
+        if any(s in candidates or any(w in reaching for _, w in outs[s]) for s in comp):
             if cyclic:
-                anchors.update(comp)
-    return candidates, anchors
+                return min(comp), outs, candidates
+            reaching.update(comp)
+    return None, outs, candidates
 
 
 def check_sd(a: WeightedAutomaton, cc: SelfComposition | None = None,
@@ -284,22 +345,26 @@ def check_sd(a: WeightedAutomaton, cc: SelfComposition | None = None,
 
     Fails iff some composition state on a cycle can reach a state with
     distinct components whose left component can still reach a cycle of
-    the automaton."""
+    the automaton.  Without cc the composition is explored only as far as
+    the search needs; with cc the same search reads cc.successors, so both
+    give the same verdict and witness."""
     a.require_prepared()
     if cc is None:
-        cc = build_self_composition(a, budget)
-    candidates, anchors = _anchors(a, cc)
-    if anchors:
-        # every composition state is reached from an initial pair, an
-        # anchor has a cycle and reaches a candidate: the least one anchors
-        # the witness, whose edges alone become transition objects
-        cc_steps = lambda v: [(key, key[1]) for key in cc.successors[v]]
+        expander = _Expander(a, budget)
+        initial, successors = _initial_pairs(a), expander.successors
+    else:
+        initial, successors = cc.initial, cc.successors.__getitem__
+    q1p, outs, candidates = _first_anchor(a, initial, successors)
+    if q1p is not None:
+        # the witness paths stay within the visited states, which hold the
+        # DFS path from an initial pair to q1p and everything q1p reaches;
+        # only their edges become transition objects
+        cc_steps = lambda v: [(key, key[1]) for key in outs[v] if key[1] in outs]
         edges = lambda path: [CCTransition(v, key[0], w) for (v, key, w) in path]
         a_steps = lambda q: [(t, t[2]) for t in a.arcs_from[q]]
-        q1p = min(anchors)
         split_path, q2p = find_path(cc_steps, q1p, candidates)
         cycle = find_cycle(cc_steps, q1p)
-        for start in sorted(cc.initial):
+        for start in sorted(s for s in initial if s in outs):
             access = find_path(cc_steps, start, {q1p})
             if access is not None:
                 break
@@ -317,7 +382,9 @@ def check_sd(a: WeightedAutomaton, cc: SelfComposition | None = None,
             "a_path_to_cycle": [t for (_, t, _) in a_path],
             "a_cycle": [t for (_, t, _) in a_cycle],
         })
-    if cc.unknown_queries:
+    # the search ended without an anchor, so it visited every reachable
+    # state and made every synchronization query
+    if (expander.unknown if cc is None else cc.unknown_queries):
         return Verdict(SD, UNKNOWN, None,
                        "self-composition has possibly-missing transitions")
     return Verdict(SD, HOLDS, None)

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 from collections.abc import Set
 from dataclasses import dataclass
+from functools import cached_property
 
 from .estimator import EstimatorAutomaton, build_detector, build_observer
 from .graphutil import find_cycle, find_path, states_on_cycles
@@ -190,24 +191,30 @@ class AnalysisResult:
     automaton: WeightedAutomaton  # normalized, integer-scaled
     scale: int
     verdicts: dict[str, Verdict]
-    self_composition: SelfComposition
     observer: EstimatorAutomaton
     detector: EstimatorAutomaton
+    budget: int
+
+    @cached_property
+    def self_composition(self) -> SelfComposition:
+        """The whole self-composition, built on first read: deciding SD
+        explores only as much of it as its search needs."""
+        return build_self_composition(self.automaton, self.budget)
 
     def statuses(self) -> dict[str, str]:
         return {p: v.status for p, v in self.verdicts.items()}
 
 
 def check_all(a: WeightedAutomaton, budget: int = 10 ** 6) -> AnalysisResult:
-    """Normalize, scale, build every structure, decide all four notions."""
+    """Normalize, scale, build the observer and the detector, decide all
+    four notions; the self-composition is built when it is read."""
     prepared, m = scale_to_integers(normalize(a))
-    cc = build_self_composition(prepared, budget)
     observer = build_observer(prepared)
     detector = build_detector(prepared)
     verdicts = {
-        SD: check_sd(prepared, cc, budget),
+        SD: check_sd(prepared, budget=budget),
         SPD: check_spd(prepared, detector, observer),
         WD: check_wd(prepared, observer),
         WPD: check_wpd(prepared, observer),
     }
-    return AnalysisResult(prepared, m, verdicts, cc, observer, detector)
+    return AnalysisResult(prepared, m, verdicts, observer, detector, budget)

@@ -2,7 +2,7 @@ import json
 import random
 from functools import partial
 
-from wadet import selfcomp
+from wadet import io, selfcomp
 from wadet.corpus import load_fixture, random_automaton
 from wadet.epl import WeightSetSolver, has_path_with_weight
 from wadet.estimator import arc_totals
@@ -71,22 +71,26 @@ def test_all_observable_fast_path_skips_solver():
 
 
 def check_witnesses(aut, cc):
-    for tr, (left, right) in cc.witnesses.items():
-        for side, path in (("L", left), ("R", right)):
-            start = tr.source[0] if side == "L" else tr.source[1]
-            end = tr.target[0] if side == "L" else tr.target[1]
-            cur = start
-            for (s, e, d, w) in path:
-                assert s == cur
-                cur = d
-            assert cur == end
-            # exactly one observable event per synchronized step
-            obs = [t for t in path if aut.label(t[1]) is not None]
-            assert len(obs) == 1
-        lw = sum(t[3][0] for t in left)
-        rw = sum(t[3][0] for t in right)
-        # weights agree up to the silent zero-weight suffixes (which are zero)
-        assert lw == rw
+    for tr in cc.witnesses:
+        check_witness(aut, cc, tr)
+
+
+def check_witness(aut, cc, tr):
+    left, right = cc.witnesses[tr]
+    for side, path in (("L", left), ("R", right)):
+        start = tr.source[0] if side == "L" else tr.source[1]
+        end = tr.target[0] if side == "L" else tr.target[1]
+        cur = start
+        for (s, e, d, w) in path:
+            assert s == cur
+            cur = d
+        assert cur == end
+        # exactly one observable event per synchronized step
+        obs = [t for t in path if aut.label(t[1]) is not None]
+        assert len(obs) == 1
+    # weights agree up to the silent zero-weight suffixes (which are zero)
+    weight = lambda path: [sum(t[3][i] for t in path) for i in range(aut.k)]
+    assert weight(left) == weight(right)
 
 
 def test_cc_witnesses_replay_as_paths(aut_a1):
@@ -295,10 +299,88 @@ def reference_check_sd(a, cc):
     })
 
 
+def reference_first_anchor_sd(a, cc):
+    """check_sd by its definition as a search: a recursive Tarjan over
+    cc.transitions from the initial pairs in sorted order, stopped when the
+    first cyclic component that reaches a split state closes; its least
+    state anchors the witness, whose paths are searched among the states
+    the search visited."""
+    succ = {s: [] for s in cc.states}
+    for t in sorted(cc.transitions, key=lambda t: (t.source, t.events, t.target)):
+        succ[t.source].append(t)
+    a_reachers = can_reach(a.states, lambda q: (t[2] for t in a.arcs_from[q]), a.cycle_states)
+    split = lambda s: s[0] != s[1] and s[0] in a_reachers
+    index, low, stack, reaching = {}, {}, [], set()
+
+    def visit(v):
+        index[v] = low[v] = len(index)
+        stack.append(v)
+        for t in succ[v]:
+            if t.target not in index:
+                found = visit(t.target)
+                if found is not None:
+                    return found
+                low[v] = min(low[v], low[t.target])
+            elif t.target in stack:
+                low[v] = min(low[v], index[t.target])
+        if low[v] == index[v]:
+            comp = stack[stack.index(v):]
+            del stack[stack.index(v):]
+            cyclic = len(comp) > 1 or any(t.target == v for t in succ[v])
+            if any(split(s) or any(t.target in reaching for t in succ[s]) for s in comp):
+                if cyclic:
+                    return min(comp)
+                reaching.update(comp)
+        return None
+
+    anchor = None
+    for root in sorted(cc.initial):
+        if root not in index and (anchor := visit(root)) is not None:
+            break
+    if anchor is None:
+        if cc.unknown_queries:
+            return Verdict(SD, UNKNOWN, None, "self-composition has possibly-missing transitions")
+        return Verdict(SD, HOLDS, None)
+    steps = lambda v: [(t, t.target) for t in succ[v] if t.target in index]
+    a_steps = lambda q: [(t, t[2]) for t in a.arcs_from[q]]
+    split_path, q2p = find_path(steps, anchor, {s for s in index if split(s)})
+    start, access = next((s, p) for s in sorted(cc.initial)
+                         if s in index and (p := find_path(steps, s, {anchor})))
+    a_path, a_anchor = find_path(a_steps, q2p[0], a.cycle_states)
+    edges = lambda path: [t for (_, t, _) in path]
+    return Verdict(SD, FAILS, {
+        "kind": "self-composition-lasso",
+        "origin": start,
+        "cc_access": edges(access[0]),
+        "cc_cycle": edges(find_cycle(steps, anchor)),
+        "cc_split_path": edges(split_path),
+        "split_state": q2p,
+        "a_path_to_cycle": edges(a_path),
+        "a_cycle": edges(find_cycle(a_steps, a_anchor)),
+    })
+
+
+def check_sd_witness(a, cc, witness):
+    """The lasso's edges are composition transitions that chain from the
+    origin through the cycle, which returns to its start, to a split state,
+    and each edge's pair of paths replays."""
+    at = witness["origin"]
+    for part in ("cc_access", "cc_cycle", "cc_split_path"):
+        start = at
+        for tr in witness[part]:
+            assert tr.source == at and tr in cc.transitions, (part, tr)
+            check_witness(a, cc, tr)
+            at = tr.target
+        if part == "cc_cycle":
+            assert witness[part] and at == start
+    assert at == witness["split_state"] and at[0] != at[1]
+
+
 def test_one_pass_anchors_match_three_pass_reference():
     # k = 2 compositions are built with a budget of 10^5 nodes, which keeps
-    # draws 17 and 39 to a second in all and gives every draw its default
-    # SD status; both deciders read the same composition
+    # draws 17 and 39 to seconds and gives every draw its default SD
+    # status; the deciders read the same composition, and the search that
+    # explores it on the fly (check_all's call) answers the same
     draws = [(a, 10 ** 6) for a in AUTOMATA.values()]
     draws += [(random_automaton(seed, k=2), 10 ** 5) for seed in range(60)]
     statuses = set()
@@ -307,10 +389,51 @@ def test_one_pass_anchors_match_three_pass_reference():
         cc = build_self_composition(a, budget)
         anchors, expected = reference_check_sd(a, cc)
         verdict = check_sd(a, cc)
-        assert selfcomp._anchors(a, cc)[1] == anchors
-        assert json.dumps(verdict.to_json()) == json.dumps(expected.to_json())
+        assert verdict.status == expected.status
+        assert json.dumps(verdict.to_json()) == json.dumps(reference_first_anchor_sd(a, cc).to_json())
+        assert json.dumps(check_sd(a, budget=budget).to_json()) == json.dumps(verdict.to_json())
+        if verdict.status == FAILS:
+            assert verdict.witness["cc_cycle"][0].source in anchors
+            check_sd_witness(a, cc, verdict.witness)
         statuses.add(verdict.status)
     assert statuses == {HOLDS, FAILS, UNKNOWN}
+
+
+def test_failed_search_with_unknown_queries_is_unknown():
+    # the search ends without an anchor, but some product queries ran out
+    # of budget, so a transition may be missing: UNKNOWN, never HOLDS
+    for seed, k in ((17, 2), (39, 2), (17, 3)):
+        a = random_automaton(seed, k=k)
+        assert check_all(a, 10 ** 5).verdicts[SD].status == UNKNOWN
+        prepared = scale_to_integers(normalize(a))[0]
+        cc = build_self_composition(prepared, 10 ** 5)
+        assert check_sd(prepared, cc).status == UNKNOWN
+
+
+def test_check_all_explores_part_of_the_composition(monkeypatch):
+    # robot: SD fails on a cycle that the search closes before it reaches
+    # most of the composition, which is built whole only when it is read
+    visited = []
+    successors = selfcomp._Expander.successors
+    monkeypatch.setattr(selfcomp._Expander, "successors",
+                        lambda self, state: visited.append(state) or successors(self, state))
+    a = load_fixture("robot").automaton
+    result = check_all(a)
+    assert result.verdicts[SD].status == FAILS
+    explored = set(visited)
+    assert len(explored) == len(visited)
+    whole = build_self_composition(result.automaton)
+    assert len(explored) < len(whole.states)
+    assert io.selfcomp_to_json(result.self_composition, result.scale) \
+        == io.selfcomp_to_json(whole, result.scale)
+    check_sd_witness(result.automaton, result.self_composition, result.verdicts[SD].witness)
+
+
+def test_check_all_sd_equals_the_built_route():
+    for a in AUTOMATA.values():
+        prepared = scale_to_integers(normalize(a))[0]
+        built = check_sd(prepared, build_self_composition(prepared))
+        assert json.dumps(check_all(a).verdicts[SD].to_json()) == json.dumps(built.to_json())
 
 
 def test_deciding_sd_builds_no_transition_objects(monkeypatch):
