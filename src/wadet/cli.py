@@ -18,8 +18,9 @@ import traceback
 
 from . import corpus, io, oracle
 from .model import ValidationError, normalize, scale_to_integers, structure_report
+from .selfcomp import check_sd
 from .verdict import FAILS, HOLDS, UNKNOWN
-from .verify import check_all
+from .verify import check_all, check_spd, check_wd, check_wpd
 
 EXIT = {HOLDS: 0, FAILS: 1, UNKNOWN: 2}
 INPUT_ERROR = 3
@@ -127,21 +128,24 @@ def cmd_detector(args) -> int:
 
 def cmd_check(args) -> int:
     a = _read_automaton(args.file)
+    if args.property != "all":
+        # decide only the named property, with check_all's call for it
+        prepared, m = scale_to_integers(normalize(a))
+        checker = {"sd": check_sd, "spd": check_spd, "wd": check_wd, "wpd": check_wpd}
+        verdict = checker[args.property](prepared)
+        _emit({"scale": m, "verdict": verdict.to_json()})
+        return EXIT[verdict.status]
     result = check_all(a)
-    if args.property == "all":
-        _emit({
-            "scale": result.scale,
-            "verdicts": {p: v.to_json() for p, v in result.verdicts.items()},
-        })
-        statuses = [v.status for v in result.verdicts.values()]
-        if FAILS in statuses:
-            return EXIT[FAILS]
-        if UNKNOWN in statuses:
-            return EXIT[UNKNOWN]
-        return EXIT[HOLDS]
-    verdict = result.verdicts[args.property.upper()]
-    _emit({"scale": result.scale, "verdict": verdict.to_json()})
-    return EXIT[verdict.status]
+    _emit({
+        "scale": result.scale,
+        "verdicts": {p: v.to_json() for p, v in result.verdicts.items()},
+    })
+    statuses = [v.status for v in result.verdicts.values()]
+    if FAILS in statuses:
+        return EXIT[FAILS]
+    if UNKNOWN in statuses:
+        return EXIT[UNKNOWN]
+    return EXIT[HOLDS]
 
 
 def cmd_estimate(args) -> int:

@@ -328,38 +328,54 @@ def _successor_menu(a: WeightedAutomaton, x: frozenset[str], sigma: str):
     return menus[x, sigma]
 
 
-def _explore(kind: str, a: WeightedAutomaton,
-             split: Callable[[frozenset[str]], list[frozenset[str]]]) -> EstimatorAutomaton:
-    """Breadth-first concatenation of current-state estimates from the
-    initial closure; split(target) gives the states each successor
-    estimate becomes, in sorted order.  The steps of each estimate come
-    out in canonical order: symbols sorted, the entries of a menu by
-    repr(witness), which no two entries share (k = 1 cells are disjoint,
-    and a k > 1 target keeps the least weight of its own weights)."""
+def successor_steps(a: WeightedAutomaton,
+                    split: Callable[[frozenset[str]], list[frozenset[str]]]):
+    """The successor function of a structure: per estimate x, its steps as
+    (symbol, weight, target, cell) in canonical order, and whether every
+    menu it read was exact.  split(target) gives the states each successor
+    estimate becomes, in sorted order.  Symbols come sorted, the entries
+    of a menu by repr(witness), which no two entries share (k = 1 cells
+    are disjoint, and a k > 1 target keeps the least weight of its own
+    weights).  _explore and the SPD search (verify.check_spd) both read
+    it, so a search computes the steps only of the estimates it reaches."""
     a.require_prepared()
-    x0 = instantaneous_closure(a, a.initial.keys())
-    states: set[frozenset[str]] = {x0}
-    successors: dict[frozenset[str], tuple[tuple, ...]] = {}
     symbols = sorted(a.sigma)
-    exact = True
-    queue = deque([x0])
-    while queue:
-        x = queue.popleft()
-        steps = []
+
+    def steps(x: frozenset[str]) -> tuple[tuple[tuple, ...], bool]:
+        out = []
+        exact = True
         for sigma in symbols:
             menu, ok = _successor_menu(a, x, sigma)
             exact = exact and ok
             if len(menu) > 1:  # most menus have one entry or none
                 menu = sorted(menu, key=lambda entry: repr(entry[2]))
             for target, cell, witness in menu:
-                if not target:
-                    continue
-                for sub in split(target):
-                    steps.append((sigma, witness, sub, cell))
-                    if sub not in states:
-                        states.add(sub)
-                        queue.append(sub)
-        successors[x] = tuple(steps)
+                if target:
+                    for sub in split(target):
+                        out.append((sigma, witness, sub, cell))
+        return tuple(out), exact
+
+    return steps
+
+
+def _explore(kind: str, a: WeightedAutomaton,
+             split: Callable[[frozenset[str]], list[frozenset[str]]]) -> EstimatorAutomaton:
+    """Breadth-first concatenation of current-state estimates from the
+    initial closure, over successor_steps(a, split)."""
+    steps = successor_steps(a, split)
+    x0 = instantaneous_closure(a, a.initial.keys())
+    states: set[frozenset[str]] = {x0}
+    successors: dict[frozenset[str], tuple[tuple, ...]] = {}
+    exact = True
+    queue = deque([x0])
+    while queue:
+        x = queue.popleft()
+        successors[x], ok = steps(x)
+        exact = exact and ok
+        for _, _, y, _ in successors[x]:
+            if y not in states:
+                states.add(y)
+                queue.append(y)
     return EstimatorAutomaton(kind, a.k, x0, frozenset(states), successors, exact)
 
 

@@ -54,12 +54,23 @@ def _list_in(document: Mapping, key: str) -> list:
     return value
 
 
-def _entries(document: Mapping, key: str):
-    """(JSON path, entry) for each entry of the list document[key]."""
+def _known_keys(entry: Mapping, keys: set[str], context: str = "") -> None:
+    """Reject a key of entry outside keys, at its JSON path."""
+    if not keys.issuperset(entry):
+        key = next(key for key in entry if key not in keys)
+        raise ParseError(f"unknown key, expected one of {', '.join(sorted(keys))}",
+                         f"{context}.{key}" if context else str(key))
+
+
+def _entries(document: Mapping, key: str, keys: set[str]):
+    """(JSON path, entry) for each entry of the list document[key], an
+    object with no key outside keys."""
     for i, entry in enumerate(_list_in(document, key)):
+        context = f"{key}[{i}]"
         if not isinstance(entry, Mapping):
-            raise ParseError(f"entry must be an object, got {entry!r}", f"{key}[{i}]")
-        yield f"{key}[{i}]", entry
+            raise ParseError(f"entry must be an object, got {entry!r}", context)
+        _known_keys(entry, keys, context)
+        yield context, entry
 
 
 def _name_in(entry: Mapping, key: str, context: str):
@@ -74,6 +85,7 @@ def parse(document: Mapping) -> WeightedAutomaton:
     """Decode an automaton document (already JSON-decoded) and validate it."""
     if not isinstance(document, Mapping):
         raise ParseError("document must be an object")
+    _known_keys(document, {"format_version", "k", "states", "initial", "events", "transitions"})
     version = document.get("format_version", FORMAT_VERSION)
     if version != FORMAT_VERSION:
         raise ParseError(f"unsupported format_version {version!r}")
@@ -84,12 +96,12 @@ def parse(document: Mapping) -> WeightedAutomaton:
         "events": {},
         "transitions": [],
     }
-    for ctx, entry in _entries(document, "initial"):
+    for ctx, entry in _entries(document, "initial", {"state", "weight"}):
         raw["initial"][_name_in(entry, "state", ctx)] = _weight_in(entry.get("weight"),
                                                                    f"{ctx}.weight")
-    for ctx, entry in _entries(document, "events"):
+    for ctx, entry in _entries(document, "events", {"name", "label"}):
         raw["events"][_name_in(entry, "name", ctx)] = _name_in(entry, "label", ctx)
-    for ctx, entry in _entries(document, "transitions"):
+    for ctx, entry in _entries(document, "transitions", {"from", "event", "to", "weight"}):
         raw["transitions"].append((
             entry.get("from"), entry.get("event"), entry.get("to"),
             _weight_in(entry.get("weight"), f"{ctx}.weight"),

@@ -1,12 +1,40 @@
 """Decision procedures for the four detectability notions.
 
-Strong periodic detectability is decided on the detector: it fails iff
-some reachable estimate of size >= 2 contains a state with a silent path
-to a silent cycle, or the detector has a reachable cycle visiting only
-two-element estimates.  A cross-check re-evaluates the same property on
-the observer (fails iff an ambiguous reachable estimate can stall
-silently, or some reachable observer cycle avoids singletons) and the two
-answers must agree; a disagreement raises InternalError.
+Strong periodic detectability (SPD) is decided on the detector, whose
+states besides the initial estimate are the estimates of one or two
+states.  SPD fails iff some reachable estimate of two or more states
+contains a state with a silent path to a silent cycle (it can stall
+silently while ambiguous), or the detector has a reachable cycle of
+two-element estimates.  Both are lasso facts, so check_spd decides them
+with one search from the initial estimate, which reads an estimate's
+steps only when it first reaches it and stops at the first violation
+(on-the-fly SCC-based emptiness checking, Couvreur, FM 1999).
+
+- The search runs graphutil.strongly_connected_components (Tarjan) over
+  the two-element estimates; the initial estimate and the singletons are
+  expanded from a worklist that feeds it its roots.  Each estimate is
+  tested for stalling when the search first sees it.  The search stops
+  at the first stalled ambiguous estimate or at the first cyclic
+  component, whichever comes first.  Every estimate it sees is
+  reachable, and a cyclic component of two-element estimates puts each
+  of them on a cycle, so a violation it stops at is genuine.
+- A search that ends without one has seen every reachable estimate and
+  tested it, and has split the reachable two-element estimates into
+  their components, every cycle of them lying inside one.  So there is
+  no violation.
+- A menu that is inexact (a k > 1 silent row did not close) adds no
+  steps, and the search carries on past it.  Its violations are still
+  made of genuine estimates and steps, so FAILS stays sound.  A search
+  that ends without a violation after it read an inexact menu may have
+  missed a step to one: UNKNOWN.
+- The witness is the first stalled estimate, or the least estimate (by
+  sorted) of the cyclic component.  Its access path and its cycle are
+  shortest paths among the visited estimates, which hold the search's
+  path to it and all that the component reaches.  check_spd(a, detector)
+  runs the same search over detector.successors, so it gives the same
+  verdict and witness.  Given an exact observer, check_spd also runs the
+  search over it, with every estimate of two or more states allowed on a
+  cycle, and raises InternalError when the two decided answers differ.
 
 Weak (periodic) detectability is decided on the observer: the property
 holds vacuously when no infinite run exists or when some infinite run
@@ -20,13 +48,15 @@ fallback (k > 1) failed to close or an exact-path-length budget ran out.
 
 from __future__ import annotations
 
+from collections import deque
 from collections.abc import Set
 from dataclasses import dataclass
 from functools import cached_property
 
-from .estimator import EstimatorAutomaton, build_detector, build_observer
-from .graphutil import find_cycle, find_path, states_on_cycles
-from .model import WeightedAutomaton, normalize, scale_to_integers
+from .estimator import (EstimatorAutomaton, _pairs, build_detector, build_observer,
+                        successor_steps)
+from .graphutil import find_cycle, find_path, states_on_cycles, strongly_connected_components
+from .model import WeightedAutomaton, instantaneous_closure, normalize, scale_to_integers
 from .selfcomp import SelfComposition, build_self_composition, check_sd
 from .verdict import FAILS, HOLDS, SD, SPD, UNKNOWN, WD, WPD, InternalError, Verdict
 
@@ -73,21 +103,70 @@ def _silent_cycle_witness(a: WeightedAutomaton) -> dict | None:
 # ---------------------------------------------------------------------
 
 
-def _spd_fails_on(a: WeightedAutomaton, est: EstimatorAutomaton,
-                  cycle_rule) -> dict | None:
-    """Shared body of the detector (Thm-9 style) and observer (Thm-8 style)
-    evaluations; cycle_rule picks the states allowed on an ambiguous cycle."""
-    stalled = [x for x in est.states if len(x) > 1 and not a.stall_states.isdisjoint(x)]
-    if stalled:
-        x = min(stalled, key=sorted)
-        access, _ = find_path(_est_steps(est), est.initial, {x})
-        return {"kind": "ambiguous-estimate-can-stall",
-                "access": _events_of(access), "state": sorted(x),
-                "anchor": min(x & a.stall_states)}
+class _Stalled(Exception):
+    """Ends the SPD search at the first stalled ambiguous estimate."""
 
-    allowed = {x for x in est.states if cycle_rule(x)}
-    found = _cycle_within(est, allowed, allowed)
-    return None if found is None else {"kind": "ambiguous-cycle", **found}
+
+def _spd_search(a: WeightedAutomaton, x0: frozenset[str], successors,
+                allowed) -> tuple[dict | None, bool]:
+    """The first SPD violation that one search from x0 meets (see the
+    module docstring), as a witness, or None; and whether the search read
+    an inexact menu.  successors(x) gives the steps of x as (symbol,
+    weight, target, cell) and whether they are exact; it is called once
+    per estimate the search reaches.  allowed(x) says whether x may lie on
+    an ambiguous cycle."""
+    outs: dict[frozenset[str], tuple] = {}
+    seen = {x0}
+    queue = deque([x0])  # estimates outside allowed to expand, and roots
+    inexact = False
+
+    def stalls(x: frozenset[str]) -> bool:
+        return len(x) > 1 and not a.stall_states.isdisjoint(x)
+
+    def read(x: frozenset[str]) -> tuple:
+        nonlocal inexact
+        outs[x], exact = successors(x)
+        inexact = inexact or not exact
+        for _, _, y, _ in outs[x]:
+            if y not in seen:
+                seen.add(y)
+                if stalls(y):
+                    raise _Stalled(y)
+                if not (allowed(x) and allowed(y)):
+                    queue.append(y)
+        return outs[x]
+
+    def roots():
+        while queue:
+            x = queue.popleft()
+            if allowed(x):
+                yield x  # skipped when the search has already visited it
+            else:
+                read(x)
+
+    def steps(x: frozenset[str]) -> list:  # among the visited estimates
+        return [((s, w), y) for s, w, y, _ in outs.get(x, ())]
+
+    try:
+        if stalls(x0):
+            raise _Stalled(x0)
+        for comp, cyclic in strongly_connected_components(
+                roots(), lambda x: [y for _, _, y, _ in read(x) if allowed(y)]):
+            if cyclic:
+                target = min(comp, key=sorted)
+                access, _ = find_path(steps, x0, {target})
+                cycle = find_cycle(lambda x: [(step, y) for step, y in steps(x) if allowed(y)],
+                                   target)
+                return {"kind": "ambiguous-cycle", "access": _events_of(access),
+                        "cycle": _events_of(cycle),
+                        "cycle_states": [sorted(x) for x in
+                                         [target] + [y for (_, _, y) in cycle]]}, inexact
+    except _Stalled as stop:
+        x = stop.args[0]
+        access, _ = find_path(steps, x0, {x})
+        return {"kind": "ambiguous-estimate-can-stall", "access": _events_of(access),
+                "state": sorted(x), "anchor": min(x & a.stall_states)}, inexact
+    return None, inexact
 
 
 def _cycle_within(est: EstimatorAutomaton, allowed: Set[frozenset],
@@ -110,21 +189,28 @@ def _cycle_within(est: EstimatorAutomaton, allowed: Set[frozenset],
 
 def check_spd(a: WeightedAutomaton, detector: EstimatorAutomaton | None = None,
               observer: EstimatorAutomaton | None = None) -> Verdict:
-    """Strong periodic detectability, decided on the detector; when an
-    observer is supplied the observer-side evaluation must agree."""
+    """Strong periodic detectability, by one search of the detector (see
+    the module docstring).  Without a detector the search computes the
+    steps of each estimate it reaches (estimator.successor_steps); with
+    one it reads detector.successors.  An exact observer is searched as a
+    cross-check."""
     if detector is None:
-        detector = build_detector(a)
-    if not detector.exact:
-        # a truncated enumeration can understate estimates, so neither a
-        # found violation nor its absence can be trusted
-        return Verdict(SPD, UNKNOWN, None, "bounded estimator did not close")
-    witness = _spd_fails_on(a, detector, lambda x: len(x) == 2)
-    if observer is not None and observer.exact:
-        other = _spd_fails_on(a, observer, lambda x: len(x) > 1)
+        x0 = instantaneous_closure(a, a.initial.keys())
+        successors = successor_steps(a, _pairs)
+    else:
+        x0 = detector.initial
+        successors = lambda x: (detector.successors[x], detector.exact)
+    witness, inexact = _spd_search(a, x0, successors, lambda x: len(x) == 2)
+    if observer is not None and observer.exact and (witness is not None or not inexact):
+        other, _ = _spd_search(a, observer.initial, lambda x: (observer.successors[x], True),
+                               lambda x: len(x) > 1)
         if (witness is None) != (other is None):
-            raise InternalError("detector and observer evaluations disagree")
+            raise InternalError("detector and observer searches disagree")
     if witness is not None:
         return Verdict(SPD, FAILS, witness)
+    if inexact:
+        # an inexact menu may have left out the step to a violation
+        return Verdict(SPD, UNKNOWN, None, "bounded estimator did not close")
     return Verdict(SPD, HOLDS, None)
 
 
@@ -192,7 +278,6 @@ class AnalysisResult:
     scale: int
     verdicts: dict[str, Verdict]
     observer: EstimatorAutomaton
-    detector: EstimatorAutomaton
     budget: int
 
     @cached_property
@@ -201,20 +286,25 @@ class AnalysisResult:
         explores only as much of it as its search needs."""
         return build_self_composition(self.automaton, self.budget)
 
+    @cached_property
+    def detector(self) -> EstimatorAutomaton:
+        """The whole detector, built on first read: deciding SPD explores
+        only as much of it as its search needs."""
+        return build_detector(self.automaton)
+
     def statuses(self) -> dict[str, str]:
         return {p: v.status for p, v in self.verdicts.items()}
 
 
 def check_all(a: WeightedAutomaton, budget: int = 10 ** 6) -> AnalysisResult:
-    """Normalize, scale, build the observer and the detector, decide all
-    four notions; the self-composition is built when it is read."""
+    """Normalize, scale, build the observer, decide all four notions; the
+    self-composition and the detector are built when they are read."""
     prepared, m = scale_to_integers(normalize(a))
     observer = build_observer(prepared)
-    detector = build_detector(prepared)
     verdicts = {
         SD: check_sd(prepared, budget=budget),
-        SPD: check_spd(prepared, detector, observer),
+        SPD: check_spd(prepared),
         WD: check_wd(prepared, observer),
         WPD: check_wpd(prepared, observer),
     }
-    return AnalysisResult(prepared, m, verdicts, observer, detector, budget)
+    return AnalysisResult(prepared, m, verdicts, observer, budget)

@@ -179,6 +179,70 @@ def test_cli_input_error_exit_code(tmp_path, capsys):
         assert key in json.loads(capsys.readouterr().err)["error"]
 
 
+@pytest.mark.parametrize("level, index", [("document", None), ("initial", 0),
+                                          ("events", 1), ("transitions", 2)])
+def test_unknown_keys_are_input_errors(tmp_path, capsys, level, index):
+    doc = io.serialize(validate(A1_description()))
+    if index is None:
+        doc["bogus"], path = 3, "bogus"
+    else:
+        doc[level][index]["bogus"], path = 3, f"{level}[{index}].bogus"
+    with pytest.raises(io.ParseError) as err:
+        io.parse(doc)
+    assert err.value.context == path
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    assert main(["check", "sd", str(bad)]) == 3
+    assert json.loads(capsys.readouterr().err)["error"].startswith(f"{path}: unknown key")
+
+
+def _cli_text(capsys, *argv):
+    code = main(list(argv))
+    return code, capsys.readouterr().out
+
+
+def test_check_one_property_matches_its_entry_in_check_all(tmp_path, capsys):
+    from wadet.cli import EXIT
+    from wadet.corpus import random_automaton
+    automata = [load_fixture(name).automaton for name in ("A0", "A1", "robot")]
+    automata += [random_automaton(seed, k=2) for seed in range(10)]
+    path = tmp_path / "doc.json"
+    for a in automata:
+        path.write_text(io.dumps(io.serialize(a)))
+        _, text = _cli_text(capsys, "check", "all", str(path))
+        every = json.loads(text)
+        for prop, verdict in every["verdicts"].items():
+            code, text = _cli_text(capsys, "check", prop.lower(), str(path))
+            assert code == EXIT[verdict["status"]]
+            assert text == io.dumps({"scale": every["scale"], "verdict": verdict}), (a, prop)
+
+
+def test_check_one_property_builds_only_what_it_reads(tmp_path, capsys, monkeypatch):
+    # check sd builds no observer; check spd builds no structure and reads
+    # only part of the robot's detector
+    from wadet import estimator, verify
+    from wadet.estimator import build_detector
+    from wadet.model import normalize, scale_to_integers
+    explored, read = [], []
+    explore, steps = estimator._explore, verify.successor_steps
+    monkeypatch.setattr(estimator, "_explore",
+                        lambda kind, a, split: explored.append(kind) or explore(kind, a, split))
+
+    def counted(a, split):
+        fn = steps(a, split)
+        return lambda x: read.append(x) or fn(x)
+
+    monkeypatch.setattr(verify, "successor_steps", counted)
+    robot = load_fixture("robot").automaton
+    path = tmp_path / "robot.json"
+    path.write_text(io.dumps(io.serialize(robot)))
+    for prop in ("sd", "spd"):
+        assert _cli_text(capsys, "check", prop, str(path))[0] == 1
+    assert explored == []
+    detector = build_detector(scale_to_integers(normalize(robot))[0])
+    assert 0 < len(read) == len(set(read)) < len(detector.states)
+
+
 def test_cli_internal_error_exit_code(a1_file, capsys, monkeypatch, tmp_path):
     # a failed invariant or precondition, or a bug, is neither FAILS (1) nor
     # an input error (3)

@@ -1,16 +1,21 @@
 import random
 from fractions import Fraction
 
-from wadet import estimator, verify
-from wadet.corpus import load_fixture
+import pytest
+
+from wadet import estimator, io, verify
+from wadet.corpus import load_fixture, random_automaton
 from wadet.estimator import EstTransition, build_detector, build_observer
+from wadet.graphutil import find_path
 from wadet.model import normalize, scale_to_integers, scale_weights, structure_report, validate
 from wadet.verdict import FAILS, HOLDS, SD, SPD, WD, WPD
 from wadet.verify import check_all, check_spd, check_wd, check_wpd
 
 from conftest import A0_description, A1_description
+from test_acceptance import replay_spd_witness
 from test_model import chain_description
 from test_selfcomp import random_automaton_raw
+from test_structure_digests import AUTOMATA
 
 
 def statuses(a):
@@ -98,6 +103,88 @@ def test_detector_observer_agreement_on_random_instances():
         check_spd(prepared, det, obs)  # raises InternalError on disagreement
 
 
+# -- SPD by one search of the detector ---------------------------------------
+
+
+def reference_spd_fails_on(a, est, cycle_rule):
+    """Test-only reference: SPD evaluated on a whole built structure, as
+    check_spd did before its search.  The least stalled ambiguous estimate
+    by sorted, if any; else the least estimate on a cycle of estimates
+    that cycle_rule allows (two states on the detector, more than one on
+    the observer)."""
+    stalled = [x for x in est.states if len(x) > 1 and not a.stall_states.isdisjoint(x)]
+    if stalled:
+        x = min(stalled, key=sorted)
+        access, _ = find_path(verify._est_steps(est), est.initial, {x})
+        return {"kind": "ambiguous-estimate-can-stall",
+                "access": verify._events_of(access), "state": sorted(x),
+                "anchor": min(x & a.stall_states)}
+    allowed = {x for x in est.states if cycle_rule(x)}
+    found = verify._cycle_within(est, allowed, allowed)
+    return None if found is None else {"kind": "ambiguous-cycle", **found}
+
+
+def spd_documents():
+    """Prepared automata: those of the structure digests, then the k = 2
+    and k = 3 draws of seeds 0-39."""
+    docs = list(AUTOMATA.values())
+    docs += [random_automaton(seed, k=k) for k in (2, 3) for seed in range(40)]
+    return [scale_to_integers(normalize(a))[0] for a in docs]
+
+
+def test_spd_search_routes_agree():
+    # the search over the lazy successor function and over a built
+    # detector's lists: byte-identical verdicts, inexact draws included
+    for a in spd_documents():
+        lazy = io.dumps(check_spd(a).to_json())
+        assert io.dumps(check_spd(a, build_detector(a)).to_json()) == lazy, a
+
+
+def test_spd_search_agrees_with_full_detector_reference():
+    statuses = {HOLDS: 0, FAILS: 0}
+    for a in spd_documents():
+        detector = build_detector(a)
+        if not detector.exact:
+            continue
+        want = HOLDS if reference_spd_fails_on(a, detector, lambda x: len(x) == 2) is None \
+            else FAILS
+        assert check_spd(a).status == want, a
+        observer_fails = reference_spd_fails_on(a, build_observer(a), lambda x: len(x) > 1)
+        assert (observer_fails is not None) == (want == FAILS), a
+        statuses[want] += 1
+    assert min(statuses.values()) >= 20, statuses
+
+
+def test_check_all_builds_no_detector(monkeypatch):
+    explored = []
+    explore = estimator._explore
+    monkeypatch.setattr(estimator, "_explore",
+                        lambda kind, a, split: explored.append(kind) or explore(kind, a, split))
+    fixtures = [load_fixture(name).automaton for name in ("A0", "A1", "robot")]
+    results = [check_all(a) for a in fixtures]
+    assert explored == ["observer"] * 3
+    for res in results:
+        detector = res.detector
+        assert explored.pop() == "detector" and res.detector is detector  # on first read
+        assert explored == ["observer"] * 3
+        assert io.estimator_to_json(detector) == io.estimator_to_json(
+            build_detector(res.automaton))
+        explored.pop()
+
+
+@pytest.mark.parametrize("k, seed", [(2, 11), (2, 17), (2, 38), (2, 39), (3, 17), (3, 39)])
+def test_inexact_draws_fail_spd_with_replaying_witness(k, seed):
+    # the detector of these draws is inexact, which made SPD UNKNOWN while
+    # the whole detector was read; the search meets a stalled ambiguous
+    # estimate of genuine steps first (the composition's budget of 10^5
+    # keeps draws 17 and 39 to seconds)
+    res = check_all(random_automaton(seed, k=k), 10 ** 5)
+    spd = res.verdicts[SPD]
+    assert spd.status == FAILS and spd.witness["kind"] == "ambiguous-estimate-can-stall"
+    assert not res.detector.exact
+    replay_spd_witness(res)
+
+
 # A1 fails SPD on its detector; a one-state observer says it holds
 DISAGREEING_SPD = """
 from wadet.corpus import load_fixture
@@ -110,7 +197,7 @@ if __debug__:
     raise SystemExit("not optimized")
 a, _ = scale_to_integers(normalize(load_fixture("A1").automaton))
 one_state = EstimatorAutomaton("observer", 1, frozenset({"q0"}),
-                               frozenset({frozenset({"q0"})}), (), True)
+                               frozenset({frozenset({"q0"})}), {frozenset({"q0"}): ()}, True)
 try:
     check_spd(a, build_detector(a), one_state)
 except InternalError:
@@ -172,9 +259,10 @@ def test_checkers_share_one_step_map_per_structure(aut_a0, aut_a1, monkeypatch):
     monkeypatch.setattr(verify, "_est_steps",
                         lambda est: calls.append((est, steps(est))) or calls[-1][1])
     results = [check_all(a) for a in (aut_a0, aut_a1, validate(chain_description((2, 3), 5)))]
-    structures = [est for res in results for est in (res.observer, res.detector)]
-    assert len(calls) > len(structures)  # some structure is read by two checkers
-    for est in structures:
+    observers = [res.observer for res in results]
+    # some observer is read by two checkers (WD and WPD; SPD reads none)
+    assert any(sum(e is est for e, _ in calls) > 1 for est in observers)
+    for est in observers:
         assert len({id(fn) for e, fn in calls if e is est}) <= 1
 
 
