@@ -17,14 +17,22 @@ import sys
 import traceback
 
 from . import corpus, io, oracle
+from .estimator import build_detector, build_observer
 from .model import ValidationError, normalize, scale_to_integers, structure_report
-from .selfcomp import check_sd
+from .selfcomp import build_self_composition, check_sd
 from .verdict import FAILS, HOLDS, UNKNOWN
 from .verify import check_all, check_spd, check_wd, check_wpd
 
 EXIT = {HOLDS: 0, FAILS: 1, UNKNOWN: 2}
 INPUT_ERROR = 3
 INTERNAL_ERROR = 4
+
+# per structure: its builder, its JSON and its DOT
+_STRUCTURES = {
+    "selfcomp": (build_self_composition, io.selfcomp_to_json, io.selfcomp_to_dot),
+    "observer": (build_observer, io.estimator_to_json, io.estimator_to_dot),
+    "detector": (build_detector, io.estimator_to_json, io.estimator_to_dot),
+}
 
 
 def _read_automaton(path: str):
@@ -96,33 +104,12 @@ def _prepared(args):
     return prepared, m
 
 
-def cmd_selfcomp(args) -> int:
-    from .selfcomp import build_self_composition
-
+def cmd_structure(args) -> int:
+    build, to_json, to_dot = _STRUCTURES[args.command]
     prepared, m = _prepared(args)
-    cc = build_self_composition(prepared)
-    _emit(io.selfcomp_to_json(cc, m))
-    _write_dot(args.dot, io.selfcomp_to_dot(cc))
-    return 0
-
-
-def cmd_observer(args) -> int:
-    from .estimator import build_observer
-
-    prepared, m = _prepared(args)
-    est = build_observer(prepared)
-    _emit(io.estimator_to_json(est, m))
-    _write_dot(args.dot, io.estimator_to_dot(est))
-    return 0
-
-
-def cmd_detector(args) -> int:
-    from .estimator import build_detector
-
-    prepared, m = _prepared(args)
-    est = build_detector(prepared)
-    _emit(io.estimator_to_json(est, m))
-    _write_dot(args.dot, io.estimator_to_dot(est))
+    structure = build(prepared)
+    _emit(to_json(structure, m))
+    _write_dot(args.dot, to_dot(structure))
     return 0
 
 
@@ -209,20 +196,11 @@ def cmd_oracle(args) -> int:
 
 
 def cmd_export(args) -> int:
-    from .estimator import build_detector, build_observer
-    from .selfcomp import build_self_composition
-
     if args.what == "automaton":
-        a = _read_automaton(args.file)
-        text = io.automaton_to_dot(a)
+        text = io.automaton_to_dot(_read_automaton(args.file))
     else:
-        prepared, _ = _prepared(args)
-        if args.what == "selfcomp":
-            text = io.selfcomp_to_dot(build_self_composition(prepared))
-        elif args.what == "observer":
-            text = io.estimator_to_dot(build_observer(prepared))
-        else:
-            text = io.estimator_to_dot(build_detector(prepared))
+        build, _, to_dot = _STRUCTURES[args.what]
+        text = to_dot(build(_prepared(args)[0]))
     if args.dot:
         _write_dot(args.dot, text)
     else:
@@ -249,12 +227,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("-o", "--output")
     p.set_defaults(func=cmd_normalize)
 
-    for name, func in (("selfcomp", cmd_selfcomp), ("observer", cmd_observer),
-                       ("detector", cmd_detector)):
+    for name in _STRUCTURES:
         p = sub.add_parser(name, help=f"build the {name} and print it as JSON")
         add_file(p)
         p.add_argument("--dot", help="also write DOT to this path")
-        p.set_defaults(func=func)
+        p.set_defaults(func=cmd_structure)
 
     p = sub.add_parser("check", help="decide detectability properties")
     p.add_argument("property", choices=["sd", "spd", "wd", "wpd", "all"])
@@ -299,7 +276,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("export", help="DOT export of the automaton or a structure")
     add_file(p)
-    p.add_argument("--what", choices=["automaton", "selfcomp", "observer", "detector"],
+    p.add_argument("--what", choices=["automaton", *_STRUCTURES],
                    default="automaton")
     p.add_argument("--dot", help="output path; stdout when omitted")
     p.set_defaults(func=cmd_export)

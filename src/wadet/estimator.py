@@ -336,8 +336,9 @@ def successor_steps(a: WeightedAutomaton,
     estimate becomes, in sorted order.  Symbols come sorted, the entries
     of a menu by repr(witness), which no two entries share (k = 1 cells
     are disjoint, and a k > 1 target keeps the least weight of its own
-    weights).  _explore and the SPD search (verify.check_spd) both read
-    it, so a search computes the steps only of the estimates it reaches."""
+    weights).  _explore and the searches of verify.check_spd, check_wd
+    and check_wpd read it, so a search computes the steps only of the
+    estimates it reaches."""
     a.require_prepared()
     symbols = sorted(a.sigma)
 
@@ -379,6 +380,10 @@ def _explore(kind: str, a: WeightedAutomaton,
     return EstimatorAutomaton(kind, a.k, x0, frozenset(states), successors, exact)
 
 
+def _whole(target: frozenset[str]) -> list[frozenset[str]]:
+    return [target]
+
+
 def _pairs(target: frozenset[str]) -> list[frozenset[str]]:
     if len(target) == 1:
         return [target]
@@ -388,7 +393,7 @@ def _pairs(target: frozenset[str]) -> list[frozenset[str]]:
 def build_observer(a: WeightedAutomaton) -> EstimatorAutomaton:
     """Deterministic estimator over (symbol, weight) events; one transition
     per nonempty cell."""
-    return _explore("observer", a, lambda target: [target])
+    return _explore("observer", a, _whole)
 
 
 def build_detector(a: WeightedAutomaton) -> EstimatorAutomaton:

@@ -41,9 +41,13 @@ def str_to_rational(text, context: str = "") -> Fraction:
         raise ParseError(f"bad rational {text!r} ({exc})", context) from exc
 
 
-def _weight_in(entries, context: str) -> list[Fraction]:
+def _weight_in(entries, context: str, k) -> list[Fraction]:
+    """The weight at context, a list of k rationals; its dimension is left
+    to validate when k itself is not a positive integer."""
     if not isinstance(entries, (list, tuple)):
         raise ParseError(f"weight must be a list, got {entries!r}", context)
+    if type(k) is int and k > 0 and len(entries) != k:
+        raise ParseError(f"weight has dimension {len(entries)}, expected {k}", context)
     return [str_to_rational(x, f"{context}[{i}]") for i, x in enumerate(entries)]
 
 
@@ -89,8 +93,9 @@ def parse(document: Mapping) -> WeightedAutomaton:
     version = document.get("format_version", FORMAT_VERSION)
     if version != FORMAT_VERSION:
         raise ParseError(f"unsupported format_version {version!r}")
+    k = document.get("k")
     raw = {
-        "k": document.get("k"),
+        "k": k,
         "states": _list_in(document, "states"),
         "initial": {},
         "events": {},
@@ -98,13 +103,13 @@ def parse(document: Mapping) -> WeightedAutomaton:
     }
     for ctx, entry in _entries(document, "initial", {"state", "weight"}):
         raw["initial"][_name_in(entry, "state", ctx)] = _weight_in(entry.get("weight"),
-                                                                   f"{ctx}.weight")
+                                                                   f"{ctx}.weight", k)
     for ctx, entry in _entries(document, "events", {"name", "label"}):
         raw["events"][_name_in(entry, "name", ctx)] = _name_in(entry, "label", ctx)
     for ctx, entry in _entries(document, "transitions", {"from", "event", "to", "weight"}):
         raw["transitions"].append((
             entry.get("from"), entry.get("event"), entry.get("to"),
-            _weight_in(entry.get("weight"), f"{ctx}.weight"),
+            _weight_in(entry.get("weight"), f"{ctx}.weight", k),
         ))
     return validate(raw)
 

@@ -8,7 +8,7 @@ can never produce a spurious failure:
   to say FAILS (counterexamples are proofs);
 * a weak notion the checker rejects admits no bounded witness;
 * every failing strong verdict replays to ambiguous estimates;
-* every singleton-cycle witness replays to singleton estimates.
+* every WD or WPD witness replays to the estimates it names.
 """
 
 import random
@@ -62,23 +62,30 @@ def test_checkers_and_oracle_never_contradict():
 
 
 def test_singleton_cycle_witnesses_replay_to_singletons():
-    hits = 0
+    # the oracle's estimates along a WD or WPD witness are the estimates
+    # it names: along the cycle, pumped twice, or at a stalling singleton
+    hits = {WD: 0, WPD: 0}
     for a in population(120):
         res = check_all(a)
-        wd = res.verdicts[WD]
-        if wd.status != HOLDS or wd.witness is None:
-            continue
-        if wd.witness["kind"] != "singleton-cycle":
-            continue
-        access, cycle = wd.witness["access"], wd.witness["cycle"]
-        for pumps in (1, 2):
-            gamma = accumulate(list(access) + list(cycle) * pumps)
-            prefix = len(access)
-            for i in range(prefix, len(gamma) + 1):
-                estimate = oracle_estimate(res.automaton, gamma[:i])
-                assert len(estimate) == 1, (a, gamma[:i], estimate)
-        hits += 1
-    assert hits >= 10
+        for prop in (WD, WPD):
+            witness = res.verdicts[prop].witness or {}
+            access = list(witness.get("access", ()))
+            if witness.get("kind") == "singleton-estimate-can-stall":
+                estimate = oracle_estimate(res.automaton, accumulate(access))
+                assert len(estimate) == 1 and estimate == set(witness["state"]), (a, prop)
+                assert estimate <= res.automaton.stall_states
+            elif witness.get("kind") == "singleton-cycle":
+                cycle, states = witness["cycle"], witness["cycle_states"]
+                assert (all if prop == WD else any)(len(x) == 1 for x in states), (a, prop)
+                gamma = accumulate(access + list(cycle) * 2)
+                for i in range(2 * len(cycle) + 1):
+                    estimate = oracle_estimate(res.automaton, gamma[:len(access) + i])
+                    assert estimate == set(states[i % len(cycle)]), (a, prop, i)
+            else:
+                continue
+            assert res.verdicts[prop].status == HOLDS
+            hits[prop] += 1
+    assert min(hits.values()) >= 10, hits
 
 
 def test_stall_witnesses_expose_real_silent_cycles():

@@ -196,6 +196,20 @@ def test_unknown_keys_are_input_errors(tmp_path, capsys, level, index):
     assert json.loads(capsys.readouterr().err)["error"].startswith(f"{path}: unknown key")
 
 
+@pytest.mark.parametrize("level, index", [("initial", 0), ("transitions", 1)])
+def test_weight_of_wrong_dimension_is_an_input_error(tmp_path, capsys, level, index):
+    doc = io.serialize(validate(A1_description()))
+    doc[level][index]["weight"], path = ["1", "2"], f"{level}[{index}].weight"
+    with pytest.raises(io.ParseError) as err:
+        io.parse(doc)
+    assert err.value.context == path
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    assert main(["check", "all", str(bad)]) == 3
+    assert json.loads(capsys.readouterr().err)["error"] == (
+        f"{path}: weight has dimension 2, expected 1")
+
+
 def _cli_text(capsys, *argv):
     code = main(list(argv))
     return code, capsys.readouterr().out
@@ -218,10 +232,11 @@ def test_check_one_property_matches_its_entry_in_check_all(tmp_path, capsys):
 
 
 def test_check_one_property_builds_only_what_it_reads(tmp_path, capsys, monkeypatch):
-    # check sd builds no observer; check spd builds no structure and reads
-    # only part of the robot's detector
+    # no property builds a structure; check sd reads no estimate, and
+    # check spd and check wd read only part of the robot's detector and
+    # observer, each estimate once
     from wadet import estimator, verify
-    from wadet.estimator import build_detector
+    from wadet.estimator import build_detector, build_observer
     from wadet.model import normalize, scale_to_integers
     explored, read = [], []
     explore, steps = estimator._explore, verify.successor_steps
@@ -236,11 +251,16 @@ def test_check_one_property_builds_only_what_it_reads(tmp_path, capsys, monkeypa
     robot = load_fixture("robot").automaton
     path = tmp_path / "robot.json"
     path.write_text(io.dumps(io.serialize(robot)))
-    for prop in ("sd", "spd"):
-        assert _cli_text(capsys, "check", prop, str(path))[0] == 1
-    assert explored == []
-    detector = build_detector(scale_to_integers(normalize(robot))[0])
-    assert 0 < len(read) == len(set(read)) < len(detector.states)
+    reads = {}
+    for prop, code in (("sd", 1), ("spd", 1), ("wd", 0), ("wpd", 0)):
+        assert _cli_text(capsys, "check", prop, str(path))[0] == code
+        reads[prop], read[:] = read[:], []
+    assert explored == [] and reads["sd"] == []
+    prepared = scale_to_integers(normalize(robot))[0]
+    detector, observer = build_detector(prepared), build_observer(prepared)
+    for prop, est in (("spd", detector), ("wd", observer), ("wpd", observer)):
+        assert 0 < len(reads[prop]) == len(set(reads[prop])) <= len(est.states), prop
+    assert len(reads["spd"]) < len(detector.states) and len(reads["wd"]) < len(observer.states)
 
 
 def test_cli_internal_error_exit_code(a1_file, capsys, monkeypatch, tmp_path):
@@ -307,6 +327,16 @@ def test_export_subcommand(a1_file, capsys):
     text = capsys.readouterr().out
     assert text.startswith("digraph")
     assert '"q0" -> "q1"' in text
+
+
+@pytest.mark.parametrize("what", ["selfcomp", "observer", "detector"])
+def test_export_prints_the_dot_of_the_structure_command(a1_file, capsys, tmp_path, what):
+    dot_path = tmp_path / f"{what}.dot"
+    assert main([what, a1_file, "--dot", str(dot_path)]) == 0
+    capsys.readouterr()
+    assert main(["export", a1_file, "--what", what]) == 0
+    text = capsys.readouterr().out
+    assert text.startswith("digraph") and text == dot_path.read_text()
 
 
 # -- golden outputs (schema stability) -------------------------------------------

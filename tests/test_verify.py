@@ -6,7 +6,7 @@ import pytest
 from wadet import estimator, io, verify
 from wadet.corpus import load_fixture, random_automaton
 from wadet.estimator import EstTransition, build_detector, build_observer
-from wadet.graphutil import find_path
+from wadet.graphutil import find_cycle, find_path, states_on_cycles
 from wadet.model import normalize, scale_to_integers, scale_weights, structure_report, validate
 from wadet.verdict import FAILS, HOLDS, SD, SPD, WD, WPD
 from wadet.verify import check_all, check_spd, check_wd, check_wpd
@@ -103,7 +103,32 @@ def test_detector_observer_agreement_on_random_instances():
         check_spd(prepared, det, obs)  # raises InternalError on disagreement
 
 
-# -- SPD by one search of the detector ---------------------------------------
+# -- SPD, WD and WPD by one search of the estimates --------------------------
+
+
+def est_steps(est):
+    """Per estimate, its ((symbol, weight), target) steps in the canonical
+    order of est.successors."""
+    return lambda x: [((s, w), y) for s, w, y, _ in est.successors[x]]
+
+
+def cycle_within(est, allowed, anchors):
+    """Test-only reference: a cycle reachable from the initial estimate
+    that stays in allowed and passes an estimate of anchors, through the
+    least such anchor (by sorted), as the checkers found it on a whole
+    built structure before their searches: its access events, its events
+    and its states."""
+    cyclic = states_on_cycles(allowed, lambda x: [
+        y for _, _, y, _ in est.successors[x] if y in allowed]) & anchors
+    if not cyclic:
+        return None
+    target = min(cyclic, key=sorted)
+    steps = est_steps(est)
+    sub = lambda x: [(step, y) for (step, y) in steps(x) if y in allowed]
+    access, _ = find_path(steps, est.initial, {target})
+    cycle = find_cycle(sub, target)
+    return {"access": verify._events_of(access), "cycle": verify._events_of(cycle),
+            "cycle_states": [sorted(x) for x in [target] + [y for (_, _, y) in cycle]]}
 
 
 def reference_spd_fails_on(a, est, cycle_rule):
@@ -115,13 +140,25 @@ def reference_spd_fails_on(a, est, cycle_rule):
     stalled = [x for x in est.states if len(x) > 1 and not a.stall_states.isdisjoint(x)]
     if stalled:
         x = min(stalled, key=sorted)
-        access, _ = find_path(verify._est_steps(est), est.initial, {x})
+        access, _ = find_path(est_steps(est), est.initial, {x})
         return {"kind": "ambiguous-estimate-can-stall",
                 "access": verify._events_of(access), "state": sorted(x),
                 "anchor": min(x & a.stall_states)}
     allowed = {x for x in est.states if cycle_rule(x)}
-    found = verify._cycle_within(est, allowed, allowed)
+    found = cycle_within(est, allowed, allowed)
     return None if found is None else {"kind": "ambiguous-cycle", **found}
+
+
+def reference_weak_status(a, observer, prop):
+    """Test-only reference: the status of WD or WPD on a whole exact
+    observer, as check_wd and check_wpd found it before their searches."""
+    if not a.has_infinite_run or (prop == WD and verify._silent_cycle_witness(a)):
+        return HOLDS
+    singletons = {x for x in observer.states if len(x) == 1}
+    if prop == WPD and any(x <= a.stall_states for x in singletons):
+        return HOLDS
+    allowed = singletons if prop == WD else observer.states
+    return FAILS if cycle_within(observer, allowed, singletons) is None else HOLDS
 
 
 def spd_documents():
@@ -133,11 +170,14 @@ def spd_documents():
 
 
 def test_spd_search_routes_agree():
-    # the search over the lazy successor function and over a built
-    # detector's lists: byte-identical verdicts, inexact draws included
+    # each search over the lazy successor function and over a built
+    # structure's lists: byte-identical verdicts, inexact draws included
     for a in spd_documents():
-        lazy = io.dumps(check_spd(a).to_json())
-        assert io.dumps(check_spd(a, build_detector(a)).to_json()) == lazy, a
+        detector, observer = build_detector(a), build_observer(a)
+        for lazy, built in ((check_spd(a), check_spd(a, detector)),
+                            (check_wd(a), check_wd(a, observer)),
+                            (check_wpd(a), check_wpd(a, observer))):
+            assert io.dumps(built.to_json()) == io.dumps(lazy.to_json()), a
 
 
 def test_spd_search_agrees_with_full_detector_reference():
@@ -155,21 +195,39 @@ def test_spd_search_agrees_with_full_detector_reference():
     assert min(statuses.values()) >= 20, statuses
 
 
+def test_weak_searches_agree_with_full_observer_reference():
+    statuses = {HOLDS: 0, FAILS: 0}
+    for a in spd_documents():
+        observer = build_observer(a)
+        if not observer.exact:
+            continue
+        for prop, check in ((WD, check_wd), (WPD, check_wpd)):
+            want = reference_weak_status(a, observer, prop)
+            assert check(a).status == want, (a, prop)
+            statuses[want] += 1
+    assert min(statuses.values()) >= 20, statuses
+
+
 def test_check_all_builds_no_detector(monkeypatch):
-    explored = []
-    explore = estimator._explore
+    # nor any other structure: each is built whole when first read
+    built = []
+    explore, build_cc = estimator._explore, verify.build_self_composition
     monkeypatch.setattr(estimator, "_explore",
-                        lambda kind, a, split: explored.append(kind) or explore(kind, a, split))
+                        lambda kind, a, split: built.append(kind) or explore(kind, a, split))
+    monkeypatch.setattr(verify, "build_self_composition",
+                        lambda a, budget: built.append("selfcomp") or build_cc(a, budget))
     fixtures = [load_fixture(name).automaton for name in ("A0", "A1", "robot")]
     results = [check_all(a) for a in fixtures]
-    assert explored == ["observer"] * 3
+    assert built == []
     for res in results:
-        detector = res.detector
-        assert explored.pop() == "detector" and res.detector is detector  # on first read
-        assert explored == ["observer"] * 3
-        assert io.estimator_to_json(detector) == io.estimator_to_json(
-            build_detector(res.automaton))
-        explored.pop()
+        for kind, build in (("observer", build_observer), ("detector", build_detector)):
+            est = getattr(res, kind)
+            assert built == [kind] and getattr(res, kind) is est  # on first read
+            assert io.estimator_to_json(est) == io.estimator_to_json(build(res.automaton))
+            built.clear()
+        cc = res.self_composition
+        assert built == ["selfcomp"] and res.self_composition is cc
+        built.clear()
 
 
 @pytest.mark.parametrize("k, seed", [(2, 11), (2, 17), (2, 38), (2, 39), (3, 17), (3, 39)])
@@ -251,19 +309,6 @@ def test_analysis_result_exposes_structures(aut_a1):
     assert res.observer.kind == "observer"
     assert res.detector.kind == "detector"
     assert res.self_composition.states
-
-
-def test_checkers_share_one_step_map_per_structure(aut_a0, aut_a1, monkeypatch):
-    calls = []
-    steps = verify._est_steps
-    monkeypatch.setattr(verify, "_est_steps",
-                        lambda est: calls.append((est, steps(est))) or calls[-1][1])
-    results = [check_all(a) for a in (aut_a0, aut_a1, validate(chain_description((2, 3), 5)))]
-    observers = [res.observer for res in results]
-    # some observer is read by two checkers (WD and WPD; SPD reads none)
-    assert any(sum(e is est for e, _ in calls) > 1 for est in observers)
-    for est in observers:
-        assert len({id(fn) for e, fn in calls if e is est}) <= 1
 
 
 def test_check_all_builds_no_estimator_transitions(aut_a0, aut_a1, monkeypatch):
