@@ -9,9 +9,7 @@ from .epset import (
     eps_partition,
     eps_reflect,
     eps_shift,
-    eps_sumset,
     eps_union,
-    nspan,
 )
 from .epl import EplAnswer, WeightedDigraph, digraph, has_path_with_weight, weight_set
 from .model import (

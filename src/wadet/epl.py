@@ -7,12 +7,12 @@ topological order.  Inside an SCC the set has a closed form: a point, a
 congruence class, or, when the nonzero cycles have one sign, the union
 of the progressions m + c * N, where c is the weight of a closed walk of
 that sign and m the least weight of each residue class mod c
-(epset.least_by_residue; mirrored for negative cycles).  Composing the
-SCCs is a sumset.  Once a weight is known to be a member, a witness walk
-with the fewest arcs comes from a breadth-first search over (vertex,
-accumulated weight) states, which ends because the set is exact.  That
-search is pseudo-polynomial in the weights, so callers that only need
-to decide ask for the set.
+(epset.least_by_residue; mirrored for negative cycles).  The SCCs are
+composed from these forms (epset.eps_add_progressions).  Once a weight
+is known to be a member, a witness walk with the fewest arcs comes from
+a breadth-first search over (vertex, accumulated weight) states, which
+ends because the set is exact.  That search is pseudo-polynomial in the
+weights, so callers that only need to decide ask for the set.
 
 For higher dimensions the decision question (is there a walk of exactly
 weight z?) is first put to a breadth-first probe over (vertex, weight)
@@ -33,7 +33,7 @@ from functools import cached_property
 from math import gcd, inf
 from typing import Iterable, Sequence
 
-from .epset import (EPSet, eps_reflect, eps_shift, eps_sumset, eps_union_many,
+from .epset import (EPSet, eps_add_progressions, eps_reflect, eps_shift, eps_union_many,
                     from_minima, least_by_residue)
 from .graphutil import reachable, strongly_connected_components
 from .verdict import InternalError
@@ -155,7 +155,7 @@ class WeightSetSolver:
         self._sccs = [frozenset(c) for c in reversed(comps)]  # topological order
         self._scc = {x: c for c in self._sccs for x in c}
         self._rows: dict[object, dict[object, EPSet]] = {}
-        self._withins: dict[object, dict[object, EPSet]] = {}
+        self._withins: dict[object, tuple] = {}
 
     # -- public ---------------------------------------------------------
 
@@ -212,21 +212,34 @@ class WeightSetSolver:
             if not entry:
                 continue
             for y in comp:
-                row[y] = _union([eps_sumset(e, self._within(b)[y]) for b, e in entry.items()])
+                row[y] = _union([self._plus(e, b, y) for b, e in entry.items()])
                 for a in self._succ[y]:
                     if a.head not in comp:
                         pending.setdefault(a.head, []).append(eps_shift(row[y], a.weight[0]))
         self._rows[u] = row
         return row
 
-    def _within(self, b) -> dict[object, EPSet]:
+    def _plus(self, s: EPSet, b, y) -> EPSet:
+        """s + W_C(b, y), composed from the form _within built it in."""
+        table, p, d, c, minima = self._within(b)
+        if s.is_finite() and len(s.exceptions) == 1:
+            return eps_shift(table[y], next(iter(s.exceptions)))
+        if d == 0:
+            return eps_shift(s, p[y])
+        if c:
+            return eps_add_progressions(s, minima[y], c)
+        # p(y) + dZ = (p(y) + dN) - dN
+        return eps_add_progressions(eps_add_progressions(s, [p[y]], d), [0], -d)
+
+    def _within(self, b) -> tuple:
         """W_C(b, y) for y in the SCC C of b, the weights of walks that stay
-        in C.  With potentials p along a search tree from b, a walk to y
-        weighs p(y) plus the excesses p(tail) + w - p(head) of its arcs.
-        Let d be their gcd: d = 0 gives {p(y)}; cycles of both signs give
-        p(y) + dZ; one sign gives, per residue mod the weight c of a closed
-        walk of that sign at b, the least weight, which starts a
-        progression of period c."""
+        in C, and their form.  With potentials p along a search tree from b,
+        a walk to y weighs p(y) plus the excesses p(tail) + w - p(head) of
+        its arcs.  Let d be their gcd: d = 0 gives {p(y)}; cycles of both
+        signs give p(y) + dZ; one sign gives, per residue mod the weight c of
+        a closed walk of that sign at b, the least weight, which starts a
+        progression.  Returns (W_C(b, .), p, d, c with that sign or 0 without
+        one, minima): W_C(b, y) is the union of m + cN over minima[y]."""
         if b in self._withins:
             return self._withins[b]
         comp = self._scc[b]
@@ -240,26 +253,27 @@ class WeightSetSolver:
                     p[a.head] = p[x] + a.weight[0]
                     stack.append(a.head)
         d = gcd(*(p[x] + a.weight[0] - p[a.head] for x in comp for a in out[x]))
-        g = None
+        c, minima = 0, {}
         for sign in (1, -1) if d else ():
-            if (g := _distances_to(b, out, sign)) is not None:
-                break
-        if d == 0:
-            table = {y: EPSet.finite([p[y]]) for y in comp}
-        elif g is None:
-            table = {y: EPSet.congruent(p[y], d) for y in comp}
-        else:
+            if (g := _distances_to(b, out, sign)) is None:
+                continue
             # weights times sign, whose cycles are >= 0; g(x) is the least
             # weight of a walk x -> b, so w - g(x) + g(y) >= 0 on each arc
             c = min(t for x in comp for a in out[x]
                     if (t := sign * (p[x] + a.weight[0]) + g[a.head]) > 0)
             least = least_by_residue(
                 b, lambda x: [(a.head, sign * a.weight[0] - g[x] + g[a.head]) for a in out[x]], c)
-            table = {y: from_minima([m - g[y] for m in least[y].values()], c) for y in comp}
+            minima = {y: [m - g[y] for m in least[y].values()] for y in comp}
+            table = {y: from_minima(minima[y], c) for y in comp}
             if sign < 0:
+                minima = {y: [-m for m in ms] for y, ms in minima.items()}
                 table = {y: eps_reflect(s) for y, s in table.items()}
-        self._withins[b] = table
-        return table
+            c *= sign
+            break
+        else:
+            table = {y: EPSet.congruent(p[y], d) if d else EPSet.finite([p[y]]) for y in comp}
+        self._withins[b] = (table, p, d, c, minima)
+        return self._withins[b]
 
 
 def _union(sets: list[EPSet]) -> EPSet:

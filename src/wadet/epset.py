@@ -13,7 +13,8 @@ eps_meets(s, t, c), whether s & (t + c) is nonempty, is answered at the
 size of the two representations and builds no set at all.  eps_partition
 splits the union of labelled raw pieces into its atoms, the sets of
 integers with one pattern of labels, in the one sweep over the cuts that
-a boolean operation makes.
+a boolean operation makes.  eps_add_progressions(s, minima, c) adds to
+s the union of the progressions m + c * N over minima.
 
 Canonical form:
   * tail periods are minimal (residue sets are folded),
@@ -30,7 +31,7 @@ from dataclasses import dataclass
 from functools import reduce
 from heapq import heappop, heappush
 from itertools import count
-from math import gcd, lcm
+from math import gcd, inf, lcm
 from operator import or_
 from typing import Callable, Hashable, Iterable
 
@@ -488,7 +489,7 @@ def eps_min_abs_witness(s: EPSet) -> int | None:
 
 
 # ---------------------------------------------------------------------
-# additive structure: N-spans and sumsets
+# additive structure: least members per residue
 # ---------------------------------------------------------------------
 
 
@@ -511,88 +512,56 @@ def least_by_residue(start, succ: Callable, c: int) -> dict:
     return best
 
 
+def eps_add_progressions(s: EPSet, minima: Iterable[int], c: int) -> EPSet:
+    """s + T for T the union of the progressions m + c * N over minima, at
+    most one m per residue mod c; s may be a raw presentation.  A negative
+    c gives downward progressions, the reflection of the case -c.
+
+    In one class mod c, a union of progressions of period c is its least
+    member plus c * N, or the whole class when it has none.  s + c * N
+    and T are such unions, and s + T = (s + c * N) + T as T + c * N = T.
+    So class rho of the sum is whole when an m carries into it a class of
+    s that a down tail meets, and otherwise M + c * N, M the least
+    x + m = rho (mod c) over the m and the least members x of s per class.
+    Those come from the exceptions and, per up-tail residue of period q
+    and first member f, from f + k * q for k < c / gcd(q, c): these meet,
+    in increasing order, every class that f + q * N meets.  The cost is
+    that many members plus one step per pair of a class of s and an m; no
+    lcm of the periods is formed."""
+    if c < 0:
+        return eps_reflect(eps_add_progressions(eps_reflect(s), [-m for m in minima], -c))
+    members = list(s.exceptions)
+    if s.up is not None:
+        u, q = s.up.threshold, s.up.period
+        members += [u + (r - u) % q + k * q for r in s.up.residues for k in range(c // gcd(q, c))]
+    least = {x % c: x for x in sorted(members, reverse=True)}  # the least is written last
+    if s.down is not None:
+        g = gcd(s.down.period, c)
+        met = {r % g for r in s.down.residues}
+        least.update((r, None) for r in range(c) if r % g in met)
+    whole, best = 0, {}
+    for m in minima:
+        for r, x in least.items():
+            rho = (r + m) % c
+            if x is None:
+                whole |= 1 << rho
+            elif x + m < best.get(rho, inf):
+                best[rho] = x + m
+    return _progressions(sorted(x for rho, x in best.items() if not whole >> rho & 1), c, whole)
+
+
 def from_minima(minima: Iterable[int], c: int) -> EPSet:
-    """The union of the progressions m + c * N, at most one m per residue
-    mod c.  Between consecutive minima the residue set is constant."""
-    cuts = sorted(minima)
+    """The union of m + c * N over minima, at most one m per residue mod c."""
+    return _progressions(sorted(minima), c, 0)
+
+
+def _progressions(cuts: list[int], c: int, whole: int) -> EPSet:
+    """The classes mod c in the bitset whole, and m + c * N for each m of
+    the sorted cuts, one per residue outside whole."""
     if not cuts:
-        return EPSet.empty()
-    runs, mask = [], 0
+        return _canonical(-1, 0, c, whole, whole, [])
+    runs, mask = [], whole
     for a, b in zip(cuts, cuts[1:]):
         mask |= 1 << a % c
         runs.append((a, b, mask))
-    return _canonical(cuts[0] - 1, cuts[-1], c, 0, mask | 1 << cuts[-1] % c, runs)
-
-
-def nspan(generators: Iterable[int]) -> EPSet:
-    """{ sum_i n_i * g_i : n_i in N } for the given integer generators.
-
-    All zero or empty -> {0}.  Mixed signs -> the full group d * Z, d the
-    gcd.  Same sign -> a numerical semigroup: with c the smallest
-    generator it is the union of m + c * N over the least member m of
-    each residue class mod c, the walks of a one-vertex graph.
-    """
-    gens = sorted({g for g in generators if g != 0})
-    if not gens:
-        return EPSet.finite([0])
-    if gens[0] < 0 < gens[-1]:
-        return EPSet.congruent(0, gcd(*gens))
-    if gens[0] < 0:
-        return eps_reflect(nspan([-g for g in gens]))
-    least = least_by_residue(0, lambda _: [(0, g) for g in gens], gens[0])
-    return from_minima(least[0].values(), gens[0])
-
-
-def eps_sumset(s: EPSet, t: EPSet) -> EPSet:
-    """{a + b : a in s, b in t}."""
-    if s.is_empty() or t.is_empty():
-        return EPSet.empty()
-    if s.is_finite() and len(s.exceptions) == 1:
-        return eps_shift(t, next(iter(s.exceptions)))
-    if t.is_finite() and len(t.exceptions) == 1:
-        return eps_shift(s, next(iter(t.exceptions)))
-    pieces: list[EPSet] = []
-    for kind_a, a, pa in _pieces(s):
-        for kind_b, b, pb in _pieces(t):
-            pieces.append(_sum_piece(kind_a, a, pa, kind_b, b, pb))
-    return eps_union_many(pieces)
-
-
-def _pieces(s: EPSet) -> list[tuple[str, int, int]]:
-    """Decompose into ('fin', n, 0), ('up', first, period), ('down', first, period)."""
-    out: list[tuple[str, int, int]] = [("fin", n, 0) for n in s.exceptions]
-    if s.up is not None:
-        c = s.up
-        for r in c.residues:
-            first = c.threshold + ((r - c.threshold) % c.period)
-            out.append(("up", first, c.period))
-    if s.down is not None:
-        c = s.down
-        for r in c.residues:
-            first = c.threshold - ((c.threshold - r) % c.period)
-            out.append(("down", first, c.period))
-    return out
-
-
-def _progression(kind: str, first: int, period: int) -> EPSet:
-    """The canonical set {first}, {first + i * period : i >= 0} ("up") or
-    {first - i * period : i >= 0} ("down")."""
-    if kind == "fin":
-        return EPSet.finite([first])
-    residue = frozenset([first % period])
-    if kind == "up":
-        return EPSet(frozenset(), Core(first - period + 1, period, residue), None)
-    return EPSet(frozenset(), None, Core(first + period - 1, period, residue))
-
-
-def _sum_piece(ka: str, a: int, pa: int, kb: str, b: int, pb: int) -> EPSet:
-    if ka == "fin":
-        return eps_shift(_progression(kb, b, pb), a)
-    if kb == "fin":
-        return eps_shift(_progression(ka, a, pa), b)
-    if ka == "up" and kb == "up":
-        return eps_shift(nspan([pa, pb]), a + b)
-    if ka == "down" and kb == "down":
-        return eps_shift(eps_reflect(nspan([pa, pb])), a + b)
-    # one up, one down: every value of the right congruence class is hit
-    return EPSet.congruent(a + b, gcd(pa, pb))
+    return _canonical(cuts[0] - 1, cuts[-1], c, whole, mask | 1 << cuts[-1] % c, runs)

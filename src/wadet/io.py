@@ -8,6 +8,7 @@ order), so parse followed by serialize is byte-stable.
 from __future__ import annotations
 
 import json
+from decimal import Decimal
 from fractions import Fraction
 from typing import Mapping
 
@@ -16,6 +17,8 @@ from .model import WeightedAutomaton, validate
 from .selfcomp import SelfComposition
 
 FORMAT_VERSION = 1
+# a number with a fraction or an exponent is read exactly, from its own text
+_DECODER = json.JSONDecoder(parse_float=Decimal)
 
 
 class ParseError(ValueError):
@@ -91,7 +94,7 @@ def parse(document: Mapping) -> WeightedAutomaton:
         raise ParseError("document must be an object")
     _known_keys(document, {"format_version", "k", "states", "initial", "events", "transitions"})
     version = document.get("format_version", FORMAT_VERSION)
-    if version != FORMAT_VERSION:
+    if type(version) is not int or version != FORMAT_VERSION:
         raise ParseError(f"unsupported format_version {version!r}")
     k = document.get("k")
     raw = {
@@ -140,8 +143,10 @@ def dumps(document: dict) -> str:
 
 
 def loads(text: str) -> WeightedAutomaton:
+    """Decode and validate an automaton document.  A weight written as 1.5
+    is exactly 3/2, and a long literal keeps every digit."""
     try:
-        document = json.loads(text)
+        document = _DECODER.decode(text)
     except json.JSONDecodeError as exc:
         raise ParseError(f"malformed JSON: line {exc.lineno}, column {exc.colno}") from exc
     return parse(document)

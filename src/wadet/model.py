@@ -172,7 +172,7 @@ def validate(raw: Mapping) -> WeightedAutomaton:
     k = raw.get("k")
     if not isinstance(k, int) or isinstance(k, bool) or k < 1:
         problems.append(f"dimension k must be a positive integer, got {k!r}")
-        k = 1
+        k = None  # no dimension to check the weights against
 
     states = [str(s) for s in raw.get("states", [])]
     state_set = frozenset(states)
@@ -188,10 +188,10 @@ def validate(raw: Mapping) -> WeightedAutomaton:
             w = make_weight(entries)
         except (TypeError, ValueError, ZeroDivisionError):
             problems.append(f"{where}: not a rational vector: {entries!r}")
-            return zero_weight(k)
-        if len(w) != k:
+            return ()
+        if k is not None and len(w) != k:
             problems.append(f"{where}: weight has dimension {len(w)}, expected {k}")
-            return zero_weight(k)
+            return ()
         return w
 
     initial: dict[str, Weight] = {}

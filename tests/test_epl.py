@@ -14,7 +14,9 @@ from wadet.epl import (
     weight_set,
     WeightSetSolver,
 )
-from wadet.epset import EPSet, eps_shift, eps_union_many, nspan
+from wadet.epset import EPSet, eps_shift, eps_union_many
+
+from test_epset import nspan
 
 
 def enumerate_walk_weights(graph, u, max_len=12):
@@ -303,6 +305,62 @@ def test_complete_silent_digraph_of_seven(mixed):
             if w in s and w not in brute[v]:
                 walk = solver.witness_walk("s0", v, w)
                 assert replay_walk(walk, "s0", v) and walk_weight(walk, 1) == (w,)
+
+
+# -- chained one-sign silent SCCs C(W) ----------------------------------------------
+
+
+def chained_arcs(W, sign=1):
+    """The silent arcs of C(W), weights times sign: loops W and W + 1 at p,
+    p -> q of weight 0, loops W + 7 and W + 11 at q."""
+    return [("p", sign * W, "p"), ("p", sign * (W + 1), "p"), ("p", 0, "q"),
+            ("q", sign * (W + 7), "q"), ("q", sign * (W + 11), "q")]
+
+
+def bounded_weights(arcs, u, bound):
+    """Per vertex, the weights of the walks from u within [-bound, bound],
+    breadth-first over (vertex, weight) states.  With arc weights of one
+    sign, every prefix of such a walk stays within the bound too."""
+    seen, frontier = {(u, 0)}, {(u, 0)}
+    while frontier:
+        frontier = {(h, w + dw) for x, w in frontier for t, dw, h in arcs
+                    if t == x and abs(w + dw) <= bound} - seen
+        seen |= frontier
+    reach = {}
+    for x, w in seen:
+        reach.setdefault(x, set()).add(w)
+    return reach
+
+
+@pytest.mark.parametrize("sign", [1, -1])
+@pytest.mark.parametrize("W", range(6, 17))
+def test_chained_silent_rows_match_bounded_search(W, sign):
+    # W(p, q) adds the progressions of q's SCC to the infinite set of p's;
+    # the bound is past the largest gap of either SCC
+    arcs = chained_arcs(W, sign)
+    bound = 2 * (W + 7) * (W + 11)
+    solver = WeightSetSolver(digraph(1, ["p", "q"], arcs))
+    for u in ("p", "q"):
+        reach = bounded_weights(arcs, u, bound)
+        for v in ("p", "q"):
+            s = solver.weight_set(u, v)
+            assert {n for n in range(-bound, bound + 1) if n in s} == reach.get(v, set())
+
+
+def test_check_all_on_chained_silent_sccs_is_fast():
+    # C(40) with observable q -a/1-> r, q -a/2-> p and r -a/3-> p: the
+    # general sumset of progression pairs gave no answer in 300 s
+    events = {"u": None, "v": None, "a": "a"}
+    silent = [(t, "u" if i % 2 == 0 else "v", h, (w,))
+              for i, (t, w, h) in enumerate(chained_arcs(40))]
+    a = validate({"k": 1, "states": ["p", "q", "r"], "initial": {"p": (0,)}, "events": events,
+                  "transitions": silent + [("q", "a", "r", (1,)), ("q", "a", "p", (2,)),
+                                           ("r", "a", "p", (3,))]})
+    start = time.perf_counter()
+    result = check_all(a)
+    assert time.perf_counter() - start < 1
+    assert {p: v.status for p, v in result.verdicts.items()} == \
+        {"SD": "FAILS", "SPD": "FAILS", "WD": "HOLDS", "WPD": "HOLDS"}
 
 
 # -- the k > 1 probe: an exhausted, unpruned probe decides NO ----------------------

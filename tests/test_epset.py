@@ -1,13 +1,15 @@
 import itertools
 import time
 from itertools import combinations
-from math import lcm
+from math import gcd, lcm
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from wadet.epset import (
     Core,
     EPSet,
+    eps_add_progressions,
     eps_complement,
     eps_intersect,
     eps_meets,
@@ -15,10 +17,10 @@ from wadet.epset import (
     eps_partition,
     eps_reflect,
     eps_shift,
-    eps_sumset,
     eps_union,
     eps_union_many,
-    nspan,
+    from_minima,
+    least_by_residue,
     _divisors,
     _recanon,
 )
@@ -331,7 +333,26 @@ def test_canonical_unique_across_presentations(raw_a, raw_b):
         assert a != b
 
 
-# -- sumset and N-span --------------------------------------------------
+# -- N-span (the reference for walk weights in test_epl) and sums --------
+
+
+def nspan(generators):
+    """{ sum_i n_i * g_i : n_i in N } for the given integer generators.
+
+    All zero or empty -> {0}.  Mixed signs -> the full group d * Z, d the
+    gcd.  Same sign -> a numerical semigroup: with c the smallest
+    generator it is the union of m + c * N over the least member m of
+    each residue class mod c, the walks of a one-vertex graph.
+    """
+    gens = sorted({g for g in generators if g != 0})
+    if not gens:
+        return EPSet.finite([0])
+    if gens[0] < 0 < gens[-1]:
+        return EPSet.congruent(0, gcd(*gens))
+    if gens[0] < 0:
+        return eps_reflect(nspan([-g for g in gens]))
+    least = least_by_residue(0, lambda _: [(0, g) for g in gens], gens[0])
+    return from_minima(least[0].values(), gens[0])
 
 
 def brute_span(gens, count_bound=12):
@@ -359,7 +380,7 @@ def test_nspan_against_coin_sums(gens):
                 assert n in brute
 
 
-def test_nspan_divides_by_the_gcd_first():
+def test_nspan_of_large_generators_is_the_scaled_small_span():
     start = time.perf_counter()
     thousand, pair = nspan([1000]), nspan([600, 900])
     assert time.perf_counter() - start < 0.5
@@ -384,18 +405,34 @@ def test_nspan_positive_semigroup():
     assert members(span, range(-30, 0)) == set()
 
 
-@settings(max_examples=60, deadline=None)
-@given(epset_st, epset_st)
-def test_sumset_pointwise_on_window(s, t):
-    total = eps_sumset(s, t)
-    small = range(-60, 61)
-    ms, mt = members(s, small), members(t, small)
-    got = members(total, range(-60, 61))
-    want_lower = {a + b for a in ms for b in mt if -60 <= a + b <= 60}
-    # every sum of window members is present
-    assert want_lower <= got
-    # soundness: spot-check claimed members against a wider member window
-    wide = range(-260, 261)
-    ws, wt = members(s, wide), members(t, wide)
-    for n in got:
-        assert any((n - b) in ws for b in wt)
+def progressions_st(c_max=7):
+    """(c, least members): at most one m per residue mod c, |m| < 4c."""
+    return st.integers(1, c_max).flatmap(lambda c: st.tuples(
+        st.just(c),
+        st.dictionaries(st.integers(0, c - 1), st.integers(-3, 3), max_size=c)
+        .map(lambda lifts: [r + c * j for r, j in lifts.items()])))
+
+
+TAILS = {"up": (core_st, st.none()), "down": (st.none(), core_st), "both": (core_st, core_st)}
+
+
+@pytest.mark.parametrize("sign", [1, -1])
+@pytest.mark.parametrize("tails", sorted(TAILS))
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_add_progressions_pointwise_on_window(tails, sign, data):
+    # s + sign * T, for T the progressions m + c * N, against the sums of
+    # their members.  A member of the sum in [-60, 60] is a sum of an s
+    # member in [-150, 150] and a member of sign * T in [-250, 250]:
+    # outside [-30, 30] the tails of s repeat with a period that, with c,
+    # divides at most 42
+    up, down = TAILS[tails]
+    s = _recanon(EPSet(frozenset(data.draw(st.sets(st.integers(-30, 30), max_size=8))),
+                       data.draw(up), data.draw(down)))
+    c, minima = data.draw(progressions_st())
+    total = eps_add_progressions(s, [sign * m for m in minima], sign * c)
+    ms = members(s, range(-150, 151))
+    mt = {sign * n for n in range(-30, 251) if any(n >= m and (n - m) % c == 0 for m in minima)}
+    sums = {a + b for a in ms for b in mt}
+    window = range(-60, 61)
+    assert members(total, window) == {n for n in window if n in sums}

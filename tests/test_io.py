@@ -52,6 +52,26 @@ def test_str_to_rational_matches_fraction_of_str(text):
         assert value == expected and type(value) is Fraction
 
 
+@pytest.mark.parametrize("literal, exact", [
+    ("1.5", Fraction(3, 2)), ("-2.5e-1", Fraction(-1, 4)),
+    ("12345678901234567890.0", Fraction(12345678901234567890)), ("1e400", Fraction(10 ** 400))])
+def test_number_literal_weights_are_exact(literal, exact):
+    # read from the literal's text: a float would round the long literal
+    # to 12345678901234567000 and overflow on 1e400
+    doc = io.serialize(validate(A1_description()))
+    first = doc["transitions"][0]
+    first["weight"] = ["W"]
+    a = io.loads(json.dumps(doc).replace('"W"', literal))
+    key = (first["from"], first["event"], first["to"])
+    assert [w for (*t, w) in a.transitions if tuple(t) == key] == [(exact,)]
+
+
+def test_cli_gen_with_invalid_k_reports_only_k(capsys):
+    assert main(["gen", "random", "--seed", "1", "--k", "0"]) == 3
+    assert json.loads(capsys.readouterr().err)["error"] == \
+        "dimension k must be a positive integer, got 0"
+
+
 def test_malformed_json_reports_location():
     with pytest.raises(io.ParseError) as err:
         io.loads("{ not json")
@@ -160,7 +180,8 @@ def test_cli_input_error_exit_code(tmp_path, capsys):
     capsys.readouterr()
     doc = io.serialize(validate(A1_description()))
     for key, value in (("initial", ["a"]), ("events", [3]), ("transitions", [None]),
-                       ("k", True), ("states", "ab"), ("initial", {"q0": ["0"]}),
+                       ("k", True), ("format_version", True), ("format_version", 1.0),
+                       ("format_version", "1"), ("states", "ab"), ("initial", {"q0": ["0"]}),
                        ("events", "e"), ("transitions", {}),
                        ("initial", [{"state": ["q0"], "weight": ["0"]}]),
                        ("events", [{"name": {"u": 1}, "label": None}]),

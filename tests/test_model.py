@@ -65,6 +65,17 @@ def test_validate_rejects_dimension_mismatch():
     assert any("dimension k" in p for p in err.value.problems)
 
 
+@pytest.mark.parametrize("k", [0, -1, True, "1", None])
+def test_invalid_k_is_the_only_problem_reported(k):
+    # two-dimensional weights are not checked against a fallback k = 1
+    raw = A1_description()
+    raw.update(k=k, initial={"q0": [0, 0]},
+               transitions=[(s, e, d, w * 2) for (s, e, d, w) in raw["transitions"]])
+    with pytest.raises(ValidationError) as err:
+        validate(raw)
+    assert err.value.problems == [f"dimension k must be a positive integer, got {k!r}"]
+
+
 def test_validate_rejects_missing_initial():
     raw = A1_description()
     raw["initial"] = {}
