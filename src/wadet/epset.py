@@ -13,7 +13,9 @@ eps_meets(s, t, c), whether s & (t + c) is nonempty, is answered at the
 size of the two representations and builds no set at all.  eps_partition
 splits the union of labelled raw pieces into its atoms, the sets of
 integers with one pattern of labels, in the one sweep over the cuts that
-a boolean operation makes.  eps_add_progressions(s, minima, c) adds to
+a boolean operation makes.  When no input has a tail, eps_union_many and
+eps_partition work on the points alone and make no sweep: a finite set
+is canonical as it stands.  eps_add_progressions(s, minima, c) adds to
 s the union of the progressions m + c * N over minima.
 
 Canonical form:
@@ -322,8 +324,8 @@ def eps_complement(s: EPSet) -> EPSet:
 
 def eps_union_many(sets: Iterable[EPSet]) -> EPSet:
     sets = list(sets)
-    if not sets:
-        return EPSet.empty()
+    if all(s.is_finite() for s in sets):
+        return EPSet(frozenset().union(*(s.exceptions for s in sets)))
     return _combine(sets, lambda *masks: reduce(or_, masks))
 
 
@@ -332,15 +334,19 @@ def eps_partition(pieces: Iterable[tuple[EPSet, Hashable]]) -> dict[frozenset, E
     the integers that lie in some piece of every label in L and in no
     piece of any other label, keyed by L; empty atoms are left out.
 
-    One _sweep over the cuts of all the pieces: on each run the residues
-    of a label are the OR of its pieces' masks, and the run's residues are
-    split by those masks with bit operations, so that each atom gets its
-    residues run by run (bit i of an atom's key stands for the i-th label).
-    An atom absent from a stretch of runs gets one empty run over it, and
-    one _canonical call makes its canonical form."""
+    When every piece is finite, one pass over the points keys each by its
+    labels (_partition_points).  Otherwise one _sweep over the cuts of all
+    the pieces: on each run the residues of a label are the OR of its
+    pieces' masks, and the run's residues are split by those masks with
+    bit operations, so that each atom gets its residues run by run (bit i
+    of an atom's key stands for the i-th label).  An atom absent from a
+    stretch of runs gets one empty run over it, and one _canonical call
+    makes its canonical form."""
     pieces = list(pieces)
     labels = list(dict.fromkeys(label for _, label in pieces))
     owner = [labels.index(label) for _, label in pieces]
+    if all(s.is_finite() for s, _ in pieces):
+        return _partition_points(pieces, labels, owner)
 
     def split(masks: list[int], keep: int) -> list[tuple[int, int]]:
         """(key, residues) of each atom that has residues on the run."""
@@ -377,6 +383,23 @@ def eps_partition(pieces: Iterable[tuple[EPSet, Hashable]]) -> dict[frozenset, E
         if not s.is_empty():
             out[frozenset(label for i, label in enumerate(labels) if key >> i & 1)] = s
     return out
+
+
+def _partition_points(pieces: list[tuple[EPSet, Hashable]], labels: list,
+                      owner: list[int]) -> dict[frozenset, EPSet]:
+    """eps_partition of finite pieces: each point keyed by the bitmask of
+    its labels, the points grouped by key in ascending order, so the atoms
+    come in the order the sweep meets them."""
+    keys: dict[int, int] = {}
+    for (s, _), i in zip(pieces, owner):
+        bit = 1 << i
+        for n in s.exceptions:
+            keys[n] = keys.get(n, 0) | bit
+    atoms: dict[int, list[int]] = {}
+    for n in sorted(keys):
+        atoms.setdefault(keys[n], []).append(n)
+    return {frozenset(label for i, label in enumerate(labels) if key >> i & 1):
+            EPSet(frozenset(points)) for key, points in atoms.items()}
 
 
 def eps_meets(s: EPSet, t: EPSet, c: int = 0) -> bool:

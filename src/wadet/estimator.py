@@ -5,13 +5,14 @@ events.  For one-dimensional integer weights the set of weights reaching
 a target state q2 from the current estimate x under a symbol is an exact
 eventually periodic set T(q2), the union of the pieces W(q, q1) + w over
 the states q of x and the symbol's arcs q1 -w-> q2.  The cells are the
-atoms of all those pieces labelled by their targets (epset.eps_partition,
-one sweep over their common cuts): the cell of a set L of states holds
-the weights that lie in T(q2) exactly for the q2 in L, and each nonempty
-cell yields exactly one transition, whose target is the instantaneous
-closure of L.  Cells make the infinite-alphabet pre-observer finite: any
-member of a cell is a valid representative weight, and the stored
-witness is the member of smallest absolute value.
+atoms of all those pieces labelled by their targets (epset.eps_partition:
+one pass over their points when every piece is finite, as on an acyclic
+silent graph, else one sweep over their common cuts): the cell of a set
+L of states holds the weights that lie in T(q2) exactly for the q2 in L,
+and each nonempty cell yields exactly one transition, whose target is
+the instantaneous closure of L.  Cells make the infinite-alphabet
+pre-observer finite: any member of a cell is a valid representative
+weight, and the stored witness is the member of smallest absolute value.
 
 For k > 1 the menus are read off the silent rows: the row of a state is
 the set of (state, weight) nodes its silent walks reach at live states,
@@ -126,8 +127,9 @@ def successor_cells(a: WeightedAutomaton, x: Iterable[str],
     pieces W(q, q1) + w, one per state q of x and sigma-arc q1 -w-> q2, so
     that cell is the atom of L of eps_partition over the pieces labelled
     by q2: the weights in some piece of every label in L and in no piece
-    of another label.  One sweep over the cuts of all the pieces, bit
-    operations per run and one canonical form per cell build them all.
+    of another label.  Finite pieces are split point by point; otherwise
+    one sweep over the cuts of all the pieces, bit operations per run and
+    one canonical form per cell build them all.
     Canonical forms are unique, so each cell, and with it its witness
     (the member of least absolute value), is the one any other exact route
     builds, partition refinement by the T-sets say; the cells are

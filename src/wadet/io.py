@@ -104,11 +104,21 @@ def parse(document: Mapping) -> WeightedAutomaton:
         "events": {},
         "transitions": [],
     }
+    # a repeated entry must agree with the first, as repeated transitions
+    # must; names are keyed by str, as validate keys them
     for ctx, entry in _entries(document, "initial", {"state", "weight"}):
-        raw["initial"][_name_in(entry, "state", ctx)] = _weight_in(entry.get("weight"),
-                                                                   f"{ctx}.weight", k)
+        state = str(_name_in(entry, "state", ctx))
+        weight = _weight_in(entry.get("weight"), f"{ctx}.weight", k)
+        first = raw["initial"].setdefault(state, weight)
+        if first != weight:
+            raise ParseError(f"initial state {state!r} repeated with another weight, first "
+                             f"{[rational_to_str(x) for x in first]}", f"{ctx}.state")
     for ctx, entry in _entries(document, "events", {"name", "label"}):
-        raw["events"][_name_in(entry, "name", ctx)] = _name_in(entry, "label", ctx)
+        name, label = str(_name_in(entry, "name", ctx)), _name_in(entry, "label", ctx)
+        first = raw["events"].setdefault(name, label)
+        if first != label:
+            raise ParseError(f"event {name!r} repeated with another label, first {first!r}",
+                             f"{ctx}.name")
     for ctx, entry in _entries(document, "transitions", {"from", "event", "to", "weight"}):
         raw["transitions"].append((
             entry.get("from"), entry.get("event"), entry.get("to"),

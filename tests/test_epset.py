@@ -6,6 +6,8 @@ from math import gcd, lcm
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from wadet import epset
+from wadet.corpus import subset_sum_automaton
 from wadet.epset import (
     Core,
     EPSet,
@@ -24,6 +26,7 @@ from wadet.epset import (
     _divisors,
     _recanon,
 )
+from wadet.verify import check_all
 
 WINDOW = range(-200, 201)
 
@@ -49,6 +52,10 @@ raw_epset_st = st.builds(
 )
 
 epset_st = raw_epset_st.map(_recanon)
+
+# tail-free sets take the point-set path of eps_union_many and eps_partition
+finite_epset_st = st.builds(lambda exc: EPSet(frozenset(exc)),
+                            st.sets(st.integers(-30, 30), max_size=8))
 
 
 def naive_member(raw, n):
@@ -139,8 +146,8 @@ def raw_reflect(raw):
 
 
 @settings(max_examples=300, deadline=None)
-@given(raw_epset_st, raw_epset_st, st.integers(-40, 40))
-def test_set_algebra_equals_pointwise_reference(a, b, c):
+@given(raw_epset_st, raw_epset_st, st.integers(-40, 40), finite_epset_st)
+def test_set_algebra_equals_pointwise_reference(a, b, c, f):
     assert _recanon(a) == ref_combine([a], lambda x: x)
     assert eps_union(a, b) == ref_combine([a, b], lambda x, y: x or y)
     assert eps_intersect(a, b) == ref_combine([a, b], lambda x, y: x and y)
@@ -150,26 +157,58 @@ def test_set_algebra_equals_pointwise_reference(a, b, c):
         [a, b, raw_shift(b, c)], lambda *xs: any(xs))
     assert eps_shift(_recanon(a), c) == ref_combine([raw_shift(a, c)], lambda x: x)
     assert eps_reflect(_recanon(a)) == ref_combine([raw_reflect(a)], lambda x: x)
+    for sets in ([f, raw_shift(f, c)], [f, a], [f]):
+        assert eps_union_many(sets) == ref_combine(sets, lambda *xs: any(xs))
+    assert eps_union_many([]) == EPSet.empty()
+
+
+def labelled_st(sets):
+    return st.lists(st.tuples(sets, st.sampled_from(["x", "y", "z"])), min_size=1, max_size=5)
 
 
 @settings(max_examples=300, deadline=None)
-@given(st.lists(st.tuples(raw_epset_st, st.sampled_from(["x", "y", "z"])),
-                min_size=1, max_size=5))
-def test_partition_equals_pointwise_reference(pieces):
-    sets = [s for s, _ in pieces]
+@given(labelled_st(raw_epset_st), labelled_st(finite_epset_st))
+def test_partition_equals_pointwise_reference(raw_pieces, finite_pieces):
+    for pieces in (raw_pieces, finite_pieces):
+        sets = [s for s, _ in pieces]
 
-    def labels_at(xs):
-        return frozenset(label for (_, label), x in zip(pieces, xs) if x)
+        def labels_at(xs):
+            return frozenset(label for (_, label), x in zip(pieces, xs) if x)
 
-    atoms = eps_partition(pieces)
+        atoms = eps_partition(pieces)
+        for key, atom in atoms.items():
+            assert key and not atom.is_empty()
+            assert atom == ref_combine(sets, lambda *xs: labels_at(xs) == key)
+        for s, t in combinations(atoms.values(), 2):
+            assert eps_intersect(s, t).is_empty()
+        assert eps_union_many(atoms.values()) == ref_combine(sets, lambda *xs: any(xs))
+        seen = {labels_at([n in s for s in sets]) for n in WINDOW}
+        assert seen - {frozenset()} <= set(atoms)
+    # finite atoms come in the order of their least members, as a sweep meets them
+    atoms = list(eps_partition(finite_pieces).values())
+    assert atoms == sorted(atoms, key=lambda s: min(s.exceptions))
+
+
+def test_tail_free_union_and_partition_make_no_sweep(monkeypatch):
+    # finite sets are unioned and partitioned as point sets; so is every
+    # weight set of an acyclic silent graph, the subset-sum reduction's
+    def sweep(*args):
+        raise AssertionError("tail-free inputs reached the window sweep")
+
+    monkeypatch.setattr(epset, "_sweep", sweep)
+    sets = [EPSet.finite(ns) for ns in ([0, 120, 460], [5, 120], [], [-7, 460, 461])]
+    assert eps_union_many(sets) == ref_combine(sets, lambda *xs: any(xs))
+    labels = ["x", "y", "x", "z"]
+    atoms = eps_partition(zip(sets, labels))
+    assert set(atoms) == {frozenset("x"), frozenset("xy"), frozenset("xz"), frozenset("z"),
+                          frozenset("y")}
     for key, atom in atoms.items():
-        assert key and not atom.is_empty()
-        assert atom == ref_combine(sets, lambda *xs: labels_at(xs) == key)
-    for s, t in combinations(atoms.values(), 2):
-        assert eps_intersect(s, t).is_empty()
-    assert eps_union_many(atoms.values()) == ref_combine(sets, lambda *xs: any(xs))
-    seen = {labels_at([n in s for s in sets]) for n in WINDOW}
-    assert seen - {frozenset()} <= set(atoms)
+        assert atom == ref_combine(sets, lambda *xs: {l for l, x in zip(labels, xs) if x} == key)
+    for target, status in ((460, "FAILS"), (461, "HOLDS")):
+        result = check_all(subset_sum_automaton([120, 340, 515], target))
+        assert result.verdicts["SD"].status == status
+    with pytest.raises(AssertionError):
+        eps_union_many([EPSet.upward(3), EPSet.finite([1])])
 
 
 @settings(max_examples=300, deadline=None)

@@ -231,6 +231,31 @@ def test_weight_of_wrong_dimension_is_an_input_error(tmp_path, capsys, level, in
         f"{path}: weight has dimension 2, expected 1")
 
 
+@pytest.mark.parametrize("level, entry, path", [
+    ("events", {"name": "a", "label": None}, "events[1].name"),
+    ("initial", {"state": "q0", "weight": ["7"]}, "initial[1].state"),
+])
+def test_repeated_entry_that_disagrees_is_an_input_error(tmp_path, capsys, level, entry, path):
+    doc = io.serialize(validate(A1_description()))
+    first = doc[level][0]
+    assert first[next(iter(entry))] == next(iter(entry.values()))  # the same name
+    doc[level].insert(1, first)
+    assert io.parse(doc) == validate(A1_description())  # an agreeing repeat is harmless
+    doc[level][1] = entry
+    with pytest.raises(io.ParseError) as err:
+        io.parse(doc)
+    assert err.value.context == path
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    assert main(["check", "all", str(bad)]) == 3
+    assert json.loads(capsys.readouterr().err)["error"].startswith(f"{path}: ")
+    # 7 and "7" name one event once validated
+    events = [{"name": 7, "label": "a"}, {"name": "7", "label": None}]
+    with pytest.raises(io.ParseError) as err:
+        io.parse({**io.serialize(validate(A1_description())), "events": events})
+    assert err.value.context == "events[1].name"
+
+
 def _cli_text(capsys, *argv):
     code = main(list(argv))
     return code, capsys.readouterr().out
