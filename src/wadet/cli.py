@@ -169,6 +169,8 @@ def cmd_gen(args) -> int:
 
 
 def cmd_oracle(args) -> int:
+    if args.horizon < 0:
+        raise io.ParseError(f"must be nonnegative, got {args.horizon}", "--horizon")
     if args.oracle_command == "estimate" and args.horizon > oracle.MAX_HORIZON:
         raise io.ParseError(f"at most {oracle.MAX_HORIZON}, got {args.horizon}", "--horizon")
     a = _read_automaton(args.file)

@@ -10,7 +10,9 @@ coincides with set equality.  The boolean operations also accept raw
 presentations (an EPSet built directly); eps_shift and eps_reflect move
 a canonical set without re-canonicalizing it.  The yes/no question
 eps_meets(s, t, c), whether s & (t + c) is nonempty, is answered at the
-size of the two representations and builds no set at all.  eps_partition
+size of the two representations and builds no set at all: the tails that
+run the same way first, by their residues mod the gcd of the periods,
+then the exceptions, then an up tail against a down tail.  eps_partition
 splits the union of labelled raw pieces into its atoms, the sets of
 integers with one pattern of labels, in the one sweep over the cuts that
 a boolean operation makes.  When no input has a tail, eps_union_many and
@@ -406,42 +408,54 @@ def eps_meets(s: EPSet, t: EPSet, c: int = 0) -> bool:
     """Whether s & (t + c) is nonempty, at the size of the two
     representations (raw presentations are read with union semantics).
 
-    An exception of either side is tested by membership in the other; a
-    tail of s and a tail of t + c meet by the residues of their cores
-    (_cores_meet).  No shifted set and no residue set mod the lcm of the
-    periods is built."""
+    Cheapest first: the tails of s and t + c that run the same way
+    (_cores_meet), then each exception of either side by membership in the
+    other, last an up tail against a down tail (_opposite_cores_meet).  No
+    shifted set and no residue set mod the lcm of the periods is built."""
+    if s.up is not None and t.up is not None and _cores_meet(s.up, t.up, c):
+        return True
+    if s.down is not None and t.down is not None and _cores_meet(s.down, t.down, c):
+        return True
     if any(n - c in t for n in s.exceptions) or any(n + c in s for n in t.exceptions):
         return True
-    return any(_cores_meet(x, x_up, y, y_up, c)
-               for x, x_up in ((s.up, True), (s.down, False)) if x is not None
-               for y, y_up in ((t.up, True), (t.down, False)) if y is not None)
+    return (s.up is not None and t.down is not None and _opposite_cores_meet(s.up, t.down, c)
+            or s.down is not None and t.up is not None and _opposite_cores_meet(t.up, s.down, -c))
 
 
-def _cores_meet(x: Core, x_up: bool, y: Core, y_up: bool, c: int) -> bool:
-    """Some n in the tail x with n - c in the tail y?  Such an n has
-    n = r (mod p) and n = s + c (mod q) for residues r of x and s of y,
-    which is solvable iff r = s + c (mod g), g = gcd(p, q); the solutions
-    form one class mod lcm(p, q).  Two tails in the same direction share
-    an unbounded half-line, so a compatible pair suffices.  An up tail and
-    a down tail share only the interval [lo, hi]; narrower than the lcm,
-    it holds a member iff the least solution >= lo of some compatible
-    pair is <= hi, found in closed form by the Chinese remainder theorem."""
+def _cores_meet(x: Core, y: Core, c: int) -> bool:
+    """Some n in the tail x with n - c in the tail y, both tails running
+    the same way?  Such an n has n = r (mod p) and n = s + c (mod q) for
+    residues r of x and s of y, which is solvable iff r = s + c (mod g),
+    g = gcd(p, q); the solutions form one class mod lcm(p, q), and the
+    half-line the two tails share holds members of every class.  So g = 1
+    answers yes, and otherwise the residues of x and of y + c mod g meet."""
+    g = gcd(x.period, y.period)
+    return g == 1 or not {r % g for r in x.residues}.isdisjoint(
+        (s + c) % g for s in y.residues)
+
+
+def _opposite_cores_meet(x: Core, y: Core, c: int) -> bool:
+    """Some n in the up tail x with n - c in the down tail y?  The two share
+    only the interval [lo, hi] = [x.threshold, y.threshold + c].  As in
+    _cores_meet, a compatible pair of residues r of x and s of y gives one
+    class of solutions mod m = lcm(p, q); an interval narrower than m holds
+    a member iff the least solution >= lo of some pair is <= hi, found in
+    closed form by the Chinese remainder theorem."""
+    lo, hi = x.threshold, y.threshold + c
+    if lo > hi:
+        return False
     p, q = x.period, y.period
-    if x_up != y_up:
-        lo, hi = (x.threshold, y.threshold + c) if x_up else (y.threshold + c, x.threshold)
-        if lo > hi:
-            return False
     g = gcd(p, q)
+    m = p // g * q
+    if hi - lo + 1 >= m:
+        return _cores_meet(x, y, c)
     by_class: dict[int, list[int]] = {}
     for r in x.residues:
         by_class.setdefault(r % g, []).append(r)
-    shifted = [(s + c) % q for s in y.residues]
-    m = p // g * q
-    if x_up == y_up or hi - lo + 1 >= m:
-        return any(s % g in by_class for s in shifted)
     qg = q // g
     inv = pow(p // g, -1, qg)
-    for s in shifted:
+    for s in y.residues:
+        s = (s + c) % q
         for r in by_class.get(s % g, ()):
             n = r + p * ((s - r) // g * inv % qg)  # n = r (mod p), n = s (mod q)
             if lo + (n - lo) % m <= hi:
@@ -458,7 +472,10 @@ def _is_periodic(s: EPSet) -> bool:
 
 def eps_shift(s: EPSet, c: int) -> EPSet:
     """{n + c : n in s} for a canonical s.  Translation keeps the canonical
-    form; a set periodic on all of Z stays anchored at 0/-1."""
+    form; a set periodic on all of Z stays anchored at 0/-1, and a shift by
+    0 returns s itself."""
+    if c == 0:
+        return s
 
     def core(k: Core | None, threshold: int) -> Core | None:
         if k is None:

@@ -74,7 +74,7 @@ def _entries(document: Mapping, key: str, keys: set[str]):
     object with no key outside keys."""
     for i, entry in enumerate(_list_in(document, key)):
         context = f"{key}[{i}]"
-        if not isinstance(entry, Mapping):
+        if type(entry) is not dict and not isinstance(entry, Mapping):
             raise ParseError(f"entry must be an object, got {entry!r}", context)
         _known_keys(entry, keys, context)
         yield context, entry
@@ -97,6 +97,20 @@ def parse(document: Mapping) -> WeightedAutomaton:
     if type(version) is not int or version != FORMAT_VERSION:
         raise ParseError(f"unsupported format_version {version!r}")
     k = document.get("k")
+    parsed: dict[tuple[str, ...], list[Fraction]] = {}
+
+    def weight_in(entries, context: str) -> list[Fraction]:
+        """_weight_in, each distinct list of string entries parsed once.  A
+        list is kept only after it has parsed, so every error keeps its JSON
+        path; other entries are never looked up, as (True,) == (1,)."""
+        if type(entries) is not list or not all(type(x) is str for x in entries):
+            return _weight_in(entries, context, k)
+        key = tuple(entries)
+        weight = parsed.get(key)
+        if weight is None:
+            weight = parsed[key] = _weight_in(entries, context, k)
+        return weight
+
     raw = {
         "k": k,
         "states": _list_in(document, "states"),
@@ -108,7 +122,7 @@ def parse(document: Mapping) -> WeightedAutomaton:
     # must; names are keyed by str, as validate keys them
     for ctx, entry in _entries(document, "initial", {"state", "weight"}):
         state = str(_name_in(entry, "state", ctx))
-        weight = _weight_in(entry.get("weight"), f"{ctx}.weight", k)
+        weight = weight_in(entry.get("weight"), f"{ctx}.weight")
         first = raw["initial"].setdefault(state, weight)
         if first != weight:
             raise ParseError(f"initial state {state!r} repeated with another weight, first "
@@ -122,7 +136,7 @@ def parse(document: Mapping) -> WeightedAutomaton:
     for ctx, entry in _entries(document, "transitions", {"from", "event", "to", "weight"}):
         raw["transitions"].append((
             entry.get("from"), entry.get("event"), entry.get("to"),
-            _weight_in(entry.get("weight"), f"{ctx}.weight", k),
+            weight_in(entry.get("weight"), f"{ctx}.weight"),
         ))
     return validate(raw)
 

@@ -228,6 +228,11 @@ def _prefixes(a: WeightedAutomaton, arc1: tuple, q1: str, arc2: tuple, q2: str) 
                  for q, t, w in ((q1, t1, w1), (q2, t2, w2)))
 
 
+def _no_prefixes() -> Paths:
+    """The prefixes of an automaton with no silent arc: none exist."""
+    return (), ()
+
+
 class _Expander:
     """The successors of one composition state at a time: the breadth-first
     build and the SD search both call successors, so they share one code
@@ -259,12 +264,15 @@ class _Expander:
         # one shared budget in this order
         for arc1 in self.table[q1][0]:
             t1, label, w1, p1 = arc1
-            for arc2 in by_label2.get(label, ()):
+            arcs2 = by_label2.get(label)
+            if arcs2 is None:
+                continue
+            for arc2 in arcs2:
                 t2, _, w2, p2 = arc2
                 if fast:
                     if w1 != w2:
                         continue
-                    prefixes = lambda: ((), ())  # no silent prefixes exist
+                    prefixes = _no_prefixes
                 else:
                     queries += 1
                     if p1 is None or p2 is None:
@@ -273,13 +281,16 @@ class _Expander:
                             continue
                     # totals share a member: EPSets for k = 1, finite sets for k > 1
                     elif eps_meets(p1, p2) if a.k == 1 else not p1.isdisjoint(p2):
-                        prefixes = partial(_prefixes, a, arc1, q1, arc2, q2)
+                        prefixes = None  # a _prefixes call, bound if a key is new
                     else:
                         continue
-                pair = (prefixes, t1, a.zero_paths[t1[2]], t2, a.zero_paths[t2[2]])
-                events = (t1[1], t2[1])
+                events, pair = (t1[1], t2[1]), None
                 for target in product(ends[t1[2]], ends[t2[2]]):
-                    out.setdefault((events, target), pair)
+                    if (events, target) not in out:
+                        if pair is None:
+                            pair = (prefixes or partial(_prefixes, a, arc1, q1, arc2, q2),
+                                    t1, a.zero_paths[t1[2]], t2, a.zero_paths[t2[2]])
+                        out[events, target] = pair
         self.queries += queries
         return dict(sorted(out.items()))
 

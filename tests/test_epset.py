@@ -314,6 +314,36 @@ def test_meets_large_coprime_periods_in_closed_form():
     assert time.perf_counter() - start < 0.5
 
 
+def test_meets_answers_same_direction_tails_first(monkeypatch):
+    # coprime periods meet in every class, so two up tails (or two down
+    # tails) answer before any exception is looked up or any up/down pair
+    # reaches the Chinese remainder window
+    def refuse(*args):
+        raise AssertionError("same-direction tails of coprime periods did not answer first")
+
+    monkeypatch.setattr(epset, "_opposite_cores_meet", refuse)
+    monkeypatch.setattr(EPSet, "__contains__", refuse)
+    s = EPSet(frozenset([1000]), Core(0, 4, frozenset([1])), Core(-5, 9, frozenset([2])))
+    ups = EPSet(frozenset([2000]), Core(0, 9, frozenset([5])), Core(-7, 6, frozenset([3])))
+    downs = EPSet(frozenset([2000]), Core(0, 6, frozenset([2])), Core(-7, 4, frozenset([3])))
+    for c in (0, 7, -13):
+        assert eps_meets(s, ups, c)  # up tails mod 4 and 9
+        assert eps_meets(s, downs, c)  # down tails mod 9 and 4; the up tails never meet at c = 0
+
+
+@pytest.mark.parametrize("direction", ["up", "down"])
+def test_meets_same_direction_tails_by_residues_mod_gcd(direction):
+    # 1 mod 4 and 2 mod 6 + c share a class iff 1 = 2 + c (mod 2), so
+    # c = 0 gives no member and c = 1 gives 9 mod 12
+    x, y = Core(0, 4, frozenset([1])), Core(0, 6, frozenset([2]))
+    s, t = EPSet(**{direction: x}), EPSet(**{direction: y})
+    assert eps_meets(s, t, 0) is False
+    assert eps_meets(s, t, 1) is True
+    for c in range(-12, 13):
+        want = c % 2 == 1
+        assert eps_meets(s, t, c) == want == (not eps_intersect(s, eps_shift(t, c)).is_empty())
+
+
 @settings(max_examples=150, deadline=None)
 @given(raw_epset_st)
 def test_canonical_matches_naive_description(raw):

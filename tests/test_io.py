@@ -190,8 +190,14 @@ def test_cli_input_error_exit_code(tmp_path, capsys):
         bad.write_text(json.dumps({**doc, key: value}))
         assert main(["check", "all", str(bad)]) == 3, (key, value)
         assert key in json.loads(capsys.readouterr().err)["error"]
+    good = tmp_path / "good.json"
+    good.write_text(io.dumps(doc))
     bad.write_bytes(b"\xff{}")
     for argv, key in ((["check", "all", str(bad)], "utf-8"),
+                      (["oracle", "estimate", str(good), "--obs", "", "--horizon", "-1"],
+                       "--horizon"),
+                      (["oracle", "falsify", str(good), "--property", "sd", "--horizon", "-3"],
+                       "--horizon"),
                       (["gen", "subset-sum", "--weights", "2,x", "--target", "5"], "--weights"),
                       (["gen", "subset-sum", "--weights", "2,-3", "--target", "5"], "--weights"),
                       (["oracle", "estimate", str(bad), "--obs", "", "--horizon", "17"],
@@ -254,6 +260,22 @@ def test_repeated_entry_that_disagrees_is_an_input_error(tmp_path, capsys, level
     with pytest.raises(io.ParseError) as err:
         io.parse({**io.serialize(validate(A1_description())), "events": events})
     assert err.value.context == "events[1].name"
+
+
+def test_each_weight_list_is_parsed_once_without_merging_unequal_entries(tmp_path, capsys):
+    doc = io.serialize(validate(A1_description()))
+    assert [t["weight"] for t in doc["transitions"][:2]] == [["1"], ["1"]]
+    a = io.parse(doc)
+    assert {t[3] for t in a.transitions if t[0] == "q0"} == {(Fraction(1),)}
+    # (True,) == (1,): a boolean entry must not reuse the list parsed for "1"
+    doc["transitions"][1]["weight"] = [True]
+    with pytest.raises(io.ParseError) as err:
+        io.parse(doc)
+    assert err.value.context == "transitions[1].weight[0]"
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    assert main(["check", "all", str(bad)]) == 3
+    assert json.loads(capsys.readouterr().err)["error"].startswith("transitions[1].weight[0]: ")
 
 
 def _cli_text(capsys, *argv):
