@@ -2,7 +2,6 @@
 
 from .epset import (
     EPSet,
-    eps_complement,
     eps_intersect,
     eps_meets,
     eps_min_abs_witness,

@@ -10,18 +10,20 @@ that sign and m the least weight of each residue class mod c
 (epset.least_by_residue; mirrored for negative cycles).  The SCCs are
 composed from these forms (epset.eps_add_progressions).  Once a weight
 is known to be a member, a witness walk with the fewest arcs comes from
-a breadth-first search over (vertex, accumulated weight) states, which
-ends because the set is exact.  That search is pseudo-polynomial in the
-weights, so callers that only need to decide ask for the set.
+a breadth-first search over (vertex, accumulated weight) states
+(WeightSetSolver.witness_walk), which ends because the set is exact.
+That search is pseudo-polynomial in the weights, so callers that only
+need to decide ask for the set.
 
 For higher dimensions the decision question (is there a walk of exactly
-weight z?) is first put to a breadth-first probe over (vertex, weight)
-states inside a window around z.  It answers YES with the walk it finds,
-and NO when it runs out of states without having dropped one for leaving
-the window: the states it saw are then closed under successors, so the
-answer is exact.  Otherwise the question goes to an enumeration of
-candidate arc supports, whose flow-with-weight systems are solved by
-bounded depth-first search.  The probe and the search spend one budget,
+weight z?) is has_path_with_weight, which refuses dimension 1.  It is
+first put to a breadth-first probe over (vertex, weight) states inside a
+window around z.  It answers YES with the walk it finds, and NO when it
+runs out of states without having dropped one for leaving the window:
+the states it saw are then closed under successors, so the answer is
+exact.  Otherwise the question goes to an enumeration of candidate arc
+supports, whose flow-with-weight systems are solved by bounded
+depth-first search.  The probe and the search spend one budget,
 and exhaustion surfaces as UNKNOWN, never as a silent wrong answer.  YES
 always carries a walk that is replayed before being returned.
 """
@@ -322,23 +324,21 @@ class _Budget:
 
 def has_path_with_weight(graph: WeightedDigraph, u, v, z: Sequence[int],
                          budget: "int | _Budget" = DEFAULT_BUDGET) -> EplAnswer:
-    """Is there a walk from u to v with total weight exactly z?
+    """Is there a walk from u to v with total weight exactly z?  (k > 1)
 
-    Dimension 1 is decided exactly through the weight-set machinery and
-    never returns UNKNOWN.  Higher dimensions first run a breadth-first
-    probe (at most PROBE_NODES steps), which decides YES, and decides NO
-    when it exhausts its states without dropping one for leaving its
-    window.  Otherwise they enumerate arc supports and solve the
-    balance/weight system.  Probe and enumeration spend the same node
-    budget; passing a _Budget instance lets callers share one budget
-    across many queries.
+    A breadth-first probe (at most PROBE_NODES steps) decides YES, and
+    decides NO when it exhausts its states without dropping one for
+    leaving its window.  Otherwise the arc supports are enumerated and
+    their balance/weight systems solved.  Probe and enumeration spend the
+    same node budget; passing a _Budget instance lets callers share one
+    budget across many queries.  Dimension 1 is exact through the weight
+    sets instead (WeightSetSolver), and is refused here.
     """
+    if graph.k == 1:
+        raise ValueError("k = 1 walk questions go to WeightSetSolver")
     z = tuple(int(x) for x in z)
     if len(z) != graph.k:
         raise ValueError(f"weight dimension mismatch: {z} vs k={graph.k}")
-    if graph.k == 1:
-        walk = WeightSetSolver(graph).witness_walk(u, v, z[0])
-        return EplAnswer("NO") if walk is None else EplAnswer("YES", walk)
     if isinstance(budget, int):
         budget = _Budget(budget)
     return _multi_dim(graph, u, v, z, budget)

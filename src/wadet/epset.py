@@ -320,10 +320,6 @@ def eps_intersect(s: EPSet, t: EPSet) -> EPSet:
     return _combine([s, t], lambda a, b: a & b)
 
 
-def eps_complement(s: EPSet) -> EPSet:
-    return _combine([s], lambda a: ~a)
-
-
 def eps_union_many(sets: Iterable[EPSet]) -> EPSet:
     sets = list(sets)
     if all(s.is_finite() for s in sets):

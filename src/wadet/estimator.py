@@ -28,7 +28,10 @@ Both kinds of menu read one table per automaton (arc_totals): per state
 q and observable arc t = s -e/w-> d usable from q, the totals P(q, t) =
 {x + w : x the weight of a silent walk q -> s}, which is the piece
 W(q, s) + w for k = 1 and a finite set read off the row of q for k > 1.
-The self-composition decides its synchronizations from the same table.
+The self-composition decides its synchronizations from the same table,
+and the estimate step under one observed (symbol, increment)
+(estimate_step, behind wadet estimate) tests the increment's membership
+in it.
 
 Each prepared automaton owns one k = 1 solver over its silent arcs
 (unobs_solver), for k > 1 the finite silent row of each state
@@ -48,11 +51,11 @@ from collections import deque
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import combinations
-from operator import add
+from operator import add, sub
 from typing import Callable, Iterable, Mapping
 
-from .epl import WeightSetSolver, digraph
-from .epset import EPSet, eps_min_abs_witness, eps_partition, eps_shift, eps_union
+from .epl import DEFAULT_BUDGET, WeightedDigraph, WeightSetSolver, digraph, has_path_with_weight
+from .epset import EPSet, eps_min_abs_witness, eps_partition, eps_shift
 from .graphutil import can_reach
 from .model import Transition, WeightedAutomaton, instantaneous_closure
 
@@ -105,15 +108,6 @@ def _successor_pieces(a: WeightedAutomaton, x: Iterable[str],
     table = arc_totals(a)
     return [(totals, t[2]) for q in sorted(set(x))
             for t, _, _, totals in table[q][1].get(sigma, ())]
-
-
-def successor_target_sets(a: WeightedAutomaton, x: Iterable[str],
-                          sigma: str) -> dict[str, EPSet]:
-    """T(q2): all weights of paths (silent prefix + one sigma-event) from x to q2."""
-    tsets: dict[str, EPSet] = {}
-    for piece, q2 in _successor_pieces(a, x, sigma):
-        tsets[q2] = eps_union(tsets[q2], piece) if q2 in tsets else piece
-    return tsets
 
 
 def successor_cells(a: WeightedAutomaton, x: Iterable[str],
@@ -185,6 +179,14 @@ class _SilentRows(dict):
     def __missing__(self, q: str) -> tuple[dict, dict] | None:
         row = self[q] = self._build(q)
         return row
+
+    @cached_property
+    def graph(self) -> WeightedDigraph:
+        """The kept silent arcs as one digraph, on which estimate_step asks
+        its walk queries for states whose row is None."""
+        states = sorted(self.arcs)
+        return digraph(len(self.zero), states,
+                       [(q, w, d) for q in states for _, d, w in self.arcs[q]])
 
     def _build(self, q: str) -> tuple[dict, dict] | None:
         start = (q, self.zero)
@@ -312,6 +314,53 @@ def _row_menu(a: WeightedAutomaton, x: Iterable[str], sigma: str) -> tuple[tuple
         by_target.setdefault(instantaneous_closure(a, qs), []).append(w)
     return tuple((target, None, min(ws)) for target, ws in sorted(
         by_target.items(), key=lambda kv: sorted(kv[0]))), True
+
+
+# ---------------------------------------------------------------------
+# the estimate step
+# ---------------------------------------------------------------------
+
+
+class OracleUndecided(RuntimeError):
+    """An estimate step's walk query exhausted its budget."""
+
+
+def estimate_step(a: WeightedAutomaton, x: Iterable[str], sigma: str, delta: tuple[int, ...],
+                  budget: int = DEFAULT_BUDGET) -> frozenset[str]:
+    """The estimate after observing sigma with weight increment delta from
+    the estimate x: the instantaneous closure of the targets d of the
+    sigma-arcs t = s -e/w-> d usable from some state q of x with delta in
+    P(q, t), read off arc_totals, the table the menus and the
+    self-composition's synchronization test read.  Only a k > 1 total that
+    is None (silent_rows) asks for a silent walk q -> s of weight
+    delta - w, on the kept silent arcs and with a fresh budget per query,
+    and only for a target that no membership test has reached.  The
+    queries go by arc, in the order of a.obs_transitions, then by state,
+    and a target's queries stop at its first YES, so an exhausted query,
+    which raises OracleUndecided, is one that a search asking every arc
+    and state in that order asks too."""
+    a.require_prepared()
+    table = arc_totals(a)
+    member = delta[0] if a.k == 1 else tuple(delta)
+    raw: set[str] = set()
+    pending = []
+    for q in sorted(set(x)):
+        for t, _, w, totals in table[q][1].get(sigma, ()):
+            if totals is None:
+                pending.append((q, t, w))
+            elif member in totals:
+                raw.add(t[2])
+    pending.sort(key=lambda entry: a.obs_transitions.index(entry[1]))
+    for q, t, w in pending:
+        if t[2] in raw:
+            continue
+        need = tuple(map(sub, delta, w))
+        answer = has_path_with_weight(silent_rows(a).graph, q, t[0], need, budget)
+        if answer.status == "UNKNOWN":
+            raise OracleUndecided(f"estimate step undecided at {(q, t[0], need)}")
+        if answer.status == "YES":
+            raw.add(t[2])
+    return instantaneous_closure(a, raw)
 
 
 # ---------------------------------------------------------------------

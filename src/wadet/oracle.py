@@ -1,28 +1,27 @@
 """Definition-level brute force: bounded run enumeration, current-state
 estimates, and bounded falsification of the four detectability notions.
 
-The estimate function follows the successor-chain reading of the
-current-state estimate: feed the observed (symbol, accumulated weight)
-pairs one at a time, each step keeping the states reachable through a
-silent prefix plus one matching observable event whose total weight is
-the observed increment, and close the final set under silent zero-weight
-transitions.  An independent path-enumeration variant exists for
-cross-checking on small instances.
+The estimate itself is the product's: oracle_estimate feeds the observed
+(symbol, accumulated weight) pairs one at a time, as increments, to
+estimator.estimate_step.  The path-enumeration variant
+(oracle_estimate_enum) shares no engine with it and cross-checks it on
+small instances.
 
 Falsification searches lasso-shaped infinite paths (bounded stem and
-cycle).  Counterexamples for the strong notions are genuine proofs of
-failure; for the weak notions the search is a bounded cross-check only.
+cycle), stepping their observations through estimate_step.
+Counterexamples for the strong notions are genuine proofs of failure; for
+the weak notions the search is a bounded cross-check only.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from itertools import count, islice
-from typing import Iterable, Iterator, Sequence
+from typing import Callable, Iterator, Sequence
 
-from .epl import digraph, has_path_with_weight
-from .estimator import successor_target_sets
+from .estimator import OracleUndecided, estimate_step
 from .model import (
     Transition,
     WeightedAutomaton,
@@ -34,10 +33,6 @@ from .model import (
 
 Obs = tuple[str, tuple[Fraction, ...]]  # (symbol, accumulated weight)
 MAX_HORIZON = 16  # longest path oracle_runs enumerates exhaustively
-
-
-class OracleUndecided(RuntimeError):
-    """An exact answer was not reachable within the configured budget."""
 
 
 def _as_vector(value, k: int) -> tuple[Fraction, ...]:
@@ -103,59 +98,6 @@ def _runs(a: WeightedAutomaton, horizon: int) -> Iterator[BoundedRun]:
 # ---------------------------------------------------------------------
 
 
-class EstimateChain:
-    """Cached successor-chain estimator over a normalized integral automaton."""
-
-    def __init__(self, a: WeightedAutomaton, budget: int = 10 ** 6):
-        a.require_prepared()
-        self.a = a
-        self.budget = budget
-        self.x0 = instantaneous_closure(a, a.initial.keys())
-        self._tsets: dict[tuple[frozenset, str], dict] = {}
-        if a.k != 1:
-            arcs = [(s, tuple(int(x) for x in w), d) for (s, e, d, w) in a.unobs_transitions]
-            self._graph = digraph(a.k, sorted(a.states), arcs)
-            self._multi_cache: dict[tuple, frozenset] = {}
-
-    def step(self, x: frozenset[str], sigma: str, delta: tuple[int, ...]) -> frozenset[str]:
-        if not x:
-            return frozenset()
-        if self.a.k == 1:
-            key = (x, sigma)
-            if key not in self._tsets:
-                self._tsets[key] = successor_target_sets(self.a, x, sigma)
-            tsets = self._tsets[key]
-            raw = {q2 for q2, s in tsets.items() if delta[0] in s}
-            return instantaneous_closure(self.a, raw)
-        return self._step_multi(x, sigma, delta)
-
-    def _step_multi(self, x, sigma, delta):
-        key = (x, sigma, delta)
-        if key in self._multi_cache:
-            return self._multi_cache[key]
-        raw = set()
-        for (q1, e, q2, w) in self.a.obs_transitions:
-            if self.a.label(e) != sigma or q2 in raw:
-                continue
-            need = tuple(int(d) - int(wi) for d, wi in zip(delta, w))
-            for q in sorted(x):
-                ans = has_path_with_weight(self._graph, q, q1, need, self.budget)
-                if ans.status == "UNKNOWN":
-                    raise OracleUndecided(f"estimate step undecided at {(q, q1, need)}")
-                if ans.status == "YES":
-                    raw.add(q2)
-                    break
-        result = instantaneous_closure(self.a, raw)
-        self._multi_cache[key] = result
-        return result
-
-    def estimate(self, deltas: Iterable[tuple[str, tuple[int, ...]]]) -> frozenset[str]:
-        x = self.x0
-        for sigma, delta in deltas:
-            x = self.step(x, sigma, delta)
-        return x
-
-
 def _deltas_of(gamma: Sequence[Obs], k: int, scale: int) -> list | None:
     """Observed increments, scaled to integers; None if unachievable."""
     prev = zero_weight(k)
@@ -180,7 +122,10 @@ def oracle_estimate(a: WeightedAutomaton, gamma: Sequence, budget: int = 10 ** 6
     deltas = _deltas_of(gamma, a.k, m)
     if deltas is None:
         return frozenset()
-    return EstimateChain(scaled, budget).estimate(deltas)
+    x = instantaneous_closure(scaled, scaled.initial.keys())
+    for sigma, delta in deltas:
+        x = estimate_step(scaled, x, sigma, delta, budget)
+    return x
 
 
 def _enum_estimates(a: WeightedAutomaton, horizon: int) -> dict[tuple, set[str]]:
@@ -270,18 +215,19 @@ def _simple_cycles_at(a: WeightedAutomaton, q: str, horizon: int,
     return cycles
 
 
-def _lasso_estimates(chain: EstimateChain, a: WeightedAutomaton,
+def _lasso_estimates(step: Callable, a: WeightedAutomaton,
                      stem: Sequence[Transition], cycle: Sequence[Transition],
                      max_rounds: int = 40):
-    """Estimates along stem . cycle^n: the list of estimates at each observed
-    position of the stem, then per-round position lists until the round-entry
-    estimate repeats.  Returns (stem_estimates, rounds, recurrent_slice)."""
+    """Estimates along stem . cycle^n, step(x, sigma, delta) giving each
+    next one: the list of estimates at each observed position of the stem,
+    then per-round position lists until the round-entry estimate repeats.
+    Returns (stem_estimates, rounds, recurrent_slice)."""
     zero = tuple(0 for _ in range(a.k))
     stem_steps, carry = _observed_steps(a, stem, zero)
-    x = chain.x0
+    x = instantaneous_closure(a, a.initial.keys())
     stem_estimates = [x]
     for sigma, delta in stem_steps:
-        x = chain.step(x, sigma, delta)
+        x = step(x, sigma, delta)
         stem_estimates.append(x)
     rounds = []
     seen_entries = {}
@@ -294,7 +240,7 @@ def _lasso_estimates(chain: EstimateChain, a: WeightedAutomaton,
         x = entry[0]
         positions = []
         for sigma, delta in steps:
-            x = chain.step(x, sigma, delta)
+            x = step(x, sigma, delta)
             positions.append(x)
         rounds.append(positions)
         entry = (x, carry)
@@ -311,7 +257,11 @@ def oracle_falsify(a: WeightedAutomaton, prop: str, horizon: int = 8,
     """
     prop = prop.upper()
     norm, _ = scale_to_integers(normalize(a))
-    chain = EstimateChain(norm)
+
+    @cache
+    def step(x: frozenset[str], sigma: str, delta: tuple[int, ...]) -> frozenset[str]:
+        return estimate_step(norm, x, sigma, delta)
+
     stems = list(islice(_runs(norm, horizon), stem_cap))
 
     found_wd_witness = False
@@ -325,7 +275,7 @@ def oracle_falsify(a: WeightedAutomaton, prop: str, horizon: int = 8,
             observable = any(norm.label(e) is not None for (_, e, _, _) in cycle)
             if not observable:
                 found_unobs_cycle = True
-                stem_est, _, _ = _lasso_estimates(chain, norm, stem.path, cycle)
+                stem_est, _, _ = _lasso_estimates(step, norm, stem.path, cycle)
                 final = stem_est[-1]
                 if len(final) == 1:
                     found_wpd_witness = True
@@ -334,7 +284,7 @@ def oracle_falsify(a: WeightedAutomaton, prop: str, horizon: int = 8,
                                           stem.path, cycle,
                                           {"estimate": sorted(final)})
                 continue
-            stem_est, rounds, recurrent = _lasso_estimates(chain, norm, stem.path, cycle)
+            stem_est, rounds, recurrent = _lasso_estimates(step, norm, stem.path, cycle)
             rec_positions = [x for rnd in recurrent for x in rnd]
             if not rec_positions:
                 continue

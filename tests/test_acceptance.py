@@ -12,14 +12,14 @@ import time
 
 from wadet.corpus import load_fixture, random_automaton, subset_sum_automaton
 from wadet.epl import WeightSetSolver, digraph, replay_walk, walk_weight
-from wadet.epset import EPSet, eps_complement, eps_intersect, eps_union, _recanon
+from wadet.epset import EPSet, eps_intersect, eps_union, _recanon
 from wadet.estimator import build_detector, build_observer
 from wadet.model import normalize, scale_to_integers, scale_weights, validate
 from wadet.oracle import oracle_estimate, oracle_falsify
 from wadet.verdict import FAILS, HOLDS, SD, SPD, WD, WPD
 from wadet.verify import check_all, check_spd
 
-from test_epset import naive_member
+from test_epset import eps_complement, naive_member
 from test_estimator import accumulate, detector_covers_observer, observer_paths
 
 

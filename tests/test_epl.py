@@ -127,15 +127,17 @@ def test_product_graph_difference_contains_zero():
 
 
 def test_has_path_self_loop_minus_one():
+    # k = 1 walk questions go to the weight-set solver, not the k > 1 search
     g = digraph(1, ["x"], [("x", 1, "x"), ("x", -1, "x")])
-    ans = has_path_with_weight(g, "x", "x", (-1,))
-    assert ans.status == "YES"
-    assert len(ans.walk) == 1 and ans.walk[0].weight == (-1,)
+    with pytest.raises(ValueError, match="WeightSetSolver"):
+        has_path_with_weight(g, "x", "x", (-1,))
+    walk = WeightSetSolver(g).witness_walk("x", "x", -1)
+    assert len(walk) == 1 and walk[0].weight == (-1,)
 
 
 def test_has_path_no_outgoing_is_no():
     g = digraph(1, ["u", "v"], [("v", 1, "v")])
-    assert has_path_with_weight(g, "u", "v", (5,)).status == "NO"
+    assert WeightSetSolver(g).witness_walk("u", "v", 5) is None
 
 
 def test_has_path_two_dimensional_chain():

@@ -12,7 +12,6 @@ from wadet.epset import (
     Core,
     EPSet,
     eps_add_progressions,
-    eps_complement,
     eps_intersect,
     eps_meets,
     eps_min_abs_witness,
@@ -23,12 +22,18 @@ from wadet.epset import (
     eps_union_many,
     from_minima,
     least_by_residue,
+    _combine,
     _divisors,
     _recanon,
 )
 from wadet.verify import check_all
 
 WINDOW = range(-200, 201)
+
+
+def eps_complement(s):
+    """Test algebra: the complement, which no product path takes."""
+    return _combine([s], lambda a: ~a)
 
 
 def members(s, window=WINDOW):

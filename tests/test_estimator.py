@@ -5,26 +5,28 @@ import pytest
 
 from wadet import epset, estimator, io
 from wadet.corpus import load_fixture, random_automaton
+from wadet.epl import digraph, has_path_with_weight
 from wadet.epset import (
     EPSet,
-    eps_complement,
     eps_intersect,
     eps_min_abs_witness,
+    eps_union,
     eps_union_many,
 )
 from wadet.estimator import (
     EstTransition,
     build_detector,
     build_observer,
+    estimate_step,
     successor_cells,
-    successor_target_sets,
 )
 from wadet.model import instantaneous_closure, normalize, scale_to_integers, validate
-from wadet.oracle import EstimateChain, OracleUndecided, oracle_estimate
+from wadet.oracle import _deltas_of, oracle_estimate, oracle_runs
 from wadet.verify import check_all
 
 from conftest import A0_description, A1_description
 from test_model import chain_description
+from test_epset import eps_complement
 from test_selfcomp import random_automaton_raw
 from test_structure_digests import AUTOMATA
 
@@ -65,14 +67,23 @@ def test_cells_empty_when_no_targets(aut_a1):
                          "transitions": [("p", "u", "q", ["1/2"]), ("q", "a", "r", [1])]})
     for _ in range(2):  # the check is kept per automaton and refuses every call
         with pytest.raises(ValueError, match="integer-scale"):
-            successor_target_sets(unscaled, {"p"}, "a")
+            estimate_step(unscaled, {"p"}, "a", (1,))
+
+
+def target_sets(a, x, sigma):
+    """T(q2) per target q2 of sigma from x: the union of the pieces
+    P(q, t) of the sigma-arcs t into q2."""
+    tsets = {}
+    for piece, q2 in estimator._successor_pieces(a, x, sigma):
+        tsets[q2] = eps_union(tsets[q2], piece) if q2 in tsets else piece
+    return tsets
 
 
 def test_cells_partition_union_of_targets(aut_a0, aut_a1):
     for aut in (aut_a0, aut_a1):
         for x in [{"q0"}, {"q1", "q2"}, {"q3", "q4"}, set(aut.states)]:
             for sigma in aut.sigma:
-                tsets = successor_target_sets(aut, x, sigma)
+                tsets = target_sets(aut, x, sigma)
                 cells = successor_cells(aut, x, sigma)
                 union_t = eps_union_many(list(tsets.values()))
                 union_c = eps_union_many([c for (_, c, _) in cells])
@@ -86,7 +97,7 @@ def pattern_cells(a, x, sigma):
     T-set or its complement per nonempty pattern, 2^(distinct T-sets)
     patterns in all."""
     groups = {}
-    for q2, s in sorted(successor_target_sets(a, x, sigma).items()):
+    for q2, s in sorted(target_sets(a, x, sigma).items()):
         groups.setdefault(s, []).append(q2)
     reps = sorted(groups.items(), key=lambda kv: sorted(kv[1]))
     out = []
@@ -588,6 +599,32 @@ def test_exact_menus_equal_reference_harvest():
     assert exact > 500, exact
 
 
+def silent_digraph(a):
+    """Every silent arc of a as one digraph, not only the kept ones."""
+    return digraph(a.k, sorted(a.states),
+                   [(s, tuple(map(int, w)), d) for (s, _, d, w) in a.unobs_transitions])
+
+
+def walk_query_step(a, graph, x, sigma, delta, budget=10 ** 4):
+    """Test-side reference for a k > 1 estimate step: per sigma-arc
+    q1 -w-> q2, in arc order, and state q of x, one budgeted walk query
+    q -> q1 of weight delta - w on graph, until one answers YES; None
+    when a query is undecided."""
+    raw = set()
+    for (q1, e, q2, w) in a.obs_transitions:
+        if a.label(e) != sigma or q2 in raw:
+            continue
+        need = tuple(d - int(wi) for d, wi in zip(delta, w))
+        for q in sorted(x):
+            status = has_path_with_weight(graph, q, q1, need, budget).status
+            if status == "UNKNOWN":
+                return None
+            if status == "YES":
+                raw.add(q2)
+                break
+    return instantaneous_closure(a, raw)
+
+
 def test_inexact_structures_agree_with_oracle_steps():
     # an inexact structure lists only transitions of closed menus, each of
     # which is a true step of the estimate (a detector target is a subset);
@@ -601,18 +638,44 @@ def test_inexact_structures_agree_with_oracle_steps():
                         ("q2", "a", "q2", [0, 0])]})
     checked = 0
     for a in [scale_to_integers(normalize(late))[0]] + prepared_draws(range(400)):
-        chain = EstimateChain(a, budget=10 ** 4)
+        graph = silent_digraph(a)
         for est in (build_observer(a), build_detector(a)):
             if est.exact:
                 continue
             for t in est.transitions:
-                try:
-                    step = chain.step(t.source, t.symbol, t.weight)
-                except OracleUndecided:
+                step = walk_query_step(a, graph, t.source, t.symbol, t.weight)
+                if step is None:
                     continue
                 assert t.target == step if est.kind == "observer" else t.target <= step
                 checked += 1
     assert checked >= 10, checked
+
+
+@pytest.mark.parametrize("k", [2, 3])
+def test_estimates_equal_walk_query_reference(k, monkeypatch):
+    # draws 17 and 39 have infinite silent rows, so some steps fall back
+    # to walk queries; the reference asks one per arc and state, always
+    queries = []
+    real = estimator.has_path_with_weight
+    monkeypatch.setattr(estimator, "has_path_with_weight",
+                        lambda *args: queries.append(args) or real(*args))
+    for seed in (17, 39):
+        raw = random_automaton(seed, k=k)
+        norm = normalize(raw)
+        a, m = scale_to_integers(norm)
+        graph = silent_digraph(a)
+        x0 = instantaneous_closure(a, a.initial.keys())
+        sequences = [gamma for gamma in dict.fromkeys(
+            run.label_sequence(norm) for run in oracle_runs(norm, 5)) if gamma]
+        for gamma in sequences[::len(sequences) // 8][:8]:
+            sigma, last = gamma[-1]
+            for seq in (gamma, gamma[:-1] + ((sigma, (last[0] + 1,) + last[1:]),)):
+                x = x0
+                for step_sigma, delta in _deltas_of(seq, k, m):
+                    x = walk_query_step(a, graph, x, step_sigma, delta)
+                    assert x is not None, (seed, seq)  # decided at this budget
+                assert oracle_estimate(raw, seq, budget=10 ** 4) == x, (seed, seq)
+    assert queries
 
 
 # -- successor lists in canonical order ----------------------------------------
