@@ -56,7 +56,6 @@ from typing import Callable, Iterable, Mapping
 
 from .epl import DEFAULT_BUDGET, WeightedDigraph, WeightSetSolver, digraph, has_path_with_weight
 from .epset import EPSet, eps_min_abs_witness, eps_partition, eps_shift
-from .graphutil import can_reach
 from .model import Transition, WeightedAutomaton, instantaneous_closure
 
 
@@ -156,8 +155,8 @@ def _integer_arcs(a: WeightedAutomaton) -> dict[str, tuple]:
     lose nothing.  Built once per automaton and kept in its __dict__, like
     unobs_solver."""
     if "_integer_arcs" not in a.__dict__:
-        live = can_reach(a.states, lambda q: (t[2] for t in a.silent_arcs[q]),
-                         {t[0] for t in a.obs_transitions})
+        sources = {t[0] for t in a.obs_transitions}
+        live = {q for q, reach in a.silent_reach.items() if not reach.isdisjoint(sources)}
         a.__dict__["_integer_arcs"] = {
             q: tuple((t, t[2], tuple(map(int, t[3]))) for t in arcs if t[2] in live)
             for q, arcs in a.silent_arcs.items()}
@@ -193,6 +192,8 @@ class _SilentRows(dict):
         parent: dict[tuple[str, tuple], tuple | None] = {start: None}
         frontier = [start]
         for _ in range(self.depth):
+            if not frontier:
+                break
             nxt = []
             for node in frontier:
                 x, w = node
@@ -214,21 +215,21 @@ class _SilentRows(dict):
 
 def silent_rows(a: WeightedAutomaton) -> Mapping[str, tuple[dict, dict] | None]:
     """Per state q, the silent row R(q) as (parent, weights), or None when
-    R(q) is infinite or holds more than NODE_CAP nodes.  R(q) is the set
-    of (y, weight of w) over all walks w from q to y of kept silent arcs
+    R(q) is infinite or holds more than NODE_CAP nodes.  R(q) is the set of
+    (y, weight of w) over all walks w from q to y of kept silent arcs
     (_integer_arcs).  A row is built breadth-first on first lookup, once
-    per state and automaton, for at most |Q| levels, and it is None when
-    level |Q| is not empty.  That test is exact.  If q reaches a kept
-    cycle of weight c != 0, a walk P to it followed by n turns gives the
-    node P + n c for every n, so in a finite row every kept cycle in reach
-    weighs zero.  Cutting a closed sub-walk out of a walk then keeps both
-    ends and the weight, so every node is the end of a walk with no
-    repeated state, at most |Q| - 1 levels deep.  An infinite row, whose
-    levels are each finite, has nodes at every depth.  parent maps every
-    node to (previous node, silent transition), the arc that first
-    reached it, and the start (q, 0) to None; weights maps every state y
-    to the weights of R(q) at y, fewest arcs first.  Kept in a.__dict__,
-    like unobs_solver."""
+    per state and automaton, for at most |Q| levels and up to the first
+    empty one, and it is None when level |Q| is not empty.  That test is
+    exact.  If q reaches a kept cycle of weight c != 0, a walk P to it
+    followed by n turns gives the node P + n c for every n, so in a finite
+    row every kept cycle in reach weighs zero.  Cutting a closed sub-walk
+    out of a walk then keeps both ends and the weight, so every node is the
+    end of a walk with no repeated state, at most |Q| - 1 levels deep.  An
+    infinite row, whose levels are each finite, has nodes at every depth.
+    parent maps every node to (previous node, silent transition), the arc
+    that first reached it, and the start (q, 0) to None; weights maps every
+    state y to the weights of R(q) at y, fewest arcs first.  Kept in
+    a.__dict__, like unobs_solver."""
     if "_silent_rows" not in a.__dict__:
         a.__dict__["_silent_rows"] = _SilentRows(a)
     return a.__dict__["_silent_rows"]
@@ -252,22 +253,32 @@ class _ArcTotals(dict):
     """state -> (arcs, by_label), built on first lookup.  arcs lists the
     observable arcs usable from the state as (transition, label, integer
     weight, totals) in the order of a.obs_transitions; by_label maps each
-    label to its arcs, in the same order.  Like _SilentRows it holds what
-    it reads (reach sets, arcs, and the k = 1 solver or the k > 1 rows),
-    never the automaton, so that it makes no reference cycle through
-    a.__dict__."""
+    label to its arcs, in the same order.  The observable arcs are indexed
+    by source (by_source), each with its position in a.obs_transitions, so
+    a state's arcs are gathered from its reach set.  Like _SilentRows it
+    holds what it reads (reach sets, arcs, and the k = 1 solver or the
+    k > 1 rows), never the automaton, so that it makes no reference cycle
+    through a.__dict__."""
 
     def __init__(self, a: WeightedAutomaton):
         super().__init__()
         self.reach = a.silent_reach
-        self.arcs = [(t, a.label(t[1]), tuple(map(int, t[3]))) for t in a.obs_transitions]
+        self.by_source: dict[str, list[tuple]] = {}
+        for i, t in enumerate(a.obs_transitions):
+            arc = (i, t, a.label(t[1]), tuple(map(int, t[3])))
+            self.by_source.setdefault(t[0], []).append(arc)
         self.solver = unobs_solver(a) if a.k == 1 else None
         self.rows = silent_rows(a) if a.k > 1 else None
 
+    @cached_property
+    def position(self) -> dict[Transition, int]:
+        """Each observable arc's position in a.obs_transitions, read off
+        by_source when estimate_step first orders its walk queries."""
+        return {t: i for arcs in self.by_source.values() for i, t, _, _ in arcs}
+
     def __missing__(self, q: str) -> tuple[tuple, dict]:
-        reach = self.reach[q]
-        arcs = tuple((t, label, w, self._totals(q, t[0], w))
-                     for t, label, w in self.arcs if t[0] in reach)
+        usable = sorted(arc for s in self.reach[q] for arc in self.by_source.get(s, ()))
+        arcs = tuple((t, label, w, self._totals(q, t[0], w)) for _, t, label, w in usable)
         by_label: dict[str, list] = {}
         for arc in arcs:
             by_label.setdefault(arc[1], []).append(arc)
@@ -350,7 +361,7 @@ def estimate_step(a: WeightedAutomaton, x: Iterable[str], sigma: str, delta: tup
                 pending.append((q, t, w))
             elif member in totals:
                 raw.add(t[2])
-    pending.sort(key=lambda entry: a.obs_transitions.index(entry[1]))
+    pending.sort(key=lambda entry: table.position[entry[1]])
     for q, t, w in pending:
         if t[2] in raw:
             continue

@@ -74,24 +74,6 @@ def strongly_connected_components(
                 yield comp, len(comp) > 1 or v in looped
 
 
-def states_on_cycles(vertices: Iterable[V], succ: Callable[[V], Iterable[V]]) -> set[V]:
-    """Vertices lying on some cycle (self-loops included)."""
-    return {v for comp, cyclic in strongly_connected_components(vertices, succ)
-            if cyclic for v in comp}
-
-
-def can_reach(vertices: Iterable[V], succ: Callable[[V], Iterable[V]],
-              targets: set[V]) -> set[V]:
-    """Vertices from which some target is reachable (targets included)."""
-    verts = list(vertices)
-    preds: dict[V, list[V]] = {v: [] for v in verts}
-    for v in verts:
-        for w in succ(v):
-            if w in preds:
-                preds[w].append(v)
-    return reachable([t for t in targets if t in preds], lambda v: preds[v])
-
-
 def find_path(steps: Callable[[V], Iterable[tuple]], start: V,
               targets: set[V]) -> tuple[list, V] | None:
     """Shortest (edge list, endpoint) from start into targets, edges being

@@ -3,6 +3,13 @@
 States and events are opaque strings, transition weights are tuples of
 exact rationals in lowest terms, labels are output symbols or None for
 the silent label.  All operations treat automata as immutable values.
+
+Each automaton computes its structure once, on first read, in few
+passes: one over the sorted transitions for the arc tables, one Tarjan
+pass over the silent arcs for silent reach and silent cycles, one over
+all arcs for cycles and the states that reach one, and one breadth-first
+search per state with a zero-weight silent arc for the instantaneous
+closures.
 """
 
 from __future__ import annotations
@@ -14,7 +21,7 @@ from functools import cached_property
 from math import lcm
 from typing import Iterable, Mapping
 
-from .graphutil import reachable, states_on_cycles
+from .graphutil import reachable, strongly_connected_components
 
 Weight = tuple[Fraction, ...]
 Transition = tuple[str, str, str, Weight]  # (source, event, target, weight)
@@ -60,20 +67,41 @@ class WeightedAutomaton:
         """Output alphabet: the non-silent labels actually used."""
         return frozenset(l for l in self.events.values() if l is not None)
 
+    # the arc tables: one pass over the sorted transitions
+
+    @cached_property
+    def _arc_tables(self) -> tuple[Mapping, Mapping, tuple, tuple]:
+        arcs: dict[str, list[Transition]] = {q: [] for q in self.states}
+        silent: dict[str, list[Transition]] = {q: [] for q in self.states}
+        unobs: list[Transition] = []
+        obs: list[Transition] = []
+        for t in sorted(self.transitions):
+            arcs[t[0]].append(t)
+            if self.events[t[1]] is None:
+                silent[t[0]].append(t)
+                unobs.append(t)
+            else:
+                obs.append(t)
+        return ({q: tuple(v) for q, v in arcs.items()},
+                {q: tuple(v) for q, v in silent.items()}, tuple(unobs), tuple(obs))
+
     @cached_property
     def arcs_from(self) -> Mapping[str, tuple[Transition, ...]]:
-        out: dict[str, list[Transition]] = {q: [] for q in self.states}
-        for t in sorted(self.transitions):
-            out[t[0]].append(t)
-        return {q: tuple(v) for q, v in out.items()}
+        """Per state, its outgoing arcs in sorted order."""
+        return self._arc_tables[0]
+
+    @cached_property
+    def silent_arcs(self) -> Mapping[str, tuple[Transition, ...]]:
+        """Per state, its outgoing silent arcs in sorted order."""
+        return self._arc_tables[1]
 
     @cached_property
     def unobs_transitions(self) -> tuple[Transition, ...]:
-        return tuple(t for t in sorted(self.transitions) if not self.is_observable(t[1]))
+        return self._arc_tables[2]
 
     @cached_property
     def obs_transitions(self) -> tuple[Transition, ...]:
-        return tuple(t for t in sorted(self.transitions) if self.is_observable(t[1]))
+        return self._arc_tables[3]
 
     @cached_property
     def reachable_states(self) -> frozenset[str]:
@@ -85,55 +113,104 @@ class WeightedAutomaton:
     # silent structure: computed once, shared by every construction
 
     @cached_property
-    def silent_arcs(self) -> Mapping[str, tuple[Transition, ...]]:
-        return {q: tuple(t for t in arcs if not self.is_observable(t[1]))
-                for q, arcs in self.arcs_from.items()}
+    def _silent_components(self) -> tuple[Mapping[str, frozenset[str]], frozenset[str]]:
+        """One Tarjan pass over the silent arcs, rooted at the states that
+        have one.  A component closes after every component it has an arc
+        into, so its reach set is the component joined with theirs, and it
+        is shared by its members.  A state outside the pass reaches only
+        itself."""
+        silent = self.silent_arcs
+        reach: dict[str, frozenset[str]] = {}
+        on_cycle: list[str] = []
+        for comp, cyclic in strongly_connected_components(
+                [q for q in self.states if silent[q]],
+                lambda q: (t[2] for t in silent[q])):
+            members = frozenset(comp)
+            joined = members.union(*{reach[t[2]] for q in comp for t in silent[q]
+                                     if t[2] not in members})
+            for q in comp:
+                reach[q] = joined
+            if cyclic:
+                on_cycle += comp
+        for q in self.states:
+            if q not in reach:
+                reach[q] = frozenset((q,))
+        return reach, frozenset(on_cycle)
 
     @cached_property
     def silent_reach(self) -> Mapping[str, frozenset[str]]:
-        """States reachable from each state by silent paths (any weights)."""
-        return {q: frozenset(reachable([q], lambda s: (t[2] for t in self.silent_arcs[s])))
-                for q in self.states}
-
-    @cached_property
-    def zero_paths(self) -> Mapping[str, Mapping[str, tuple[Transition, ...]]]:
-        """Per state, a shortest silent zero-weight path to each member of
-        its instantaneous closure (breadth-first over sorted arcs)."""
-        z = zero_weight(self.k)
-        out = {}
-        for start in self.states:
-            paths: dict[str, tuple[Transition, ...]] = {start: ()}
-            queue = deque([start])
-            while queue:
-                q = queue.popleft()
-                for t in self.silent_arcs[q]:
-                    if t[3] == z and t[2] not in paths:
-                        paths[t[2]] = paths[q] + (t,)
-                        queue.append(t[2])
-            out[start] = paths
-        return out
-
-    @cached_property
-    def cycle_states(self) -> frozenset[str]:
-        """States on a cycle (any labels, self-loops included)."""
-        return frozenset(states_on_cycles(self.states,
-                                          lambda q: (t[2] for t in self.arcs_from[q])))
+        """States reachable from each state by silent paths (any weights);
+        the members of a silent component share one set."""
+        return self._silent_components[0]
 
     @cached_property
     def silent_cycle_states(self) -> frozenset[str]:
         """States on a silent cycle (any weights, self-loops included)."""
-        return frozenset(states_on_cycles(self.states,
-                                          lambda q: (t[2] for t in self.silent_arcs[q])))
+        return self._silent_components[1]
 
     @cached_property
     def stall_states(self) -> frozenset[str]:
         """States with a silent path (any weights) to a silent cycle."""
-        return frozenset(q for q in self.states if self.silent_reach[q] & self.silent_cycle_states)
+        cyc = self.silent_cycle_states
+        return frozenset(q for q, reach in self.silent_reach.items() if not reach.isdisjoint(cyc))
+
+    @cached_property
+    def zero_paths(self) -> Mapping[str, Mapping[str, tuple[Transition, ...]]]:
+        """Per state, a shortest silent zero-weight path to each member of
+        its instantaneous closure (breadth-first over sorted arcs, from the
+        states with a zero-weight silent arc; any other state's closure is
+        itself)."""
+        z = zero_weight(self.k)
+        zero_arcs = {q: [t for t in arcs if t[3] == z] for q, arcs in self.silent_arcs.items()}
+        out = {}
+        for start in self.states:
+            paths: dict[str, tuple[Transition, ...]] = {start: ()}
+            if zero_arcs[start]:
+                queue = deque([start])
+                while queue:
+                    q = queue.popleft()
+                    for t in zero_arcs[q]:
+                        if t[2] not in paths:
+                            paths[t[2]] = paths[q] + (t,)
+                            queue.append(t[2])
+            out[start] = paths
+        return out
+
+    @cached_property
+    def closures(self) -> Mapping[str, frozenset[str]]:
+        """Per state, its instantaneous closure: the keys of zero_paths."""
+        return {q: frozenset(paths) for q, paths in self.zero_paths.items()}
+
+    @cached_property
+    def _components(self) -> tuple[frozenset[str], frozenset[str]]:
+        """One Tarjan pass over all arcs: the states on a cycle, and the
+        states with a path to one, a component reaching one when it is
+        cyclic or has an arc into a component that does."""
+        arcs = self.arcs_from
+        on_cycle: list[str] = []
+        reachers: set[str] = set()
+        for comp, cyclic in strongly_connected_components(
+                self.states, lambda q: (t[2] for t in arcs[q])):
+            if cyclic:
+                on_cycle += comp
+            if cyclic or any(t[2] in reachers for q in comp for t in arcs[q]):
+                reachers.update(comp)
+        return frozenset(on_cycle), frozenset(reachers)
+
+    @cached_property
+    def cycle_states(self) -> frozenset[str]:
+        """States on a cycle (any labels, self-loops included)."""
+        return self._components[0]
+
+    @cached_property
+    def cycle_reachers(self) -> frozenset[str]:
+        """States with a path (any labels, possibly empty) to a cycle."""
+        return self._components[1]
 
     @cached_property
     def has_infinite_run(self) -> bool:
         """Does some infinite run exist, i.e. is a cycle reachable?"""
-        return not self.cycle_states.isdisjoint(self.reachable_states)
+        return not self.cycle_reachers.isdisjoint(self.initial)
 
     def is_integral(self) -> bool:
         if any(w.denominator != 1 for wt in self.initial.values() for w in wt):
@@ -278,9 +355,9 @@ def scale_to_integers(a: WeightedAutomaton) -> tuple[WeightedAutomaton, int]:
     denoms = [x.denominator for w in a.initial.values() for x in w]
     denoms += [x.denominator for t in a.transitions for x in t[3]]
     m = lcm(*denoms) if denoms else 1
-    if m == 1:
-        return a, 1
-    return scale_weights(a, m), m
+    scaled = a if m == 1 else scale_weights(a, m)
+    scaled.__dict__["is_prepared"] = scaled.is_normalized()  # integral by the scan above
+    return scaled, m
 
 
 # ---------------------------------------------------------------------
@@ -289,8 +366,11 @@ def scale_to_integers(a: WeightedAutomaton) -> tuple[WeightedAutomaton, int]:
 
 
 def instantaneous_closure(a: WeightedAutomaton, x: Iterable[str]) -> frozenset[str]:
-    """x plus everything reachable through silent zero-weight transitions."""
-    return frozenset().union(*(a.zero_paths[q] for q in x))
+    """x plus everything reachable through silent zero-weight transitions:
+    the union of the cached closures, or for one state its cached set."""
+    closures = a.closures
+    sets = [closures[q] for q in x]
+    return sets[0] if len(sets) == 1 else frozenset().union(*sets)
 
 
 @dataclass(frozen=True)

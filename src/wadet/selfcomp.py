@@ -67,7 +67,7 @@ from operator import sub
 from .epl import Vec, _Budget, digraph, has_path_with_weight
 from .epset import eps_intersect, eps_meets, eps_min_abs_witness
 from .estimator import arc_totals, row_walk, silent_rows, unobs_solver
-from .graphutil import can_reach, find_cycle, find_path, strongly_connected_components
+from .graphutil import find_cycle, find_path, strongly_connected_components
 from .model import Transition, WeightedAutomaton
 from .verdict import FAILS, HOLDS, SD, UNKNOWN, InternalError, Verdict
 
@@ -236,14 +236,16 @@ def _no_prefixes() -> Paths:
 class _Expander:
     """The successors of one composition state at a time: the breadth-first
     build and the SD search both call successors, so they share one code
-    path, one product synchronizer (one budget) and one query count."""
+    path, one product synchronizer (one budget) and one query count.  The
+    synchronizer is built when a total that is None first asks for it."""
 
     def __init__(self, a: WeightedAutomaton, budget: int):
         a.require_prepared()
         self.a = a
+        self.budget = budget
         self.table = arc_totals(a)
         self.fast = not a.unobs_transitions
-        self.sync = _Synchronizer(a, budget) if a.k > 1 and not self.fast else None
+        self.sync: _Synchronizer | None = None
         self.queries = 0
         self.ends = {q: sorted(tails) for q, tails in a.zero_paths.items()}
 
@@ -254,7 +256,7 @@ class _Expander:
     def successors(self, state: Pair) -> dict[tuple[tuple[str, str], Pair], Sync]:
         """The (events, target) keys out of state, in sorted order, each
         with the first arc pair that synchronizes into it."""
-        a, fast, sync, ends = self.a, self.fast, self.sync, self.ends
+        a, fast, ends = self.a, self.fast, self.ends
         queries = 0
         q1, q2 = state
         by_label2 = self.table[q2][1]
@@ -276,7 +278,9 @@ class _Expander:
                 else:
                     queries += 1
                     if p1 is None or p2 is None:
-                        prefixes = sync.sync(q1, q2, t1, w1, t2, w2)
+                        if self.sync is None:
+                            self.sync = _Synchronizer(a, self.budget)
+                        prefixes = self.sync.sync(q1, q2, t1, w1, t2, w2)
                         if prefixes is None:
                             continue
                     # totals share a member: EPSets for k = 1, finite sets for k > 1
@@ -330,8 +334,7 @@ def _first_anchor(a: WeightedAutomaton, initial: frozenset[Pair],
     docstring).  Returns the least state of that component (None if the
     search ends without one), the successors of every visited state, and
     the visited split candidates."""
-    a_cycle_reachers = can_reach(a.states, lambda q: (t[2] for t in a.arcs_from[q]),
-                                 a.cycle_states)
+    a_cycle_reachers = a.cycle_reachers
     outs: dict[Pair, Mapping] = {}
     candidates: set[Pair] = set()
     reaching: set[Pair] = set()

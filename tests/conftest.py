@@ -1,8 +1,16 @@
+import os
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import wadet
 from wadet.model import validate
+
+# the tests' subprocesses (python -m wadet.cli, python -O -c ...) import the
+# same wadet as the tests, also when pytest alone puts src on the path
+os.environ["PYTHONPATH"] = os.pathsep.join(
+    filter(None, [str(Path(wadet.__file__).parent.parent), os.environ.get("PYTHONPATH")]))
 
 
 def A1_description():

@@ -3,8 +3,9 @@ from fractions import Fraction
 
 import pytest
 
+from wadet import estimator, model
 from wadet.corpus import random_automaton
-from wadet.graphutil import states_on_cycles
+from wadet.graphutil import reachable, strongly_connected_components
 from wadet.model import (
     ValidationError,
     WeightedAutomaton,
@@ -19,6 +20,7 @@ from wadet.model import (
 )
 
 from conftest import A0_description, A1_description
+from graph_reference import can_reach
 
 
 def chain_description(weights=(2, 3), target=5):
@@ -280,7 +282,7 @@ def on_closed_walks(a, silent):
 
 
 def test_silent_structure_matches_definitions():
-    seen_paths = seen_stalls = 0
+    seen_paths = seen_stalls = seen_reachers = 0
     draws = (random_automaton(seed, unobs_fraction=f) for seed in range(60) for f in (0.35, 0.7))
     for a in draws:
         z = zero_weight(a.k)
@@ -291,7 +293,7 @@ def test_silent_structure_matches_definitions():
                                              if t[0] == q and a.label(t[1]) is None}
             dist = silent_distances(a, q, zero_only=True)
             paths = a.zero_paths[q]
-            assert paths.keys() == instantaneous_closure(a, {q}) == dist.keys()
+            assert paths.keys() == instantaneous_closure(a, {q}) == a.closures[q] == dist.keys()
             for r, path in paths.items():
                 at = q
                 for t in path:  # replays as a silent zero-weight walk
@@ -308,11 +310,68 @@ def test_silent_structure_matches_definitions():
         assert (a.cycle_states, a.silent_cycle_states, a.has_infinite_run) == (
             cycles, on_closed_walks(a, silent=True),
             bool(cycles & walk_reach(a, a.initial, silent=False)))
+        reachers = {q for q in a.states if walk_reach(a, {q}, silent=False) & cycles}
+        assert a.cycle_reachers == reachers
         seen_stalls += bool(a.stall_states)
-    assert seen_paths >= 10 and seen_stalls >= 10
+        seen_reachers += bool(reachers - cycles)
+    assert seen_paths >= 10 and seen_stalls >= 10 and seen_reachers >= 10
 
 
-def test_states_on_cycles_calls_succ_once_per_vertex():
+def test_scale_to_integers_records_is_prepared():
+    # read off the scan of denominators, not a second scan of the weights
+    for desc in (chain_description(), A0_description(), A1_description()):
+        desc["transitions"][0] = desc["transitions"][0][:3] + ([Fraction(1, 3)],)
+        for a in (validate(desc), scale_weights(validate(desc), 3)):
+            scaled, _ = scale_to_integers(a)
+            assert scaled.__dict__["is_prepared"] is True
+    desc = A0_description()
+    desc["initial"] = {"q0": [Fraction(1, 2)]}
+    assert not scale_to_integers(validate(desc))[0].is_prepared
+    assert scale_to_integers(normalize(validate(desc)))[0].is_prepared
+
+
+def test_live_states_match_backward_reach():
+    # the k > 1 rows keep the silent arcs into live states, those with a
+    # silent walk to an observable arc's source
+    dropped = 0
+    for seed in range(60):
+        a = scale_to_integers(normalize(random_automaton(seed, k=2)))[0]
+        live = can_reach(a.states, lambda q: (t[2] for t in a.silent_arcs[q]),
+                         {t[0] for t in a.obs_transitions})
+        kept = estimator._integer_arcs(a)
+        for q, arcs in a.silent_arcs.items():
+            assert [t for t, _, _ in kept[q]] == [t for t in arcs if t[2] in live]
+        dropped += sum(t[2] not in live for t in a.unobs_transitions)
+    assert dropped >= 10
+
+
+def test_silent_structure_reads_no_reachability_search(monkeypatch):
+    # one component pass over a silent chain of 200 states, not one search
+    # per state and another for the reachable states
+    n = 200
+    a = validate({
+        "k": 1,
+        "states": [f"s{i}" for i in range(n)],
+        "initial": {"s0": [0]},
+        "events": {"u": None},
+        "transitions": [(f"s{i}", "u", f"s{i + 1}", [1]) for i in range(n - 1)]
+                       + [(f"s{n - 1}", "u", f"s{n - 1}", [1])],
+    })
+    calls = []
+
+    def counting(starts, succ):
+        calls.append(starts)
+        return reachable(starts, succ)
+
+    monkeypatch.setattr(model, "reachable", counting)
+    assert a.silent_reach["s0"] == a.states and a.silent_reach[f"s{n - 1}"] == {f"s{n - 1}"}
+    assert a.silent_cycle_states == {f"s{n - 1}"}
+    assert a.stall_states == a.states
+    assert a.has_infinite_run
+    assert calls == []
+
+
+def test_strongly_connected_components_calls_succ_once_per_vertex():
     # a self-loop is seen in Tarjan's own scan, not by asking again
     arcs = {"p": ["p", "q"], "q": ["r"], "r": ["q"], "s": ["s"], "t": ["p"], "u": []}
     calls = []
@@ -321,5 +380,6 @@ def test_states_on_cycles_calls_succ_once_per_vertex():
         calls.append(v)
         return arcs[v]
 
-    assert states_on_cycles(arcs, succ) == {"p", "q", "r", "s"}
+    assert {v for comp, cyclic in strongly_connected_components(arcs, succ)
+            if cyclic for v in comp} == {"p", "q", "r", "s"}
     assert sorted(calls) == sorted(arcs)

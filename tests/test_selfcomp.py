@@ -6,13 +6,14 @@ from wadet import io, selfcomp
 from wadet.corpus import load_fixture, random_automaton
 from wadet.epl import WeightSetSolver, has_path_with_weight
 from wadet.estimator import arc_totals
-from wadet.graphutil import can_reach, find_cycle, find_path, reachable, states_on_cycles
+from wadet.graphutil import find_cycle, find_path, reachable
 from wadet.model import normalize, scale_to_integers, validate
 from wadet.selfcomp import CCTransition, build_self_composition, check_sd
 from wadet.verdict import FAILS, HOLDS, SD, UNKNOWN, Verdict
 from wadet.verify import check_all
 
 from conftest import A0_description, A1_description
+from graph_reference import can_reach, states_on_cycles
 from test_model import chain_description
 from test_structure_digests import AUTOMATA
 
@@ -453,6 +454,34 @@ def test_deciding_sd_builds_no_transition_objects(monkeypatch):
         parts = ("cc_access", "cc_cycle", "cc_split_path")
         witness_edges = [t for part in parts for t in sd.witness[part]] if sd.witness else []
         assert made == witness_edges
+
+
+def test_synchronizer_built_only_when_a_total_is_none(monkeypatch):
+    # the product synchronizer exists only once a pair with a None total
+    # asks it, so a build that never asks keeps no unknown queries
+    built = []
+
+    class Recording(selfcomp._Synchronizer):
+        def __init__(self, *args):
+            super().__init__(*args)
+            built.append(self)
+
+    monkeypatch.setattr(selfcomp, "_Synchronizer", Recording)
+    silent_without = silent_with = 0
+    for seed in range(40):
+        if seed in (17, 39):
+            continue
+        a = scale_to_integers(normalize(random_automaton(seed, k=2)))[0]
+        built.clear()
+        cc = build_self_composition(a)
+        assert len(built) <= 1
+        if built:
+            assert built[0].answers
+            silent_with += 1
+        else:
+            assert cc.unknown_queries == ()
+            silent_without += bool(a.unobs_transitions)
+    assert silent_without >= 5 and silent_with >= 1, (silent_without, silent_with)
 
 
 def test_sync_memo_answers_as_fresh_queries(monkeypatch):

@@ -6,12 +6,13 @@ import pytest
 from wadet import estimator, io, verify
 from wadet.corpus import load_fixture, random_automaton
 from wadet.estimator import EstTransition, build_detector, build_observer
-from wadet.graphutil import find_cycle, find_path, states_on_cycles
+from wadet.graphutil import find_cycle, find_path
 from wadet.model import normalize, scale_to_integers, scale_weights, structure_report, validate
 from wadet.verdict import FAILS, HOLDS, SD, SPD, WD, WPD
 from wadet.verify import check_all, check_spd, check_wd, check_wpd
 
 from conftest import A0_description, A1_description
+from graph_reference import states_on_cycles
 from test_acceptance import replay_spd_witness
 from test_model import chain_description
 from test_selfcomp import random_automaton_raw
