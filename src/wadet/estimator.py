@@ -24,7 +24,7 @@ row.  A menu that meets an infinite row, or one over NODE_CAP, is empty
 and inexact, and downstream verdicts degrade to UNKNOWN rather than
 guessing.
 
-Both kinds of menu read one table per automaton (arc_totals): per state
+Both kinds of menu read one table per automaton (tables(a)): per state
 q and observable arc t = s -e/w-> d usable from q, the totals P(q, t) =
 {x + w : x the weight of a silent walk q -> s}, which is the piece
 W(q, s) + w for k = 1 and a finite set read off the row of q for k > 1.
@@ -33,11 +33,13 @@ and the estimate step under one observed (symbol, increment)
 (estimate_step, behind wadet estimate) tests the increment's membership
 in it.
 
-Each prepared automaton owns one k = 1 solver over its silent arcs
-(unobs_solver), for k > 1 the finite silent row of each state
-(silent_rows), the table of totals over them (arc_totals), and one
-successor menu per (estimate, symbol), which the observer and the
-detector share.
+Each prepared automaton owns one Tables object, tables(a), that holds
+all of this, each part built on first use: the k = 1 solver over its
+silent arcs; for k > 1 the kept silent arcs, the finite silent row of
+each state over them and their digraph; the totals; and one successor
+menu per (estimate, symbol), which the observer and the detector share.
+tables(a) is also the one test that a construction is given a prepared
+automaton.
 
 A built structure keeps, per estimate, its steps as (symbol, weight,
 target, cell) tuples in canonical order (EstimatorAutomaton.successors);
@@ -89,22 +91,11 @@ class EstimatorAutomaton:
                      for step in self.successors[x])
 
 
-def unobs_solver(a: WeightedAutomaton) -> WeightSetSolver:
-    """The weight-set solver over the unobservable subgraph (k = 1); its
-    arc ids index a.unobs_transitions.  Built once per automaton and kept
-    in its __dict__, as functools.cached_property keeps its values."""
-    if "_unobs_solver" not in a.__dict__:
-        a.require_prepared()
-        arcs = [(s, int(w[0]), d) for (s, e, d, w) in a.unobs_transitions]
-        a.__dict__["_unobs_solver"] = WeightSetSolver(digraph(1, sorted(a.states), arcs))
-    return a.__dict__["_unobs_solver"]
-
-
 def _successor_pieces(a: WeightedAutomaton, x: Iterable[str],
                       sigma: str) -> list[tuple[EPSet, str]]:
     """(P(q, t), d) per state q of x and sigma-arc t = s -e/w-> d usable
-    from q, P(q, t) = W(q, s) + w being read off arc_totals."""
-    table = arc_totals(a)
+    from q, P(q, t) = W(q, s) + w being read off tables(a)."""
+    table = tables(a)
     return [(totals, t[2]) for q in sorted(set(x))
             for t, _, _, totals in table[q][1].get(sigma, ())]
 
@@ -129,7 +120,6 @@ def successor_cells(a: WeightedAutomaton, x: Iterable[str],
     disjoint, so no two share a witness, and the sort below fixes the
     order of the menu.
     """
-    a.require_prepared()
     if a.k != 1:
         raise ValueError("exact cells require k = 1; k > 1 menus come from the silent rows")
     out = [(instantaneous_closure(a, raw_target), cell, eps_min_abs_witness(cell))
@@ -139,53 +129,136 @@ def successor_cells(a: WeightedAutomaton, x: Iterable[str],
 
 
 # ---------------------------------------------------------------------
-# silent rows and successor menus for k > 1
+# the tables of a prepared automaton
 # ---------------------------------------------------------------------
 
 
 NODE_CAP = 20000  # most (state, weight) nodes a silent row holds
 
 
-def _integer_arcs(a: WeightedAutomaton) -> dict[str, tuple]:
-    """The silent arcs with integer weight vectors per source as
-    (transition, target, weight), kept only when they enter a live state,
-    one with a silent walk to the source of an observable arc.  Every
-    state of a silent walk to a live state is live, so the kept arcs carry
-    every such walk, and the rows, read only at observable-arc sources,
-    lose nothing.  Built once per automaton and kept in its __dict__, like
-    unobs_solver."""
-    if "_integer_arcs" not in a.__dict__:
-        sources = {t[0] for t in a.obs_transitions}
-        live = {q for q, reach in a.silent_reach.items() if not reach.isdisjoint(sources)}
-        a.__dict__["_integer_arcs"] = {
-            q: tuple((t, t[2], tuple(map(int, t[3]))) for t in arcs if t[2] in live)
-            for q, arcs in a.silent_arcs.items()}
-    return a.__dict__["_integer_arcs"]
+def tables(a: WeightedAutomaton) -> Tables:
+    """The tables of a, built on first call and kept in a.__dict__, as
+    functools.cached_property keeps its values.  Every construction reads
+    them, so this is the one test of the precondition of every
+    construction: a is normalized and integer-scaled (normalize, then
+    scale_to_integers, which records is_prepared from its scan of the
+    denominators), and a ValueError is raised on every call otherwise.
+    Tables holds what it reads of a, never a itself, and its rows hold
+    only the kept silent arcs, so keeping it in a.__dict__ makes no
+    reference cycle: the automaton and its tables are freed as soon as the
+    automaton is dropped."""
+    found = a.__dict__.get("_tables")
+    if found is None:
+        if not a.is_prepared:
+            raise ValueError("normalize and integer-scale the automaton first")
+        found = a.__dict__["_tables"] = Tables(a)
+    return found
 
 
-class _SilentRows(dict):
-    """state -> its silent row, built on first lookup.  It holds the kept
-    silent arcs (arcs, read by the self-composition's product graph too)
-    rather than the automaton, so that holding it in a.__dict__ makes no
-    reference cycle and the automaton is freed as soon as it is dropped."""
+class Tables(dict):
+    """What the self-composition, the successor menus and the estimate
+    step read of one prepared automaton, each part built on first use.
+
+    As a mapping it sends a state q, on first lookup, to (arcs, by_label):
+    arcs lists the observable arcs t = s -e/w-> d usable from q (s silently
+    reachable from q) as (transition, label, integer weight, totals) in
+    the order of a.obs_transitions, which is sorted, and by_label maps
+    each label to its arcs, in the same order.  The totals are P(q, t) =
+    {x + w : x the weight of a silent walk q -> s}, the one fact that the
+    self-composition's synchronization test and every successor menu read:
+    the EPSet W(q, s) + w for k = 1 (solver), and for k > 1 the finite set
+    of weight vectors read off the silent row of q, or None when that row
+    is None (rows).  Every observable-arc source is live, so a row lists
+    every silent walk to it.  The observable arcs are indexed by source
+    (by_source), so a state's arcs are gathered from its reach set.  menus
+    holds the successor menu of each (estimate, symbol), computed once for
+    the observer, the detector and the searches alike (successor_steps)."""
 
     def __init__(self, a: WeightedAutomaton):
         super().__init__()
-        self.arcs = _integer_arcs(a)
-        self.depth = len(a.states)
-        self.zero = (0,) * a.k
+        self.k = a.k
+        self.states = sorted(a.states)
+        self.unobs = a.unobs_transitions
+        self.silent = a.silent_arcs
+        self.reach = a.silent_reach
+        self.by_source: dict[str, list[tuple]] = {}
+        for t in a.obs_transitions:
+            self.by_source.setdefault(t[0], []).append((t, a.label(t[1]), tuple(map(int, t[3]))))
+        self.menus: dict[tuple[frozenset[str], str], tuple[tuple, bool]] = {}
 
-    def __missing__(self, q: str) -> tuple[dict, dict] | None:
-        row = self[q] = self._build(q)
-        return row
+    @cached_property
+    def solver(self) -> WeightSetSolver:
+        """The weight-set solver over the silent arcs (k = 1); its arc ids
+        index a.unobs_transitions."""
+        arcs = [(s, int(w[0]), d) for (s, e, d, w) in self.unobs]
+        return WeightSetSolver(digraph(1, self.states, arcs))
+
+    @cached_property
+    def arcs(self) -> dict[str, tuple]:
+        """The silent arcs with integer weight vectors per source as
+        (transition, target, weight), kept only when they enter a live
+        state, one with a silent walk to the source of an observable arc.
+        Every state of a silent walk to a live state is live, so the kept
+        arcs carry every such walk, and the rows, read only at
+        observable-arc sources, lose nothing."""
+        live = {q for q, reach in self.reach.items() if not reach.isdisjoint(self.by_source)}
+        return {q: tuple((t, t[2], tuple(map(int, t[3]))) for t in arcs if t[2] in live)
+                for q, arcs in self.silent.items()}
+
+    @cached_property
+    def rows(self) -> _SilentRows:
+        """The silent row of each state over the kept arcs (k > 1)."""
+        return _SilentRows(self.arcs, len(self.states), self.k)
 
     @cached_property
     def graph(self) -> WeightedDigraph:
         """The kept silent arcs as one digraph, on which estimate_step asks
         its walk queries for states whose row is None."""
-        states = sorted(self.arcs)
-        return digraph(len(self.zero), states,
-                       [(q, w, d) for q in states for _, d, w in self.arcs[q]])
+        return digraph(self.k, self.states,
+                       [(q, w, d) for q in self.states for _, d, w in self.arcs[q]])
+
+    def __missing__(self, q: str) -> tuple[tuple, dict]:
+        usable = sorted(arc for s in self.reach[q] for arc in self.by_source.get(s, ()))
+        arcs = tuple((t, label, w, self._totals(q, t[0], w)) for t, label, w in usable)
+        by_label: dict[str, list] = {}
+        for arc in arcs:
+            by_label.setdefault(arc[1], []).append(arc)
+        entry = self[q] = arcs, by_label
+        return entry
+
+    def _totals(self, q: str, s: str, w: tuple):
+        if self.k == 1:
+            return eps_shift(self.solver.weight_set(q, s), w[0])
+        row = self.rows[q]
+        return None if row is None else frozenset(tuple(map(add, x, w)) for x in row[1][s])
+
+
+class _SilentRows(dict):
+    """Per state q, the silent row R(q) as (parent, weights), built on first
+    lookup, or None when R(q) is infinite or holds more than NODE_CAP
+    nodes.  R(q) is the set of (y, weight of w) over all walks w from q to
+    y of kept silent arcs (Tables.arcs).  A row is built breadth-first, for
+    at most |Q| levels and up to the first empty one, and it is None when
+    level |Q| is not empty.  That test is exact.  If q reaches a kept cycle
+    of weight c != 0, a walk P to it followed by n turns gives the node
+    P + n c for every n, so in a finite row every kept cycle in reach
+    weighs zero.  Cutting a closed sub-walk out of a walk then keeps both
+    ends and the weight, so every node is the end of a walk with no
+    repeated state, at most |Q| - 1 levels deep.  An infinite row, whose
+    levels are each finite, has nodes at every depth.  parent maps every
+    node to (previous node, silent transition), the arc that first reached
+    it, and the start (q, 0) to None; weights maps every state y to the
+    weights of R(q) at y, fewest arcs first."""
+
+    def __init__(self, arcs: dict[str, tuple], depth: int, k: int):
+        super().__init__()
+        self.arcs = arcs
+        self.depth = depth
+        self.zero = (0,) * k
+
+    def __missing__(self, q: str) -> tuple[dict, dict] | None:
+        row = self[q] = self._build(q)
+        return row
 
     def _build(self, q: str) -> tuple[dict, dict] | None:
         start = (q, self.zero)
@@ -213,28 +286,6 @@ class _SilentRows(dict):
         return parent, weights
 
 
-def silent_rows(a: WeightedAutomaton) -> Mapping[str, tuple[dict, dict] | None]:
-    """Per state q, the silent row R(q) as (parent, weights), or None when
-    R(q) is infinite or holds more than NODE_CAP nodes.  R(q) is the set of
-    (y, weight of w) over all walks w from q to y of kept silent arcs
-    (_integer_arcs).  A row is built breadth-first on first lookup, once
-    per state and automaton, for at most |Q| levels and up to the first
-    empty one, and it is None when level |Q| is not empty.  That test is
-    exact.  If q reaches a kept cycle of weight c != 0, a walk P to it
-    followed by n turns gives the node P + n c for every n, so in a finite
-    row every kept cycle in reach weighs zero.  Cutting a closed sub-walk
-    out of a walk then keeps both ends and the weight, so every node is the
-    end of a walk with no repeated state, at most |Q| - 1 levels deep.  An
-    infinite row, whose levels are each finite, has nodes at every depth.
-    parent maps every node to (previous node, silent transition), the arc
-    that first reached it, and the start (q, 0) to None; weights maps every
-    state y to the weights of R(q) at y, fewest arcs first.  Kept in
-    a.__dict__, like unobs_solver."""
-    if "_silent_rows" not in a.__dict__:
-        a.__dict__["_silent_rows"] = _SilentRows(a)
-    return a.__dict__["_silent_rows"]
-
-
 def row_walk(parent: dict, node: tuple) -> tuple[Transition, ...]:
     """The silent walk that first reached node, read off parent pointers."""
     walk = []
@@ -245,74 +296,17 @@ def row_walk(parent: dict, node: tuple) -> tuple[Transition, ...]:
 
 
 # ---------------------------------------------------------------------
-# totals per (state, observable arc), for every dimension
+# successor menus for k > 1
 # ---------------------------------------------------------------------
-
-
-class _ArcTotals(dict):
-    """state -> (arcs, by_label), built on first lookup.  arcs lists the
-    observable arcs usable from the state as (transition, label, integer
-    weight, totals) in the order of a.obs_transitions; by_label maps each
-    label to its arcs, in the same order.  The observable arcs are indexed
-    by source (by_source), each with its position in a.obs_transitions, so
-    a state's arcs are gathered from its reach set.  Like _SilentRows it
-    holds what it reads (reach sets, arcs, and the k = 1 solver or the
-    k > 1 rows), never the automaton, so that it makes no reference cycle
-    through a.__dict__."""
-
-    def __init__(self, a: WeightedAutomaton):
-        super().__init__()
-        self.reach = a.silent_reach
-        self.by_source: dict[str, list[tuple]] = {}
-        for i, t in enumerate(a.obs_transitions):
-            arc = (i, t, a.label(t[1]), tuple(map(int, t[3])))
-            self.by_source.setdefault(t[0], []).append(arc)
-        self.solver = unobs_solver(a) if a.k == 1 else None
-        self.rows = silent_rows(a) if a.k > 1 else None
-
-    @cached_property
-    def position(self) -> dict[Transition, int]:
-        """Each observable arc's position in a.obs_transitions, read off
-        by_source when estimate_step first orders its walk queries."""
-        return {t: i for arcs in self.by_source.values() for i, t, _, _ in arcs}
-
-    def __missing__(self, q: str) -> tuple[tuple, dict]:
-        usable = sorted(arc for s in self.reach[q] for arc in self.by_source.get(s, ()))
-        arcs = tuple((t, label, w, self._totals(q, t[0], w)) for _, t, label, w in usable)
-        by_label: dict[str, list] = {}
-        for arc in arcs:
-            by_label.setdefault(arc[1], []).append(arc)
-        entry = self[q] = arcs, by_label
-        return entry
-
-    def _totals(self, q: str, s: str, w: tuple):
-        if self.solver is not None:
-            return eps_shift(self.solver.weight_set(q, s), w[0])
-        row = self.rows[q]
-        return None if row is None else frozenset(tuple(map(add, x, w)) for x in row[1][s])
-
-
-def arc_totals(a: WeightedAutomaton) -> Mapping[str, tuple[tuple, dict]]:
-    """Per state q, its usable observable arcs t = s -e/w-> d (s silently
-    reachable from q), each with its totals P(q, t) = {x + w : x the weight
-    of a silent walk q -> s}, the one fact that the self-composition's
-    synchronization test and every successor menu read.  P(q, t) is the
-    EPSet W(q, s) + w for k = 1; for k > 1 it is the finite set of weight
-    vectors read off the silent row of q, or None when that row is None
-    (silent_rows).  Every observable-arc source is live, so a row lists
-    every silent walk to it.  Kept in a.__dict__, like silent_rows."""
-    if "_arc_totals" not in a.__dict__:
-        a.__dict__["_arc_totals"] = _ArcTotals(a)
-    return a.__dict__["_arc_totals"]
 
 
 def _row_menu(a: WeightedAutomaton, x: Iterable[str], sigma: str) -> tuple[tuple, bool]:
     """Per successor estimate, the least weight vector of a silent walk
     from x followed by one sigma-arc, read off the totals of the states of
-    x (arc_totals); and whether every row of those states closed.  If one
+    x (tables(a)); and whether every row of those states closed.  If one
     did not, the menu is empty and inexact."""
-    rows = silent_rows(a)
-    table = arc_totals(a)
+    table = tables(a)
+    rows = table.rows
     by_weight: dict[tuple, set[str]] = {}
     for q in x:
         if rows[q] is None:
@@ -341,17 +335,16 @@ def estimate_step(a: WeightedAutomaton, x: Iterable[str], sigma: str, delta: tup
     """The estimate after observing sigma with weight increment delta from
     the estimate x: the instantaneous closure of the targets d of the
     sigma-arcs t = s -e/w-> d usable from some state q of x with delta in
-    P(q, t), read off arc_totals, the table the menus and the
+    P(q, t), read off tables(a), the table the menus and the
     self-composition's synchronization test read.  Only a k > 1 total that
-    is None (silent_rows) asks for a silent walk q -> s of weight
+    is None (Tables.rows) asks for a silent walk q -> s of weight
     delta - w, on the kept silent arcs and with a fresh budget per query,
     and only for a target that no membership test has reached.  The
     queries go by arc, in the order of a.obs_transitions, then by state,
     and a target's queries stop at its first YES, so an exhausted query,
     which raises OracleUndecided, is one that a search asking every arc
     and state in that order asks too."""
-    a.require_prepared()
-    table = arc_totals(a)
+    table = tables(a)
     member = delta[0] if a.k == 1 else tuple(delta)
     raw: set[str] = set()
     pending = []
@@ -361,12 +354,12 @@ def estimate_step(a: WeightedAutomaton, x: Iterable[str], sigma: str, delta: tup
                 pending.append((q, t, w))
             elif member in totals:
                 raw.add(t[2])
-    pending.sort(key=lambda entry: table.position[entry[1]])
+    pending.sort(key=lambda entry: entry[1])  # a.obs_transitions is sorted; stable
     for q, t, w in pending:
         if t[2] in raw:
             continue
         need = tuple(map(sub, delta, w))
-        answer = has_path_with_weight(silent_rows(a).graph, q, t[0], need, budget)
+        answer = has_path_with_weight(table.graph, q, t[0], need, budget)
         if answer.status == "UNKNOWN":
             raise OracleUndecided(f"estimate step undecided at {(q, t[0], need)}")
         if answer.status == "YES":
@@ -381,13 +374,8 @@ def estimate_step(a: WeightedAutomaton, x: Iterable[str], sigma: str, delta: tup
 
 def _successor_menu(a: WeightedAutomaton, x: frozenset[str], sigma: str):
     """Uniform view: tuple of (target, cell_or_None, witness_weight), exact
-    flag.  Computed once per (x, sigma) and automaton, for the observer and
-    the detector alike, and kept in a.__dict__ like unobs_solver."""
-    menus = a.__dict__.setdefault("_successor_menus", {})
-    if (x, sigma) not in menus:
-        menus[x, sigma] = ((tuple(successor_cells(a, x, sigma)), True) if a.k == 1
-                           else _row_menu(a, x, sigma))
-    return menus[x, sigma]
+    flag; successor_steps keeps it in Tables.menus."""
+    return (tuple(successor_cells(a, x, sigma)), True) if a.k == 1 else _row_menu(a, x, sigma)
 
 
 def successor_steps(a: WeightedAutomaton,
@@ -400,15 +388,18 @@ def successor_steps(a: WeightedAutomaton,
     are disjoint, and a k > 1 target keeps the least weight of its own
     weights).  _explore and the searches of verify.check_spd, check_wd
     and check_wpd read it, so a search computes the steps only of the
-    estimates it reaches."""
-    a.require_prepared()
+    estimates it reaches, and each menu is computed once per automaton
+    (Tables.menus)."""
+    menus = tables(a).menus
     symbols = sorted(a.sigma)
 
     def steps(x: frozenset[str]) -> tuple[tuple[tuple, ...], bool]:
         out = []
         exact = True
         for sigma in symbols:
-            menu, ok = _successor_menu(a, x, sigma)
+            if (x, sigma) not in menus:
+                menus[x, sigma] = _successor_menu(a, x, sigma)
+            menu, ok = menus[x, sigma]
             exact = exact and ok
             if len(menu) > 1:  # most menus have one entry or none
                 menu = sorted(menu, key=lambda entry: repr(entry[2]))

@@ -223,14 +223,9 @@ class WeightedAutomaton:
 
     @cached_property
     def is_prepared(self) -> bool:
-        """Normalized and integral: one scan of the weights per automaton."""
+        """Normalized and integral, the precondition of every construction
+        (estimator.tables tests it): one scan of the weights per automaton."""
         return self.is_normalized() and self.is_integral()
-
-    def require_prepared(self) -> None:
-        """The precondition of every construction: normalize() and
-        scale_to_integers() have been applied."""
-        if not self.is_prepared:
-            raise ValueError("normalize and integer-scale the automaton first")
 
 
 # ---------------------------------------------------------------------

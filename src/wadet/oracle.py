@@ -21,6 +21,7 @@ from functools import cache
 from itertools import count, islice
 from typing import Callable, Iterator, Sequence
 
+from .epl import DEFAULT_BUDGET
 from .estimator import OracleUndecided, estimate_step
 from .model import (
     Transition,
@@ -112,7 +113,7 @@ def _deltas_of(gamma: Sequence[Obs], k: int, scale: int) -> list | None:
     return out
 
 
-def oracle_estimate(a: WeightedAutomaton, gamma: Sequence, budget: int = 10 ** 6,
+def oracle_estimate(a: WeightedAutomaton, gamma: Sequence, budget: int = DEFAULT_BUDGET,
                     ) -> frozenset[str]:
     """The current-state estimate for an observed weighted label sequence
     (accumulated-weight convention)."""
@@ -133,7 +134,8 @@ def _enum_estimates(a: WeightedAutomaton, horizon: int) -> dict[tuple, set[str]]
     `horizon` arcs from an initial state that show it and whose arcs after
     the last observable one weigh zero.  The runs are enumerated once per
     automaton and horizon, each extending its parent's accumulated weight
-    and observations; kept in a.__dict__, like estimator.unobs_solver."""
+    and observations; kept in a.__dict__ apart from estimator.tables, so
+    that this reference shares no table with the engine it checks."""
     cache = a.__dict__.setdefault("_enum_estimates", {})
     if horizon in cache:
         return cache[horizon]

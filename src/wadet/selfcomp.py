@@ -3,13 +3,13 @@
 The self-composition synchronizes pairs of equally-labeled observable
 events whose preceding silent-prefix-plus-event weights coincide.  For a
 composition state (q1, q2) and same-label arcs t1, t2 usable from q1 and
-q2 it reads the totals P(q1, t1) and P(q2, t2) of estimator.arc_totals,
+q2 it reads the totals P(q1, t1) and P(q2, t2) of estimator.tables,
 the weights of a silent walk from the state to the arc's source plus the
 arc's weight, and the pair synchronizes iff the two share a member.  For
 one-dimensional weights the totals are eventually periodic sets and
 epset.eps_meets decides that without building a set.  For higher
 dimensions they are the finite sets read off the silent rows
-(estimator.silent_rows), finite iff no nonzero silent cycle lies at a
+(estimator.Tables.rows), finite iff no nonzero silent cycle lies at a
 live state in reach.  Only when a row is infinite or larger than
 estimator.NODE_CAP, so that its totals are None, is the asynchronous
 product of the same silent arcs (left arcs keep their weight, right arcs
@@ -64,9 +64,9 @@ from functools import cached_property, partial
 from itertools import product
 from operator import sub
 
-from .epl import Vec, _Budget, digraph, has_path_with_weight
+from .epl import DEFAULT_BUDGET, Vec, _Budget, digraph, has_path_with_weight
 from .epset import eps_intersect, eps_meets, eps_min_abs_witness
-from .estimator import arc_totals, row_walk, silent_rows, unobs_solver
+from .estimator import row_walk, tables
 from .graphutil import find_cycle, find_path, strongly_connected_components
 from .model import Transition, WeightedAutomaton
 from .verdict import FAILS, HOLDS, SD, UNKNOWN, InternalError, Verdict
@@ -147,8 +147,8 @@ class _Synchronizer:
         self.unknown: list[tuple] = []
         self.answers: dict[tuple, object] = {}
         self._products: dict[Pair, tuple] = {}
-        rows = silent_rows(a)
-        self._silent = [(t, w) for q in sorted(a.states) for t, _, w in rows.arcs[q]]
+        arcs = tables(a).arcs
+        self._silent = [(t, w) for q in sorted(a.states) for t, _, w in arcs[q]]
 
     def sync(self, q1: str, q2: str, t1: Transition, w1: Vec, t2: Transition, w2: Vec):
         """A silent pair of paths q1->src(t1), q2->src(t2) with equal total
@@ -210,20 +210,21 @@ class _Synchronizer:
 
 def _prefixes(a: WeightedAutomaton, arc1: tuple, q1: str, arc2: tuple, q2: str) -> Paths:
     """The silent prefixes q1 -> s1 and q2 -> s2 of two arcs (transition,
-    label, weight, totals) of arc_totals whose totals share a member m,
+    label, weight, totals) of tables(a) whose totals share a member m,
     each prefix of weight m minus its arc's weight: for k = 1 m is the
     member of P1 & P2 nearest 0 and epl.witness_walk builds the walks; for
     k > 1 m is the least common total and the rows' parent pointers give
     them.  Built only when a witness is read."""
     (t1, _, w1, p1), (t2, _, w2, p2) = arc1, arc2
+    table = tables(a)
     if a.k == 1:
         m = eps_min_abs_witness(eps_intersect(p1, p2))
-        solver = unobs_solver(a)
+        solver = table.solver
         return tuple(tuple(a.unobs_transitions[arc.aid]
                            for arc in solver.witness_walk(q, t[0], m - w[0]))
                      for q, t, w in ((q1, t1, w1), (q2, t2, w2)))
     m = min(p1 & p2)
-    rows = silent_rows(a)
+    rows = table.rows
     return tuple(row_walk(rows[q][0], (t[0], tuple(map(sub, m, w))))
                  for q, t, w in ((q1, t1, w1), (q2, t2, w2)))
 
@@ -240,10 +241,9 @@ class _Expander:
     synchronizer is built when a total that is None first asks for it."""
 
     def __init__(self, a: WeightedAutomaton, budget: int):
-        a.require_prepared()
         self.a = a
         self.budget = budget
-        self.table = arc_totals(a)
+        self.table = tables(a)
         self.fast = not a.unobs_transitions
         self.sync: _Synchronizer | None = None
         self.queries = 0
@@ -304,7 +304,7 @@ def _initial_pairs(a: WeightedAutomaton) -> frozenset[Pair]:
 
 
 def build_self_composition(a: WeightedAutomaton,
-                           budget: int = 10 ** 6) -> SelfComposition:
+                           budget: int = DEFAULT_BUDGET) -> SelfComposition:
     expander = _Expander(a, budget)
     initial = _initial_pairs(a)
     successors: Successors = {}
@@ -354,7 +354,7 @@ def _first_anchor(a: WeightedAutomaton, initial: frozenset[Pair],
 
 
 def check_sd(a: WeightedAutomaton, cc: SelfComposition | None = None,
-             budget: int = 10 ** 6) -> Verdict:
+             budget: int = DEFAULT_BUDGET) -> Verdict:
     """Strong detectability via the self-composition.
 
     Fails iff some composition state on a cycle can reach a state with
@@ -362,7 +362,6 @@ def check_sd(a: WeightedAutomaton, cc: SelfComposition | None = None,
     the automaton.  Without cc the composition is explored only as far as
     the search needs; with cc the same search reads cc.successors, so both
     give the same verdict and witness."""
-    a.require_prepared()
     if cc is None:
         expander = _Expander(a, budget)
         initial, successors = _initial_pairs(a), expander.successors

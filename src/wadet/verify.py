@@ -67,6 +67,7 @@ from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
 
+from .epl import DEFAULT_BUDGET
 from .estimator import (EstimatorAutomaton, _pairs, _whole, build_detector, build_observer,
                         successor_steps)
 from .graphutil import find_cycle, find_path, strongly_connected_components
@@ -81,6 +82,8 @@ def _events_of(path: list) -> list[tuple[str, object]]:
 
 def _silent_cycle_witness(a: WeightedAutomaton) -> dict | None:
     """A reachable silent cycle of the automaton, with an access path."""
+    if not a.silent_cycle_states:
+        return None
     on_cycle = a.silent_cycle_states & a.reachable_states
     if not on_cycle:
         return None
@@ -286,7 +289,7 @@ class AnalysisResult:
         return {p: v.status for p, v in self.verdicts.items()}
 
 
-def check_all(a: WeightedAutomaton, budget: int = 10 ** 6) -> AnalysisResult:
+def check_all(a: WeightedAutomaton, budget: int = DEFAULT_BUDGET) -> AnalysisResult:
     """Normalize, scale and decide all four notions, each by its own
     on-the-fly search; the self-composition, the observer and the
     detector are built when they are read."""

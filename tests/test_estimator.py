@@ -22,7 +22,8 @@ from wadet.estimator import (
 )
 from wadet.model import instantaneous_closure, normalize, scale_to_integers, validate
 from wadet.oracle import _deltas_of, oracle_estimate, oracle_runs
-from wadet.verify import check_all
+from wadet.selfcomp import build_self_composition, check_sd
+from wadet.verify import check_all, check_spd
 
 from conftest import A0_description, A1_description
 from test_model import chain_description
@@ -60,14 +61,31 @@ def test_cells_a1_pair(aut_a1):
 def test_cells_empty_when_no_targets(aut_a1):
     assert successor_cells(aut_a1, {"q3"}, "rho") != []  # q3 reaches q4's loop
     assert successor_cells(aut_a1, {"q4"}, "zeta") == []  # no such label anywhere
+
+
+# every entry point that reads estimator.tables, called on an unscaled automaton
+REFUSING = {
+    "successor_cells": lambda a: successor_cells(a, {"p"}, "a"),
+    "successor_steps": lambda a: estimator.successor_steps(a, estimator._whole),
+    "estimate_step": lambda a: estimate_step(a, {"p"}, "a", (1,)),
+    "build_self_composition": build_self_composition,
+    "build_observer": build_observer,
+    "build_detector": build_detector,
+    "check_sd": check_sd,
+    "check_spd": check_spd,
+}
+
+
+@pytest.mark.parametrize("entry", sorted(REFUSING))
+def test_unscaled_automaton_is_refused(entry):
     # no answer at all before integer scaling: the silent weight 1/2 would
     # otherwise be read as 0
     unscaled = validate({"k": 1, "states": ["p", "q", "r"], "initial": {"p": [0]},
                          "events": {"u": None, "a": "a"},
                          "transitions": [("p", "u", "q", ["1/2"]), ("q", "a", "r", [1])]})
-    for _ in range(2):  # the check is kept per automaton and refuses every call
+    for _ in range(2):  # refused on every call, not only the first
         with pytest.raises(ValueError, match="integer-scale"):
-            estimate_step(unscaled, {"p"}, "a", (1,))
+            REFUSING[entry](unscaled)
 
 
 def target_sets(a, x, sigma):
@@ -184,7 +202,7 @@ def test_successor_cells_sweep_the_cuts_once(monkeypatch):
 
 def test_each_piece_is_shifted_once_per_automaton(monkeypatch):
     """The piece P(q, t) = W(q, s) + w of a state q and a usable observable
-    arc t = s -e/w-> d is shifted once per automaton (estimator.arc_totals)
+    arc t = s -e/w-> d is shifted once per automaton (estimator.tables)
     and read from there by the self-composition and by every menu."""
     shifts = []
     shift = estimator.eps_shift
@@ -440,7 +458,7 @@ def silent_graph(*arcs):
 ])
 def test_finite_silent_states(arcs, finite):
     a = silent_graph(*arcs)
-    rows = estimator.silent_rows(a)
+    rows = estimator.tables(a).rows
     assert {q for q in a.states if rows[q] is not None} == finite
 
 
@@ -450,7 +468,7 @@ def test_silent_cycle_that_reaches_no_observable_arc_leaves_rows_finite():
                   "events": {"u": None, "v": None, "a": "a"},
                   "transitions": [("s0", "u", "s1", [0, 0]), ("s1", "v", "s1", [1, 1]),
                                   ("s0", "a", "s0", [0, 0])]})
-    rows = estimator.silent_rows(a)
+    rows = estimator.tables(a).rows
     assert {q for q in a.states if rows[q] is not None} == {"s0", "s1"}
     assert rows["s0"][1] == {"s0": [(0, 0)]}
 
@@ -476,7 +494,7 @@ def test_finite_silent_states_match_enumeration():
     for seed in range(150):
         a = observed(random_automaton(seed, max_states=4, weight_range=(-1, 1), k=2,
                                       unobs_fraction=1.0))
-        rows = estimator.silent_rows(a)
+        rows = estimator.tables(a).rows
         for q in sorted(a.states):
             nodes = closed_enumeration(a, q, 3 * len(a.states))
             assert (rows[q] is not None) == (nodes is not None), (seed, q)
@@ -544,7 +562,7 @@ def test_infinite_rows_stop_at_depth_not_cap(monkeypatch):
                      "events": dict(chain.events),
                      "transitions": sorted(chain.transitions) + [("c19", "u", "c0", (1, 0))]})
     for a in (silent_graph((0, (1, 1), 0)), ring):
-        rows = estimator.silent_rows(a)
+        rows = estimator.tables(a).rows
         rows.arcs = CountingDict(rows.arcs)
         for q in sorted(a.states):
             rows.arcs.lookups = 0

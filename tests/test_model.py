@@ -338,7 +338,7 @@ def test_live_states_match_backward_reach():
         a = scale_to_integers(normalize(random_automaton(seed, k=2)))[0]
         live = can_reach(a.states, lambda q: (t[2] for t in a.silent_arcs[q]),
                          {t[0] for t in a.obs_transitions})
-        kept = estimator._integer_arcs(a)
+        kept = estimator.tables(a).arcs
         for q, arcs in a.silent_arcs.items():
             assert [t for t, _, _ in kept[q]] == [t for t in arcs if t[2] in live]
         dropped += sum(t[2] not in live for t in a.unobs_transitions)

@@ -5,7 +5,7 @@ from functools import partial
 from wadet import io, selfcomp
 from wadet.corpus import load_fixture, random_automaton
 from wadet.epl import WeightSetSolver, has_path_with_weight
-from wadet.estimator import arc_totals
+from wadet.estimator import tables
 from wadet.graphutil import find_cycle, find_path, reachable
 from wadet.model import normalize, scale_to_integers, validate
 from wadet.selfcomp import CCTransition, build_self_composition, check_sd
@@ -488,7 +488,7 @@ def test_sync_memo_answers_as_fresh_queries(monkeypatch):
     # k = 2 draws with the default and with a mostly silent event mix, and
     # the robot fixture (k = 4); seed 17 of both and seed 39 of the first
     # take seconds and are left out.  Same-label pairs whose totals are both
-    # finite are decided by the table (estimator.arc_totals), the others by
+    # finite are decided by the table (estimator.tables), the others by
     # the product graph, one answer per key: both routes must agree with a
     # fresh product query.
     built = []
@@ -510,7 +510,7 @@ def test_sync_memo_answers_as_fresh_queries(monkeypatch):
         cc = build_self_composition(a)
         answers = [(key, answer, "product") for sync in built
                    for key, answer in sync.answers.items()]
-        table = arc_totals(a)
+        table = tables(a)
         for q1, q2 in sorted(cc.states):
             for arc1 in table[q1][0]:
                 for arc2 in table[q2][1].get(arc1[1], ()):

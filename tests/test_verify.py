@@ -3,10 +3,10 @@ from fractions import Fraction
 
 import pytest
 
-from wadet import estimator, io, verify
+from wadet import estimator, io, model, verify
 from wadet.corpus import load_fixture, random_automaton
 from wadet.estimator import EstTransition, build_detector, build_observer
-from wadet.graphutil import find_cycle, find_path
+from wadet.graphutil import find_cycle, find_path, reachable
 from wadet.model import normalize, scale_to_integers, scale_weights, structure_report, validate
 from wadet.verdict import FAILS, HOLDS, SD, SPD, WD, WPD
 from wadet.verify import check_all, check_spd, check_wd, check_wpd
@@ -76,6 +76,25 @@ def test_wd_holds_vacuously_when_no_infinite_run():
     assert res.verdicts[WPD].status == HOLDS
     assert res.verdicts[SD].status == HOLDS
     assert res.verdicts[SPD].status == HOLDS
+
+
+def test_wd_without_silent_cycle_searches_no_reachable_states(monkeypatch):
+    # an infinite run and no silent cycle: the silent-cycle case is ruled
+    # out without a search for the reachable states
+    expected = check_wd(scale_to_integers(normalize(validate(chain_description())))[0])
+    a = scale_to_integers(normalize(validate(chain_description())))[0]
+    assert a.has_infinite_run and not a.silent_cycle_states
+    calls = []
+
+    def counting(starts, succ):
+        calls.append(starts)
+        return reachable(starts, succ)
+
+    monkeypatch.setattr(model, "reachable", counting)
+    verdict = check_wd(a)
+    assert calls == []
+    assert verdict.to_json() == expected.to_json()
+    assert verdict.status == HOLDS and verdict.witness["kind"] == "singleton-cycle"
 
 
 def test_weak_detectability_fails_on_twin_loops():
