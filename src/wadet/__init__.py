@@ -8,9 +8,8 @@ from .epset import (
     eps_partition,
     eps_reflect,
     eps_shift,
-    eps_union,
 )
-from .epl import EplAnswer, WeightedDigraph, digraph, has_path_with_weight, weight_set
+from .epl import EplAnswer, WeightedDigraph, digraph, has_path_with_weight
 from .model import (
     StructureReport,
     ValidationError,
@@ -36,7 +35,6 @@ from .oracle import (
     oracle_estimate,
     oracle_estimate_enum,
     oracle_falsify,
-    oracle_runs,
 )
 from .corpus import (
     Fixture,

@@ -80,7 +80,7 @@ def cmd_validate(args) -> int:
             "deadlock_free": rep.deadlock_free,
             "divergence_free": rep.divergence_free,
             "deterministic": rep.deterministic,
-            "unambiguous": rep.unambiguous_checked_to_bound,
+            "unambiguous": rep.unambiguous,
             "all_observable": rep.all_observable,
             "reachable_states": sorted(rep.reachable_states),
         },

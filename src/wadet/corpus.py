@@ -1,5 +1,9 @@
 """Bundled example automata and instance generators.
 
+The fixtures A0, A1 and robot are JSON documents in wadet/fixtures; the
+generator of the robot document lives with the tests, which check the
+document against it.
+
 The subset-sum instance family encodes "does some subset of the given
 positive integers sum to the target?" as a strong-detectability question:
 a silent chain either adds each weight or skips it for free, then a
@@ -54,42 +58,6 @@ def subset_sum_automaton(weights: Sequence[int], target: int) -> WeightedAutomat
         "events": {"u1": None, "u2": None, "e": "e"},
         "transitions": transitions,
     })
-
-
-def robot_description() -> dict:
-    """A patrolling robot on four positions with quantized energy 0..10.
-
-    Position deviations are encoded as differences of standard basis
-    vectors of Z^4; moving right costs one energy unit (silently between
-    positions 2 and 3, sometimes for free), moving left regains one, and
-    the energy saturates at 10.  The start is position 1 at energy 5,
-    announced by an initial weight equal to that position's basis vector.
-    """
-    def basis(j):
-        return tuple(1 if i == j - 1 else 0 for i in range(4))
-
-    def diff(j_to, j_from):
-        return tuple(a - b for a, b in zip(basis(j_to), basis(j_from)))
-
-    states = [f"e{i}p{j}" for i in range(11) for j in range(1, 5)]
-    transitions = []
-    for i in range(1, 11):
-        for k in (1, 3):  # announced right moves cost one energy unit
-            transitions.append((f"e{i}p{k}", "a", f"e{i-1}p{k+1}", diff(k + 1, k)))
-        # silent right move between positions 2 and 3, costing 0 or 1
-        transitions.append((f"e{i}p2", "u", f"e{i-1}p3", diff(3, 2)))
-        transitions.append((f"e{i}p2", "u", f"e{i}p3", diff(3, 2)))
-    for l in (2, 3, 4):  # announced left moves regain one energy unit
-        for j in range(0, 10):
-            transitions.append((f"e{j}p{l}", "b", f"e{j+1}p{l-1}", diff(l - 1, l)))
-        transitions.append((f"e10p{l}", "b", f"e10p{l-1}", diff(l - 1, l)))
-    return {
-        "k": 4,
-        "states": states,
-        "initial": {"e5p1": basis(1)},
-        "events": {"a": "a", "u": None, "b": "b"},
-        "transitions": transitions,
-    }
 
 
 _EXPECTED = {

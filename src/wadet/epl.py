@@ -299,11 +299,6 @@ def _distances_to(b, out: dict, sign: int) -> dict | None:
     return None
 
 
-def weight_set(graph: WeightedDigraph, u, v) -> EPSet:
-    """Exact set of walk weights from u to v (k = 1, integer weights)."""
-    return WeightSetSolver(graph).weight_set(u, v)
-
-
 # ---------------------------------------------------------------------
 # the decision operation
 # ---------------------------------------------------------------------
@@ -311,6 +306,7 @@ def weight_set(graph: WeightedDigraph, u, v) -> EPSet:
 
 DEFAULT_BUDGET = 10 ** 6
 PROBE_NODES = 20000  # most budget one breadth-first probe may spend
+PROBE_DEPTH = 64  # most arcs of a walk the probe extends
 
 
 @dataclass
@@ -380,15 +376,15 @@ def _multi_dim(graph: WeightedDigraph, u, v, z: Vec, budget: _Budget) -> EplAnsw
     return EplAnswer("UNKNOWN") if unknown else EplAnswer("NO")
 
 
-def _bounded_walk_probe(graph: WeightedDigraph, region, u, v, z: Vec, budget: _Budget,
-                        max_len: int = 64) -> EplAnswer | None:
+def _bounded_walk_probe(graph: WeightedDigraph, region, u, v, z: Vec,
+                        budget: _Budget) -> EplAnswer | None:
     """Breadth-first over (vertex, accumulated weight) states whose
     coordinates stay within a window around z: YES with the walk that
     first reaches (v, z), or NO when the frontier empties and no
     successor was dropped for leaving the window.  The NO is exact: the
     states seen are then closed under successors within the region, and
     every walk from u to v stays in the region, so (v, z) is not
-    reachable.  Running out of budget or of max_len steps, or a dropped
+    reachable.  Running out of budget or of PROBE_DEPTH steps, or a dropped
     successor, leaves the question open (None)."""
     start = (u, (0,) * len(z))
     seen: set[tuple[object, Vec]] = {start}
@@ -396,7 +392,7 @@ def _bounded_walk_probe(graph: WeightedDigraph, region, u, v, z: Vec, budget: _B
     window = 4 * max(map(abs, z), default=1) + 64
     out = graph.out_arcs
     pruned = False
-    for _ in range(max_len):
+    for _ in range(PROBE_DEPTH):
         nxt: dict[tuple[object, Vec], tuple] = {}
         for (x, w), walk in frontier.items():
             for a in out[x]:

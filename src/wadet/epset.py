@@ -9,10 +9,10 @@ Every operation returns the canonical form, so structural equality
 coincides with set equality.  The boolean operations also accept raw
 presentations (an EPSet built directly); eps_shift and eps_reflect move
 a canonical set without re-canonicalizing it.  The yes/no question
-eps_meets(s, t, c), whether s & (t + c) is nonempty, is answered at the
-size of the two representations and builds no set at all: the tails that
-run the same way first, by their residues mod the gcd of the periods,
-then the exceptions, then an up tail against a down tail.  eps_partition
+eps_meets(s, t), whether s & t is nonempty, is answered at the size of
+the two representations and builds no set at all: the tails that run
+the same way first, by their residues mod the gcd of the periods, then
+the exceptions, then an up tail against a down tail.  eps_partition
 splits the union of labelled raw pieces into its atoms, the sets of
 integers with one pattern of labels, in the one sweep over the cuts that
 a boolean operation makes.  When no input has a tail, eps_union_many and
@@ -89,11 +89,6 @@ class EPSet:
         return EPSet()
 
     @staticmethod
-    def universe() -> "EPSet":
-        full = frozenset([0])
-        return EPSet(frozenset(), Core(0, 1, full), Core(-1, 1, full))
-
-    @staticmethod
     def finite(members: Iterable[int]) -> "EPSet":
         return EPSet(frozenset(members), None, None)
 
@@ -102,11 +97,6 @@ class EPSet:
         """All n with n = residue (mod modulus)."""
         r = frozenset([residue % modulus])
         return EPSet(frozenset(), Core(0, modulus, r), Core(-1, modulus, r))
-
-    @staticmethod
-    def upward(threshold: int, period: int = 1, residues: Iterable[int] | None = None) -> "EPSet":
-        res = frozenset(r % period for r in residues) if residues is not None else frozenset(range(period))
-        return _recanon(EPSet(frozenset(), Core(threshold, period, res), None))
 
     # -- presentation ---------------------------------------------------
 
@@ -303,17 +293,9 @@ def _combine(sets: list[EPSet], f: Callable[..., int]) -> EPSet:
     return _canonical(*_sweep(sets, lambda masks, keep: f(*masks) & keep))
 
 
-def _recanon(s: EPSet) -> EPSet:
-    return _combine([s], lambda a: a)
-
-
 # ---------------------------------------------------------------------
 # boolean operations
 # ---------------------------------------------------------------------
-
-
-def eps_union(s: EPSet, t: EPSet) -> EPSet:
-    return _combine([s, t], lambda a, b: a | b)
 
 
 def eps_intersect(s: EPSet, t: EPSet) -> EPSet:
@@ -400,58 +382,56 @@ def _partition_points(pieces: list[tuple[EPSet, Hashable]], labels: list,
             EPSet(frozenset(points)) for key, points in atoms.items()}
 
 
-def eps_meets(s: EPSet, t: EPSet, c: int = 0) -> bool:
-    """Whether s & (t + c) is nonempty, at the size of the two
-    representations (raw presentations are read with union semantics).
+def eps_meets(s: EPSet, t: EPSet) -> bool:
+    """Whether s & t is nonempty, at the size of the two representations
+    (raw presentations are read with union semantics).
 
-    Cheapest first: the tails of s and t + c that run the same way
+    Cheapest first: the tails of s and t that run the same way
     (_cores_meet), then each exception of either side by membership in the
     other, last an up tail against a down tail (_opposite_cores_meet).  No
-    shifted set and no residue set mod the lcm of the periods is built."""
-    if s.up is not None and t.up is not None and _cores_meet(s.up, t.up, c):
+    residue set mod the lcm of the periods is built."""
+    if s.up is not None and t.up is not None and _cores_meet(s.up, t.up):
         return True
-    if s.down is not None and t.down is not None and _cores_meet(s.down, t.down, c):
+    if s.down is not None and t.down is not None and _cores_meet(s.down, t.down):
         return True
-    if any(n - c in t for n in s.exceptions) or any(n + c in s for n in t.exceptions):
+    if any(n in t for n in s.exceptions) or any(n in s for n in t.exceptions):
         return True
-    return (s.up is not None and t.down is not None and _opposite_cores_meet(s.up, t.down, c)
-            or s.down is not None and t.up is not None and _opposite_cores_meet(t.up, s.down, -c))
+    return (s.up is not None and t.down is not None and _opposite_cores_meet(s.up, t.down)
+            or s.down is not None and t.up is not None and _opposite_cores_meet(t.up, s.down))
 
 
-def _cores_meet(x: Core, y: Core, c: int) -> bool:
-    """Some n in the tail x with n - c in the tail y, both tails running
-    the same way?  Such an n has n = r (mod p) and n = s + c (mod q) for
-    residues r of x and s of y, which is solvable iff r = s + c (mod g),
-    g = gcd(p, q); the solutions form one class mod lcm(p, q), and the
-    half-line the two tails share holds members of every class.  So g = 1
-    answers yes, and otherwise the residues of x and of y + c mod g meet."""
+def _cores_meet(x: Core, y: Core) -> bool:
+    """Some n in both tails x and y, running the same way?  Such an n has
+    n = r (mod p) and n = s (mod q) for residues r of x and s of y, which
+    is solvable iff r = s (mod g), g = gcd(p, q); the solutions form one
+    class mod lcm(p, q), and the half-line the two tails share holds
+    members of every class.  So g = 1 answers yes, and otherwise the
+    residues of x and of y mod g meet."""
     g = gcd(x.period, y.period)
-    return g == 1 or not {r % g for r in x.residues}.isdisjoint(
-        (s + c) % g for s in y.residues)
+    return g == 1 or not {r % g for r in x.residues}.isdisjoint(s % g for s in y.residues)
 
 
-def _opposite_cores_meet(x: Core, y: Core, c: int) -> bool:
-    """Some n in the up tail x with n - c in the down tail y?  The two share
-    only the interval [lo, hi] = [x.threshold, y.threshold + c].  As in
-    _cores_meet, a compatible pair of residues r of x and s of y gives one
-    class of solutions mod m = lcm(p, q); an interval narrower than m holds
-    a member iff the least solution >= lo of some pair is <= hi, found in
+def _opposite_cores_meet(x: Core, y: Core) -> bool:
+    """Some n in the up tail x and in the down tail y?  The two share only
+    the interval [lo, hi] = [x.threshold, y.threshold].  As in _cores_meet,
+    a compatible pair of residues r of x and s of y gives one class of
+    solutions mod m = lcm(p, q); an interval narrower than m holds a
+    member iff the least solution >= lo of some pair is <= hi, found in
     closed form by the Chinese remainder theorem."""
-    lo, hi = x.threshold, y.threshold + c
+    lo, hi = x.threshold, y.threshold
     if lo > hi:
         return False
     p, q = x.period, y.period
     g = gcd(p, q)
     m = p // g * q
     if hi - lo + 1 >= m:
-        return _cores_meet(x, y, c)
+        return _cores_meet(x, y)
     by_class: dict[int, list[int]] = {}
     for r in x.residues:
         by_class.setdefault(r % g, []).append(r)
     qg = q // g
     inv = pow(p // g, -1, qg)
     for s in y.residues:
-        s = (s + c) % q
         for r in by_class.get(s % g, ()):
             n = r + p * ((s - r) // g * inv % qg)  # n = r (mod p), n = s (mod q)
             if lo + (n - lo) % m <= hi:

@@ -44,7 +44,8 @@ automaton.
 A built structure keeps, per estimate, its steps as (symbol, weight,
 target, cell) tuples in canonical order (EstimatorAutomaton.successors);
 the checkers and the exports read these lists, and EstTransition objects
-are made only when transitions is read.
+are made only when transitions is read.  The menus themselves come in
+no fixed order: successor_steps is the one place that orders them.
 """
 
 from __future__ import annotations
@@ -117,15 +118,13 @@ def successor_cells(a: WeightedAutomaton, x: Iterable[str],
     Canonical forms are unique, so each cell, and with it its witness
     (the member of least absolute value), is the one any other exact route
     builds, partition refinement by the T-sets say; the cells are
-    disjoint, so no two share a witness, and the sort below fixes the
-    order of the menu.
+    disjoint, so no two share a witness.  They come in eps_partition's
+    order; successor_steps orders the menu.
     """
     if a.k != 1:
         raise ValueError("exact cells require k = 1; k > 1 menus come from the silent rows")
-    out = [(instantaneous_closure(a, raw_target), cell, eps_min_abs_witness(cell))
-           for raw_target, cell in eps_partition(_successor_pieces(a, x, sigma)).items()]
-    out.sort(key=lambda c: (abs(c[2]), c[2] < 0, sorted(c[0])))
-    return out
+    return [(instantaneous_closure(a, raw_target), cell, eps_min_abs_witness(cell))
+            for raw_target, cell in eps_partition(_successor_pieces(a, x, sigma)).items()]
 
 
 # ---------------------------------------------------------------------
@@ -317,8 +316,7 @@ def _row_menu(a: WeightedAutomaton, x: Iterable[str], sigma: str) -> tuple[tuple
     by_target: dict[frozenset[str], list[tuple]] = {}
     for w, qs in by_weight.items():
         by_target.setdefault(instantaneous_closure(a, qs), []).append(w)
-    return tuple((target, None, min(ws)) for target, ws in sorted(
-        by_target.items(), key=lambda kv: sorted(kv[0]))), True
+    return tuple((target, None, min(ws)) for target, ws in by_target.items()), True
 
 
 # ---------------------------------------------------------------------

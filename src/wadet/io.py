@@ -236,8 +236,8 @@ def _dot_escape(s: str) -> str:
     return s.replace("\\", "\\\\").replace('"', '\\"')
 
 
-def automaton_to_dot(a: WeightedAutomaton, name: str = "automaton") -> str:
-    lines = [f'digraph "{_dot_escape(name)}" {{', "  rankdir=LR;"]
+def automaton_to_dot(a: WeightedAutomaton) -> str:
+    lines = ['digraph "automaton" {', "  rankdir=LR;"]
     for q in sorted(a.states):
         shape = "doublecircle" if q in a.initial else "circle"
         lines.append(f'  "{_dot_escape(q)}" [shape={shape}];')
@@ -251,11 +251,11 @@ def automaton_to_dot(a: WeightedAutomaton, name: str = "automaton") -> str:
     return "\n".join(lines) + "\n"
 
 
-def selfcomp_to_dot(cc: SelfComposition, name: str = "selfcomp") -> str:
+def selfcomp_to_dot(cc: SelfComposition) -> str:
     def node(p):
         return f"{p[0]},{p[1]}"
 
-    lines = [f'digraph "{_dot_escape(name)}" {{', "  rankdir=LR;"]
+    lines = ['digraph "selfcomp" {', "  rankdir=LR;"]
     for s in sorted(cc.states):
         shape = "doublecircle" if s in cc.initial else "circle"
         lines.append(f'  "{_dot_escape(node(s))}" [shape={shape}];')
@@ -268,11 +268,11 @@ def selfcomp_to_dot(cc: SelfComposition, name: str = "selfcomp") -> str:
     return "\n".join(lines) + "\n"
 
 
-def estimator_to_dot(est: EstimatorAutomaton, name: str | None = None) -> str:
+def estimator_to_dot(est: EstimatorAutomaton) -> str:
     def node(x):
         return "{" + ",".join(sorted(x)) + "}"
 
-    lines = [f'digraph "{_dot_escape(name or est.kind)}" {{', "  rankdir=LR;"]
+    lines = [f'digraph "{est.kind}" {{', "  rankdir=LR;"]
     for x in sorted(est.states, key=sorted):
         shape = "doublecircle" if x == est.initial else "circle"
         lines.append(f'  "{_dot_escape(node(x))}" [shape={shape}];')

@@ -31,13 +31,10 @@ def zero_weight(k: int) -> Weight:
     return (Fraction(0),) * k
 
 
-def make_weight(entries: Iterable, k: int | None = None) -> Weight:
+def make_weight(entries: Iterable) -> Weight:
     """The entries as a weight; an entry that is already a Fraction (as
     io.parse builds them) is kept as it is."""
-    w = tuple(e if type(e) is Fraction else Fraction(e) for e in entries)
-    if k is not None and len(w) != k:
-        raise ValueError(f"weight {w} has dimension {len(w)}, expected {k}")
-    return w
+    return tuple(e if type(e) is Fraction else Fraction(e) for e in entries)
 
 
 class ValidationError(ValueError):
@@ -58,9 +55,6 @@ class WeightedAutomaton:
 
     def label(self, event: str) -> str | None:
         return self.events[event]
-
-    def is_observable(self, event: str) -> bool:
-        return self.events[event] is not None
 
     @cached_property
     def sigma(self) -> frozenset[str]:
@@ -373,33 +367,28 @@ class StructureReport:
     deadlock_free: bool
     divergence_free: bool
     deterministic: bool
-    unambiguous_checked_to_bound: bool  # exact twin-run check; name kept for format stability
+    unambiguous: bool
     all_observable: bool
     reachable_states: frozenset[str]
 
 
-def _unambiguous(a: WeightedAutomaton) -> bool:
+def _unambiguous(a: WeightedAutomaton, targets: Mapping[str, Mapping[str, set[str]]]) -> bool:
     """Twin-run product: ambiguous iff two distinct runs of one event
-    sequence meet in the same state."""
-    arcs_by_event: dict[tuple[str, str], list[str]] = {}
-    for (s, e, d, w) in a.transitions:
-        arcs_by_event.setdefault((s, e), []).append(d)
-
-    starts = set()
+    sequence meet in the same state.  targets[q][e] holds the targets of
+    the e-arcs out of q, so each pair of states is expanded in time linear
+    in its arcs."""
     inits = sorted(a.initial)
-    for q1 in inits:
-        for q2 in inits:
-            starts.add((q1, q2, q1 != q2))
+    starts = {(q1, q2, q1 != q2) for q1 in inits for q2 in inits}
     seen = set(starts)
     stack = list(starts)
     while stack:
         p, q, diverged = stack.pop()
         if p == q and diverged:
             return False
-        events = {e for (s, e) in arcs_by_event if s == p}
-        for e in events:
-            for p2 in arcs_by_event.get((p, e), []):
-                for q2 in arcs_by_event.get((q, e), []):
+        q_targets = targets[q]
+        for e, p_targets in targets[p].items():
+            for p2 in p_targets:
+                for q2 in q_targets.get(e, ()):
                     nxt = (p2, q2, diverged or p2 != q2)
                     if nxt not in seen:
                         seen.add(nxt)
@@ -411,16 +400,17 @@ def structure_report(a: WeightedAutomaton) -> StructureReport:
     reach = a.reachable_states
     deadlock_free = all(a.arcs_from[q] for q in reach)
 
-    targets: dict[tuple[str, str], set[str]] = {}
+    targets: dict[str, dict[str, set[str]]] = {q: {} for q in a.states}
     for (s, e, d, w) in a.transitions:
-        targets.setdefault((s, e), set()).add(d)
-    deterministic = len(a.initial) == 1 and all(len(v) == 1 for v in targets.values())
+        targets[s].setdefault(e, set()).add(d)
+    deterministic = len(a.initial) == 1 and all(
+        len(ds) == 1 for by_event in targets.values() for ds in by_event.values())
 
     return StructureReport(
         deadlock_free=deadlock_free,
         divergence_free=a.stall_states.isdisjoint(reach),
         deterministic=deterministic,
-        unambiguous_checked_to_bound=_unambiguous(a),
+        unambiguous=_unambiguous(a, targets),
         all_observable=all(l is not None for l in a.events.values()),
         reachable_states=reach,
     )

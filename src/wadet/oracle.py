@@ -1,5 +1,5 @@
-"""Definition-level brute force: bounded run enumeration, current-state
-estimates, and bounded falsification of the four detectability notions.
+"""Definition-level brute force: current-state estimates and bounded
+falsification of the four detectability notions.
 
 The estimate itself is the product's: oracle_estimate feeds the observed
 (symbol, accumulated weight) pairs one at a time, as increments, to
@@ -7,10 +7,14 @@ estimator.estimate_step.  The path-enumeration variant
 (oracle_estimate_enum) shares no engine with it and cross-checks it on
 small instances.
 
-Falsification searches lasso-shaped infinite paths (bounded stem and
-cycle), stepping their observations through estimate_step.
-Counterexamples for the strong notions are genuine proofs of failure; for
-the weak notions the search is a bounded cross-check only.
+Falsification searches lasso-shaped infinite paths: each stem one of
+the first `stem_cap` runs of at most `horizon` arcs from an initial state
+(_runs, in length order), each cycle one of at most CYCLE_CAP simple
+cycles at the stem's end, turned until the estimate entering a turn
+repeats, at most MAX_ROUNDS times; the observations step through
+estimate_step.  Counterexamples for the strong notions are genuine
+proofs of failure; for the weak notions the search is a bounded
+cross-check only.
 """
 
 from __future__ import annotations
@@ -33,7 +37,9 @@ from .model import (
 )
 
 Obs = tuple[str, tuple[Fraction, ...]]  # (symbol, accumulated weight)
-MAX_HORIZON = 16  # longest path oracle_runs enumerates exhaustively
+MAX_HORIZON = 16  # longest path oracle_estimate_enum enumerates exhaustively
+CYCLE_CAP = 64  # most simple cycles the lasso search tries at one state
+MAX_ROUNDS = 40  # most turns of a cycle a lasso follows to a repeated estimate
 
 
 def _as_vector(value, k: int) -> tuple[Fraction, ...]:
@@ -58,26 +64,6 @@ class BoundedRun:
     @property
     def end(self) -> str:
         return self.path[-1][2] if self.path else self.start
-
-    @property
-    def weighted_word(self) -> tuple[tuple[str, tuple[Fraction, ...]], ...]:
-        out = []
-        total = None
-        for (s, e, d, w) in self.path:
-            total = w if total is None else tuple(a + b for a, b in zip(total, w))
-            out.append((e, total))
-        return tuple(out)
-
-    def label_sequence(self, a: WeightedAutomaton) -> tuple[Obs, ...]:
-        return tuple((a.label(e), t) for (e, t) in self.weighted_word
-                     if a.label(e) is not None)
-
-
-def oracle_runs(a: WeightedAutomaton, horizon: int = 12) -> list[BoundedRun]:
-    """Every path from an initial state with at most `horizon` transitions."""
-    if horizon > MAX_HORIZON:
-        raise ValueError("horizon too large for exhaustive enumeration")
-    return list(_runs(a, horizon))
 
 
 def _runs(a: WeightedAutomaton, horizon: int) -> Iterator[BoundedRun]:
@@ -201,11 +187,11 @@ class Counterexample:
     details: dict
 
 
-def _simple_cycles_at(a: WeightedAutomaton, q: str, horizon: int,
-                      cap: int = 64) -> list[tuple[Transition, ...]]:
+def _simple_cycles_at(a: WeightedAutomaton, q: str,
+                      horizon: int) -> list[tuple[Transition, ...]]:
     cycles = []
     stack = [((), q, frozenset([q]))]
-    while stack and len(cycles) < cap:
+    while stack and len(cycles) < CYCLE_CAP:
         path, cur, visited = stack.pop()
         if len(path) >= horizon:
             continue
@@ -218,8 +204,7 @@ def _simple_cycles_at(a: WeightedAutomaton, q: str, horizon: int,
 
 
 def _lasso_estimates(step: Callable, a: WeightedAutomaton,
-                     stem: Sequence[Transition], cycle: Sequence[Transition],
-                     max_rounds: int = 40):
+                     stem: Sequence[Transition], cycle: Sequence[Transition]):
     """Estimates along stem . cycle^n, step(x, sigma, delta) giving each
     next one: the list of estimates at each observed position of the stem,
     then per-round position lists until the round-entry estimate repeats.
@@ -234,7 +219,7 @@ def _lasso_estimates(step: Callable, a: WeightedAutomaton,
     rounds = []
     seen_entries = {}
     entry = (x, carry)
-    for r in range(max_rounds):
+    for r in range(MAX_ROUNDS):
         if entry in seen_entries:
             return stem_estimates, rounds, rounds[seen_entries[entry]:]
         seen_entries[entry] = r

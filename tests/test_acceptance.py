@@ -12,14 +12,14 @@ import time
 
 from wadet.corpus import load_fixture, random_automaton, subset_sum_automaton
 from wadet.epl import WeightSetSolver, digraph, replay_walk, walk_weight
-from wadet.epset import EPSet, eps_intersect, eps_union, _recanon
+from wadet.epset import EPSet, eps_intersect, eps_union_many
 from wadet.estimator import build_detector, build_observer
 from wadet.model import normalize, scale_to_integers, scale_weights, validate
 from wadet.oracle import oracle_estimate, oracle_falsify
 from wadet.verdict import FAILS, HOLDS, SD, SPD, WD, WPD
 from wadet.verify import check_all, check_spd
 
-from test_epset import eps_complement, naive_member
+from test_epset import eps_complement, naive_member, recanon
 from test_estimator import accumulate, detector_covers_observer, observer_paths
 
 
@@ -253,15 +253,15 @@ def test_criterion_6_invariances():
     r = random.Random(7)
     raws = [rand_raw(r) for _ in range(500)]
     for raw in raws:
-        s = _recanon(raw)
+        s = recanon(raw)
         for n in range(-120, 121):
             assert (n in s) == naive_member(raw, n)
-        assert _recanon(s) == s
+        assert recanon(s) == s
         assert eps_complement(eps_complement(s)) == s
         laws += 1
-    pairs = [(s, t) for s, t in zip(map(_recanon, raws[:60]), map(_recanon, raws[60:120]))]
+    pairs = [(s, t) for s, t in zip(map(recanon, raws[:60]), map(recanon, raws[60:120]))]
     for s, t in pairs:
-        assert eps_complement(eps_union(s, t)) == \
+        assert eps_complement(eps_union_many([s, t])) == \
             eps_intersect(eps_complement(s), eps_complement(t))
 
     report(6, f"scaling x2/x3/x7 invariant on {len(corpus) + len(randoms)} automata; "

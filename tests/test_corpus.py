@@ -7,7 +7,6 @@ from wadet.corpus import (
     fixture_names,
     load_fixture,
     random_automaton,
-    robot_description,
     subset_sum_automaton,
 )
 from wadet.epset import EPSet
@@ -77,6 +76,47 @@ def test_fixture_expected_verdicts_reproduced():
         got = check_all(fx.automaton).statuses()
         for prop, want in fx.expected.items():
             assert got[prop] == want, (name, prop)
+
+
+def robot_description() -> dict:
+    """The generator of the robot fixture: a patrolling robot on four
+    positions with quantized energy 0..10.
+
+    Position deviations are encoded as differences of standard basis
+    vectors of Z^4; moving right costs one energy unit (silently between
+    positions 2 and 3, sometimes for free), moving left regains one, and
+    the energy saturates at 10.  The start is position 1 at energy 5,
+    announced by an initial weight equal to that position's basis vector.
+    """
+    def basis(j):
+        return tuple(1 if i == j - 1 else 0 for i in range(4))
+
+    def diff(j_to, j_from):
+        return tuple(a - b for a, b in zip(basis(j_to), basis(j_from)))
+
+    states = [f"e{i}p{j}" for i in range(11) for j in range(1, 5)]
+    transitions = []
+    for i in range(1, 11):
+        for k in (1, 3):  # announced right moves cost one energy unit
+            transitions.append((f"e{i}p{k}", "a", f"e{i-1}p{k+1}", diff(k + 1, k)))
+        # silent right move between positions 2 and 3, costing 0 or 1
+        transitions.append((f"e{i}p2", "u", f"e{i-1}p3", diff(3, 2)))
+        transitions.append((f"e{i}p2", "u", f"e{i}p3", diff(3, 2)))
+    for l in (2, 3, 4):  # announced left moves regain one energy unit
+        for j in range(0, 10):
+            transitions.append((f"e{j}p{l}", "b", f"e{j+1}p{l-1}", diff(l - 1, l)))
+        transitions.append((f"e10p{l}", "b", f"e10p{l-1}", diff(l - 1, l)))
+    return {
+        "k": 4,
+        "states": states,
+        "initial": {"e5p1": basis(1)},
+        "events": {"a": "a", "u": None, "b": "b"},
+        "transitions": transitions,
+    }
+
+
+def test_robot_fixture_matches_its_generator():
+    assert load_fixture("robot").automaton == validate(robot_description())
 
 
 def test_robot_fixture_verdicts():

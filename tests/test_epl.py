@@ -11,7 +11,6 @@ from wadet.epl import (
     has_path_with_weight,
     replay_walk,
     walk_weight,
-    weight_set,
     WeightSetSolver,
 )
 from wadet.epset import EPSet, eps_shift, eps_union_many
@@ -98,13 +97,13 @@ def ref_weight_set(graph, u, v):
 
 def test_isolated_vertex_self_set_is_zero():
     g = digraph(1, ["v"], [])
-    assert weight_set(g, "v", "v") == EPSet.finite([0])
+    assert WeightSetSolver(g).weight_set("v", "v") == EPSet.finite([0])
 
 
 def test_positive_self_loop_gives_naturals():
     # the unobservable part of a state with a weight-1 self-loop
     g = digraph(1, ["q1"], [("q1", 1, "q1")])
-    s = weight_set(g, "q1", "q1")
+    s = WeightSetSolver(g).weight_set("q1", "q1")
     brute = enumerate_walk_weights(g, "q1", 12)["q1"]
     assert {n for n in range(-40, 41) if n in s} == {n for n in range(13)} | set(range(13, 41))
     assert brute <= {n for n in range(0, 50) if n in s}
@@ -122,7 +121,7 @@ def test_product_graph_difference_contains_zero():
             parcs.append(((a, other), w, (b, other)))   # left move keeps weight
             parcs.append(((other, a), -w, (other, b)))  # right move negated
     g = digraph(1, pverts, parcs)
-    s = weight_set(g, ("q0", "q0"), ("q1", "q2"))
+    s = WeightSetSolver(g).weight_set(("q0", "q0"), ("q1", "q2"))
     assert 0 in s
 
 
@@ -208,7 +207,7 @@ def walk_case(case):
     rng = random.Random(1000 + case)
     g = random_graph(rng, max_vertices=5)
     u, v = rng.choice(g.vertices), rng.choice(g.vertices)
-    s = weight_set(g, u, v)
+    s = WeightSetSolver(g).weight_set(u, v)
     hits = [w for w in range(-30, 31) if w in s][:12]
     misses = [w for w in range(-30, 31) if w not in s][:4]
     return g, u, v, {w: fewest_arcs(g, u, v, w) for w in hits}, misses
@@ -233,7 +232,7 @@ def test_self_weight_set_contains_zero_always():
     for _ in range(30):
         g = random_graph(rng)
         u = rng.choice(g.vertices)
-        assert 0 in weight_set(g, u, u)
+        assert 0 in WeightSetSolver(g).weight_set(u, u)
 
 
 # -- N-span witnesses: walks on a bouquet (one vertex, one loop per generator) --

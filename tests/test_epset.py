@@ -18,13 +18,11 @@ from wadet.epset import (
     eps_partition,
     eps_reflect,
     eps_shift,
-    eps_union,
     eps_union_many,
     from_minima,
     least_by_residue,
     _combine,
     _divisors,
-    _recanon,
 )
 from wadet.verify import check_all
 
@@ -34,6 +32,16 @@ WINDOW = range(-200, 201)
 def eps_complement(s):
     """Test algebra: the complement, which no product path takes."""
     return _combine([s], lambda a: ~a)
+
+
+def recanon(s):
+    """Test algebra: the canonical form of a raw presentation."""
+    return _combine([s], lambda a: a)
+
+
+def upward(threshold):
+    """{n >= threshold} in canonical form."""
+    return eps_union_many([EPSet(frozenset(), Core(threshold, 1, frozenset([0])), None)])
 
 
 def members(s, window=WINDOW):
@@ -56,7 +64,7 @@ raw_epset_st = st.builds(
     st.one_of(st.none(), core_st),
 )
 
-epset_st = raw_epset_st.map(_recanon)
+epset_st = raw_epset_st.map(recanon)
 
 # tail-free sets take the point-set path of eps_union_many and eps_partition
 finite_epset_st = st.builds(lambda exc: EPSet(frozenset(exc)),
@@ -153,15 +161,15 @@ def raw_reflect(raw):
 @settings(max_examples=300, deadline=None)
 @given(raw_epset_st, raw_epset_st, st.integers(-40, 40), finite_epset_st)
 def test_set_algebra_equals_pointwise_reference(a, b, c, f):
-    assert _recanon(a) == ref_combine([a], lambda x: x)
-    assert eps_union(a, b) == ref_combine([a, b], lambda x, y: x or y)
+    assert recanon(a) == ref_combine([a], lambda x: x)
+    assert eps_union_many([a, b]) == ref_combine([a, b], lambda x, y: x or y)
     assert eps_intersect(a, b) == ref_combine([a, b], lambda x, y: x and y)
     assert eps_intersect(a, eps_complement(b)) == ref_combine([a, b], lambda x, y: x and not y)
     assert eps_complement(a) == ref_combine([a], lambda x: not x)
     assert eps_union_many([a, b, raw_shift(b, c)]) == ref_combine(
         [a, b, raw_shift(b, c)], lambda *xs: any(xs))
-    assert eps_shift(_recanon(a), c) == ref_combine([raw_shift(a, c)], lambda x: x)
-    assert eps_reflect(_recanon(a)) == ref_combine([raw_reflect(a)], lambda x: x)
+    assert eps_shift(recanon(a), c) == ref_combine([raw_shift(a, c)], lambda x: x)
+    assert eps_reflect(recanon(a)) == ref_combine([raw_reflect(a)], lambda x: x)
     for sets in ([f, raw_shift(f, c)], [f, a], [f]):
         assert eps_union_many(sets) == ref_combine(sets, lambda *xs: any(xs))
     assert eps_union_many([]) == EPSet.empty()
@@ -212,8 +220,9 @@ def test_tail_free_union_and_partition_make_no_sweep(monkeypatch):
     for target, status in ((460, "FAILS"), (461, "HOLDS")):
         result = check_all(subset_sum_automaton([120, 340, 515], target))
         assert result.verdicts["SD"].status == status
+    tail = EPSet(up=Core(3, 1, frozenset([0])))  # a raw tail, built without a sweep
     with pytest.raises(AssertionError):
-        eps_union_many([EPSet.upward(3), EPSet.finite([1])])
+        eps_union_many([tail, EPSet.finite([1])])
 
 
 @settings(max_examples=300, deadline=None)
@@ -221,14 +230,14 @@ def test_tail_free_union_and_partition_make_no_sweep(monkeypatch):
                                st.sampled_from([10 ** 9, -10 ** 9, 999_999_937])))
 def test_canonical_form_is_translation_invariant(raw, c):
     # no window scan: the shifted presentation spans up to 10^9 integers
-    assert _recanon(raw_shift(raw, c)) == eps_shift(_recanon(raw), c)
-    assert _recanon(raw_reflect(raw_shift(raw, c))) == eps_reflect(eps_shift(_recanon(raw), c))
+    assert recanon(raw_shift(raw, c)) == eps_shift(recanon(raw), c)
+    assert recanon(raw_reflect(raw_shift(raw, c))) == eps_reflect(eps_shift(recanon(raw), c))
 
 
 @settings(max_examples=300, deadline=None)
 @given(raw_epset_st)
 def test_min_abs_witness_equals_scan(raw):
-    s = _recanon(raw)
+    s = recanon(raw)
     scan = next((n for a in range(200) for n in (a, -a) if naive_member(raw, n)), None)
     assert eps_min_abs_witness(s) == eps_min_abs_witness(raw) == scan
 
@@ -243,17 +252,17 @@ def test_divisors_by_trial_division():
 
 
 def test_complement_of_universe_is_empty():
-    assert eps_complement(EPSet.universe()).is_empty()
-    assert eps_complement(EPSet.empty()) == EPSet.universe()
+    assert eps_complement(EPSet.congruent(0, 1)).is_empty()
+    assert eps_complement(EPSet.empty()) == EPSet.congruent(0, 1)
 
 
 def test_intersect_tail_with_singleton():
-    tail = EPSet.upward(2)
+    tail = upward(2)
     assert eps_intersect(tail, EPSet.finite([11])) == EPSet.finite([11])
 
 
 def test_difference_punches_hole_and_recanonicalizes():
-    s = eps_intersect(EPSet.upward(2), eps_complement(EPSet.finite([11])))
+    s = eps_intersect(upward(2), eps_complement(EPSet.finite([11])))
     assert s.up == Core(12, 1, frozenset([0]))
     assert s.down is None
     assert s.exceptions == frozenset(range(2, 11))
@@ -264,7 +273,7 @@ def test_witnesses():
     assert eps_min_abs_witness(EPSet.empty()) is None
     assert EPSet.empty().is_empty()
     assert eps_min_abs_witness(EPSet.finite([11])) == 11
-    holed = eps_intersect(EPSet.upward(2), eps_complement(EPSet.finite([11])))
+    holed = eps_intersect(upward(2), eps_complement(EPSet.finite([11])))
     assert eps_min_abs_witness(holed) == 2
 
 
@@ -279,13 +288,13 @@ def test_fully_periodic_sets_are_anchored():
     assert evens.up == Core(0, 2, frozenset([0]))
     assert evens.down == Core(-1, 2, frozenset([0]))
     assert evens.exceptions == frozenset()
-    assert eps_union(evens, EPSet.congruent(1, 2)) == EPSet.universe()
+    assert eps_union_many([evens, EPSet.congruent(1, 2)]) == EPSet.congruent(0, 1)
 
 
 def test_shift_and_reflect():
-    s = eps_shift(EPSet.upward(2), 3)
+    s = eps_shift(upward(2), 3)
     assert members(s, range(0, 20)) == set(range(5, 20))
-    r = eps_reflect(EPSet.upward(2))
+    r = eps_reflect(upward(2))
     assert members(r, range(-20, 20)) == set(range(-20, -1))
     assert eps_reflect(eps_reflect(s)) == s
 
@@ -296,7 +305,7 @@ def test_shift_and_reflect():
 @settings(max_examples=300, deadline=None)
 @given(raw_epset_st, raw_epset_st, st.integers(-60, 60))
 def test_meets_equals_nonempty_intersection(a, b, c):
-    assert eps_meets(a, b, c) == (not eps_intersect(a, eps_shift(b, c)).is_empty())
+    assert eps_meets(a, eps_shift(b, c)) == (not eps_intersect(a, eps_shift(b, c)).is_empty())
 
 
 def test_meets_large_coprime_periods_in_closed_form():
@@ -312,10 +321,10 @@ def test_meets_large_coprime_periods_in_closed_form():
         for hi, want in [(n0, True), (n0 - 1, False)]:
             down = EPSet(frozenset(), None, Core(hi - c, Q, frozenset([(n0 - c) % Q])))
             assert (n0 in up and n0 - c in down) == want
-            assert eps_meets(up, down, c) is want
-            assert eps_meets(down, up, -c) is want
+            assert eps_meets(up, eps_shift(down, c)) is want
+            assert eps_meets(down, eps_shift(up, -c)) is want
         # two tails in one direction always share a class here, gcd 1
-        assert eps_meets(up, EPSet(frozenset(), Core(-lo, Q, frozenset([3])), None), c)
+        assert eps_meets(up, eps_shift(EPSet(frozenset(), Core(-lo, Q, frozenset([3])), None), c))
     assert time.perf_counter() - start < 0.5
 
 
@@ -332,8 +341,9 @@ def test_meets_answers_same_direction_tails_first(monkeypatch):
     ups = EPSet(frozenset([2000]), Core(0, 9, frozenset([5])), Core(-7, 6, frozenset([3])))
     downs = EPSet(frozenset([2000]), Core(0, 6, frozenset([2])), Core(-7, 4, frozenset([3])))
     for c in (0, 7, -13):
-        assert eps_meets(s, ups, c)  # up tails mod 4 and 9
-        assert eps_meets(s, downs, c)  # down tails mod 9 and 4; the up tails never meet at c = 0
+        assert eps_meets(s, eps_shift(ups, c))  # up tails mod 4 and 9
+        # down tails mod 9 and 4; the up tails never meet at c = 0
+        assert eps_meets(s, eps_shift(downs, c))
 
 
 @pytest.mark.parametrize("direction", ["up", "down"])
@@ -342,17 +352,18 @@ def test_meets_same_direction_tails_by_residues_mod_gcd(direction):
     # c = 0 gives no member and c = 1 gives 9 mod 12
     x, y = Core(0, 4, frozenset([1])), Core(0, 6, frozenset([2]))
     s, t = EPSet(**{direction: x}), EPSet(**{direction: y})
-    assert eps_meets(s, t, 0) is False
-    assert eps_meets(s, t, 1) is True
+    assert eps_meets(s, t) is False
+    assert eps_meets(s, eps_shift(t, 1)) is True
     for c in range(-12, 13):
         want = c % 2 == 1
-        assert eps_meets(s, t, c) == want == (not eps_intersect(s, eps_shift(t, c)).is_empty())
+        shifted = eps_shift(t, c)
+        assert eps_meets(s, shifted) == want == (not eps_intersect(s, shifted).is_empty())
 
 
 @settings(max_examples=150, deadline=None)
 @given(raw_epset_st)
 def test_canonical_matches_naive_description(raw):
-    s = _recanon(raw)
+    s = recanon(raw)
     for n in WINDOW:
         assert (n in s) == naive_member(raw, n)
 
@@ -360,14 +371,14 @@ def test_canonical_matches_naive_description(raw):
 @settings(max_examples=150, deadline=None)
 @given(raw_epset_st)
 def test_canonicalization_is_idempotent(raw):
-    s = _recanon(raw)
-    assert _recanon(s) == s
+    s = recanon(raw)
+    assert recanon(s) == s
 
 
 @settings(max_examples=100, deadline=None)
 @given(epset_st, epset_st)
 def test_union_and_intersection_pointwise(s, t):
-    u = eps_union(s, t)
+    u = eps_union_many([s, t])
     i = eps_intersect(s, t)
     for n in WINDOW:
         assert (n in u) == ((n in s) or (n in t))
@@ -377,8 +388,10 @@ def test_union_and_intersection_pointwise(s, t):
 @settings(max_examples=100, deadline=None)
 @given(epset_st, epset_st)
 def test_de_morgan_structurally(s, t):
-    assert eps_complement(eps_union(s, t)) == eps_intersect(eps_complement(s), eps_complement(t))
-    assert eps_complement(eps_intersect(s, t)) == eps_union(eps_complement(s), eps_complement(t))
+    assert eps_complement(eps_union_many([s, t])) == \
+        eps_intersect(eps_complement(s), eps_complement(t))
+    assert eps_complement(eps_intersect(s, t)) == \
+        eps_union_many([eps_complement(s), eps_complement(t)])
 
 
 @settings(max_examples=150, deadline=None)
@@ -398,7 +411,7 @@ def test_shift_pointwise(s, c):
 @settings(max_examples=60, deadline=None)
 @given(raw_epset_st, raw_epset_st)
 def test_canonical_unique_across_presentations(raw_a, raw_b):
-    a, b = _recanon(raw_a), _recanon(raw_b)
+    a, b = recanon(raw_a), recanon(raw_b)
     same = all(naive_member(raw_a, n) == naive_member(raw_b, n) for n in WINDOW)
     # window is wide enough for these bounded raw parts to determine the set
     if same:
@@ -468,7 +481,7 @@ def test_nspan_of_large_generators_is_the_scaled_small_span():
 def test_nspan_mixed_signs_is_full_gcd_class():
     span = nspan([4, -6])
     assert span == EPSet.congruent(0, 2)
-    assert nspan([4, -6, 3]) == EPSet.universe()
+    assert nspan([4, -6, 3]) == EPSet.congruent(0, 1)
 
 
 def test_nspan_positive_semigroup():
@@ -501,7 +514,7 @@ def test_add_progressions_pointwise_on_window(tails, sign, data):
     # outside [-30, 30] the tails of s repeat with a period that, with c,
     # divides at most 42
     up, down = TAILS[tails]
-    s = _recanon(EPSet(frozenset(data.draw(st.sets(st.integers(-30, 30), max_size=8))),
+    s = recanon(EPSet(frozenset(data.draw(st.sets(st.integers(-30, 30), max_size=8))),
                        data.draw(up), data.draw(down)))
     c, minima = data.draw(progressions_st())
     total = eps_add_progressions(s, [sign * m for m in minima], sign * c)

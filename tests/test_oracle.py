@@ -4,10 +4,10 @@ from fractions import Fraction
 from wadet.model import validate
 from wadet.oracle import (
     BoundedRun,
+    _runs,
     oracle_estimate,
     oracle_estimate_enum,
     oracle_falsify,
-    oracle_runs,
 )
 
 from test_model import chain_description
@@ -44,12 +44,32 @@ def test_estimate_on_a0(aut_a0):
 # -- runs ----------------------------------------------------------------
 
 
+def oracle_runs(a, horizon):
+    """Every path from an initial state with at most `horizon` transitions."""
+    return list(_runs(a, horizon))
+
+
+def weighted_word(run):
+    """Per arc of the run, its event and the weight accumulated so far."""
+    out, total = [], None
+    for (s, e, d, w) in run.path:
+        total = w if total is None else tuple(a + b for a, b in zip(total, w))
+        out.append((e, total))
+    return tuple(out)
+
+
+def label_sequence(run, a):
+    """The observations of the run: (label, accumulated weight) per
+    observable arc."""
+    return tuple((a.label(e), t) for (e, t) in weighted_word(run) if a.label(e) is not None)
+
+
 def test_runs_include_known_words(aut_a1):
     runs = oracle_runs(aut_a1, 2)
-    words = {r.weighted_word for r in runs}
+    words = {weighted_word(r) for r in runs}
     assert (("a", (Fraction(1),)), ("b", (Fraction(3),))) in words  # via q1
     assert (("a", (Fraction(1),)), ("b", (Fraction(2),))) in words  # via q2
-    labels = {r.label_sequence(aut_a1) for r in runs}
+    labels = {label_sequence(r, aut_a1) for r in runs}
     assert (("rho", (Fraction(1),)), ("rho", (Fraction(3),))) in labels
 
 
@@ -60,7 +80,7 @@ def test_runs_horizon_zero(aut_a1):
 
 def test_runs_on_a0_contain_detour(aut_a0):
     runs = oracle_runs(aut_a0, 2)
-    words = {r.weighted_word for r in runs}
+    words = {weighted_word(r) for r in runs}
     assert (("u", (Fraction(10),)), ("a", (Fraction(11),))) in words
 
 
@@ -73,7 +93,7 @@ def test_reachability_agrees_with_run_enumeration(aut_a0, aut_a1):
 def test_prefix_sum_law(aut_a1):
     for run in oracle_runs(aut_a1, 4):
         prev = (Fraction(0),)
-        for (e, total), arc in zip(run.weighted_word, run.path):
+        for (e, total), arc in zip(weighted_word(run), run.path):
             delta = tuple(t - p for t, p in zip(total, prev))
             assert delta == arc[3]
             prev = total
@@ -93,7 +113,7 @@ def silent_suffix_is_instantaneous(a, run):
 def test_estimate_routes_agree_on_fixtures(aut_a0, aut_a1):
     for aut in (aut_a0, aut_a1):
         for run in oracle_runs(aut, 5):
-            gamma = run.label_sequence(aut)
+            gamma = label_sequence(run, aut)
             fast = oracle_estimate(aut, gamma)
             slow = oracle_estimate_enum(aut, gamma, horizon=7)
             # the bounded route may miss long witnesses, never invent them
@@ -108,7 +128,7 @@ def test_estimate_routes_agree_on_random_instances():
         a = validate(random_automaton_raw(rng))
         seen = set()
         for run in oracle_runs(a, 4):
-            gamma = run.label_sequence(a)
+            gamma = label_sequence(run, a)
             if gamma in seen:
                 continue
             seen.add(gamma)

@@ -241,7 +241,7 @@ def test_diagonal_soundness_on_random_instances():
         while frontier:
             q = frontier.pop()
             for (s, e, d, w) in a.arcs_from[q]:
-                if a.is_observable(e):
+                if a.label(e) is not None:
                     entered.add(d)
                 if d not in seen:
                     seen.add(d)
