@@ -24,22 +24,18 @@ row.  A menu that meets an infinite row, or one over NODE_CAP, is empty
 and inexact, and downstream verdicts degrade to UNKNOWN rather than
 guessing.
 
-Both kinds of menu read one table per automaton (tables(a)): per state
-q and observable arc t = s -e/w-> d usable from q, the totals P(q, t) =
-{x + w : x the weight of a silent walk q -> s}, which is the piece
-W(q, s) + w for k = 1 and a finite set read off the row of q for k > 1.
-The self-composition decides its synchronizations from the same table,
-and the estimate step under one observed (symbol, increment)
-(estimate_step, behind wadet estimate) tests the increment's membership
-in it.
-
-Each prepared automaton owns one Tables object, tables(a), that holds
-all of this, each part built on first use: the k = 1 solver over its
-silent arcs; for k > 1 the kept silent arcs, the finite silent row of
-each state over them and their digraph; the totals; and one successor
-menu per (estimate, symbol), which the observer and the detector share.
-tables(a) is also the one test that a construction is given a prepared
-automaton.
+Both kinds of menu read one table per prepared automaton, tables(a),
+built part by part on first use.  It holds, per state q and observable
+arc t = s -e/w-> d usable from q, the totals P(q, t) = {x + w : x the
+weight of a silent walk q -> s}, and one successor menu per (estimate,
+symbol), which the observer and the detector share.  tables(a) picks
+the kind of table once: _Periodic for k = 1, whose totals are the pieces
+W(q, s) + w, or _Rows for k > 1, whose totals are finite sets read off
+the row of q, or None (open) where that row is.  The kind's methods
+answer every question about a total: the self-composition's
+synchronization test and the silent walks behind it, the menus, and the
+membership test of the estimate step under one observed (symbol,
+increment) (estimate_step, behind wadet estimate).
 
 A built structure keeps, per estimate, its steps as (symbol, weight,
 target, cell) tuples in canonical order (EstimatorAutomaton.successors);
@@ -58,7 +54,7 @@ from operator import add, sub
 from typing import Callable, Iterable, Mapping
 
 from .epl import DEFAULT_BUDGET, WeightedDigraph, WeightSetSolver, digraph, has_path_with_weight
-from .epset import EPSet, eps_min_abs_witness, eps_partition, eps_shift
+from .epset import EPSet, eps_intersect, eps_meets, eps_min_abs_witness, eps_partition, eps_shift
 from .model import Transition, WeightedAutomaton, instantaneous_closure
 
 
@@ -112,14 +108,11 @@ def successor_cells(a: WeightedAutomaton, x: Iterable[str],
     pieces W(q, q1) + w, one per state q of x and sigma-arc q1 -w-> q2, so
     that cell is the atom of L of eps_partition over the pieces labelled
     by q2: the weights in some piece of every label in L and in no piece
-    of another label.  Finite pieces are split point by point; otherwise
-    one sweep over the cuts of all the pieces, bit operations per run and
-    one canonical form per cell build them all.
-    Canonical forms are unique, so each cell, and with it its witness
-    (the member of least absolute value), is the one any other exact route
-    builds, partition refinement by the T-sets say; the cells are
-    disjoint, so no two share a witness.  They come in eps_partition's
-    order; successor_steps orders the menu.
+    of another label.  Canonical forms are unique, so each cell, and with
+    it its witness (the member of least absolute value), is the one any
+    other exact route builds, partition refinement by the T-sets say; the
+    cells are disjoint, so no two share a witness.  They come in
+    eps_partition's order; successor_steps orders the menu.
     """
     if a.k != 1:
         raise ValueError("exact cells require k = 1; k > 1 menus come from the silent rows")
@@ -137,11 +130,12 @@ NODE_CAP = 20000  # most (state, weight) nodes a silent row holds
 
 def tables(a: WeightedAutomaton) -> Tables:
     """The tables of a, built on first call and kept in a.__dict__, as
-    functools.cached_property keeps its values.  Every construction reads
-    them, so this is the one test of the precondition of every
-    construction: a is normalized and integer-scaled (normalize, then
-    scale_to_integers, which records is_prepared from its scan of the
-    denominators), and a ValueError is raised on every call otherwise.
+    functools.cached_property keeps its values, and the one place that
+    picks their kind: _Periodic for k = 1, _Rows for k > 1.  Every
+    construction reads them, so this is the one test of the precondition
+    of every construction: a is normalized and integer-scaled (normalize,
+    then scale_to_integers, which records is_prepared from its scan of
+    the denominators), and a ValueError is raised on every call otherwise.
     Tables holds what it reads of a, never a itself, and its rows hold
     only the kept silent arcs, so keeping it in a.__dict__ makes no
     reference cycle: the automaton and its tables are freed as soon as the
@@ -150,7 +144,7 @@ def tables(a: WeightedAutomaton) -> Tables:
     if found is None:
         if not a.is_prepared:
             raise ValueError("normalize and integer-scale the automaton first")
-        found = a.__dict__["_tables"] = Tables(a)
+        found = a.__dict__["_tables"] = (_Periodic if a.k == 1 else _Rows)(a)
     return found
 
 
@@ -160,18 +154,21 @@ class Tables(dict):
 
     As a mapping it sends a state q, on first lookup, to (arcs, by_label):
     arcs lists the observable arcs t = s -e/w-> d usable from q (s silently
-    reachable from q) as (transition, label, integer weight, totals) in
+    reachable from q) as (transition, label, integer weight, total) in
     the order of a.obs_transitions, which is sorted, and by_label maps
-    each label to its arcs, in the same order.  The totals are P(q, t) =
-    {x + w : x the weight of a silent walk q -> s}, the one fact that the
-    self-composition's synchronization test and every successor menu read:
-    the EPSet W(q, s) + w for k = 1 (solver), and for k > 1 the finite set
-    of weight vectors read off the silent row of q, or None when that row
-    is None (rows).  Every observable-arc source is live, so a row lists
-    every silent walk to it.  The observable arcs are indexed by source
+    each label to its arcs, in the same order; the total is P(q, t), read
+    off total(q, s, w).  The observable arcs are indexed by source
     (by_source), so a state's arcs are gathered from its reach set.  menus
-    holds the successor menu of each (estimate, symbol), computed once for
-    the observer, the detector and the searches alike (successor_steps)."""
+    holds the successor menu of each (estimate, symbol) (successor_steps).
+
+    Each kind of totals is a subclass, _Periodic or _Rows, whose methods
+    answer every question about a total: meets(p1, p2), whether two share
+    a member; has(total, delta); prefixes(q1, arc1, q2, arc2), the silent
+    walks behind the member that two arcs' totals share; menu(a, x,
+    sigma).  meets and has answer None for an open total, which only a
+    walk query decides.  A kind is never an object that points back at its
+    Tables: that cycle would keep every Tables, and its automaton, alive
+    until the cycle collector runs."""
 
     def __init__(self, a: WeightedAutomaton):
         super().__init__()
@@ -185,12 +182,52 @@ class Tables(dict):
             self.by_source.setdefault(t[0], []).append((t, a.label(t[1]), tuple(map(int, t[3]))))
         self.menus: dict[tuple[frozenset[str], str], tuple[tuple, bool]] = {}
 
+    def __missing__(self, q: str) -> tuple[tuple, dict]:
+        usable = sorted(arc for s in self.reach[q] for arc in self.by_source.get(s, ()))
+        arcs = tuple((t, label, w, self.total(q, t[0], w)) for t, label, w in usable)
+        by_label: dict[str, list] = {}
+        for arc in arcs:
+            by_label.setdefault(arc[1], []).append(arc)
+        entry = self[q] = arcs, by_label
+        return entry
+
+
+class _Periodic(Tables):
+    """The k = 1 tables: a total is the EPSet W(q, s) + w; meets is
+    eps_meets itself, read from this module when the tables are built
+    and called with no method frame; every menu is exact (successor_cells)."""
+
+    def __init__(self, a: WeightedAutomaton):
+        super().__init__(a)
+        self.meets = eps_meets
+
     @cached_property
     def solver(self) -> WeightSetSolver:
-        """The weight-set solver over the silent arcs (k = 1); its arc ids
-        index a.unobs_transitions."""
+        """The weight-set solver over the silent arcs; its arc ids index
+        a.unobs_transitions."""
         arcs = [(s, int(w[0]), d) for (s, e, d, w) in self.unobs]
         return WeightSetSolver(digraph(1, self.states, arcs))
+
+    def total(self, q: str, s: str, w: tuple) -> EPSet:
+        return eps_shift(self.solver.weight_set(q, s), w[0])
+
+    def has(self, total: EPSet, delta: tuple) -> bool:
+        return delta[0] in total
+
+    def prefixes(self, q1: str, arc1: tuple, q2: str, arc2: tuple) -> tuple:
+        """The silent walks behind the shared member nearest 0 (epl.witness_walk)."""
+        m = eps_min_abs_witness(eps_intersect(arc1[3], arc2[3]))
+        solver = self.solver
+        return tuple(tuple(self.unobs[arc.aid] for arc in solver.witness_walk(q, t[0], m - w[0]))
+                     for q, (t, _, w, _) in ((q1, arc1), (q2, arc2)))
+
+    def menu(self, a: WeightedAutomaton, x: frozenset[str], sigma: str) -> tuple[tuple, bool]:
+        return tuple(successor_cells(a, x, sigma)), True
+
+
+class _Rows(Tables):
+    """The k > 1 tables: a total is the finite set of weight vectors read
+    off the silent row of q (rows), or None, open, when that row is."""
 
     @cached_property
     def arcs(self) -> dict[str, tuple]:
@@ -206,30 +243,57 @@ class Tables(dict):
 
     @cached_property
     def rows(self) -> _SilentRows:
-        """The silent row of each state over the kept arcs (k > 1)."""
+        """The silent row of each state over the kept arcs."""
         return _SilentRows(self.arcs, len(self.states), self.k)
 
     @cached_property
     def graph(self) -> WeightedDigraph:
         """The kept silent arcs as one digraph, on which estimate_step asks
-        its walk queries for states whose row is None."""
+        its walk queries for open totals."""
         return digraph(self.k, self.states,
                        [(q, w, d) for q in self.states for _, d, w in self.arcs[q]])
 
-    def __missing__(self, q: str) -> tuple[tuple, dict]:
-        usable = sorted(arc for s in self.reach[q] for arc in self.by_source.get(s, ()))
-        arcs = tuple((t, label, w, self._totals(q, t[0], w)) for t, label, w in usable)
-        by_label: dict[str, list] = {}
-        for arc in arcs:
-            by_label.setdefault(arc[1], []).append(arc)
-        entry = self[q] = arcs, by_label
-        return entry
-
-    def _totals(self, q: str, s: str, w: tuple):
-        if self.k == 1:
-            return eps_shift(self.solver.weight_set(q, s), w[0])
+    def total(self, q: str, s: str, w: tuple) -> frozenset[tuple] | None:
         row = self.rows[q]
         return None if row is None else frozenset(tuple(map(add, x, w)) for x in row[1][s])
+
+    def meets(self, p1: frozenset | None, p2: frozenset | None) -> bool | None:
+        return None if p1 is None or p2 is None else not p1.isdisjoint(p2)
+
+    def has(self, total: frozenset | None, delta: tuple) -> bool | None:
+        return None if total is None else tuple(delta) in total
+
+    def walk(self, q: str, node: tuple) -> tuple[Transition, ...]:
+        """The silent walk from q that first reached node of R(q), read
+        off the row's parent pointers."""
+        parent, walk = self.rows[q][0], []
+        while (step := parent[node]) is not None:
+            node, t = step
+            walk.append(t)
+        return tuple(reversed(walk))
+
+    def prefixes(self, q1: str, arc1: tuple, q2: str, arc2: tuple) -> tuple:
+        """The silent walks behind the least shared member (walk)."""
+        m = min(arc1[3] & arc2[3])
+        return tuple(self.walk(q, (t[0], tuple(map(sub, m, w))))
+                     for q, (t, _, w, _) in ((q1, arc1), (q2, arc2)))
+
+    def menu(self, a: WeightedAutomaton, x: frozenset[str], sigma: str) -> tuple[tuple, bool]:
+        """Per successor estimate, the least weight vector of a silent walk
+        from x followed by one sigma-arc; and whether every row of the
+        states of x closed (if one did not, the menu is empty)."""
+        rows = self.rows
+        by_weight: dict[tuple, set[str]] = {}
+        for q in x:
+            if rows[q] is None:
+                return (), False
+            for t, _, _, total in self[q][1].get(sigma, ()):
+                for w in total:
+                    by_weight.setdefault(w, set()).add(t[2])
+        by_target: dict[frozenset[str], list[tuple]] = {}
+        for w, qs in by_weight.items():
+            by_target.setdefault(instantaneous_closure(a, qs), []).append(w)
+        return tuple((target, None, min(ws)) for target, ws in by_target.items()), True
 
 
 class _SilentRows(dict):
@@ -285,40 +349,6 @@ class _SilentRows(dict):
         return parent, weights
 
 
-def row_walk(parent: dict, node: tuple) -> tuple[Transition, ...]:
-    """The silent walk that first reached node, read off parent pointers."""
-    walk = []
-    while (step := parent[node]) is not None:
-        node, t = step
-        walk.append(t)
-    return tuple(reversed(walk))
-
-
-# ---------------------------------------------------------------------
-# successor menus for k > 1
-# ---------------------------------------------------------------------
-
-
-def _row_menu(a: WeightedAutomaton, x: Iterable[str], sigma: str) -> tuple[tuple, bool]:
-    """Per successor estimate, the least weight vector of a silent walk
-    from x followed by one sigma-arc, read off the totals of the states of
-    x (tables(a)); and whether every row of those states closed.  If one
-    did not, the menu is empty and inexact."""
-    table = tables(a)
-    rows = table.rows
-    by_weight: dict[tuple, set[str]] = {}
-    for q in x:
-        if rows[q] is None:
-            return (), False
-        for t, _, _, totals in table[q][1].get(sigma, ()):
-            for w in totals:
-                by_weight.setdefault(w, set()).add(t[2])
-    by_target: dict[frozenset[str], list[tuple]] = {}
-    for w, qs in by_weight.items():
-        by_target.setdefault(instantaneous_closure(a, qs), []).append(w)
-    return tuple((target, None, min(ws)) for target, ws in by_target.items()), True
-
-
 # ---------------------------------------------------------------------
 # the estimate step
 # ---------------------------------------------------------------------
@@ -334,8 +364,8 @@ def estimate_step(a: WeightedAutomaton, x: Iterable[str], sigma: str, delta: tup
     the estimate x: the instantaneous closure of the targets d of the
     sigma-arcs t = s -e/w-> d usable from some state q of x with delta in
     P(q, t), read off tables(a), the table the menus and the
-    self-composition's synchronization test read.  Only a k > 1 total that
-    is None (Tables.rows) asks for a silent walk q -> s of weight
+    self-composition's synchronization test read.  Only an open total,
+    where Tables.has answers None, asks for a silent walk q -> s of weight
     delta - w, on the kept silent arcs and with a fresh budget per query,
     and only for a target that no membership test has reached.  The
     queries go by arc, in the order of a.obs_transitions, then by state,
@@ -343,14 +373,14 @@ def estimate_step(a: WeightedAutomaton, x: Iterable[str], sigma: str, delta: tup
     which raises OracleUndecided, is one that a search asking every arc
     and state in that order asks too."""
     table = tables(a)
-    member = delta[0] if a.k == 1 else tuple(delta)
     raw: set[str] = set()
     pending = []
     for q in sorted(set(x)):
-        for t, _, w, totals in table[q][1].get(sigma, ()):
-            if totals is None:
+        for t, _, w, total in table[q][1].get(sigma, ()):
+            found = table.has(total, delta)
+            if found is None:
                 pending.append((q, t, w))
-            elif member in totals:
+            elif found:
                 raw.add(t[2])
     pending.sort(key=lambda entry: entry[1])  # a.obs_transitions is sorted; stable
     for q, t, w in pending:
@@ -370,12 +400,6 @@ def estimate_step(a: WeightedAutomaton, x: Iterable[str], sigma: str, delta: tup
 # ---------------------------------------------------------------------
 
 
-def _successor_menu(a: WeightedAutomaton, x: frozenset[str], sigma: str):
-    """Uniform view: tuple of (target, cell_or_None, witness_weight), exact
-    flag; successor_steps keeps it in Tables.menus."""
-    return (tuple(successor_cells(a, x, sigma)), True) if a.k == 1 else _row_menu(a, x, sigma)
-
-
 def successor_steps(a: WeightedAutomaton,
                     split: Callable[[frozenset[str]], list[frozenset[str]]]):
     """The successor function of a structure: per estimate x, its steps as
@@ -388,7 +412,8 @@ def successor_steps(a: WeightedAutomaton,
     and check_wpd read it, so a search computes the steps only of the
     estimates it reaches, and each menu is computed once per automaton
     (Tables.menus)."""
-    menus = tables(a).menus
+    table = tables(a)
+    menus = table.menus
     symbols = sorted(a.sigma)
 
     def steps(x: frozenset[str]) -> tuple[tuple[tuple, ...], bool]:
@@ -396,7 +421,7 @@ def successor_steps(a: WeightedAutomaton,
         exact = True
         for sigma in symbols:
             if (x, sigma) not in menus:
-                menus[x, sigma] = _successor_menu(a, x, sigma)
+                menus[x, sigma] = table.menu(a, x, sigma)
             menu, ok = menus[x, sigma]
             exact = exact and ok
             if len(menu) > 1:  # most menus have one entry or none

@@ -5,18 +5,14 @@ events whose preceding silent-prefix-plus-event weights coincide.  For a
 composition state (q1, q2) and same-label arcs t1, t2 usable from q1 and
 q2 it reads the totals P(q1, t1) and P(q2, t2) of estimator.tables,
 the weights of a silent walk from the state to the arc's source plus the
-arc's weight, and the pair synchronizes iff the two share a member.  For
-one-dimensional weights the totals are eventually periodic sets and
-epset.eps_meets decides that without building a set.  For higher
-dimensions they are the finite sets read off the silent rows
-(estimator.Tables.rows), finite iff no nonzero silent cycle lies at a
-live state in reach.  Only when a row is infinite or larger than
-estimator.NODE_CAP, so that its totals are None, is the asynchronous
-product of the same silent arcs (left arcs keep their weight, right arcs
-negated) queried for a walk of weight w2 - w1, one answer per key (q1,
-q2, source 1, source 2, w2 - w1) and build.  The query is budgeted, and
-an exhausted budget marks the transition as possibly missing, which
-downgrades a would-be HOLDS verdict to UNKNOWN.
+arc's weight, and the pair synchronizes iff the two share a member,
+which the table's meets decides; its prefixes builds the silent walks
+behind a witness.  Only when meets answers None, for an open total, is
+the asynchronous product of the kept silent arcs (left arcs keep their
+weight, right arcs negated) queried for a walk of weight w2 - w1, one
+answer per key (q1, q2, source 1, source 2, w2 - w1) and build.  The
+query is budgeted, and an exhausted budget marks the transition as
+possibly missing, which downgrades a would-be HOLDS verdict to UNKNOWN.
 
 The successors of a composition state are sorted (events, target) keys,
 each with the first arc pair that synchronizes into it, computed by one
@@ -65,8 +61,7 @@ from itertools import product
 from operator import sub
 
 from .epl import DEFAULT_BUDGET, Vec, _Budget, digraph, has_path_with_weight
-from .epset import eps_intersect, eps_meets, eps_min_abs_witness
-from .estimator import row_walk, tables
+from .estimator import tables
 from .graphutil import find_cycle, find_path, strongly_connected_components
 from .model import Transition, WeightedAutomaton
 from .verdict import FAILS, HOLDS, SD, UNKNOWN, InternalError, Verdict
@@ -92,7 +87,7 @@ Successors = dict[Pair, dict[tuple[tuple[str, str], Pair], Sync]]
 class Witnesses(Mapping[CCTransition, Paths]):
     """Per transition, one realizing pair of paths of the original
     automaton, built each time it is read: deciding the properties reads
-    none, and a k = 1 silent walk can be long (epl.witness_walk)."""
+    none, and a silent walk can be long (epl.witness_walk)."""
 
     def __init__(self, successors: Successors) -> None:
         self.successors = successors
@@ -136,8 +131,8 @@ class SelfComposition:
 
 
 class _Synchronizer:
-    """The budgeted product route, for k > 1 same-label pairs whose totals
-    are None (an infinite row, or one over estimator.NODE_CAP).  The answer
+    """The budgeted product route, for same-label pairs with an open total
+    (an infinite row, or one over estimator.NODE_CAP).  The answer
     depends only on the key (q1, q2, source 1, source 2, w2 - w1), so each
     distinct key is decided once per build."""
 
@@ -208,27 +203,6 @@ class _Synchronizer:
         return lambda: walks
 
 
-def _prefixes(a: WeightedAutomaton, arc1: tuple, q1: str, arc2: tuple, q2: str) -> Paths:
-    """The silent prefixes q1 -> s1 and q2 -> s2 of two arcs (transition,
-    label, weight, totals) of tables(a) whose totals share a member m,
-    each prefix of weight m minus its arc's weight: for k = 1 m is the
-    member of P1 & P2 nearest 0 and epl.witness_walk builds the walks; for
-    k > 1 m is the least common total and the rows' parent pointers give
-    them.  Built only when a witness is read."""
-    (t1, _, w1, p1), (t2, _, w2, p2) = arc1, arc2
-    table = tables(a)
-    if a.k == 1:
-        m = eps_min_abs_witness(eps_intersect(p1, p2))
-        solver = table.solver
-        return tuple(tuple(a.unobs_transitions[arc.aid]
-                           for arc in solver.witness_walk(q, t[0], m - w[0]))
-                     for q, t, w in ((q1, t1, w1), (q2, t2, w2)))
-    m = min(p1 & p2)
-    rows = table.rows
-    return tuple(row_walk(rows[q][0], (t[0], tuple(map(sub, m, w))))
-                 for q, t, w in ((q1, t1, w1), (q2, t2, w2)))
-
-
 def _no_prefixes() -> Paths:
     """The prefixes of an automaton with no silent arc: none exist."""
     return (), ()
@@ -256,7 +230,7 @@ class _Expander:
     def successors(self, state: Pair) -> dict[tuple[tuple[str, str], Pair], Sync]:
         """The (events, target) keys out of state, in sorted order, each
         with the first arc pair that synchronizes into it."""
-        a, fast, ends = self.a, self.fast, self.ends
+        a, fast, ends, meets = self.a, self.fast, self.ends, self.table.meets
         queries = 0
         q1, q2 = state
         by_label2 = self.table[q2][1]
@@ -277,22 +251,22 @@ class _Expander:
                     prefixes = _no_prefixes
                 else:
                     queries += 1
-                    if p1 is None or p2 is None:
+                    met = meets(p1, p2)
+                    if met is None:  # an open total: the product route decides
                         if self.sync is None:
                             self.sync = _Synchronizer(a, self.budget)
                         prefixes = self.sync.sync(q1, q2, t1, w1, t2, w2)
                         if prefixes is None:
                             continue
-                    # totals share a member: EPSets for k = 1, finite sets for k > 1
-                    elif eps_meets(p1, p2) if a.k == 1 else not p1.isdisjoint(p2):
-                        prefixes = None  # a _prefixes call, bound if a key is new
+                    elif met:
+                        prefixes = None  # a table.prefixes call, bound if a key is new
                     else:
                         continue
                 events, pair = (t1[1], t2[1]), None
                 for target in product(ends[t1[2]], ends[t2[2]]):
                     if (events, target) not in out:
                         if pair is None:
-                            pair = (prefixes or partial(_prefixes, a, arc1, q1, arc2, q2),
+                            pair = (prefixes or partial(self.table.prefixes, q1, arc1, q2, arc2),
                                     t1, a.zero_paths[t1[2]], t2, a.zero_paths[t2[2]])
                         out[events, target] = pair
         self.queries += queries

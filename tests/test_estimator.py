@@ -1,11 +1,14 @@
+import gc
 import random
+import weakref
+from functools import partial
 from itertools import combinations
 
 import pytest
 
 from wadet import epset, estimator, io
 from wadet.corpus import load_fixture, random_automaton
-from wadet.epl import digraph, has_path_with_weight
+from wadet.epl import DEFAULT_BUDGET, digraph, has_path_with_weight
 from wadet.epset import (
     EPSet,
     eps_intersect,
@@ -337,6 +340,39 @@ def test_silent_solver_and_menus_are_built_once(name, monkeypatch):
         build_detector(prepared_fixture(name)))
 
 
+def test_tables_are_freed_without_the_cycle_collector():
+    # tables(a) lives in the automaton's __dict__ and points back at
+    # nothing, so dropping a result frees its automaton and tables at once;
+    # a reference cycle would keep both until the collector runs
+    cases = [(partial(random_automaton, 3, k=1), DEFAULT_BUDGET),
+             (partial(random_automaton, 5, k=1, unobs_fraction=0.7), DEFAULT_BUDGET),
+             (partial(random_automaton, 4, k=2), DEFAULT_BUDGET),
+             (partial(random_automaton, 17, k=2), 10 ** 4),
+             (lambda: load_fixture("robot").automaton, DEFAULT_BUDGET)]
+    enabled = gc.isenabled()
+    gc.collect()
+    gc.disable()
+    try:
+        open_rows = read = 0
+        for make, budget in cases:
+            raw = make()
+            result = check_all(raw, budget=budget)
+            cc = result.self_composition
+            walks = [cc.witnesses[tr] for tr in list(cc.witnesses)[:5]]
+            assert result.observer.states and result.detector.states
+            read += len(walks)
+            table = estimator.tables(result.automaton)
+            if isinstance(table, estimator._Rows):
+                open_rows += any(table.rows[q] is None for q in table.states)
+            refs = weakref.ref(result.automaton), weakref.ref(table)
+            del raw, result, cc, walks, table
+            assert [ref() for ref in refs] == [None, None], make
+        assert open_rows == 1 and read > 5  # draw 17 takes the open path
+    finally:
+        if enabled:
+            gc.enable()
+
+
 def test_detector_sizes_are_bounded(aut_a0, aut_a1):
     chain = validate(chain_description((2, 3), 5))
     for aut in (aut_a0, aut_a1, chain):
@@ -501,7 +537,8 @@ def test_finite_silent_states_match_enumeration():
     for seed in range(150):
         a = observed(random_automaton(seed, max_states=4, weight_range=(-1, 1), k=2,
                                       unobs_fraction=1.0))
-        rows = estimator.tables(a).rows
+        table = estimator.tables(a)
+        rows = table.rows
         for q in sorted(a.states):
             nodes = closed_enumeration(a, q, 3 * len(a.states))
             assert (rows[q] is not None) == (nodes is not None), (seed, q)
@@ -510,7 +547,7 @@ def test_finite_silent_states_match_enumeration():
                 assert set(parent) == nodes
                 assert {(y, w) for y, ws in weights.items() for w in ws} == nodes
                 for node in parent:
-                    walk = estimator.row_walk(parent, node)
+                    walk = table.walk(q, node)
                     assert walk == () or walk[0][0] == q and walk[-1][2] == node[0]
                     assert all(s[2] == t[0] for s, t in zip(walk, walk[1:]))
                     assert tuple(sum(int(t[3][i]) for t in walk) for i in (0, 1)) == node[1]
@@ -622,7 +659,7 @@ def test_exact_menus_equal_reference_harvest():
                      | {frozenset([q]) for q in a.states})
         for x in sorted(estimates, key=sorted):
             for sigma in sorted(a.sigma):
-                menu, ok = estimator._successor_menu(a, x, sigma)
+                menu, ok = estimator.tables(a).menu(a, x, sigma)
                 if ok:
                     assert tuple(sorted(menu, key=menu_order)) == ref_menu(a, x, sigma), (x, sigma)
                     exact += 1
@@ -721,7 +758,7 @@ def reference_transitions(kind, a):
     while stack:
         x = stack.pop()
         for sigma in a.sigma:
-            for target, cell, witness in estimator._successor_menu(a, x, sigma)[0]:
+            for target, cell, witness in estimator.tables(a).menu(a, x, sigma)[0]:
                 for sub in split(target) if target else ():
                     flat.append(EstTransition(x, sigma, witness, sub, cell))
                     if sub not in seen:

@@ -56,3 +56,48 @@ def test_every_src_definition_is_named_by_product_code():
     unused = [f"{path.stem}.{qualified}" for path, tree in modules.items()
               for qualified, name in definitions(tree) if name not in named]
     assert unused == []
+
+
+def compares_k_with_1(tree):
+    """The qualified name of the function around each comparison of a .k
+    attribute with 1 ("" at module level)."""
+    out = []
+
+    def visit(node, where):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                visit(child, f"{where}.{child.name}".lstrip("."))
+                continue
+            if isinstance(child, ast.Compare):
+                operands = [child.left, *child.comparators]
+                if (any(isinstance(o, ast.Attribute) and o.attr == "k" for o in operands)
+                        and any(isinstance(o, ast.Constant) and o.value == 1 for o in operands)):
+                    out.append(where)
+            visit(child, where)
+
+    visit(tree, "")
+    return out
+
+
+def imported_modules(tree):
+    """Every dotted part of every module a module's code imports, and the
+    names it imports from a package."""
+    out = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            out.update(part for alias in node.names for part in alias.name.split("."))
+        elif isinstance(node, ast.ImportFrom):
+            out.update((node.module or "").split("."))
+            if node.module in (None, "wadet"):
+                out.update(alias.name for alias in node.names)
+    return out
+
+
+def test_only_tables_picks_a_kind_of_totals():
+    # estimator.tables(a) picks the kind of totals once; the
+    # self-composition asks the kind's methods and never reads a total
+    selfcomp = ast.parse((SRC / "selfcomp.py").read_text())
+    assert "epset" not in imported_modules(selfcomp)
+    assert compares_k_with_1(selfcomp) == []
+    estimator = ast.parse((SRC / "estimator.py").read_text())
+    assert sorted(compares_k_with_1(estimator)) == ["successor_cells", "tables"]

@@ -2,7 +2,7 @@ import json
 import random
 from functools import partial
 
-from wadet import io, selfcomp
+from wadet import estimator, io, selfcomp
 from wadet.corpus import load_fixture, random_automaton
 from wadet.epl import WeightSetSolver, has_path_with_weight
 from wadet.estimator import tables
@@ -183,7 +183,7 @@ def test_deciding_builds_no_k1_intersection(monkeypatch):
     def no_intersection(s, t):
         raise AssertionError("intersection built while deciding")
 
-    monkeypatch.setattr(selfcomp, "eps_intersect", no_intersection)
+    monkeypatch.setattr(estimator, "eps_intersect", no_intersection)
     result = check_all(validate(raw))
     assert {p: v.status for p, v in result.verdicts.items()} == {
         "SD": FAILS, "SPD": FAILS, "WD": HOLDS, "WPD": HOLDS}
@@ -515,11 +515,11 @@ def test_sync_memo_answers_as_fresh_queries(monkeypatch):
             for arc1 in table[q1][0]:
                 for arc2 in table[q2][1].get(arc1[1], ()):
                     (t1, _, w1, p1), (t2, _, w2, p2) = arc1, arc2
-                    if p1 is None or p2 is None:
+                    met = table.meets(p1, p2)
+                    if met is None:
                         continue
                     key = (q1, q2, t1[0], t2[0], tuple(y - x for x, y in zip(w1, w2)))
-                    answer = (None if p1.isdisjoint(p2) else
-                              partial(selfcomp._prefixes, a, arc1, q1, arc2, q2))
+                    answer = partial(table.prefixes, q1, arc1, q2, arc2) if met else None
                     answers.append((key, answer, "rows"))
         products = Recording(a, 10 ** 6)
         fresh_status = {}

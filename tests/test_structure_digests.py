@@ -2,7 +2,9 @@
 
 `tests/data/structure_digests.json` holds, per automaton, the sha256 of
 each of the four `check_all` verdict JSONs and of the self-composition,
-observer and detector JSON, serialized as the CLI prints them.  A change
+observer and detector JSON, serialized as the CLI prints them, and one
+sha256 (`walks`) over the repr of every self-composition transition with
+its witness walks, in the order of `witnesses`.  A change
 that must not alter any output keeps every digest; a change that alters
 outputs on purpose rewrites the file with
 
@@ -49,8 +51,14 @@ def digests(a) -> dict[str, str]:
     documents["selfcomp"] = io.selfcomp_to_json(result.self_composition, result.scale)
     documents["observer"] = io.estimator_to_json(result.observer, result.scale)
     documents["detector"] = io.estimator_to_json(result.detector, result.scale)
-    return {name: hashlib.sha256(io.dumps(doc).encode()).hexdigest()
-            for name, doc in documents.items()}
+    out = {name: hashlib.sha256(io.dumps(doc).encode()).hexdigest()
+           for name, doc in documents.items()}
+    witnesses = result.self_composition.witnesses
+    walks = hashlib.sha256()
+    for tr in witnesses:
+        walks.update(repr((tr, witnesses[tr])).encode())
+    out["walks"] = walks.hexdigest()
+    return out
 
 
 @cache
