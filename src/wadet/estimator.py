@@ -133,9 +133,10 @@ def tables(a: WeightedAutomaton) -> Tables:
     functools.cached_property keeps its values, and the one place that
     picks their kind: _Periodic for k = 1, _Rows for k > 1.  Every
     construction reads them, so this is the one test of the precondition
-    of every construction: a is normalized and integer-scaled (normalize,
-    then scale_to_integers, which records is_prepared from its scan of
-    the denominators), and a ValueError is raised on every call otherwise.
+    of every construction: a is normalized and every weight entry is an
+    int (normalize, then scale_to_integers, which records is_prepared from
+    its scan of the entries), and a ValueError is raised on every call
+    otherwise.
     Tables holds what it reads of a, never a itself, and its rows hold
     only the kept silent arcs, so keeping it in a.__dict__ makes no
     reference cycle: the automaton and its tables are freed as soon as the
@@ -179,7 +180,7 @@ class Tables(dict):
         self.reach = a.silent_reach
         self.by_source: dict[str, list[tuple]] = {}
         for t in a.obs_transitions:
-            self.by_source.setdefault(t[0], []).append((t, a.label(t[1]), tuple(map(int, t[3]))))
+            self.by_source.setdefault(t[0], []).append((t, a.label(t[1]), t[3]))
         self.menus: dict[tuple[frozenset[str], str], tuple[tuple, bool]] = {}
 
     def __missing__(self, q: str) -> tuple[tuple, dict]:
@@ -205,7 +206,7 @@ class _Periodic(Tables):
     def solver(self) -> WeightSetSolver:
         """The weight-set solver over the silent arcs; its arc ids index
         a.unobs_transitions."""
-        arcs = [(s, int(w[0]), d) for (s, e, d, w) in self.unobs]
+        arcs = [(s, w[0], d) for (s, e, d, w) in self.unobs]
         return WeightSetSolver(digraph(1, self.states, arcs))
 
     def total(self, q: str, s: str, w: tuple) -> EPSet:
@@ -238,7 +239,7 @@ class _Rows(Tables):
         arcs carry every such walk, and the rows, read only at
         observable-arc sources, lose nothing."""
         live = {q for q, reach in self.reach.items() if not reach.isdisjoint(self.by_source)}
-        return {q: tuple((t, t[2], tuple(map(int, t[3]))) for t in arcs if t[2] in live)
+        return {q: tuple((t, t[2], t[3]) for t in arcs if t[2] in live)
                 for q, arcs in self.silent.items()}
 
     @cached_property

@@ -1,8 +1,10 @@
 """Document format, serialization, and DOT export.
 
 Automata travel as JSON with exact rational weights written as strings
-("3", "-1/2").  Serialization is canonical (sorted components, fixed key
-order), so parse followed by serialize is byte-stable.
+("3", "-1/2"), read back as ints where integral and as Fractions
+otherwise (model.make_weight).  Serialization is canonical (sorted
+components, fixed key order), so parse followed by serialize is
+byte-stable.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ from fractions import Fraction
 from typing import Mapping
 
 from .estimator import EstimatorAutomaton
-from .model import WeightedAutomaton, validate
+from .model import Weight, WeightedAutomaton, exact, validate
 from .selfcomp import SelfComposition
 
 FORMAT_VERSION = 1
@@ -27,31 +29,33 @@ class ParseError(ValueError):
         self.context = context
 
 
-def rational_to_str(x: Fraction) -> str:
+def rational_to_str(x: int | Fraction) -> str:
     return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
 
 
-def str_to_rational(text, context: str = "") -> Fraction:
-    """An exact rational from a JSON weight entry.  Integers, as ints or as
-    ASCII decimal strings with an optional "-", skip Fraction's string
-    parser; everything else is read by it."""
+def str_to_rational(text, context: str = "") -> int | Fraction:
+    """An exact rational from a JSON weight entry: an int when it is
+    integral ("3", 12, "6/2", 1.0, "1e400"), else a Fraction in lowest
+    terms.  Integers, as ints or as ASCII decimal strings with an optional
+    "-", skip Fraction's string parser; everything else is read by it."""
     digits = text.removeprefix("-") if type(text) is str else ""
     try:
         if type(text) is int or (digits.isascii() and digits.isdecimal()):
-            return Fraction(int(text))
-        return Fraction(str(text))
+            return int(text)
+        return exact(Fraction(str(text)))
     except (ValueError, ZeroDivisionError) as exc:
         raise ParseError(f"bad rational {text!r} ({exc})", context) from exc
 
 
-def _weight_in(entries, context: str, k) -> list[Fraction]:
-    """The weight at context, a list of k rationals; its dimension is left
-    to validate when k itself is not a positive integer."""
+def _weight_in(entries, context: str, k) -> Weight:
+    """The weight at context, a tuple of k rationals in make_weight's
+    form; its dimension is left to validate when k itself is not a
+    positive integer."""
     if not isinstance(entries, (list, tuple)):
         raise ParseError(f"weight must be a list, got {entries!r}", context)
     if type(k) is int and k > 0 and len(entries) != k:
         raise ParseError(f"weight has dimension {len(entries)}, expected {k}", context)
-    return [str_to_rational(x, f"{context}[{i}]") for i, x in enumerate(entries)]
+    return tuple([str_to_rational(x, f"{context}[{i}]") for i, x in enumerate(entries)])
 
 
 def _list_in(document: Mapping, key: str) -> list:
@@ -97,12 +101,13 @@ def parse(document: Mapping) -> WeightedAutomaton:
     if type(version) is not int or version != FORMAT_VERSION:
         raise ParseError(f"unsupported format_version {version!r}")
     k = document.get("k")
-    parsed: dict[tuple[str, ...], list[Fraction]] = {}
+    parsed: dict[tuple[str, ...], Weight] = {}
 
-    def weight_in(entries, context: str) -> list[Fraction]:
-        """_weight_in, each distinct list of string entries parsed once.  A
-        list is kept only after it has parsed, so every error keeps its JSON
-        path; other entries are never looked up, as (True,) == (1,)."""
+    def weight_in(entries, context: str) -> Weight:
+        """_weight_in, each distinct list of string entries parsed once, to
+        one tuple that validate keeps.  A list is kept only after it has
+        parsed, so every error keeps its JSON path; other entries are never
+        looked up, as (True,) == (1,)."""
         if type(entries) is not list or not all(type(x) is str for x in entries):
             return _weight_in(entries, context, k)
         key = tuple(entries)

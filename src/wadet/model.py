@@ -1,8 +1,9 @@
 """Labeled weighted automata over the monoid (Q^k, +).
 
 States and events are opaque strings, transition weights are tuples of
-exact rationals in lowest terms, labels are output symbols or None for
-the silent label.  All operations treat automata as immutable values.
+exact rationals, each entry an int when it is integral and a Fraction in
+lowest terms otherwise (make_weight), labels are output symbols or None
+for the silent label.  All operations treat automata as immutable values.
 
 Each automaton computes its structure once, on first read, in few
 passes: one over the sorted transitions for the arc tables, one Tarjan
@@ -23,18 +24,28 @@ from typing import Iterable, Mapping
 
 from .graphutil import reachable, strongly_connected_components
 
-Weight = tuple[Fraction, ...]
+Weight = tuple[int | Fraction, ...]
 Transition = tuple[str, str, str, Weight]  # (source, event, target, weight)
 
 
 def zero_weight(k: int) -> Weight:
-    return (Fraction(0),) * k
+    return (0,) * k
+
+
+def exact(x: int | Fraction) -> int | Fraction:
+    """x, an int or a Fraction, as an int when its denominator is 1."""
+    return x.numerator if x.denominator == 1 else x
 
 
 def make_weight(entries: Iterable) -> Weight:
-    """The entries as a weight; an entry that is already a Fraction (as
-    io.parse builds them) is kept as it is."""
-    return tuple(e if type(e) is Fraction else Fraction(e) for e in entries)
+    """The entries as a weight: each an exact rational (anything Fraction
+    accepts), an int when it is integral and a Fraction otherwise.  A
+    tuple already in that form, as io.parse builds them, is kept as it
+    is."""
+    if type(entries) is tuple and all(type(e) is int or type(e) is Fraction and e.denominator != 1
+                                      for e in entries):
+        return entries
+    return tuple(exact(e if type(e) is Fraction else Fraction(e)) for e in entries)
 
 
 class ValidationError(ValueError):
@@ -207,9 +218,11 @@ class WeightedAutomaton:
         return not self.cycle_reachers.isdisjoint(self.initial)
 
     def is_integral(self) -> bool:
-        if any(w.denominator != 1 for wt in self.initial.values() for w in wt):
+        """Is every weight entry an int?  A validated automaton holds an
+        integral entry as an int (make_weight)."""
+        if any(type(x) is not int for w in self.initial.values() for x in w):
             return False
-        return all(w.denominator == 1 for t in self.transitions for w in t[3])
+        return all(type(x) is int for t in self.transitions for x in t[3])
 
     def is_normalized(self) -> bool:
         z = zero_weight(self.k)
@@ -327,8 +340,11 @@ def normalize(a: WeightedAutomaton) -> WeightedAutomaton:
 
 
 def scale_weights(a: WeightedAutomaton, factor: Fraction | int) -> WeightedAutomaton:
-    factor = Fraction(factor)
-    scale = lambda w: tuple(x * factor for x in w)
+    """Every weight entry times factor, an int when the product is
+    integral."""
+    if type(factor) is not int:
+        factor = Fraction(factor)
+    scale = lambda w: tuple(exact(x * factor) for x in w)
     return WeightedAutomaton(
         a.k,
         a.states,
@@ -340,12 +356,17 @@ def scale_weights(a: WeightedAutomaton, factor: Fraction | int) -> WeightedAutom
 
 def scale_to_integers(a: WeightedAutomaton) -> tuple[WeightedAutomaton, int]:
     """Multiply all weights by the least common multiple of their
-    denominators.  Detectability is preserved (and tested, not assumed)."""
-    denoms = [x.denominator for w in a.initial.values() for x in w]
-    denoms += [x.denominator for t in a.transitions for x in t[3]]
-    m = lcm(*denoms) if denoms else 1
-    scaled = a if m == 1 else scale_weights(a, m)
-    scaled.__dict__["is_prepared"] = scaled.is_normalized()  # integral by the scan above
+    denominators, so that every entry is an int; an automaton whose
+    entries all are is returned unchanged, with scale 1.  Detectability is
+    preserved (and tested, not assumed)."""
+    entries = [x for w in a.initial.values() for x in w]
+    entries += [x for t in a.transitions for x in t[3]]
+    if all(type(x) is int for x in entries):
+        scaled, m = a, 1
+    else:
+        m = lcm(*(x.denominator for x in entries))
+        scaled = scale_weights(a, m)
+    scaled.__dict__["is_prepared"] = scaled.is_normalized()  # every entry an int, as above
     return scaled, m
 
 

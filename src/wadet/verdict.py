@@ -36,6 +36,10 @@ def _jsonable(obj):
         return obj
     if isinstance(obj, dict):
         return {str(k): _jsonable(v) for k, v in obj.items()}
+    if type(obj) is tuple and len(obj) == 4 and type(obj[3]) is tuple:
+        # an arc (source, event, target, weight) of a witness walk: its
+        # weight entries print as a document writes them, "2" or "-1/2"
+        return [*obj[:3], [str(x) for x in obj[3]]]
     if isinstance(obj, (list, tuple, set, frozenset)):
         items = [_jsonable(x) for x in obj]
         if isinstance(obj, (set, frozenset)):

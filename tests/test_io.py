@@ -37,10 +37,31 @@ def test_rationals_canonicalized():
     assert "-1/2" in weights and "-3/6" not in weights
 
 
+def test_round_trip_is_byte_stable_with_mixed_int_and_fraction_weights():
+    doc = {"format_version": 1, "k": 2, "states": ["p", "q"],
+           "initial": [{"state": "p", "weight": ["6/2", "-1/2"]}],
+           "events": [{"name": "a", "label": "a"}, {"name": "u", "label": None}],
+           "transitions": [
+               {"from": "p", "event": "a", "to": "q", "weight": ["1.5", "-4"]},
+               {"from": "q", "event": "u", "to": "p", "weight": [2, "1e2"]},
+               {"from": "q", "event": "a", "to": "q", "weight": ["-3/6", "0"]}]}
+    a = io.loads(json.dumps(doc))
+    assert a.initial["p"] == (3, Fraction(-1, 2))
+    assert [type(x) for x in a.initial["p"]] == [int, Fraction]
+    assert {t[3] for t in a.transitions} == {(Fraction(3, 2), -4), (2, 100), (Fraction(-1, 2), 0)}
+    text = io.dumps(io.serialize(a))
+    assert '"100"' in text and '"-1/2"' in text
+    again = io.loads(text)
+    assert again == a and io.dumps(io.serialize(again)) == text
+    assert [[type(x) for x in w] for w in sorted(t[3] for t in again.transitions)] == \
+        [[Fraction, int], [Fraction, int], [int, int]]
+
+
 @pytest.mark.parametrize("text", ["3", "-0", "007", "+3", " 3", "1_0", "٣", "--3", "-", "",
                                   "1e400", "1/2", 1.5, True, None, 12, -12])
 def test_str_to_rational_matches_fraction_of_str(text):
-    # integers skip Fraction's string parser: same values, same errors
+    # integers skip Fraction's string parser: same values, same errors; an
+    # integral value is an int, any other a Fraction
     try:
         expected = Fraction(str(text))
     except (ValueError, ZeroDivisionError) as exc:
@@ -49,7 +70,8 @@ def test_str_to_rational_matches_fraction_of_str(text):
         assert str(err.value) == f"w[0]: bad rational {text!r} ({exc})"
     else:
         value = io.str_to_rational(text, "w[0]")
-        assert value == expected and type(value) is Fraction
+        assert value == expected
+        assert type(value) is (int if expected.denominator == 1 else Fraction)
 
 
 @pytest.mark.parametrize("literal, exact", [

@@ -6,7 +6,7 @@ import pytest
 
 from wadet import estimator, model
 from wadet.corpus import fixture_names, load_fixture, random_automaton
-from wadet.io import serialize
+from wadet.io import parse, serialize
 from wadet.graphutil import reachable, strongly_connected_components
 from wadet.model import (
     ValidationError,
@@ -167,6 +167,46 @@ def test_scale_to_integers_mixed_denominators():
     assert got[("q0", "a", "q1")] == 15
     assert got[("q0", "a", "q2")] == -2
     assert got[("q1", "u", "q1")] == 0
+
+
+def weight_entries(a):
+    return [x for w in a.initial.values() for x in w] + [x for t in a.transitions for x in t[3]]
+
+
+def test_make_weight_holds_integral_entries_as_ints():
+    w = make_weight([Fraction(3), "1/2", 2, 1.5, "6/2", True, Fraction(-4, 2)])
+    assert w == (3, Fraction(1, 2), 2, Fraction(3, 2), 3, 1, -2)
+    assert [type(x) for x in w] == [int, Fraction, int, Fraction, int, int, int]
+    assert make_weight(w) is w  # already in its form, as io.parse builds it
+    assert make_weight((Fraction(3),)) == (3,) and type(make_weight((Fraction(3),))[0]) is int
+
+
+@pytest.mark.parametrize("text, scale", [("2", 1), ("6/2", 1), ("1.5", 2), ("-1/2", 2)])
+def test_prepared_entries_are_ints(text, scale):
+    doc = serialize(validate(A1_description()))
+    doc["transitions"][0]["weight"] = [text]
+    doc["initial"][0]["weight"] = [text]  # through normalize's fresh arc
+    a = parse(doc)
+    assert any(type(x) is Fraction for x in weight_entries(a)) == (scale != 1)
+    prepared, m = scale_to_integers(normalize(a))
+    assert m == scale and prepared.is_prepared
+    assert all(type(x) is int for x in weight_entries(prepared))
+
+
+def test_prepared_entries_are_ints_when_built_with_integral_fractions():
+    # a caller may build an automaton directly, with Fraction(3) entries;
+    # the constructions read it only once they are ints
+    transitions = {("p", "a", "q", (Fraction(3),)), ("q", "u", "p", (Fraction(6, 2),)),
+                   ("q", "a", "q", (1,))}
+    a = WeightedAutomaton(1, frozenset({"p", "q"}), {"p": (Fraction(0),)},
+                          {"a": "a", "u": None}, frozenset(transitions))
+    assert not a.is_prepared
+    with pytest.raises(ValueError):
+        estimator.tables(a)
+    prepared, m = scale_to_integers(normalize(a))
+    assert m == 1 and prepared == a and prepared.is_prepared
+    assert all(type(x) is int for x in weight_entries(prepared))
+    assert estimator.tables(prepared)["p"][0]
 
 
 # -- instantaneous closure ----------------------------------------------

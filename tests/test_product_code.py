@@ -58,9 +58,9 @@ def test_every_src_definition_is_named_by_product_code():
     assert unused == []
 
 
-def compares_k_with_1(tree):
-    """The qualified name of the function around each comparison of a .k
-    attribute with 1 ("" at module level)."""
+def enclosing(tree, matches):
+    """The qualified name of the function around each node for which
+    matches(node) holds ("" at module level)."""
     out = []
 
     def visit(node, where):
@@ -68,15 +68,23 @@ def compares_k_with_1(tree):
             if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
                 visit(child, f"{where}.{child.name}".lstrip("."))
                 continue
-            if isinstance(child, ast.Compare):
-                operands = [child.left, *child.comparators]
-                if (any(isinstance(o, ast.Attribute) and o.attr == "k" for o in operands)
-                        and any(isinstance(o, ast.Constant) and o.value == 1 for o in operands)):
-                    out.append(where)
+            if matches(child):
+                out.append(where)
             visit(child, where)
 
     visit(tree, "")
     return out
+
+
+def compares_k_with_1(tree):
+    """The qualified name of the function around each comparison of a .k
+    attribute with 1 ("" at module level)."""
+    def matches(node):
+        operands = [node.left, *node.comparators] if isinstance(node, ast.Compare) else []
+        return (any(isinstance(o, ast.Attribute) and o.attr == "k" for o in operands)
+                and any(isinstance(o, ast.Constant) and o.value == 1 for o in operands))
+
+    return enclosing(tree, matches)
 
 
 def imported_modules(tree):
@@ -101,3 +109,21 @@ def test_only_tables_picks_a_kind_of_totals():
     assert compares_k_with_1(selfcomp) == []
     estimator = ast.parse((SRC / "estimator.py").read_text())
     assert sorted(compares_k_with_1(estimator)) == ["successor_cells", "tables"]
+
+
+def fraction_importers(tree):
+    """The qualified name of the function around each import of the
+    fractions module ("" at module level)."""
+    return enclosing(tree, lambda node: (
+        isinstance(node, ast.ImportFrom) and node.module == "fractions"
+        or isinstance(node, ast.Import) and any(alias.name == "fractions" for alias in node.names)))
+
+
+def test_only_the_document_edge_and_the_references_import_fraction():
+    # integral weights are ints from io.parse on; a Fraction is made only
+    # where a document's denominator is read (io, model), by the oracle,
+    # and by epl's rational elimination
+    found = {f"{path.stem}{'.' + where if where else ''}"
+             for path in sorted(SRC.glob("*.py"))
+             for where in fraction_importers(ast.parse(path.read_text()))}
+    assert found == {"io", "model", "oracle", "epl._linear_screen"}

@@ -303,6 +303,21 @@ def test_scaling_invariance_on_corpus_and_random():
             assert statuses(scale_weights(a, m)) == base, (a, m)
 
 
+def test_witness_arc_weights_print_as_strings(aut_a0):
+    # arcs hold int weights, which print as a document writes them; the
+    # weights of observed steps stay JSON numbers
+    result = check_all(io.loads(io.dumps(io.serialize(aut_a0))))
+    sd, spd, wd = (result.verdicts[p] for p in (SD, SPD, WD))
+    assert sd.witness["a_cycle"] == [("q3", "a", "q3", (1,))]
+    assert type(sd.witness["a_cycle"][0][3][0]) is int
+    assert sd.to_json()["witness"]["a_cycle"] == [["q3", "a", "q3", ["1"]]]
+    assert wd.witness["kind"] == "silent-cycle"
+    assert wd.to_json()["witness"]["path"] == [["q0", "u", "q2", ["1"]]]
+    assert wd.to_json()["witness"]["cycle"] == [["q2", "u", "q2", ["1"]]]
+    steps = spd.to_json()["witness"]["access"]
+    assert steps and all(type(w) is int for _, w in steps)
+
+
 def test_rational_weights_round_trip_through_scaling(aut_a1):
     a = scale_weights(aut_a1, Fraction(1, 6))
     assert statuses(a) == statuses(aut_a1)
