@@ -26,16 +26,11 @@ from .estimator import (
     EstimatorAutomaton,
     build_detector,
     build_observer,
+    estimate,
     successor_cells,
 )
 from .verify import AnalysisResult, check_all, check_spd, check_wd, check_wpd
 from .verdict import Verdict
-from .oracle import (
-    BoundedRun,
-    oracle_estimate,
-    oracle_estimate_enum,
-    oracle_falsify,
-)
 from .corpus import (
     Fixture,
     load_fixture,

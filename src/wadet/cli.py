@@ -1,8 +1,8 @@
 """Command-line interface.
 
 Exit codes: 0 = HOLDS / success, 1 = FAILS, 2 = UNKNOWN, 3 = input error
-(a malformed document or option value), 4 = internal error (a failed
-invariant or precondition check, or any other bug).
+(a malformed document, option value or command line), 4 = internal error
+(a failed invariant or precondition check, or any other bug).
 `check all` exits with the worst status among the four properties.
 Observation strings use accumulated weights: "(rho,1);(rho,3)" and, for
 vector weights, "(a,1 0 0 0);(b,1 -1 0 0)".
@@ -16,8 +16,8 @@ import re
 import sys
 import traceback
 
-from . import corpus, io, oracle
-from .estimator import build_detector, build_observer
+from . import corpus, io
+from .estimator import EstimateUndecided, build_detector, build_observer, estimate
 from .model import ValidationError, normalize, scale_to_integers, structure_report
 from .selfcomp import build_self_composition, check_sd
 from .verdict import FAILS, HOLDS, UNKNOWN
@@ -139,12 +139,12 @@ def cmd_estimate(args) -> int:
     a = _read_automaton(args.file)
     gamma = _parse_obs(args.obs, a.k)
     try:
-        estimate = oracle.oracle_estimate(a, gamma)
-    except oracle.OracleUndecided as exc:  # k > 1 budget exhausted
+        x = estimate(a, gamma)
+    except EstimateUndecided as exc:  # k > 1 budget exhausted
         _emit({"observation": args.obs, "estimate": None, "status": UNKNOWN,
                "notes": str(exc)})
         return EXIT[UNKNOWN]
-    _emit({"observation": args.obs, "estimate": sorted(estimate)})
+    _emit({"observation": args.obs, "estimate": sorted(x)})
     return 0
 
 
@@ -168,35 +168,6 @@ def cmd_gen(args) -> int:
     return 0
 
 
-def cmd_oracle(args) -> int:
-    if args.horizon < 0:
-        raise io.ParseError(f"must be nonnegative, got {args.horizon}", "--horizon")
-    if args.oracle_command == "estimate" and args.horizon > oracle.MAX_HORIZON:
-        raise io.ParseError(f"at most {oracle.MAX_HORIZON}, got {args.horizon}", "--horizon")
-    a = _read_automaton(args.file)
-    if args.oracle_command == "estimate":
-        gamma = _parse_obs(args.obs, a.k)
-        estimate = oracle.oracle_estimate_enum(a, gamma, horizon=args.horizon)
-        _emit({"observation": args.obs, "estimate": sorted(estimate),
-               "horizon": args.horizon})
-        return 0
-    ce = oracle.oracle_falsify(a, args.property, horizon=args.horizon)
-    if ce is None:
-        _emit({"property": args.property.upper(), "counterexample": None})
-        return 0
-    _emit({
-        "property": args.property.upper(),
-        "counterexample": {
-            "kind": ce.kind,
-            "stem": [list(t[:3]) for t in ce.stem],
-            "cycle": [list(t[:3]) for t in ce.cycle],
-            "details": {k: v if not isinstance(v, (set, frozenset)) else sorted(v)
-                        for k, v in ce.details.items()},
-        },
-    })
-    return 1
-
-
 def cmd_export(args) -> int:
     if args.what == "automaton":
         text = io.automaton_to_dot(_read_automaton(args.file))
@@ -210,8 +181,16 @@ def cmd_export(args) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser whose usage errors are input errors (exit 3):
+    argparse's own exit status for them, 2, means UNKNOWN here."""
+
+    def error(self, message: str):
+        raise io.ParseError(message, self.prog)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="wadet",
         description="Detectability analysis for labeled weighted automata over (Q^k, +).",
     )
@@ -263,19 +242,6 @@ def build_parser() -> argparse.ArgumentParser:
     g.add_argument("-o", "--output")
     g.set_defaults(func=cmd_gen)
 
-    p = sub.add_parser("oracle", help="brute-force estimates and falsification")
-    osub = p.add_subparsers(dest="oracle_command", required=True)
-    o = osub.add_parser("estimate")
-    add_file(o)
-    o.add_argument("--obs", required=True)
-    o.add_argument("--horizon", type=int, default=8)
-    o.set_defaults(func=cmd_oracle)
-    o = osub.add_parser("falsify")
-    add_file(o)
-    o.add_argument("--property", required=True, choices=["sd", "spd", "wd", "wpd"])
-    o.add_argument("--horizon", type=int, default=8)
-    o.set_defaults(func=cmd_oracle)
-
     p = sub.add_parser("export", help="DOT export of the automaton or a structure")
     add_file(p)
     p.add_argument("--what", choices=["automaton", *_STRUCTURES],
@@ -287,9 +253,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except (io.ParseError, ValidationError, OSError, UnicodeDecodeError) as exc:
         print(json.dumps({"error": str(exc)}), file=sys.stderr)

@@ -67,6 +67,8 @@ class WeightedDigraph:
                 raise ValueError(f"arc endpoints not declared: {a}")
             if len(a.weight) != self.k:
                 raise ValueError(f"arc weight has wrong dimension: {a}")
+            if any(type(x) is not int for x in a.weight):
+                raise ValueError(f"arc weight entries must be ints: {a}")
 
     @cached_property
     def out_arcs(self) -> dict[object, list[Arc]]:
@@ -104,12 +106,14 @@ class WeightedDigraph:
 
 
 def digraph(k: int, vertices: Iterable, arcs: Iterable[tuple]) -> WeightedDigraph:
-    """Build a graph from (tail, weight, head) triples; scalars allowed for k=1."""
+    """Build a graph from (tail, weight, head) triples; scalars allowed for
+    k=1.  Entries are kept as given: WeightedDigraph refuses one that is
+    not an int."""
     built = []
     for i, (tail, weight, head) in enumerate(arcs):
         if isinstance(weight, int):
             weight = (weight,)
-        built.append(Arc(tail, tuple(int(w) for w in weight), head, i))
+        built.append(Arc(tail, tuple(weight), head, i))
     return WeightedDigraph(k, tuple(vertices), tuple(built))
 
 
@@ -147,9 +151,6 @@ class WeightSetSolver:
     def __init__(self, graph: WeightedDigraph):
         if graph.k != 1:
             raise ValueError("weight sets require dimension 1")
-        for a in graph.arcs:
-            if not isinstance(a.weight[0], int):
-                raise ValueError("weights must be pre-scaled to integers")
         self.graph = graph
         self._succ = graph.out_arcs
         comps = [c for c, _ in strongly_connected_components(
@@ -332,9 +333,11 @@ def has_path_with_weight(graph: WeightedDigraph, u, v, z: Sequence[int],
     """
     if graph.k == 1:
         raise ValueError("k = 1 walk questions go to WeightSetSolver")
-    z = tuple(int(x) for x in z)
+    z = tuple(z)
     if len(z) != graph.k:
         raise ValueError(f"weight dimension mismatch: {z} vs k={graph.k}")
+    if any(type(x) is not int for x in z):
+        raise ValueError(f"target entries must be ints: {z}")
     if isinstance(budget, int):
         budget = _Budget(budget)
     return _multi_dim(graph, u, v, z, budget)

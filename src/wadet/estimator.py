@@ -35,7 +35,8 @@ the row of q, or None (open) where that row is.  The kind's methods
 answer every question about a total: the self-composition's
 synchronization test and the silent walks behind it, the menus, and the
 membership test of the estimate step under one observed (symbol,
-increment) (estimate_step, behind wadet estimate).
+increment) (estimate_step; estimate, behind wadet estimate, chains it
+along an observed sequence).
 
 A built structure keeps, per estimate, its steps as (symbol, weight,
 target, cell) tuples in canonical order (EstimatorAutomaton.successors);
@@ -50,12 +51,14 @@ from collections import deque
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import combinations
+from numbers import Rational
 from operator import add, sub
-from typing import Callable, Iterable, Mapping
+from typing import Callable, Iterable, Mapping, Sequence
 
 from .epl import DEFAULT_BUDGET, WeightedDigraph, WeightSetSolver, digraph, has_path_with_weight
 from .epset import EPSet, eps_intersect, eps_meets, eps_min_abs_witness, eps_partition, eps_shift
-from .model import Transition, WeightedAutomaton, instantaneous_closure
+from .model import (Transition, WeightedAutomaton, instantaneous_closure, make_weight, normalize,
+                    scale_to_integers)
 
 
 @dataclass(frozen=True)
@@ -94,7 +97,7 @@ def _successor_pieces(a: WeightedAutomaton, x: Iterable[str],
     from q, P(q, t) = W(q, s) + w being read off tables(a)."""
     table = tables(a)
     return [(totals, t[2]) for q in sorted(set(x))
-            for t, _, _, totals in table[q][1].get(sigma, ())]
+            for t, _, totals in table[q][1].get(sigma, ())]
 
 
 def successor_cells(a: WeightedAutomaton, x: Iterable[str],
@@ -155,11 +158,12 @@ class Tables(dict):
 
     As a mapping it sends a state q, on first lookup, to (arcs, by_label):
     arcs lists the observable arcs t = s -e/w-> d usable from q (s silently
-    reachable from q) as (transition, label, integer weight, total) in
-    the order of a.obs_transitions, which is sorted, and by_label maps
-    each label to its arcs, in the same order; the total is P(q, t), read
-    off total(q, s, w).  The observable arcs are indexed by source
-    (by_source), so a state's arcs are gathered from its reach set.  menus
+    reachable from q) as (transition, label, total) in the order of
+    a.obs_transitions, which is sorted, and by_label maps each label to
+    its arcs, in the same order; the total is P(q, t), read off
+    total(q, s, w), and the weight w of an arc is t[3].  The observable
+    arcs are indexed by source as (transition, label) (by_source), so a
+    state's arcs are gathered from its reach set.  menus
     holds the successor menu of each (estimate, symbol) (successor_steps).
 
     Each kind of totals is a subclass, _Periodic or _Rows, whose methods
@@ -180,12 +184,12 @@ class Tables(dict):
         self.reach = a.silent_reach
         self.by_source: dict[str, list[tuple]] = {}
         for t in a.obs_transitions:
-            self.by_source.setdefault(t[0], []).append((t, a.label(t[1]), t[3]))
+            self.by_source.setdefault(t[0], []).append((t, a.label(t[1])))
         self.menus: dict[tuple[frozenset[str], str], tuple[tuple, bool]] = {}
 
     def __missing__(self, q: str) -> tuple[tuple, dict]:
         usable = sorted(arc for s in self.reach[q] for arc in self.by_source.get(s, ()))
-        arcs = tuple((t, label, w, self.total(q, t[0], w)) for t, label, w in usable)
+        arcs = tuple((t, label, self.total(q, t[0], t[3])) for t, label in usable)
         by_label: dict[str, list] = {}
         for arc in arcs:
             by_label.setdefault(arc[1], []).append(arc)
@@ -217,10 +221,10 @@ class _Periodic(Tables):
 
     def prefixes(self, q1: str, arc1: tuple, q2: str, arc2: tuple) -> tuple:
         """The silent walks behind the shared member nearest 0 (epl.witness_walk)."""
-        m = eps_min_abs_witness(eps_intersect(arc1[3], arc2[3]))
+        m = eps_min_abs_witness(eps_intersect(arc1[2], arc2[2]))
         solver = self.solver
-        return tuple(tuple(self.unobs[arc.aid] for arc in solver.witness_walk(q, t[0], m - w[0]))
-                     for q, (t, _, w, _) in ((q1, arc1), (q2, arc2)))
+        return tuple(tuple(self.unobs[arc.aid] for arc in solver.witness_walk(q, t[0], m - t[3][0]))
+                     for q, (t, _, _) in ((q1, arc1), (q2, arc2)))
 
     def menu(self, a: WeightedAutomaton, x: frozenset[str], sigma: str) -> tuple[tuple, bool]:
         return tuple(successor_cells(a, x, sigma)), True
@@ -275,9 +279,9 @@ class _Rows(Tables):
 
     def prefixes(self, q1: str, arc1: tuple, q2: str, arc2: tuple) -> tuple:
         """The silent walks behind the least shared member (walk)."""
-        m = min(arc1[3] & arc2[3])
-        return tuple(self.walk(q, (t[0], tuple(map(sub, m, w))))
-                     for q, (t, _, w, _) in ((q1, arc1), (q2, arc2)))
+        m = min(arc1[2] & arc2[2])
+        return tuple(self.walk(q, (t[0], tuple(map(sub, m, t[3]))))
+                     for q, (t, _, _) in ((q1, arc1), (q2, arc2)))
 
     def menu(self, a: WeightedAutomaton, x: frozenset[str], sigma: str) -> tuple[tuple, bool]:
         """Per successor estimate, the least weight vector of a silent walk
@@ -288,7 +292,7 @@ class _Rows(Tables):
         for q in x:
             if rows[q] is None:
                 return (), False
-            for t, _, _, total in self[q][1].get(sigma, ()):
+            for t, _, total in self[q][1].get(sigma, ()):
                 for w in total:
                     by_weight.setdefault(w, set()).add(t[2])
         by_target: dict[frozenset[str], list[tuple]] = {}
@@ -355,7 +359,7 @@ class _SilentRows(dict):
 # ---------------------------------------------------------------------
 
 
-class OracleUndecided(RuntimeError):
+class EstimateUndecided(RuntimeError):
     """An estimate step's walk query exhausted its budget."""
 
 
@@ -371,29 +375,60 @@ def estimate_step(a: WeightedAutomaton, x: Iterable[str], sigma: str, delta: tup
     and only for a target that no membership test has reached.  The
     queries go by arc, in the order of a.obs_transitions, then by state,
     and a target's queries stop at its first YES, so an exhausted query,
-    which raises OracleUndecided, is one that a search asking every arc
+    which raises EstimateUndecided, is one that a search asking every arc
     and state in that order asks too."""
     table = tables(a)
     raw: set[str] = set()
     pending = []
     for q in sorted(set(x)):
-        for t, _, w, total in table[q][1].get(sigma, ()):
+        for t, _, total in table[q][1].get(sigma, ()):
             found = table.has(total, delta)
             if found is None:
-                pending.append((q, t, w))
+                pending.append((q, t))
             elif found:
                 raw.add(t[2])
     pending.sort(key=lambda entry: entry[1])  # a.obs_transitions is sorted; stable
-    for q, t, w in pending:
+    for q, t in pending:
         if t[2] in raw:
             continue
-        need = tuple(map(sub, delta, w))
+        need = tuple(map(sub, delta, t[3]))
         answer = has_path_with_weight(table.graph, q, t[0], need, budget)
         if answer.status == "UNKNOWN":
-            raise OracleUndecided(f"estimate step undecided at {(q, t[0], need)}")
+            raise EstimateUndecided(f"estimate step undecided at {(q, t[0], need)}")
         if answer.status == "YES":
             raw.add(t[2])
     return instantaneous_closure(a, raw)
+
+
+def estimate(a: WeightedAutomaton, gamma: Sequence, budget: int = DEFAULT_BUDGET,
+             ) -> frozenset[str]:
+    """The current-state estimate of a after the observed (symbol,
+    accumulated weight) pairs gamma (wadet estimate): the increments,
+    scaled as a is, fed one at a time to estimate_step from the initial
+    closure of a, normalized and scaled to integers.  A weight is a scalar
+    when k = 1 or a sequence of k entries, each anything Fraction accepts;
+    one of another dimension is a ValueError.  An increment that does not
+    scale to integers is unachievable, and the estimate is then empty."""
+    prepared, m = scale_to_integers(normalize(a))
+    totals = []
+    for sigma, total in gamma:
+        if isinstance(total, (Rational, str)):
+            total = (total,)
+        vec = make_weight(total)
+        if len(vec) != a.k:
+            raise ValueError(f"weight {total!r} has dimension {len(vec)}, expected {a.k}")
+        totals.append((sigma, vec))
+    deltas, prev = [], (0,) * a.k
+    for sigma, total in totals:
+        delta = tuple((t - p) * m for t, p in zip(total, prev))
+        if any(d.denominator != 1 for d in delta):
+            return frozenset()
+        deltas.append((sigma, tuple(map(int, delta))))
+        prev = total
+    x = instantaneous_closure(prepared, prepared.initial.keys())
+    for sigma, delta in deltas:
+        x = estimate_step(prepared, x, sigma, delta, budget)
+    return x
 
 
 # ---------------------------------------------------------------------

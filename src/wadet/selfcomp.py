@@ -60,7 +60,7 @@ from functools import cached_property, partial
 from itertools import product
 from operator import sub
 
-from .epl import DEFAULT_BUDGET, Vec, _Budget, digraph, has_path_with_weight
+from .epl import DEFAULT_BUDGET, _Budget, digraph, has_path_with_weight
 from .estimator import tables
 from .graphutil import find_cycle, find_path, strongly_connected_components
 from .model import Transition, WeightedAutomaton
@@ -145,13 +145,12 @@ class _Synchronizer:
         arcs = tables(a).arcs
         self._silent = [(t, w) for q in sorted(a.states) for t, _, w in arcs[q]]
 
-    def sync(self, q1: str, q2: str, t1: Transition, w1: Vec, t2: Transition, w2: Vec):
+    def sync(self, q1: str, q2: str, t1: Transition, t2: Transition):
         """A silent pair of paths q1->src(t1), q2->src(t2) with equal total
-        weights including the observable arcs, whose weights w1 and w2 are
-        given as integer tuples?  Returns None, or a function that builds
-        the (left, right) walks of the original automaton; an exhausted
-        budget is None and recorded in unknown."""
-        key = (q1, q2, t1[0], t2[0], tuple(map(sub, w2, w1)))
+        weights including the observable arcs?  Returns None, or a function
+        that builds the (left, right) walks of the original automaton; an
+        exhausted budget is None and recorded in unknown."""
+        key = (q1, q2, t1[0], t2[0], tuple(map(sub, t2[3], t1[3])))
         if key not in self.answers:
             self.answers[key] = self._sync_product(*key)
         answer = self.answers[key]
@@ -239,14 +238,14 @@ class _Expander:
         # yields a transition gives its witness, and product queries spend
         # one shared budget in this order
         for arc1 in self.table[q1][0]:
-            t1, label, w1, p1 = arc1
+            t1, label, p1 = arc1
             arcs2 = by_label2.get(label)
             if arcs2 is None:
                 continue
             for arc2 in arcs2:
-                t2, _, w2, p2 = arc2
+                t2, _, p2 = arc2
                 if fast:
-                    if w1 != w2:
+                    if t1[3] != t2[3]:
                         continue
                     prefixes = _no_prefixes
                 else:
@@ -255,7 +254,7 @@ class _Expander:
                     if met is None:  # an open total: the product route decides
                         if self.sync is None:
                             self.sync = _Synchronizer(a, self.budget)
-                        prefixes = self.sync.sync(q1, q2, t1, w1, t2, w2)
+                        prefixes = self.sync.sync(q1, q2, t1, t2)
                         if prefixes is None:
                             continue
                     elif met:

@@ -1,20 +1,19 @@
-"""Definition-level brute force: current-state estimates and bounded
-falsification of the four detectability notions.
+"""Reference brute force for the tests: bounded runs, a path-enumeration
+estimate, and bounded falsification of the four detectability notions.
 
-The estimate itself is the product's: oracle_estimate feeds the observed
-(symbol, accumulated weight) pairs one at a time, as increments, to
-estimator.estimate_step.  The path-enumeration variant
-(oracle_estimate_enum) shares no engine with it and cross-checks it on
-small instances.
+The path-enumeration estimate (oracle_estimate_enum) shares no engine
+with wadet's own (estimator.estimate) and cross-checks it on small
+instances.
 
 Falsification searches lasso-shaped infinite paths: each stem one of
 the first `stem_cap` runs of at most `horizon` arcs from an initial state
 (_runs, in length order), each cycle one of at most CYCLE_CAP simple
 cycles at the stem's end, turned until the estimate entering a turn
 repeats, at most MAX_ROUNDS times; the observations step through
-estimate_step.  Counterexamples for the strong notions are genuine
-proofs of failure; for the weak notions the search is a bounded
-cross-check only.
+estimator.estimate_step.  The lassos of an automaton are followed once
+per horizon and stem cap, with one step memo, and every property reads
+them.  Counterexamples for the strong notions are genuine proofs of
+failure; for the weak notions the search is a bounded cross-check only.
 """
 
 from __future__ import annotations
@@ -25,9 +24,8 @@ from functools import cache
 from itertools import count, islice
 from typing import Callable, Iterator, Sequence
 
-from .epl import DEFAULT_BUDGET
-from .estimator import OracleUndecided, estimate_step
-from .model import (
+from wadet.estimator import estimate_step
+from wadet.model import (
     Transition,
     WeightedAutomaton,
     instantaneous_closure,
@@ -36,19 +34,8 @@ from .model import (
     zero_weight,
 )
 
-Obs = tuple[str, tuple[Fraction, ...]]  # (symbol, accumulated weight)
-MAX_HORIZON = 16  # longest path oracle_estimate_enum enumerates exhaustively
 CYCLE_CAP = 64  # most simple cycles the lasso search tries at one state
 MAX_ROUNDS = 40  # most turns of a cycle a lasso follows to a repeated estimate
-
-
-def _as_vector(value, k: int) -> tuple[Fraction, ...]:
-    if isinstance(value, (int, Fraction, str)):
-        value = (value,)
-    vec = tuple(Fraction(x) for x in value)
-    if len(vec) != k:
-        raise ValueError(f"weight {value!r} has dimension {len(vec)}, expected {k}")
-    return vec
 
 
 # ---------------------------------------------------------------------
@@ -85,34 +72,13 @@ def _runs(a: WeightedAutomaton, horizon: int) -> Iterator[BoundedRun]:
 # ---------------------------------------------------------------------
 
 
-def _deltas_of(gamma: Sequence[Obs], k: int, scale: int) -> list | None:
-    """Observed increments, scaled to integers; None if unachievable."""
-    prev = zero_weight(k)
-    out = []
-    for sigma, total in gamma:
-        total = _as_vector(total, k)
-        delta = tuple((t - p) * scale for t, p in zip(total, prev))
-        if any(d.denominator != 1 for d in delta):
-            return None
-        out.append((sigma, tuple(int(d) for d in delta)))
-        prev = total
-    return out
-
-
-def oracle_estimate(a: WeightedAutomaton, gamma: Sequence, budget: int = DEFAULT_BUDGET,
-                    ) -> frozenset[str]:
-    """The current-state estimate for an observed weighted label sequence
-    (accumulated-weight convention)."""
-    norm = normalize(a)
-    scaled, m = scale_to_integers(norm)
-    gamma = [(sigma, _as_vector(t, a.k)) for sigma, t in gamma]
-    deltas = _deltas_of(gamma, a.k, m)
-    if deltas is None:
-        return frozenset()
-    x = instantaneous_closure(scaled, scaled.initial.keys())
-    for sigma, delta in deltas:
-        x = estimate_step(scaled, x, sigma, delta, budget)
-    return x
+def _as_vector(value, k: int) -> tuple[Fraction, ...]:
+    if isinstance(value, (int, Fraction, str)):
+        value = (value,)
+    vec = tuple(Fraction(x) for x in value)
+    if len(vec) != k:
+        raise ValueError(f"weight {value!r} has dimension {len(vec)}, expected {k}")
+    return vec
 
 
 def _enum_estimates(a: WeightedAutomaton, horizon: int) -> dict[tuple, set[str]]:
@@ -125,8 +91,6 @@ def _enum_estimates(a: WeightedAutomaton, horizon: int) -> dict[tuple, set[str]]
     cache = a.__dict__.setdefault("_enum_estimates", {})
     if horizon in cache:
         return cache[horizon]
-    if horizon > MAX_HORIZON:
-        raise ValueError("horizon too large for exhaustive enumeration")
     norm = normalize(a)
     index: dict[tuple, set[str]] = {}
     # (state, accumulated weight, observations, zero-weight since the last
@@ -203,25 +167,18 @@ def _simple_cycles_at(a: WeightedAutomaton, q: str,
     return cycles
 
 
-def _lasso_estimates(step: Callable, a: WeightedAutomaton,
-                     stem: Sequence[Transition], cycle: Sequence[Transition]):
-    """Estimates along stem . cycle^n, step(x, sigma, delta) giving each
-    next one: the list of estimates at each observed position of the stem,
-    then per-round position lists until the round-entry estimate repeats.
-    Returns (stem_estimates, rounds, recurrent_slice)."""
-    zero = tuple(0 for _ in range(a.k))
-    stem_steps, carry = _observed_steps(a, stem, zero)
-    x = instantaneous_closure(a, a.initial.keys())
-    stem_estimates = [x]
-    for sigma, delta in stem_steps:
-        x = step(x, sigma, delta)
-        stem_estimates.append(x)
+def _recurrent(step: Callable, a: WeightedAutomaton, x: frozenset[str], carry: tuple[int, ...],
+               cycle: Sequence[Transition]) -> list[frozenset[str]]:
+    """The estimates at the observed positions of the rounds of cycle^n
+    entered with estimate x and trailing unobserved weight carry, step(x,
+    sigma, delta) giving each next one, from the first round whose entry
+    (estimate, carry) repeats, or of the last of MAX_ROUNDS rounds."""
     rounds = []
     seen_entries = {}
     entry = (x, carry)
     for r in range(MAX_ROUNDS):
         if entry in seen_entries:
-            return stem_estimates, rounds, rounds[seen_entries[entry]:]
+            return [y for rnd in rounds[seen_entries[entry]:] for y in rnd]
         seen_entries[entry] = r
         steps, carry = _observed_steps(a, cycle, entry[1])
         x = entry[0]
@@ -231,7 +188,38 @@ def _lasso_estimates(step: Callable, a: WeightedAutomaton,
             positions.append(x)
         rounds.append(positions)
         entry = (x, carry)
-    return stem_estimates, rounds, rounds[-1:]
+    return rounds[-1]
+
+
+def _lassos(a: WeightedAutomaton, horizon: int, stem_cap: int) -> tuple[int, list[tuple]]:
+    """The number of stems, and per stem and simple cycle at its end, in
+    search order, (stem, cycle, estimate at the end of the stem, recurrent
+    estimates), the last None for a silent cycle.  Followed once per
+    automaton, horizon and stem cap, through one step memo, and kept in
+    a.__dict__, so every property reads the same lassos."""
+    found = a.__dict__.setdefault("_lassos", {})
+    if (horizon, stem_cap) in found:
+        return found[horizon, stem_cap]
+    norm, _ = scale_to_integers(normalize(a))
+
+    @cache
+    def step(x: frozenset[str], sigma: str, delta: tuple[int, ...]) -> frozenset[str]:
+        return estimate_step(norm, x, sigma, delta)
+
+    stems = list(islice(_runs(norm, horizon), stem_cap))
+    x0 = instantaneous_closure(norm, norm.initial.keys())
+    lassos = []
+    for stem in stems:
+        steps, carry = _observed_steps(norm, stem.path, zero_weight(norm.k))
+        x = x0
+        for sigma, delta in steps:
+            x = step(x, sigma, delta)
+        for cycle in _simple_cycles_at(norm, stem.end, horizon):
+            observable = any(norm.label(e) is not None for (_, e, _, _) in cycle)
+            lassos.append((stem.path, cycle, x,
+                           _recurrent(step, norm, x, carry, cycle) if observable else None))
+    found[horizon, stem_cap] = len(stems), lassos
+    return found[horizon, stem_cap]
 
 
 def oracle_falsify(a: WeightedAutomaton, prop: str, horizon: int = 8,
@@ -243,60 +231,43 @@ def oracle_falsify(a: WeightedAutomaton, prop: str, horizon: int = 8,
     bounded exhaustion report, usable only as a cross-check.
     """
     prop = prop.upper()
-    norm, _ = scale_to_integers(normalize(a))
-
-    @cache
-    def step(x: frozenset[str], sigma: str, delta: tuple[int, ...]) -> frozenset[str]:
-        return estimate_step(norm, x, sigma, delta)
-
-    stems = list(islice(_runs(norm, horizon), stem_cap))
+    if prop not in ("SD", "SPD", "WD", "WPD"):
+        raise ValueError(f"unknown property {prop!r}")
+    stems, lassos = _lassos(a, horizon, stem_cap)
 
     found_wd_witness = False
     found_wpd_witness = False
     found_unobs_cycle = False
-    any_cycle = False
 
-    for stem in stems:
-        for cycle in _simple_cycles_at(norm, stem.end, horizon):
-            any_cycle = True
-            observable = any(norm.label(e) is not None for (_, e, _, _) in cycle)
-            if not observable:
-                found_unobs_cycle = True
-                stem_est, _, _ = _lasso_estimates(step, norm, stem.path, cycle)
-                final = stem_est[-1]
-                if len(final) == 1:
-                    found_wpd_witness = True
-                if prop == "SPD" and len(final) > 1:
-                    return Counterexample(prop, "silent-cycle-after-ambiguity",
-                                          stem.path, cycle,
-                                          {"estimate": sorted(final)})
-                continue
-            stem_est, rounds, recurrent = _lasso_estimates(step, norm, stem.path, cycle)
-            rec_positions = [x for rnd in recurrent for x in rnd]
-            if not rec_positions:
-                continue
-            if prop == "SD" and any(len(x) > 1 for x in rec_positions):
-                return Counterexample(prop, "recurring-ambiguity", stem.path, cycle,
-                                      {"estimates": [sorted(x) for x in rec_positions]})
-            if prop == "SPD" and all(len(x) > 1 for x in rec_positions):
-                return Counterexample(prop, "persistent-ambiguity", stem.path, cycle,
-                                      {"estimates": [sorted(x) for x in rec_positions]})
-            if all(len(x) == 1 for x in rec_positions):
-                found_wd_witness = True
+    for stem, cycle, final, rec_positions in lassos:
+        if rec_positions is None:  # a silent cycle
+            found_unobs_cycle = True
+            if len(final) == 1:
                 found_wpd_witness = True
-            elif any(len(x) == 1 for x in rec_positions):
-                found_wpd_witness = True
+            if prop == "SPD" and len(final) > 1:
+                return Counterexample(prop, "silent-cycle-after-ambiguity", stem, cycle,
+                                      {"estimate": sorted(final)})
+            continue
+        if not rec_positions:
+            continue
+        if prop == "SD" and any(len(x) > 1 for x in rec_positions):
+            return Counterexample(prop, "recurring-ambiguity", stem, cycle,
+                                  {"estimates": [sorted(x) for x in rec_positions]})
+        if prop == "SPD" and all(len(x) > 1 for x in rec_positions):
+            return Counterexample(prop, "persistent-ambiguity", stem, cycle,
+                                  {"estimates": [sorted(x) for x in rec_positions]})
+        if all(len(x) == 1 for x in rec_positions):
+            found_wd_witness = True
+            found_wpd_witness = True
+        elif any(len(x) == 1 for x in rec_positions):
+            found_wpd_witness = True
 
     if prop in ("SD", "SPD"):
         return None
     if prop == "WD":
-        if not any_cycle or found_unobs_cycle or found_wd_witness:
+        if not lassos or found_unobs_cycle or found_wd_witness:
             return None
-        return Counterexample(prop, "bounded-exhaustion", (), (),
-                              {"horizon": horizon, "stems": len(stems)})
-    if prop == "WPD":
-        if not any_cycle or found_wpd_witness:
-            return None
-        return Counterexample(prop, "bounded-exhaustion", (), (),
-                              {"horizon": horizon, "stems": len(stems)})
-    raise ValueError(f"unknown property {prop!r}")
+    elif not lassos or found_wpd_witness:
+        return None
+    return Counterexample(prop, "bounded-exhaustion", (), (),
+                          {"horizon": horizon, "stems": stems})

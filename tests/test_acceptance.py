@@ -2,8 +2,9 @@
 
 One test per criterion; each prints a PASS line with its measurements
 when it completes.  Expected structures and verdicts are frozen from the
-bundled corpus derivations; estimates and witnesses are cross-checked
-against the brute-force oracle.
+bundled corpus derivations; the observer is cross-checked against the
+estimate (estimator.estimate), and failing verdicts against the bounded
+falsifier of tests/oracle_reference.py.
 """
 
 import itertools
@@ -13,12 +14,12 @@ import time
 from wadet.corpus import load_fixture, random_automaton, subset_sum_automaton
 from wadet.epl import WeightSetSolver, digraph, replay_walk, walk_weight
 from wadet.epset import EPSet, eps_intersect, eps_union_many
-from wadet.estimator import build_detector, build_observer
+from wadet.estimator import build_detector, build_observer, estimate
 from wadet.model import normalize, scale_to_integers, scale_weights, validate
-from wadet.oracle import oracle_estimate, oracle_falsify
 from wadet.verdict import FAILS, HOLDS, SD, SPD, WD, WPD
 from wadet.verify import check_all, check_spd
 
+from oracle_reference import oracle_falsify
 from test_epset import eps_complement, naive_member, recanon
 from test_estimator import accumulate, detector_covers_observer, observer_paths
 
@@ -116,10 +117,10 @@ def test_criterion_2_structures():
 
 def test_criterion_3_estimates():
     a1 = load_fixture("A1").automaton
-    assert oracle_estimate(a1, [("rho", 1), ("rho", 2)]) == {"q3"}
-    assert oracle_estimate(a1, [("rho", 1), ("rho", 3)]) == {"q3"}
+    assert estimate(a1, [("rho", 1), ("rho", 2)]) == {"q3"}
+    assert estimate(a1, [("rho", 1), ("rho", 3)]) == {"q3"}
     a2 = subset_sum_automaton((2, 3), 5)
-    assert oracle_estimate(a2, []) == {"q0", "q1", "q2"}
+    assert estimate(a2, []) == {"q0", "q1", "q2"}
     report(3, "estimates {q3}, {q3}, {q0..qm} reproduced exactly")
 
 
@@ -182,9 +183,9 @@ def test_criterion_5_oracle_equivalence_suite():
         observer = build_observer(prepared)
         detector = build_detector(prepared)
 
-        # (a) every observer path of length <= 4 agrees with the oracle
+        # (a) every observer path of length <= 4 agrees with the estimate
         for target, events in observer_paths(observer, 4):
-            assert oracle_estimate(prepared, accumulate(events)) == target, (seed, events)
+            assert estimate(prepared, accumulate(events)) == target, (seed, events)
             checked_paths += 1
 
         # (b) weight sets agree with 12-step walk enumeration on [-36, 36]
@@ -300,9 +301,9 @@ def replay_sd_witness(result):
         gamma = gamma_of_arcs(a, left)
         if pumps >= 2:  # the pumped cycle produces at least one event per round
             assert len(gamma) >= 2
-        estimate = oracle_estimate(a, gamma)
-        assert len(estimate) > 1, (pumps, gamma, estimate)
-        assert wit["split_state"][0] in estimate
+        found = estimate(a, gamma)
+        assert len(found) > 1, (pumps, gamma, found)
+        assert wit["split_state"][0] in found
 
 
 def replay_spd_witness(result):
@@ -310,9 +311,9 @@ def replay_spd_witness(result):
     wit = result.verdicts[SPD].witness
     if wit["kind"] == "ambiguous-estimate-can-stall":
         gamma = accumulate(wit["access"])
-        estimate = oracle_estimate(a, gamma)
-        assert set(wit["state"]) <= set(estimate)
-        assert len(estimate) > 1
+        found = estimate(a, gamma)
+        assert set(wit["state"]) <= set(found)
+        assert len(found) > 1
         assert wit["anchor"] in a.stall_states
         return
     assert wit["kind"] == "ambiguous-cycle"
@@ -321,8 +322,8 @@ def replay_spd_witness(result):
         prefix_len = len(wit["access"])
         gamma = accumulate(events)
         for i in range(prefix_len, len(gamma) + 1):
-            estimate = oracle_estimate(a, gamma[:i])
-            assert len(estimate) > 1, (pumps, i)
+            found = estimate(a, gamma[:i])
+            assert len(found) > 1, (pumps, i)
 
 
 def test_criterion_7_witness_replay():

@@ -14,10 +14,11 @@ can never produce a spurious failure:
 import random
 
 from wadet.corpus import random_automaton
-from wadet.oracle import oracle_estimate, oracle_falsify
+from wadet.estimator import estimate
 from wadet.verdict import FAILS, HOLDS, SD, SPD, WD, WPD
 from wadet.verify import check_all
 
+from oracle_reference import oracle_falsify
 from test_acceptance import replay_sd_witness, replay_spd_witness
 from test_estimator import accumulate
 
@@ -62,8 +63,8 @@ def test_checkers_and_oracle_never_contradict():
 
 
 def test_singleton_cycle_witnesses_replay_to_singletons():
-    # the oracle's estimates along a WD or WPD witness are the estimates
-    # it names: along the cycle, pumped twice, or at a stalling singleton
+    # the estimates along a WD or WPD witness (estimator.estimate) are the
+    # estimates it names: along the cycle, pumped twice, or at a stalling singleton
     hits = {WD: 0, WPD: 0}
     for a in population(120):
         res = check_all(a)
@@ -71,16 +72,16 @@ def test_singleton_cycle_witnesses_replay_to_singletons():
             witness = res.verdicts[prop].witness or {}
             access = list(witness.get("access", ()))
             if witness.get("kind") == "singleton-estimate-can-stall":
-                estimate = oracle_estimate(res.automaton, accumulate(access))
-                assert len(estimate) == 1 and estimate == set(witness["state"]), (a, prop)
-                assert estimate <= res.automaton.stall_states
+                found = estimate(res.automaton, accumulate(access))
+                assert len(found) == 1 and found == set(witness["state"]), (a, prop)
+                assert found <= res.automaton.stall_states
             elif witness.get("kind") == "singleton-cycle":
                 cycle, states = witness["cycle"], witness["cycle_states"]
                 assert (all if prop == WD else any)(len(x) == 1 for x in states), (a, prop)
                 gamma = accumulate(access + list(cycle) * 2)
                 for i in range(2 * len(cycle) + 1):
-                    estimate = oracle_estimate(res.automaton, gamma[:len(access) + i])
-                    assert estimate == set(states[i % len(cycle)]), (a, prop, i)
+                    found = estimate(res.automaton, gamma[:len(access) + i])
+                    assert found == set(states[i % len(cycle)]), (a, prop, i)
             else:
                 continue
             assert res.verdicts[prop].status == HOLDS
@@ -97,7 +98,7 @@ def test_stall_witnesses_expose_real_silent_cycles():
             continue
         assert spd.witness["anchor"] in res.automaton.stall_states
         gamma = accumulate(spd.witness["access"])
-        assert len(oracle_estimate(res.automaton, gamma)) > 1
+        assert len(estimate(res.automaton, gamma)) > 1
         hits += 1
     assert hits >= 10
 

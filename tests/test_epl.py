@@ -1,5 +1,6 @@
 import random
 import time
+from fractions import Fraction
 
 import pytest
 
@@ -152,6 +153,16 @@ def test_empty_walk_answers_zero_vector():
     g = digraph(2, ["u"], [])
     assert has_path_with_weight(g, "u", "u", (0, 0)).status == "YES"
     assert has_path_with_weight(g, "u", "u", (1, 0)).status == "NO"
+
+
+def test_non_integral_entries_are_refused_not_truncated():
+    g = digraph(2, ["u", "v"], [("u", (1, 0), "v")])
+    for target in ((Fraction(3, 2), 0), (1.9, 0), (Fraction(1), 0)):
+        with pytest.raises(ValueError, match="ints"):
+            has_path_with_weight(g, "u", "v", target)
+    for weight in ((Fraction(3, 2),), (Fraction(1),), (1.0,)):
+        with pytest.raises(ValueError, match="ints"):
+            digraph(1, ["u", "v"], [("u", weight, "v")])
 
 
 # -- randomized agreement with brute force -------------------------------

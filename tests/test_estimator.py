@@ -19,11 +19,11 @@ from wadet.estimator import (
     EstTransition,
     build_detector,
     build_observer,
+    estimate,
     estimate_step,
     successor_cells,
 )
 from wadet.model import instantaneous_closure, normalize, scale_to_integers, validate
-from wadet.oracle import _deltas_of, oracle_estimate
 from wadet.selfcomp import build_self_composition, check_sd
 from wadet.verify import check_all, check_spd
 
@@ -390,7 +390,7 @@ def test_detector_of_chain_has_ambiguous_loop():
     assert frozenset(["f1", "f2"]) not in det2.states
 
 
-# -- agreement with the oracle ---------------------------------------------
+# -- agreement with the estimate ---------------------------------------------
 
 
 def observer_paths(obs, max_len):
@@ -421,7 +421,7 @@ def test_observer_paths_agree_with_oracle(aut_a0, aut_a1):
     for aut in (aut_a0, aut_a1):
         obs = build_observer(aut)
         for target, events in observer_paths(obs, 4):
-            assert oracle_estimate(aut, accumulate(events)) == target
+            assert estimate(aut, accumulate(events)) == target
 
 
 def test_observer_paths_agree_with_oracle_random():
@@ -430,7 +430,7 @@ def test_observer_paths_agree_with_oracle_random():
         a = validate(random_automaton_raw(rng))
         obs = build_observer(a)
         for target, events in observer_paths(obs, 3)[:200]:
-            assert oracle_estimate(a, accumulate(events)) == target, (a, events)
+            assert estimate(a, accumulate(events)) == target, (a, events)
 
 
 # -- detector covers the observer (pre-structure coverage) -------------------
@@ -737,11 +737,12 @@ def test_estimates_equal_walk_query_reference(k, monkeypatch):
         for gamma in sequences[::len(sequences) // 8][:8]:
             sigma, last = gamma[-1]
             for seq in (gamma, gamma[:-1] + ((sigma, (last[0] + 1,) + last[1:]),)):
-                x = x0
-                for step_sigma, delta in _deltas_of(seq, k, m):
-                    x = walk_query_step(a, graph, x, step_sigma, delta)
+                x, prev = x0, (0,) * k
+                for step_sigma, total in seq:
+                    delta = tuple(m * (t - p) for t, p in zip(total, prev))
+                    x, prev = walk_query_step(a, graph, x, step_sigma, delta), total
                     assert x is not None, (seed, seq)  # decided at this budget
-                assert oracle_estimate(raw, seq, budget=10 ** 4) == x, (seed, seq)
+                assert estimate(raw, seq, budget=10 ** 4) == x, (seed, seq)
     assert queries
 
 

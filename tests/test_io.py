@@ -183,17 +183,6 @@ def test_cli_normalize_and_fixture_gen(capsys, tmp_path):
                for e in normed["events"])
 
 
-def test_cli_oracle_subcommands(a1_file, capsys):
-    code, out = run_cli(capsys, "oracle", "estimate", a1_file, "--obs", "(rho,1)",
-                        "--horizon", "5")
-    assert code == 0 and out["estimate"] == ["q1", "q2"]
-    code, out = run_cli(capsys, "oracle", "falsify", a1_file, "--property", "spd")
-    assert code == 1 and out["counterexample"]["kind"] == "silent-cycle-after-ambiguity"
-    code, out = run_cli(capsys, "oracle", "falsify", a1_file, "--property", "sd",
-                        "--horizon", "5")
-    assert code == 0 and out["counterexample"] is None
-
-
 def test_cli_input_error_exit_code(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text("{")
@@ -216,16 +205,29 @@ def test_cli_input_error_exit_code(tmp_path, capsys):
     good.write_text(io.dumps(doc))
     bad.write_bytes(b"\xff{}")
     for argv, key in ((["check", "all", str(bad)], "utf-8"),
-                      (["oracle", "estimate", str(good), "--obs", "", "--horizon", "-1"],
-                       "--horizon"),
-                      (["oracle", "falsify", str(good), "--property", "sd", "--horizon", "-3"],
-                       "--horizon"),
+                      (["estimate", str(good), "--obs", "(rho,1 2)"], "obs[0]"),
+                      (["estimate", str(good), "--obs", "(rho,1);rho"], "obs[1]"),
                       (["gen", "subset-sum", "--weights", "2,x", "--target", "5"], "--weights"),
                       (["gen", "subset-sum", "--weights", "2,-3", "--target", "5"], "--weights"),
-                      (["oracle", "estimate", str(bad), "--obs", "", "--horizon", "17"],
-                       "--horizon")):
+                      (["estimate", str(good), "--obs", "(rho,x)"], "obs[0].weight")):
         assert main(argv) == 3, argv
         assert key in json.loads(capsys.readouterr().err)["error"]
+
+
+def test_cli_usage_errors_are_input_errors(a1_file, capsys):
+    # argparse exits 2 on a usage error, which here means UNKNOWN
+    for argv, key in ((["check", "sdd", a1_file], "invalid choice: 'sdd'"),
+                      (["gen", "random", "--seed", "x"], "invalid int value: 'x'"),
+                      (["frob", a1_file], "invalid choice: 'frob'"),
+                      (["oracle", "falsify", a1_file, "--property", "sd"],
+                       "invalid choice: 'oracle'"),
+                      (["estimate", a1_file], "--obs")):
+        assert main(argv) == 3, argv
+        captured = capsys.readouterr()
+        assert captured.out == "" and key in json.loads(captured.err)["error"], argv
+    with pytest.raises(SystemExit) as exit_info:
+        main(["check", "--help"])
+    assert exit_info.value.code == 0
 
 
 @pytest.mark.parametrize("level, index", [("document", None), ("initial", 0),

@@ -1,15 +1,12 @@
 import random
 from fractions import Fraction
 
-from wadet.model import validate
-from wadet.oracle import (
-    BoundedRun,
-    _runs,
-    oracle_estimate,
-    oracle_estimate_enum,
-    oracle_falsify,
-)
+import pytest
 
+from wadet.estimator import estimate
+from wadet.model import validate
+
+from oracle_reference import BoundedRun, _runs, oracle_estimate_enum, oracle_falsify
 from test_model import chain_description
 from test_selfcomp import random_automaton_raw
 
@@ -18,27 +15,33 @@ from test_selfcomp import random_automaton_raw
 
 
 def test_estimates_on_a1(aut_a1):
-    assert oracle_estimate(aut_a1, [("rho", 1), ("rho", 2)]) == {"q3"}
-    assert oracle_estimate(aut_a1, [("rho", 1), ("rho", 3)]) == {"q3"}
-    assert oracle_estimate(aut_a1, [("rho", 1)]) == {"q1", "q2"}
-    assert oracle_estimate(aut_a1, [("rho", 1), ("rho", 2), ("rho", 4)]) == {"q4"}
+    assert estimate(aut_a1, [("rho", 1), ("rho", 2)]) == {"q3"}
+    assert estimate(aut_a1, [("rho", 1), ("rho", 3)]) == {"q3"}
+    assert estimate(aut_a1, [("rho", 1)]) == {"q1", "q2"}
+    assert estimate(aut_a1, [("rho", 1), ("rho", 2), ("rho", 4)]) == {"q4"}
 
 
 def test_empty_observation_gives_initial_closure(aut_a1):
-    assert oracle_estimate(aut_a1, []) == {"q0"}
+    assert estimate(aut_a1, []) == {"q0"}
     chain = validate(chain_description((2, 3), 5))
-    assert oracle_estimate(chain, []) == {"q0", "q1", "q2"}
+    assert estimate(chain, []) == {"q0", "q1", "q2"}
 
 
 def test_estimate_unachievable_weight_is_empty(aut_a1):
-    assert oracle_estimate(aut_a1, [("rho", Fraction(1, 2))]) == frozenset()
-    assert oracle_estimate(aut_a1, [("rho", 100)]) == frozenset()
+    assert estimate(aut_a1, [("rho", Fraction(1, 2))]) == frozenset()
+    assert estimate(aut_a1, [("rho", 100)]) == frozenset()
+
+
+def test_estimate_refuses_a_weight_of_another_dimension(aut_a1):
+    assert estimate(aut_a1, [("rho", "1"), ("rho", ["2"])]) == {"q3"}
+    with pytest.raises(ValueError, match="dimension 2, expected 1"):
+        estimate(aut_a1, [("rho", Fraction(1, 2)), ("rho", (2, 0))])
 
 
 def test_estimate_on_a0(aut_a0):
-    assert oracle_estimate(aut_a0, [("a", 11)]) == {"q3", "q4"}
-    assert oracle_estimate(aut_a0, [("a", 2)]) == {"q4"}
-    assert oracle_estimate(aut_a0, [("a", 11), ("a", 12)]) == {"q3", "q4"}
+    assert estimate(aut_a0, [("a", 11)]) == {"q3", "q4"}
+    assert estimate(aut_a0, [("a", 2)]) == {"q4"}
+    assert estimate(aut_a0, [("a", 11), ("a", 12)]) == {"q3", "q4"}
 
 
 # -- runs ----------------------------------------------------------------
@@ -114,7 +117,7 @@ def test_estimate_routes_agree_on_fixtures(aut_a0, aut_a1):
     for aut in (aut_a0, aut_a1):
         for run in oracle_runs(aut, 5):
             gamma = label_sequence(run, aut)
-            fast = oracle_estimate(aut, gamma)
+            fast = estimate(aut, gamma)
             slow = oracle_estimate_enum(aut, gamma, horizon=7)
             # the bounded route may miss long witnesses, never invent them
             assert slow <= fast
@@ -132,7 +135,7 @@ def test_estimate_routes_agree_on_random_instances():
             if gamma in seen:
                 continue
             seen.add(gamma)
-            fast = oracle_estimate(a, gamma)
+            fast = estimate(a, gamma)
             slow = oracle_estimate_enum(a, gamma, horizon=6)
             assert slow <= fast, (a, gamma)
             if silent_suffix_is_instantaneous(a, run):

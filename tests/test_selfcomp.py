@@ -514,11 +514,11 @@ def test_sync_memo_answers_as_fresh_queries(monkeypatch):
         for q1, q2 in sorted(cc.states):
             for arc1 in table[q1][0]:
                 for arc2 in table[q2][1].get(arc1[1], ()):
-                    (t1, _, w1, p1), (t2, _, w2, p2) = arc1, arc2
+                    (t1, _, p1), (t2, _, p2) = arc1, arc2
                     met = table.meets(p1, p2)
                     if met is None:
                         continue
-                    key = (q1, q2, t1[0], t2[0], tuple(y - x for x, y in zip(w1, w2)))
+                    key = (q1, q2, t1[0], t2[0], tuple(y - x for x, y in zip(t1[3], t2[3])))
                     answer = partial(table.prefixes, q1, arc1, q2, arc2) if met else None
                     answers.append((key, answer, "rows"))
         products = Recording(a, 10 ** 6)
