@@ -236,15 +236,13 @@ class _Rows(Tables):
 
     @cached_property
     def arcs(self) -> dict[str, tuple]:
-        """The silent arcs with integer weight vectors per source as
-        (transition, target, weight), kept only when they enter a live
+        """The silent arcs per source, kept only when they enter a live
         state, one with a silent walk to the source of an observable arc.
         Every state of a silent walk to a live state is live, so the kept
         arcs carry every such walk, and the rows, read only at
         observable-arc sources, lose nothing."""
         live = {q for q, reach in self.reach.items() if not reach.isdisjoint(self.by_source)}
-        return {q: tuple((t, t[2], t[3]) for t in arcs if t[2] in live)
-                for q, arcs in self.silent.items()}
+        return {q: tuple(t for t in arcs if t[2] in live) for q, arcs in self.silent.items()}
 
     @cached_property
     def rows(self) -> _SilentRows:
@@ -256,7 +254,7 @@ class _Rows(Tables):
         """The kept silent arcs as one digraph, on which estimate_step asks
         its walk queries for open totals."""
         return digraph(self.k, self.states,
-                       [(q, w, d) for q in self.states for _, d, w in self.arcs[q]])
+                       [(q, t[3], t[2]) for q in self.states for t in self.arcs[q]])
 
     def total(self, q: str, s: str, w: tuple) -> frozenset[tuple] | None:
         row = self.rows[q]
@@ -338,8 +336,8 @@ class _SilentRows(dict):
             nxt = []
             for node in frontier:
                 x, w = node
-                for t, d, wt in self.arcs[x]:
-                    reached = (d, tuple(map(add, w, wt)))
+                for t in self.arcs[x]:
+                    reached = (t[2], tuple(map(add, w, t[3])))
                     if reached not in parent:
                         parent[reached] = (node, t)
                         nxt.append(reached)

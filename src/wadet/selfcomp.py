@@ -25,30 +25,40 @@ forever, afterwards split into two distinct states, and the left
 component can still run forever in the original automaton: when some
 reachable composition state on a cycle (an anchor) reaches a split
 candidate, a pair of distinct states whose left state reaches a cycle of
-the automaton.  check_sd decides this with one Tarjan search from the
-initial pairs in sorted order, which computes a state's successors when
-it first reaches it (on-the-fly SCC-based emptiness checking, Couvreur,
-FM 1999), and stops when the first cyclic component that reaches a
-candidate closes.
+the automaton.  check_sd decides this with one depth-first search from
+the initial pairs in sorted order, which computes a state's successors
+when it first reaches it and reports an anchor as soon as it sees one
+(on-the-fly emptiness checking, Couvreur, FM 1999).  The search,
+graphutil.marked_cycle, keeps Gabow's path-based strong components: a
+stack of roots, one per part of an open component found strongly
+connected so far, each with two flags, cyclic (the part holds a cycle)
+and reaching (it reaches a candidate).  A candidate flags its own part
+when first seen; an arc back into an open part merges the parts above
+it, ORing their flags, and makes the result cyclic; a component that
+closes reaching flags the part that entered it, as does any later arc
+into it.  The search stops the moment a part is both cyclic and
+reaching, before its component closes.
 
-- That component is made of anchors.  Tarjan closes a component only
-  after every component it has an arc into, so by induction on the
-  closing order each closed component is known to reach a candidate
-  exactly when it holds one or has an arc into a component known to
-  reach one.  A cyclic component puts each of its states on a cycle,
-  and every state the search visits is reachable.
-- A search that ends without one has visited every state reachable from
-  an initial pair, and has decided every component exactly: there is no
-  anchor in the composition.  The verdict is then HOLDS, or UNKNOWN when
-  a product query ran out of budget, since a missing transition could
-  hide an anchor.
+- That part is made of anchors.  Every visited state is reachable, and
+  the part is strongly connected and holds a cycle, so each of its
+  states lies on one.  Each reaches a candidate: one in the part, or
+  one that a closed component it has an arc into reaches.  A closed
+  component's flag is exact, since a component closes only after every
+  component it has an arc into (induction on the closing order).
+- A search that ends without one has visited every state reachable
+  from an initial pair and closed every component with exact flags,
+  none both cyclic and reaching: there is no anchor in the composition.
+  The verdict is then HOLDS, or UNKNOWN when a product query ran out of
+  budget, since a missing transition could hide an anchor.
 
-The witness is anchored at the least state q of that component.  Its
-access path (from the first initial pair that reaches q), its cycle
-through q and its split path from q are shortest paths among the visited
-states: those hold the search's path from its root to q and all that q
-reaches, which closed before q's component did.  check_sd(a, cc) runs
-the same search over cc.successors, so it gives the same witness.
+The witness is anchored at the least state q of that part.  Its access
+path (from the first initial pair that reaches q), its cycle through q
+and its split path from q are shortest paths among the visited states.
+Those hold the search's path from its root to q, the part, and every
+closed component, whose states the search has expanded in full; so the
+split path runs through the part to a candidate in it, or into a closed
+component that reaches one.  check_sd(a, cc) runs the same search over
+cc.successors, so it gives the same witness.
 """
 
 from __future__ import annotations
@@ -62,7 +72,7 @@ from operator import sub
 
 from .epl import DEFAULT_BUDGET, _Budget, digraph, has_path_with_weight
 from .estimator import tables
-from .graphutil import find_cycle, find_path, strongly_connected_components
+from .graphutil import find_cycle, find_path, marked_cycle
 from .model import Transition, WeightedAutomaton
 from .verdict import FAILS, HOLDS, SD, UNKNOWN, InternalError, Verdict
 
@@ -143,7 +153,7 @@ class _Synchronizer:
         self.answers: dict[tuple, object] = {}
         self._products: dict[Pair, tuple] = {}
         arcs = tables(a).arcs
-        self._silent = [(t, w) for q in sorted(a.states) for t, _, w in arcs[q]]
+        self._silent = [t for q in sorted(a.states) for t in arcs[q]]
 
     def sync(self, q1: str, q2: str, t1: Transition, t2: Transition):
         """A silent pair of paths q1->src(t1), q2->src(t2) with equal total
@@ -164,18 +174,19 @@ class _Synchronizer:
         if key in self._products:
             return self._products[key]
         left_reach, right_reach = self.a.silent_reach[q1], self.a.silent_reach[q2]
-        verts = [(p1, p2) for p1 in sorted(left_reach) for p2 in sorted(right_reach)]
+        lefts, rights = sorted(left_reach), sorted(right_reach)
+        verts = [(p1, p2) for p1 in lefts for p2 in rights]
         arcs = []
         origin = []
-        for t, w in self._silent:
-            s, d = t[0], t[2]
+        for t in self._silent:
+            s, d, w = t[0], t[2], t[3]
             if s in left_reach and d in left_reach:
-                for p2 in sorted(right_reach):
+                for p2 in rights:
                     arcs.append(((s, p2), w, (d, p2)))
                     origin.append(("L", t))
             if s in right_reach and d in right_reach:
                 negated = tuple(-x for x in w)
-                for p1 in sorted(left_reach):
+                for p1 in lefts:
                     arcs.append(((p1, s), negated, (p1, d)))
                     origin.append(("R", t))
         graph = digraph(self.a.k, verts, arcs)
@@ -301,29 +312,24 @@ def build_self_composition(a: WeightedAutomaton,
 
 def _first_anchor(a: WeightedAutomaton, initial: frozenset[Pair],
                   successors: Callable[[Pair], Mapping]) -> tuple[Pair | None, dict, set[Pair]]:
-    """Tarjan's search of the composition from the initial pairs in sorted
-    order, reading successors(s) once per state it reaches, until the first
-    cyclic component that reaches a split candidate closes (see the module
-    docstring).  Returns the least state of that component (None if the
-    search ends without one), the successors of every visited state, and
-    the visited split candidates."""
+    """The search of the composition from the initial pairs in sorted
+    order, reading successors(s) once per state it reaches, until it first
+    sees a cycle that reaches a split candidate (see the module docstring).
+    Returns the least state of that cycle's component as far as the search
+    has seen it (None if the search ends without one), the successors of
+    every visited state, and the visited split candidates."""
     a_cycle_reachers = a.cycle_reachers
     outs: dict[Pair, Mapping] = {}
-    candidates: set[Pair] = set()
-    reaching: set[Pair] = set()
+    split = lambda s: s[0] != s[1] and s[0] in a_cycle_reachers
 
     def targets(s: Pair) -> list[Pair]:
         outs[s] = successors(s)
-        if s[0] != s[1] and s[0] in a_cycle_reachers:
-            candidates.add(s)
         return [w for _, w in outs[s]]
 
-    for comp, cyclic in strongly_connected_components(sorted(initial), targets):
-        if any(s in candidates or any(w in reaching for _, w in outs[s]) for s in comp):
-            if cyclic:
-                return min(comp), outs, candidates
-            reaching.update(comp)
-    return None, outs, candidates
+    comp = marked_cycle(sorted(initial), targets, split, reach=True)
+    if comp is None:
+        return None, outs, set()
+    return min(comp), outs, set(filter(split, outs))
 
 
 def check_sd(a: WeightedAutomaton, cc: SelfComposition | None = None,
@@ -343,8 +349,9 @@ def check_sd(a: WeightedAutomaton, cc: SelfComposition | None = None,
     q1p, outs, candidates = _first_anchor(a, initial, successors)
     if q1p is not None:
         # the witness paths stay within the visited states, which hold the
-        # DFS path from an initial pair to q1p and everything q1p reaches;
-        # only their edges become transition objects
+        # DFS path from an initial pair to q1p, its part and a way from it
+        # to a candidate (see the module docstring); only their edges
+        # become transition objects
         cc_steps = lambda v: [(key, key[1]) for key in outs[v] if key[1] in outs]
         edges = lambda path: [CCTransition(v, key[0], w) for (v, key, w) in path]
         a_steps = lambda q: [(t, t[2]) for t in a.arcs_from[q]]

@@ -16,29 +16,31 @@ stall (it holds a state with a silent path to a silent cycle).
   singleton.
 
 One search from the initial estimate decides each of them (_lasso).  It
-reads an estimate's steps only when it first reaches it and stops at the
-first lasso (on-the-fly SCC-based emptiness checking, Couvreur, FM 1999).
-It takes three tests of an estimate: allowed (it may lie on the cycle),
-anchor (a cyclic component must hold one) and stops (seeing it ends the
-search).
+reads an estimate's steps only when it first reaches it and reports the
+first lasso as soon as it sees it (on-the-fly emptiness checking,
+Couvreur, FM 1999).  It takes three tests of an estimate: allowed (it
+may lie on the cycle), anchor (the cycle must pass one) and stops
+(seeing it ends the search).
 
   property   allowed        anchor       stops
   SPD        two states     any          an ambiguous estimate that can stall
   WD         one state      one state    none
   WPD        any            one state    a singleton that can stall
 
-- The search runs graphutil.strongly_connected_components (Tarjan) over
-  the allowed estimates; the others are expanded from a worklist that
-  feeds it its roots.  Each estimate is tested by stops when the search
-  first sees it.  The search ends at the first estimate that stops it or
-  at the first cyclic component that holds an anchor, whichever comes
-  first.  Every estimate it sees is reachable, and a cyclic component of
-  allowed estimates puts each of them on a cycle, so a lasso it ends at
-  is genuine.
+- The search runs graphutil.marked_cycle (Gabow's path-based strong
+  components) over the allowed estimates, with the anchors as marks;
+  the others are expanded from a worklist that feeds it its roots.
+  Each estimate is tested by stops when the search first sees it.  The
+  search ends at the first estimate that stops it, or the moment an arc
+  back into an open component merges a part that holds an anchor and a
+  cycle, before the component closes; whichever comes first.
+  Every estimate it sees is reachable, and that part is strongly
+  connected among allowed estimates, so it puts each of them on a cycle
+  through the anchor: a lasso it ends at is genuine.
 - A search that ends without one has seen every reachable estimate and
-  tested it, and has split the reachable allowed estimates into their
-  components, every cycle of them lying inside one.  So there is no
-  lasso.
+  tested it, and has closed every component of the reachable allowed
+  estimates, none both cyclic and holding an anchor; every cycle of
+  allowed estimates lies inside one.  So there is no lasso.
 - A menu that is inexact (a k > 1 silent row did not close) adds no
   steps, and the search carries on past it.  A lasso it finds is still
   made of genuine estimates and steps, so it decides the property: SPD
@@ -46,9 +48,9 @@ search).
   an inexact menu may have missed a step to one: UNKNOWN.  Otherwise SPD
   HOLDS and WD or WPD FAILS.
 - The witness is the estimate that stopped the search, or the least
-  anchor (by sorted) of the cyclic component.  Its access path and its
-  cycle are shortest paths among the visited estimates, which hold the
-  search's path to it and all that the component reaches.
+  anchor (by sorted) of that part.  Its access path and its cycle are
+  shortest paths among the visited estimates, which hold the search's
+  path to it and the part.
 
 Each checker computes the steps of each estimate it reaches
 (estimator.successor_steps), or reads the successors of a structure
@@ -70,7 +72,7 @@ from functools import cached_property
 from .epl import DEFAULT_BUDGET
 from .estimator import (EstimatorAutomaton, _pairs, _whole, build_detector, build_observer,
                         successor_steps)
-from .graphutil import find_cycle, find_path, strongly_connected_components
+from .graphutil import find_cycle, find_path, marked_cycle
 from .model import WeightedAutomaton, instantaneous_closure, normalize, scale_to_integers
 from .selfcomp import SelfComposition, build_self_composition, check_sd
 from .verdict import FAILS, HOLDS, SD, SPD, UNKNOWN, WD, WPD, InternalError, Verdict
@@ -158,17 +160,16 @@ def _lasso(x0: frozenset[str], successors, allowed, anchor,
     try:
         if stops(x0):
             raise _Stop(x0)
-        for comp, cyclic in strongly_connected_components(
-                roots(), lambda x: [y for _, _, y, _ in read(x) if allowed(y)]):
-            anchors = [x for x in comp if anchor(x)] if cyclic else ()
-            if anchors:
-                target = min(anchors, key=sorted)
-                access, _ = find_path(steps, x0, {target})
-                cycle = find_cycle(lambda x: [(step, y) for step, y in steps(x) if allowed(y)],
-                                   target)
-                return {"access": _events_of(access), "cycle": _events_of(cycle),
-                        "cycle_states": [sorted(x) for x in
-                                         [target] + [y for (_, _, y) in cycle]]}, inexact
+        comp = marked_cycle(roots(), lambda x: [y for _, _, y, _ in read(x) if allowed(y)],
+                            anchor, reach=False)
+        if comp is not None:
+            target = min(filter(anchor, comp), key=sorted)
+            access, _ = find_path(steps, x0, {target})
+            cycle = find_cycle(lambda x: [(step, y) for step, y in steps(x) if allowed(y)],
+                               target)
+            return {"access": _events_of(access), "cycle": _events_of(cycle),
+                    "cycle_states": [sorted(x) for x in
+                                     [target] + [y for (_, _, y) in cycle]]}, inexact
     except _Stop as stop:
         x = stop.args[0]
         access, _ = find_path(steps, x0, {x})

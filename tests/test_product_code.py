@@ -143,3 +143,13 @@ def test_only_the_document_edge_and_the_references_import_fraction():
              for path in sorted(SRC.glob("*.py"))
              for where in fraction_importers(ast.parse(path.read_text()))}
     assert found == {"io", "model", "epl._linear_screen"}
+
+
+def test_lasso_searches_share_the_early_report_routine():
+    # the SD search and the estimate lasso search report a cycle the moment
+    # they see it, through graphutil.marked_cycle; neither waits for Tarjan
+    # to close a component
+    for name in ("selfcomp", "verify"):
+        names = names_in_code(ast.parse((SRC / f"{name}.py").read_text()))
+        assert "marked_cycle" in names, name
+        assert "strongly_connected_components" not in names, name

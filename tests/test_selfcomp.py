@@ -301,36 +301,45 @@ def reference_check_sd(a, cc):
 
 
 def reference_first_anchor_sd(a, cc):
-    """check_sd by its definition as a search: a recursive Tarjan over
-    cc.transitions from the initial pairs in sorted order, stopped when the
-    first cyclic component that reaches a split state closes; its least
-    state anchors the witness, whose paths are searched among the states
-    the search visited."""
+    """check_sd by its definition as a search: a recursive depth-first
+    search over cc.transitions from the initial pairs in sorted order that
+    numbers the states it visits and keeps a stack of roots, one per part
+    of an open component, each with the number it starts at, whether it
+    holds a cycle and whether it reaches a split state (Couvreur, FM 1999).
+    It stops the moment the top root is both; the least visited state of
+    that part, numbered from its root on and not yet in a closed
+    component, anchors the witness, whose paths are searched among the
+    states the search visited."""
     succ = {s: [] for s in cc.states}
     for t in sorted(cc.transitions, key=lambda t: (t.source, t.events, t.target)):
         succ[t.source].append(t)
     a_reachers = can_reach(a.states, lambda q: (t[2] for t in a.arcs_from[q]), a.cycle_states)
     split = lambda s: s[0] != s[1] and s[0] in a_reachers
-    index, low, stack, reaching = {}, {}, [], set()
+    index, closed, reaching, roots = {}, set(), set(), []
+
+    def part():
+        return {s for s in index if s not in closed and index[s] >= roots[-1][0]}
 
     def visit(v):
-        index[v] = low[v] = len(index)
-        stack.append(v)
+        index[v] = len(index)
+        roots.append([index[v], False, split(v)])
         for t in succ[v]:
-            if t.target not in index:
-                found = visit(t.target)
-                if found is not None:
-                    return found
-                low[v] = min(low[v], low[t.target])
-            elif t.target in stack:
-                low[v] = min(low[v], index[t.target])
-        if low[v] == index[v]:
-            comp = stack[stack.index(v):]
-            del stack[stack.index(v):]
-            cyclic = len(comp) > 1 or any(t.target == v for t in succ[v])
-            if any(split(s) or any(t.target in reaching for t in succ[s]) for s in comp):
-                if cyclic:
-                    return min(comp)
+            w = t.target
+            if w in index and w not in closed:
+                while roots[-1][0] > index[w]:
+                    _, _, reaches = roots.pop()
+                    roots[-1][2] |= reaches
+                roots[-1][1] = True
+            elif w not in index and (found := visit(w)) is not None:
+                return found
+            if w in reaching:
+                roots[-1][2] = True
+            if roots[-1][1] and roots[-1][2]:
+                return min(part())
+        if roots[-1][0] == index[v]:
+            comp = part()
+            closed.update(comp)
+            if roots.pop()[2]:
                 reaching.update(comp)
         return None
 
@@ -428,6 +437,18 @@ def test_check_all_explores_part_of_the_composition(monkeypatch):
     assert io.selfcomp_to_json(result.self_composition, result.scale) \
         == io.selfcomp_to_json(whole, result.scale)
     check_sd_witness(result.automaton, result.self_composition, result.verdicts[SD].witness)
+
+
+def test_robot_sd_search_stops_at_the_first_cycle_it_sees(monkeypatch):
+    # the search reports a cycle that reaches a split candidate the moment
+    # it sees it, 6 states in, not when its component closes (67 states)
+    visited = []
+    successors = selfcomp._Expander.successors
+    monkeypatch.setattr(selfcomp._Expander, "successors",
+                        lambda self, state: visited.append(state) or successors(self, state))
+    a = scale_to_integers(normalize(load_fixture("robot").automaton))[0]
+    assert check_sd(a).status == FAILS
+    assert len(visited) == len(set(visited)) == 6
 
 
 def test_check_all_sd_equals_the_built_route():

@@ -228,6 +228,45 @@ def test_weak_searches_agree_with_full_observer_reference():
     assert min(statuses.values()) >= 20, statuses
 
 
+# the tests of _lasso per property: (allowed, anchor)
+LASSO_TESTS = {SPD: (lambda x: len(x) == 2, lambda x: True),
+               WD: (lambda x: len(x) == 1, lambda x: len(x) == 1),
+               WPD: (lambda x: True, lambda x: len(x) == 1)}
+
+
+def test_lasso_cycles_stay_allowed_and_start_at_an_anchor():
+    # a search that reports a cycle as soon as it sees one still reports a
+    # cycle of allowed estimates, and starts it at an anchor
+    cycles = {prop: 0 for prop in LASSO_TESTS}
+    for a in AUTOMATA.values():
+        for prop, verdict in check_all(a).verdicts.items():
+            if prop == SD or "cycle_states" not in (verdict.witness or {}):
+                continue
+            allowed, anchor = LASSO_TESTS[prop]
+            states = verdict.witness["cycle_states"]
+            assert len(states) >= 2 and states[0] == states[-1], (a, prop)
+            assert anchor(states[0]) and all(map(allowed, states)), (a, prop)
+            cycles[prop] += 1
+    assert min(cycles.values()) >= 10, cycles
+
+
+def test_robot_spd_search_stops_at_the_first_cycle_it_sees(monkeypatch):
+    # the search reports a cycle of two-element estimates the moment it
+    # sees it, 4 estimates in, not when its component closes (70 estimates)
+    read = []
+    steps = verify.successor_steps
+
+    def counted(a, split):
+        fn = steps(a, split)
+        return lambda x: read.append(x) or fn(x)
+
+    monkeypatch.setattr(verify, "successor_steps", counted)
+    a = scale_to_integers(normalize(load_fixture("robot").automaton))[0]
+    spd = check_spd(a)
+    assert spd.status == FAILS and spd.witness["kind"] == "ambiguous-cycle"
+    assert len(read) == len(set(read)) == 4
+
+
 def test_check_all_builds_no_detector(monkeypatch):
     # nor any other structure: each is built whole when first read
     built = []
