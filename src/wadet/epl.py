@@ -37,7 +37,7 @@ from typing import Iterable, Sequence
 
 from .epset import (EPSet, eps_add_progressions, eps_reflect, eps_shift, eps_union_many,
                     from_minima, least_by_residue)
-from .graphutil import reachable, strongly_connected_components
+from .graphutil import reachable, strong_components
 from .verdict import InternalError
 
 Vec = tuple[int, ...]
@@ -153,9 +153,8 @@ class WeightSetSolver:
             raise ValueError("weight sets require dimension 1")
         self.graph = graph
         self._succ = graph.out_arcs
-        comps = [c for c, _ in strongly_connected_components(
-            graph.vertices, lambda x: (a.head for a in self._succ[x]))]
-        self._sccs = [frozenset(c) for c in reversed(comps)]  # topological order
+        self._sccs = [frozenset(c) for c, _, _ in strong_components(  # sinks first
+            graph.vertices, lambda x: (a.head for a in self._succ[x]))][::-1]
         self._scc = {x: c for c in self._sccs for x in c}
         self._rows: dict[object, dict[object, EPSet]] = {}
         self._withins: dict[object, tuple] = {}

@@ -51,7 +51,6 @@ from collections import deque
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import combinations
-from numbers import Rational
 from operator import add, sub
 from typing import Callable, Iterable, Mapping, Sequence
 
@@ -403,14 +402,15 @@ def estimate(a: WeightedAutomaton, gamma: Sequence, budget: int = DEFAULT_BUDGET
     """The current-state estimate of a after the observed (symbol,
     accumulated weight) pairs gamma (wadet estimate): the increments,
     scaled as a is, fed one at a time to estimate_step from the initial
-    closure of a, normalized and scaled to integers.  A weight is a scalar
-    when k = 1 or a sequence of k entries, each anything Fraction accepts;
-    one of another dimension is a ValueError.  An increment that does not
-    scale to integers is unachievable, and the estimate is then empty."""
+    closure of a, normalized and scaled to integers.  A weight is a list or
+    tuple of k entries, each anything Fraction accepts, and any other value
+    is a one-entry weight (a scalar when k = 1); one of another dimension
+    is a ValueError.  An increment that does not scale to integers is
+    unachievable, and the estimate is then empty."""
     prepared, m = scale_to_integers(normalize(a))
     totals = []
     for sigma, total in gamma:
-        if isinstance(total, (Rational, str)):
+        if not isinstance(total, (list, tuple)):
             total = (total,)
         vec = make_weight(total)
         if len(vec) != a.k:

@@ -20,76 +20,27 @@ def reachable(starts: Iterable[V], succ: Callable[[V], Iterable[V]]) -> set[V]:
     return seen
 
 
-def strongly_connected_components(
-        vertices: Iterable[V],
-        succ: Callable[[V], Iterable[V]]) -> Iterator[tuple[list[V], bool]]:
-    """Tarjan, iterative, one succ call per vertex.  Yields each component
-    as it closes, so in reverse topological order (sinks first), with
-    whether it holds a cycle: more than one vertex, or a self-loop."""
-    index: dict[V, int] = {}
-    low: dict[V, int] = {}
-    on_stack: set[V] = set()
-    looped: set[V] = set()
-    stack: list[V] = []
-    counter = 0
+def strong_components(
+        roots: Iterable[V], succ: Callable[[V], Iterable[V]],
+        marked: Callable[[V], bool] | None = None,
+        reach: bool = False) -> Iterator[tuple[list[V], bool, bool]]:
+    """Path-based strong components (Gabow, IPL 2000), iterative, one succ
+    and one marked call per vertex, of the part of the graph reachable
+    from roots in depth-first order.  Yields (vertices, cyclic, marked)
+    for each component as it closes, so in reverse topological order
+    (sinks first).  Cyclic means it holds a cycle: two or more vertices,
+    or a self-loop.  Without reach, marked means it holds a vertex that
+    marked accepts; with reach, that it reaches one.
 
-    for root in vertices:
-        if root in index:
-            continue
-        work: list[tuple[V, Iterator]] = [(root, iter(succ(root)))]
-        index[root] = low[root] = counter
-        counter += 1
-        stack.append(root)
-        on_stack.add(root)
-        while work:
-            v, it = work[-1]
-            advanced = False
-            for w in it:
-                if w not in index:
-                    index[w] = low[w] = counter
-                    counter += 1
-                    stack.append(w)
-                    on_stack.add(w)
-                    work.append((w, iter(succ(w))))
-                    advanced = True
-                    break
-                if w in on_stack:
-                    low[v] = min(low[v], index[w])
-                    if w == v:
-                        looped.add(v)
-            if advanced:
-                continue
-            work.pop()
-            if work:
-                parent = work[-1][0]
-                low[parent] = min(low[parent], low[v])
-            if low[v] == index[v]:
-                comp = []
-                while True:
-                    w = stack.pop()
-                    on_stack.remove(w)
-                    comp.append(w)
-                    if w == v:
-                        break
-                yield comp, len(comp) > 1 or v in looped
-
-
-def marked_cycle(roots: Iterable[V], succ: Callable[[V], Iterable[V]],
-                 marked: Callable[[V], bool], reach: bool) -> list[V] | None:
-    """The first cycle through a mark that a depth-first search from roots
-    meets, as the part of its strong component seen so far; None when the
-    search ends without one.  Path-based strong components (Gabow, IPL
-    2000), iterative, one succ and one marked call per vertex.  Each entry
-    of the root stack is a strongly connected part of an open component,
-    the vertices of stack from its start on, and carries two flags:
-    cyclic (it holds a cycle: two or more vertices, or a self-loop) and
-    marked.  Without reach, marked means it holds a marked vertex; with
-    reach, that it reaches one, so a closed marked component also marks
-    each entry that has an arc into it.  A merge ORs the flags, and the
-    search returns the entry's vertices the moment both hold (Couvreur,
-    FM 1999).  A search that ends without one has closed every component
-    with its flags complete: no cycle holds (or, with reach, reaches) a
-    marked vertex."""
+    Each entry of the root stack is a strongly connected part of an open
+    component, the vertices of stack from its start on, and carries both
+    flags; a merge ORs them, and with reach a closed marked component
+    also marks each entry that has an arc into it.  The moment an entry
+    is both cyclic and marked the search yields it, flags True, True, as
+    it stands, and stops (Couvreur, FM 1999).  So no closed component is
+    both: a search that yields no such entry has closed every component
+    with its flags complete, and no cycle holds (or, with reach, reaches)
+    a marked vertex."""
     pos: dict[V, int] = {}  # open vertex -> its index in stack
     closed: set[V] = set()
     reaching: set[V] = set()  # closed vertices that reach a mark (reach only)
@@ -103,7 +54,7 @@ def marked_cycle(roots: Iterable[V], succ: Callable[[V], Iterable[V]],
         stack.append(v)
         starts.append(pos[v])
         cyclic.append(False)
-        marks.append(marked(v))
+        marks.append(marked is not None and marked(v))
         return iter(succ(v))
 
     for root in roots:
@@ -122,31 +73,34 @@ def marked_cycle(roots: Iterable[V], succ: Callable[[V], Iterable[V]],
                     cyclic[-1] = True
                     marks[-1] |= mark
                     if marks[-1]:
-                        return stack[starts[-1]:]
+                        yield stack[starts[-1]:], True, True
+                        return
                 elif w not in closed:
                     work.append((w, push(w)))
                     break
                 elif w in reaching and not marks[-1]:
                     marks[-1] = True
                     if cyclic[-1]:
-                        return stack[starts[-1]:]
+                        yield stack[starts[-1]:], True, True
+                        return
             else:
                 work.pop()
                 if starts[-1] == pos[v]:  # v's component closes
                     starts.pop()
-                    cyclic.pop()
                     comp = stack[pos[v]:]
                     del stack[pos[v]:]
                     for x in comp:
                         del pos[x]
                     closed.update(comp)
-                    if marks.pop() and reach:  # the arc into it marks v's parent
+                    mark = marks.pop()
+                    yield comp, cyclic.pop(), mark
+                    if mark and reach:  # the arc into it marks v's parent
                         reaching.update(comp)
                         if work and not marks[-1]:
                             marks[-1] = True
                             if cyclic[-1]:
-                                return stack[starts[-1]:]
-    return None
+                                yield stack[starts[-1]:], True, True
+                                return
 
 
 def find_path(steps: Callable[[V], Iterable[tuple]], start: V,

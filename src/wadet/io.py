@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 from decimal import Decimal
 from fractions import Fraction
-from typing import Mapping
+from typing import Iterable, Mapping
 
 from .estimator import EstimatorAutomaton
 from .model import Weight, WeightedAutomaton, exact, validate
@@ -241,51 +241,46 @@ def _dot_escape(s: str) -> str:
     return s.replace("\\", "\\\\").replace('"', '\\"')
 
 
-def automaton_to_dot(a: WeightedAutomaton) -> str:
-    lines = ['digraph "automaton" {', "  rankdir=LR;"]
-    for q in sorted(a.states):
-        shape = "doublecircle" if q in a.initial else "circle"
-        lines.append(f'  "{_dot_escape(q)}" [shape={shape}];')
-    for (s, e, d, w) in sorted(a.transitions):
-        label = a.label(e)
-        shown = label if label is not None else "~"
-        wtxt = ",".join(rational_to_str(x) for x in w)
-        lines.append(f'  "{_dot_escape(s)}" -> "{_dot_escape(d)}" '
-                     f'[label="{_dot_escape(f"{e}:{shown}/{wtxt}")}"];')
+def _dot(name: str, nodes: Iterable[tuple[str, bool]],
+         edges: Iterable[tuple[str, str, str]]) -> str:
+    """A left-to-right DOT digraph: nodes as (name, initial), an initial
+    one drawn as a double circle, and edges as (source, target, label)."""
+    lines = [f'digraph "{name}" {{', "  rankdir=LR;"]
+    lines += [f'  "{_dot_escape(v)}" [shape={"doublecircle" if initial else "circle"}];'
+              for v, initial in nodes]
+    lines += [f'  "{_dot_escape(s)}" -> "{_dot_escape(d)}" [label="{_dot_escape(label)}"];'
+              for s, d, label in edges]
     lines.append("}")
     return "\n".join(lines) + "\n"
+
+
+def automaton_to_dot(a: WeightedAutomaton) -> str:
+    def label(e, w):
+        shown = a.label(e) if a.label(e) is not None else "~"
+        return f"{e}:{shown}/{','.join(map(rational_to_str, w))}"
+
+    return _dot("automaton", ((q, q in a.initial) for q in sorted(a.states)),
+                ((s, d, label(e, w)) for s, e, d, w in sorted(a.transitions)))
 
 
 def selfcomp_to_dot(cc: SelfComposition) -> str:
     def node(p):
         return f"{p[0]},{p[1]}"
 
-    lines = ['digraph "selfcomp" {', "  rankdir=LR;"]
-    for s in sorted(cc.states):
-        shape = "doublecircle" if s in cc.initial else "circle"
-        lines.append(f'  "{_dot_escape(node(s))}" [shape={shape}];')
-    for s in sorted(cc.successors):
-        for events, target in cc.successors[s]:
-            label = f"({events[0]},{events[1]})"
-            lines.append(f'  "{_dot_escape(node(s))}" -> "{_dot_escape(node(target))}" '
-                         f'[label="{_dot_escape(label)}"];')
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+    return _dot("selfcomp", ((node(s), s in cc.initial) for s in sorted(cc.states)),
+                ((node(s), node(target), f"({events[0]},{events[1]})")
+                 for s in sorted(cc.successors) for events, target in cc.successors[s]))
 
 
 def estimator_to_dot(est: EstimatorAutomaton) -> str:
     def node(x):
         return "{" + ",".join(sorted(x)) + "}"
 
-    lines = [f'digraph "{est.kind}" {{', "  rankdir=LR;"]
-    for x in sorted(est.states, key=sorted):
-        shape = "doublecircle" if x == est.initial else "circle"
-        lines.append(f'  "{_dot_escape(node(x))}" [shape={shape}];')
-    for x in sorted(est.successors, key=sorted):
-        for symbol, weight, target, cell in est.successors[x]:
-            shown = f" in {cell}" if cell is not None and not cell.is_finite() else ""
-            label = f"({symbol},{_weight_label(weight)}){shown}"
-            lines.append(f'  "{_dot_escape(node(x))}" -> "{_dot_escape(node(target))}" '
-                         f'[label="{_dot_escape(label)}"];')
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+    def label(symbol, weight, cell):
+        shown = f" in {cell}" if cell is not None and not cell.is_finite() else ""
+        return f"({symbol},{_weight_label(weight)}){shown}"
+
+    return _dot(est.kind, ((node(x), x == est.initial) for x in sorted(est.states, key=sorted)),
+                ((node(x), node(target), label(symbol, weight, cell))
+                 for x in sorted(est.successors, key=sorted)
+                 for symbol, weight, target, cell in est.successors[x]))

@@ -6,11 +6,11 @@ lowest terms otherwise (make_weight), labels are output symbols or None
 for the silent label.  All operations treat automata as immutable values.
 
 Each automaton computes its structure once, on first read, in few
-passes: one over the sorted transitions for the arc tables, one Tarjan
-pass over the silent arcs for silent reach and silent cycles, one over
-all arcs for cycles and the states that reach one, and one breadth-first
-search per state with a zero-weight silent arc for the instantaneous
-closures.
+passes: one over the sorted transitions for the arc tables, one
+strong-component pass (graphutil.strong_components) over the silent arcs
+for silent reach and silent cycles, one over all arcs for cycles and the
+states that reach one, and one breadth-first search per state with a
+zero-weight silent arc for the instantaneous closures.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from functools import cached_property
 from math import lcm
 from typing import Iterable, Mapping
 
-from .graphutil import reachable, strongly_connected_components
+from .graphutil import reachable, strong_components
 
 Weight = tuple[int | Fraction, ...]
 Transition = tuple[str, str, str, Weight]  # (source, event, target, weight)
@@ -119,15 +119,15 @@ class WeightedAutomaton:
 
     @cached_property
     def _silent_components(self) -> tuple[Mapping[str, frozenset[str]], frozenset[str]]:
-        """One Tarjan pass over the silent arcs, rooted at the states that
-        have one.  A component closes after every component it has an arc
-        into, so its reach set is the component joined with theirs, and it
-        is shared by its members.  A state outside the pass reaches only
-        itself."""
+        """One strong-component pass over the silent arcs, rooted at the
+        states that have one.  A component closes after every component it
+        has an arc into, so its reach set is the component joined with
+        theirs, and it is shared by its members.  A state outside the pass
+        reaches only itself."""
         silent = self.silent_arcs
         reach: dict[str, frozenset[str]] = {}
         on_cycle: list[str] = []
-        for comp, cyclic in strongly_connected_components(
+        for comp, cyclic, _ in strong_components(
                 [q for q in self.states if silent[q]],
                 lambda q: (t[2] for t in silent[q])):
             members = frozenset(comp)
@@ -188,13 +188,13 @@ class WeightedAutomaton:
 
     @cached_property
     def _components(self) -> tuple[frozenset[str], frozenset[str]]:
-        """One Tarjan pass over all arcs: the states on a cycle, and the
-        states with a path to one, a component reaching one when it is
-        cyclic or has an arc into a component that does."""
+        """One strong-component pass over all arcs: the states on a cycle,
+        and the states with a path to one, a component reaching one when it
+        is cyclic or has an arc into a component that does."""
         arcs = self.arcs_from
         on_cycle: list[str] = []
         reachers: set[str] = set()
-        for comp, cyclic in strongly_connected_components(
+        for comp, cyclic, _ in strong_components(
                 self.states, lambda q: (t[2] for t in arcs[q])):
             if cyclic:
                 on_cycle += comp

@@ -29,8 +29,8 @@ the automaton.  check_sd decides this with one depth-first search from
 the initial pairs in sorted order, which computes a state's successors
 when it first reaches it and reports an anchor as soon as it sees one
 (on-the-fly emptiness checking, Couvreur, FM 1999).  The search,
-graphutil.marked_cycle, keeps Gabow's path-based strong components: a
-stack of roots, one per part of an open component found strongly
+graphutil.strong_components, is Gabow's path-based strong components:
+a stack of roots, one per part of an open component found strongly
 connected so far, each with two flags, cyclic (the part holds a cycle)
 and reaching (it reaches a candidate).  A candidate flags its own part
 when first seen; an arc back into an open part merges the parts above
@@ -72,7 +72,7 @@ from operator import sub
 
 from .epl import DEFAULT_BUDGET, _Budget, digraph, has_path_with_weight
 from .estimator import tables
-from .graphutil import find_cycle, find_path, marked_cycle
+from .graphutil import find_cycle, find_path, strong_components
 from .model import Transition, WeightedAutomaton
 from .verdict import FAILS, HOLDS, SD, UNKNOWN, InternalError, Verdict
 
@@ -326,10 +326,10 @@ def _first_anchor(a: WeightedAutomaton, initial: frozenset[Pair],
         outs[s] = successors(s)
         return [w for _, w in outs[s]]
 
-    comp = marked_cycle(sorted(initial), targets, split, reach=True)
-    if comp is None:
-        return None, outs, set()
-    return min(comp), outs, set(filter(split, outs))
+    for comp, cyclic, reaching in strong_components(sorted(initial), targets, split, reach=True):
+        if cyclic and reaching:
+            return min(comp), outs, set(filter(split, outs))
+    return None, outs, set()
 
 
 def check_sd(a: WeightedAutomaton, cc: SelfComposition | None = None,

@@ -27,7 +27,7 @@ may lie on the cycle), anchor (the cycle must pass one) and stops
   WD         one state      one state    none
   WPD        any            one state    a singleton that can stall
 
-- The search runs graphutil.marked_cycle (Gabow's path-based strong
+- The search runs graphutil.strong_components (Gabow's path-based strong
   components) over the allowed estimates, with the anchors as marks;
   the others are expanded from a worklist that feeds it its roots.
   Each estimate is tested by stops when the search first sees it.  The
@@ -72,7 +72,7 @@ from functools import cached_property
 from .epl import DEFAULT_BUDGET
 from .estimator import (EstimatorAutomaton, _pairs, _whole, build_detector, build_observer,
                         successor_steps)
-from .graphutil import find_cycle, find_path, marked_cycle
+from .graphutil import find_cycle, find_path, strong_components
 from .model import WeightedAutomaton, instantaneous_closure, normalize, scale_to_integers
 from .selfcomp import SelfComposition, build_self_composition, check_sd
 from .verdict import FAILS, HOLDS, SD, SPD, UNKNOWN, WD, WPD, InternalError, Verdict
@@ -160,9 +160,10 @@ def _lasso(x0: frozenset[str], successors, allowed, anchor,
     try:
         if stops(x0):
             raise _Stop(x0)
-        comp = marked_cycle(roots(), lambda x: [y for _, _, y, _ in read(x) if allowed(y)],
-                            anchor, reach=False)
-        if comp is not None:
+        for comp, cyclic, anchored in strong_components(
+                roots(), lambda x: [y for _, _, y, _ in read(x) if allowed(y)], anchor):
+            if not (cyclic and anchored):
+                continue
             target = min(filter(anchor, comp), key=sorted)
             access, _ = find_path(steps, x0, {target})
             cycle = find_cycle(lambda x: [(step, y) for step, y in steps(x) if allowed(y)],

@@ -1,15 +1,16 @@
 """Reference graph routines for the tests: cycle membership and backward
-reach, each by its plain definition over graphutil's primitives."""
+reach, each by its plain definition over graphutil.reachable, so neither
+shares the product's strong-component search."""
 
 from __future__ import annotations
 
-from wadet.graphutil import reachable, strongly_connected_components
+from wadet.graphutil import reachable
 
 
 def states_on_cycles(vertices, succ) -> set:
-    """Vertices lying on some cycle (self-loops included)."""
-    return {v for comp, cyclic in strongly_connected_components(vertices, succ)
-            if cyclic for v in comp}
+    """Vertices lying on some cycle (self-loops included): those reachable
+    from their own successors."""
+    return {v for v in vertices if v in reachable(succ(v), succ)}
 
 
 def can_reach(vertices, succ, targets) -> set:

@@ -7,7 +7,7 @@ import pytest
 from wadet import estimator, model
 from wadet.corpus import fixture_names, load_fixture, random_automaton
 from wadet.io import parse, serialize
-from wadet.graphutil import reachable, strongly_connected_components
+from wadet.graphutil import reachable, strong_components
 from wadet.model import (
     ValidationError,
     WeightedAutomaton,
@@ -469,15 +469,26 @@ def test_silent_structure_reads_no_reachability_search(monkeypatch):
     assert calls == []
 
 
-def test_strongly_connected_components_calls_succ_once_per_vertex():
-    # a self-loop is seen in Tarjan's own scan, not by asking again
+def test_strong_components_calls_succ_and_marked_once_per_vertex():
+    # a self-loop is seen in the search's own scan, not by asking again
     arcs = {"p": ["p", "q"], "q": ["r"], "r": ["q"], "s": ["s"], "t": ["p"], "u": []}
-    calls = []
+    calls, marks = [], []
 
     def succ(v):
         calls.append(v)
         return arcs[v]
 
-    assert {v for comp, cyclic in strongly_connected_components(arcs, succ)
+    def marked(v):
+        marks.append(v)
+        return False
+
+    assert {v for comp, cyclic, _ in strong_components(arcs, succ)
             if cyclic for v in comp} == {"p", "q", "r", "s"}
     assert sorted(calls) == sorted(arcs)
+    calls.clear()
+    for reach in (False, True):
+        assert all(not (cyclic and mark) for _, cyclic, mark in
+                   strong_components(arcs, succ, marked, reach=reach))
+        assert sorted(calls) == sorted(marks) == sorted(arcs)
+        calls.clear()
+        marks.clear()

@@ -1,4 +1,5 @@
 import random
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -36,6 +37,13 @@ def test_estimate_refuses_a_weight_of_another_dimension(aut_a1):
     assert estimate(aut_a1, [("rho", "1"), ("rho", ["2"])]) == {"q3"}
     with pytest.raises(ValueError, match="dimension 2, expected 1"):
         estimate(aut_a1, [("rho", Fraction(1, 2)), ("rho", (2, 0))])
+
+
+def test_estimate_reads_any_scalar_as_a_one_entry_weight(aut_a1):
+    # a float or a Decimal is a k = 1 weight, as an int or a string is
+    for one, two in ((1.0, 2.0), (Decimal("1"), Decimal("2")), (1.0, "2")):
+        assert estimate(aut_a1, [("rho", one), ("rho", two)]) == {"q3"}
+    assert estimate(aut_a1, [("rho", 0.5)]) == estimate(aut_a1, [("rho", Decimal("0.5"))]) == set()
 
 
 def test_estimate_on_a0(aut_a0):

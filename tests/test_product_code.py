@@ -145,11 +145,27 @@ def test_only_the_document_edge_and_the_references_import_fraction():
     assert found == {"io", "model", "epl._linear_screen"}
 
 
+def component_searches(tree):
+    """The number of arguments of each call of graphutil.strong_components."""
+    return [len(node.args) + len(node.keywords) for node in ast.walk(tree)
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+            and node.func.id == "strong_components"]
+
+
 def test_lasso_searches_share_the_early_report_routine():
     # the SD search and the estimate lasso search report a cycle the moment
-    # they see it, through graphutil.marked_cycle; neither waits for Tarjan
-    # to close a component
+    # they see it: each passes its marks to graphutil.strong_components,
+    # which yields a cyclic marked part before its component closes
     for name in ("selfcomp", "verify"):
-        names = names_in_code(ast.parse((SRC / f"{name}.py").read_text()))
-        assert "marked_cycle" in names, name
-        assert "strongly_connected_components" not in names, name
+        searches = component_searches(ast.parse((SRC / f"{name}.py").read_text()))
+        assert searches and all(n >= 3 for n in searches), name
+
+
+def test_one_strong_component_search():
+    # graphutil's path-based search is the only strong-component routine:
+    # the model's structure, the k = 1 solver's order and both lasso
+    # searches reach components through it
+    sources = {path.stem: path.read_text() for path in sorted(SRC.glob("*.py"))}
+    assert [stem for stem, text in sources.items() if "strongly_connected_components" in text] == []
+    assert {stem for stem, text in sources.items()
+            if component_searches(ast.parse(text))} == {"model", "epl", "selfcomp", "verify"}
