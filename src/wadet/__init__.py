@@ -9,7 +9,7 @@ from .epset import (
     eps_reflect,
     eps_shift,
 )
-from .epl import EplAnswer, WeightedDigraph, digraph, has_path_with_weight
+from .epl import EplAnswer, has_path_with_weight
 from .model import (
     StructureReport,
     ValidationError,

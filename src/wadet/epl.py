@@ -1,12 +1,16 @@
-"""Exact-path-length engine over integer-weighted digraphs.
+"""Exact-path-length engine over integer-weighted arcs.
 
-For one-dimensional weights the full achievable-weight set of walks
-between two vertices is computed exactly as an eventually periodic set,
-one row W(u, .) per source, strongly connected component (SCC) by SCC in
-topological order.  Inside an SCC the set has a closed form: a point, a
-congruence class, or, when the nonzero cycles have one sign, the union
-of the progressions m + c * N, where c is the weight of a closed walk of
-that sign and m the least weight of each residue class mod c
+An arc is a (tail, tag, head, weight) tuple, the shape of a transition of
+a model.WeightedAutomaton, and a walk is a tuple of arcs.  For
+one-dimensional weights the full achievable-weight set of the silent
+walks between two states of a prepared automaton is computed exactly as
+an eventually periodic set, one row W(u, .) per source, silent strongly
+connected component (SCC) by SCC in topological order: the components
+of the model's one silent pass (WeightedAutomaton.silent_components).
+Inside an SCC the set has a closed form: a point, a congruence class,
+or, when the nonzero cycles have one sign, the union of the
+progressions m + c * N, where c is the weight of a closed walk of that
+sign and m the least weight of each residue class mod c
 (epset.least_by_residue; mirrored for negative cycles).  The SCCs are
 composed from these forms (epset.eps_add_progressions).  Once a weight
 is known to be a member, a witness walk with the fewest arcs comes from
@@ -16,128 +20,45 @@ That search is pseudo-polynomial in the weights, so callers that only
 need to decide ask for the set.
 
 For higher dimensions the decision question (is there a walk of exactly
-weight z?) is has_path_with_weight, which refuses dimension 1.  It is
-first put to a breadth-first probe over (vertex, weight) states inside a
-window around z.  It answers YES with the walk it finds, and NO when it
-runs out of states without having dropped one for leaving the window:
-the states it saw are then closed under successors, so the answer is
-exact.  Otherwise the question goes to an enumeration of candidate arc
-supports, whose flow-with-weight systems are solved by bounded
-depth-first search.  The probe and the search spend one budget,
-and exhaustion surfaces as UNKNOWN, never as a silent wrong answer.  YES
+weight z over a sequence of arcs?) is has_path_with_weight, which
+refuses dimension 1.  It is first put to a breadth-first probe over
+(vertex, weight) states inside a window around z.  It answers YES with
+the walk it finds, and NO when it runs out of states without having
+dropped one for leaving the window: the states it saw are then closed
+under successors, so the answer is exact.  Otherwise the question goes
+to an enumeration of candidate arc supports, in the order of the
+sequence, whose flow-with-weight systems are solved by bounded
+depth-first search.  The probe and the search spend one budget, and
+exhaustion surfaces as UNKNOWN, never as a silent wrong answer.  YES
 always carries a walk that is replayed before being returned.
 """
-
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from functools import cached_property
+from dataclasses import dataclass
 from math import gcd, inf
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .epset import (EPSet, eps_add_progressions, eps_reflect, eps_shift, eps_union_many,
                     from_minima, least_by_residue)
-from .graphutil import reachable, strong_components
+from .graphutil import reachable
 from .verdict import InternalError
 
 Vec = tuple[int, ...]
 
 
 @dataclass(frozen=True)
-class Arc:
-    tail: object
-    weight: Vec
-    head: object
-    aid: int = 0
-
-
-@dataclass(frozen=True)
-class WeightedDigraph:
-    k: int
-    vertices: tuple
-    arcs: tuple[Arc, ...]
-    # vertex -> vertices reachable from it / that reach it, filled on demand
-    _forward: dict = field(default_factory=dict, init=False, repr=False, compare=False)
-    _backward: dict = field(default_factory=dict, init=False, repr=False, compare=False)
-
-    def __post_init__(self) -> None:
-        vs = set(self.vertices)
-        for a in self.arcs:
-            if a.tail not in vs or a.head not in vs:
-                raise ValueError(f"arc endpoints not declared: {a}")
-            if len(a.weight) != self.k:
-                raise ValueError(f"arc weight has wrong dimension: {a}")
-            if any(type(x) is not int for x in a.weight):
-                raise ValueError(f"arc weight entries must be ints: {a}")
-
-    @cached_property
-    def out_arcs(self) -> dict[object, list[Arc]]:
-        """Out-arcs of every vertex, in arc order."""
-        out: dict[object, list[Arc]] = {x: [] for x in self.vertices}
-        for a in self.arcs:
-            out[a.tail].append(a)
-        return out
-
-    @cached_property
-    def in_arcs(self) -> dict[object, list[Arc]]:
-        """In-arcs of every vertex, in arc order."""
-        into: dict[object, list[Arc]] = {x: [] for x in self.vertices}
-        for a in self.arcs:
-            into[a.head].append(a)
-        return into
-
-    def reach_from(self, u) -> frozenset:
-        """Vertices reachable from u, u included."""
-        if u not in self._forward:
-            out = self.out_arcs
-            self._forward[u] = frozenset(reachable([u], lambda x: (a.head for a in out[x])))
-        return self._forward[u]
-
-    def reach_to(self, v) -> frozenset:
-        """Vertices that reach v, v included."""
-        if v not in self._backward:
-            into = self.in_arcs
-            self._backward[v] = frozenset(reachable([v], lambda x: (a.tail for a in into[x])))
-        return self._backward[v]
-
-    def region(self, u, v) -> frozenset:
-        """Vertices on some u->v walk (the empty one too when u == v)."""
-        return self.reach_from(u) & self.reach_to(v)
-
-
-def digraph(k: int, vertices: Iterable, arcs: Iterable[tuple]) -> WeightedDigraph:
-    """Build a graph from (tail, weight, head) triples; scalars allowed for
-    k=1.  Entries are kept as given: WeightedDigraph refuses one that is
-    not an int."""
-    built = []
-    for i, (tail, weight, head) in enumerate(arcs):
-        if isinstance(weight, int):
-            weight = (weight,)
-        built.append(Arc(tail, tuple(weight), head, i))
-    return WeightedDigraph(k, tuple(vertices), tuple(built))
-
-
-@dataclass(frozen=True)
 class EplAnswer:
     status: str  # "YES" | "NO" | "UNKNOWN"
-    walk: tuple[Arc, ...] | None = None
+    walk: tuple[tuple, ...] | None = None
 
 
-def walk_weight(walk: Sequence[Arc], k: int) -> Vec:
-    total = [0] * k
-    for a in walk:
-        for i, w in enumerate(a.weight):
-            total[i] += w
-    return tuple(total)
-
-
-def replay_walk(walk: Sequence[Arc], u, v) -> bool:
-    """Check arc chaining from u to v (empty walk only when u == v)."""
+def _chains(walk: Sequence[tuple], u, v) -> bool:
+    """Do the arcs of walk chain from u to v (the empty walk only when
+    u == v)?"""
     if not walk:
         return u == v
-    if walk[0].tail != u or walk[-1].head != v:
-        return False
-    return all(a.head == b.tail for a, b in zip(walk, walk[1:]))
+    return (walk[0][0] == u and walk[-1][2] == v
+            and all(a[2] == b[0] for a, b in zip(walk, walk[1:])))
 
 
 # ---------------------------------------------------------------------
@@ -146,15 +67,18 @@ def replay_walk(walk: Sequence[Arc], u, v) -> bool:
 
 
 class WeightSetSolver:
-    """Per-graph memoizing solver for 1-dimensional achievable-weight sets."""
+    """Memoizing solver for the weight sets of the silent walks of one
+    prepared automaton of dimension 1.  It reads the automaton's silent
+    arcs, reach sets and strong components once and keeps no reference
+    to the automaton."""
 
-    def __init__(self, graph: WeightedDigraph):
-        if graph.k != 1:
-            raise ValueError("weight sets require dimension 1")
-        self.graph = graph
-        self._succ = graph.out_arcs
-        self._sccs = [frozenset(c) for c, _, _ in strong_components(  # sinks first
-            graph.vertices, lambda x: (a.head for a in self._succ[x]))][::-1]
+    def __init__(self, a):
+        if a.k != 1 or not a.is_prepared:
+            raise ValueError("weight sets require a prepared automaton of dimension 1, "
+                             "its weight entries ints")
+        self._succ = a.silent_arcs
+        self._reach = a.silent_reach
+        self._sccs = a.silent_components[::-1]  # sources first
         self._scc = {x: c for c in self._sccs for x in c}
         self._rows: dict[object, dict[object, EPSet]] = {}
         self._withins: dict[object, tuple] = {}
@@ -164,18 +88,19 @@ class WeightSetSolver:
     def weight_set(self, u, v) -> EPSet:
         return self._row(u).get(v, EPSet.empty())
 
-    def witness_walk(self, u, v, z: int) -> tuple[Arc, ...] | None:
-        """A u->v walk of weight z with the fewest arcs, or None when z is
-        not in the weight set.  Breadth-first over (vertex, accumulated
-        weight) states; the search ends because the set is exact.  It
-        visits every state that a shorter walk reaches: loops 997 and -991
-        on one vertex give weight 1 with 1657 arcs after about 1.4 million
-        states."""
+    def witness_walk(self, u, v, z: int) -> tuple[tuple, ...] | None:
+        """A silent u->v walk of weight z with the fewest arcs, as a tuple of
+        transitions, or None when z is not in the weight set.
+        Breadth-first over (vertex, accumulated weight) states of the
+        states on some u->v walk; the search ends because the set is
+        exact.  It visits every state that a shorter walk reaches: loops
+        997 and -991 on one vertex give weight 1 with 1657 arcs after
+        about 1.4 million states."""
         if z not in self.weight_set(u, v):
             return None
-        region = self.graph.region(u, v)
-        # per vertex, the arc that first reached each accumulated weight
-        parent: dict[object, dict[int, Arc | None]] = {x: {} for x in region}
+        reach = self._reach
+        # per vertex on a u->v walk, the arc that first reached each weight
+        parent: dict[object, dict[int, tuple | None]] = {x: {} for x in reach[u] if v in reach[x]}
         parent[u][0] = None
         frontier = [(u, 0)]
         while z not in parent[v]:
@@ -183,19 +108,19 @@ class WeightSetSolver:
                 raise InternalError(f"no walk {u!r}->{v!r} of weight {z} in its weight set")
             nxt = []
             for x, w in frontier:
-                for a in self._succ[x]:
-                    reached = parent.get(a.head)
-                    if reached is not None and w + a.weight[0] not in reached:
-                        reached[w + a.weight[0]] = a
-                        nxt.append((a.head, w + a.weight[0]))
+                for t in self._succ[x]:
+                    reached = parent.get(t[2])
+                    if reached is not None and w + t[3][0] not in reached:
+                        reached[w + t[3][0]] = t
+                        nxt.append((t[2], w + t[3][0]))
             frontier = nxt
         walk = []
         x, w = v, z
-        while (a := parent[x][w]) is not None:
-            walk.append(a)
-            x, w = a.tail, w - a.weight[0]
+        while (t := parent[x][w]) is not None:
+            walk.append(t)
+            x, w = t[0], w - t[3][0]
         walk.reverse()
-        if not (replay_walk(walk, u, v) and walk_weight(walk, 1) == (z,)):
+        if not (_chains(walk, u, v) and sum(t[3][0] for t in walk) == z):
             raise InternalError(f"witness walk {u!r}->{v!r} does not replay to weight {z}")
         return tuple(walk)
 
@@ -216,8 +141,8 @@ class WeightSetSolver:
             for y in comp:
                 row[y] = _union([self._plus(e, b, y) for b, e in entry.items()])
                 for a in self._succ[y]:
-                    if a.head not in comp:
-                        pending.setdefault(a.head, []).append(eps_shift(row[y], a.weight[0]))
+                    if a[2] not in comp:
+                        pending.setdefault(a[2], []).append(eps_shift(row[y], a[3][0]))
         self._rows[u] = row
         return row
 
@@ -245,16 +170,16 @@ class WeightSetSolver:
         if b in self._withins:
             return self._withins[b]
         comp = self._scc[b]
-        out = {x: [a for a in self._succ[x] if a.head in comp] for x in comp}
+        out = {x: [a for a in self._succ[x] if a[2] in comp] for x in comp}
         p = {b: 0}
         stack = [b]
         while stack:
             x = stack.pop()
             for a in out[x]:
-                if a.head not in p:
-                    p[a.head] = p[x] + a.weight[0]
-                    stack.append(a.head)
-        d = gcd(*(p[x] + a.weight[0] - p[a.head] for x in comp for a in out[x]))
+                if a[2] not in p:
+                    p[a[2]] = p[x] + a[3][0]
+                    stack.append(a[2])
+        d = gcd(*(p[x] + a[3][0] - p[a[2]] for x in comp for a in out[x]))
         c, minima = 0, {}
         for sign in (1, -1) if d else ():
             if (g := _distances_to(b, out, sign)) is None:
@@ -262,9 +187,9 @@ class WeightSetSolver:
             # weights times sign, whose cycles are >= 0; g(x) is the least
             # weight of a walk x -> b, so w - g(x) + g(y) >= 0 on each arc
             c = min(t for x in comp for a in out[x]
-                    if (t := sign * (p[x] + a.weight[0]) + g[a.head]) > 0)
+                    if (t := sign * (p[x] + a[3][0]) + g[a[2]]) > 0)
             least = least_by_residue(
-                b, lambda x: [(a.head, sign * a.weight[0] - g[x] + g[a.head]) for a in out[x]], c)
+                b, lambda x: [(a[2], sign * a[3][0] - g[x] + g[a[2]]) for a in out[x]], c)
             minima = {y: [m - g[y] for m in least[y].values()] for y in comp}
             table = {y: from_minima(minima[y], c) for y in comp}
             if sign < 0:
@@ -291,8 +216,8 @@ def _distances_to(b, out: dict, sign: int) -> dict | None:
         changed = False
         for x, arcs in out.items():
             for a in arcs:
-                if sign * a.weight[0] + g[a.head] < g[x]:
-                    g[x] = sign * a.weight[0] + g[a.head]
+                if sign * a[3][0] + g[a[2]] < g[x]:
+                    g[x] = sign * a[3][0] + g[a[2]]
                     changed = True
         if not changed:
             return g
@@ -318,46 +243,51 @@ class _Budget:
         return self.nodes >= 0
 
 
-def has_path_with_weight(graph: WeightedDigraph, u, v, z: Sequence[int],
+def has_path_with_weight(arcs: Sequence[tuple], u, v, z: Sequence[int],
                          budget: "int | _Budget" = DEFAULT_BUDGET) -> EplAnswer:
     """Is there a walk from u to v with total weight exactly z?  (k > 1)
 
-    A breadth-first probe (at most PROBE_NODES steps) decides YES, and
+    The arcs are distinct (tail, tag, head, weight) tuples, the weights of
+    the dimension of z, and the walk of a YES is a tuple of them.  A
+    breadth-first probe (at most PROBE_NODES steps) decides YES, and
     decides NO when it exhausts its states without dropping one for
-    leaving its window.  Otherwise the arc supports are enumerated and
-    their balance/weight systems solved.  Probe and enumeration spend the
-    same node budget; passing a _Budget instance lets callers share one
-    budget across many queries.  Dimension 1 is exact through the weight
-    sets instead (WeightSetSolver), and is refused here.
+    leaving its window.  Otherwise the arc supports are enumerated, in the
+    order of arcs, and their balance/weight systems solved.  Probe and
+    enumeration spend the same node budget; passing a _Budget instance
+    lets callers share one budget across many queries.  Dimension 1 is
+    exact through the weight sets instead (WeightSetSolver), and is
+    refused here.
     """
-    if graph.k == 1:
-        raise ValueError("k = 1 walk questions go to WeightSetSolver")
     z = tuple(z)
-    if len(z) != graph.k:
-        raise ValueError(f"weight dimension mismatch: {z} vs k={graph.k}")
+    if len(z) == 1:
+        raise ValueError("k = 1 walk questions go to WeightSetSolver")
     if any(type(x) is not int for x in z):
         raise ValueError(f"target entries must be ints: {z}")
+    out: dict[object, list[tuple]] = {}
+    into: dict[object, list[tuple]] = {}
+    for a in arcs:
+        if len(a[3]) != len(z) or any(type(x) is not int for x in a[3]):
+            raise ValueError(f"arc weights must be {len(z)} ints: {a}")
+        out.setdefault(a[0], []).append(a)
+        into.setdefault(a[2], []).append(a)
     if isinstance(budget, int):
         budget = _Budget(budget)
-    return _multi_dim(graph, u, v, z, budget)
-
-
-def _multi_dim(graph: WeightedDigraph, u, v, z: Vec, budget: _Budget) -> EplAnswer:
     if u == v and not any(z):
         return EplAnswer("YES", ())
-    region = graph.region(u, v)
+    # the vertices on some u->v walk
+    region = (reachable([u], lambda x: (a[2] for a in out.get(x, ())))
+              & reachable([v], lambda x: (a[0] for a in into.get(x, ()))))
     if u not in region:
         return EplAnswer("NO")
 
     cap = max(0, min(budget.nodes, PROBE_NODES))
     probe = _Budget(cap)
-    answer = _bounded_walk_probe(graph, region, u, v, z, probe)
+    answer = _bounded_walk_probe(out, region, u, v, z, probe)
     budget.spend(cap - max(probe.nodes, 0))  # charge what the probe spent
     if answer is not None:
         return answer
 
-    arcs = sorted((a for a in graph.arcs if a.tail in region and a.head in region),
-                  key=lambda a: a.aid)
+    arcs = [a for a in arcs if a[0] in region and a[2] in region]
     if len(arcs) > 14:  # support enumeration is 2^|arcs|
         return EplAnswer("UNKNOWN")
 
@@ -366,19 +296,19 @@ def _multi_dim(graph: WeightedDigraph, u, v, z: Vec, budget: _Budget) -> EplAnsw
         if not budget.spend():
             return EplAnswer("UNKNOWN")
         support = [a for i, a in enumerate(arcs) if mask >> i & 1]
-        result = _solve_support(graph.k, support, u, v, z, budget)
+        result = _solve_support(len(z), support, u, v, z, budget)
         if result == "UNKNOWN":
             unknown = True
         elif result is not None:
             walk = _euler_walk(result, u, v)
             if walk is not None:
-                if walk_weight(walk, graph.k) != z or not replay_walk(walk, u, v):
+                if tuple(map(sum, zip(*(a[3] for a in walk)))) != z:
                     raise InternalError(f"walk for weight {z} does not replay")
                 return EplAnswer("YES", tuple(walk))
     return EplAnswer("UNKNOWN") if unknown else EplAnswer("NO")
 
 
-def _bounded_walk_probe(graph: WeightedDigraph, region, u, v, z: Vec,
+def _bounded_walk_probe(out: dict, region, u, v, z: Vec,
                         budget: _Budget) -> EplAnswer | None:
     """Breadth-first over (vertex, accumulated weight) states whose
     coordinates stay within a window around z: YES with the walk that
@@ -392,22 +322,21 @@ def _bounded_walk_probe(graph: WeightedDigraph, region, u, v, z: Vec,
     seen: set[tuple[object, Vec]] = {start}
     frontier: dict[tuple[object, Vec], tuple] = {start: ()}
     window = 4 * max(map(abs, z), default=1) + 64
-    out = graph.out_arcs
     pruned = False
     for _ in range(PROBE_DEPTH):
         nxt: dict[tuple[object, Vec], tuple] = {}
         for (x, w), walk in frontier.items():
-            for a in out[x]:
-                if a.head not in region:
+            for a in out.get(x, ()):
+                if a[2] not in region:
                     continue
                 if not budget.spend():
                     return None
-                w2 = tuple(wi + ai for wi, ai in zip(w, a.weight))
-                key = (a.head, w2)
+                w2 = tuple(wi + ai for wi, ai in zip(w, a[3]))
+                key = (a[2], w2)
                 if key in seen:
                     continue
                 walk2 = walk + (a,)
-                if a.head == v and w2 == z:
+                if a[2] == v and w2 == z:
                     return EplAnswer("YES", walk2)
                 if all(abs(c) <= window for c in w2):
                     seen.add(key)
@@ -420,20 +349,20 @@ def _bounded_walk_probe(graph: WeightedDigraph, region, u, v, z: Vec,
     return None
 
 
-def _solve_support(k: int, support: list[Arc], u, v, z: Vec, budget: _Budget):
+def _solve_support(k: int, support: list[tuple], u, v, z: Vec, budget: _Budget):
     """Multiplicities y_a >= 1 on the support with flow balance u->v and
     total weight z, or None; 'UNKNOWN' when the budget runs out."""
-    verts = {a.tail for a in support} | {a.head for a in support}
+    verts = {a[0] for a in support} | {a[2] for a in support}
     if u not in verts or v not in verts:
         return None
     # connectivity: every support arc must be usable on some u->v walk
-    s_succ: dict[object, list[Arc]] = {x: [] for x in verts}
-    s_pred: dict[object, list[Arc]] = {x: [] for x in verts}
+    s_succ: dict[object, list[tuple]] = {x: [] for x in verts}
+    s_pred: dict[object, list[tuple]] = {x: [] for x in verts}
     for a in support:
-        s_succ[a.tail].append(a)
-        s_pred[a.head].append(a)
-    from_u = reachable([u], lambda x: (a.head for a in s_succ[x]))
-    to_v = reachable([v], lambda x: (a.tail for a in s_pred[x]))
+        s_succ[a[0]].append(a)
+        s_pred[a[2]].append(a)
+    from_u = reachable([u], lambda x: (a[2] for a in s_succ[x]))
+    to_v = reachable([v], lambda x: (a[0] for a in s_pred[x]))
     if verts - (from_u & to_v):
         return None
 
@@ -441,11 +370,11 @@ def _solve_support(k: int, support: list[Arc], u, v, z: Vec, budget: _Budget):
     eqs: list[tuple[list[int], int]] = []  # (coeffs per arc, rhs)
     for x in verts:
         bal = (1 if x == u else 0) - (1 if x == v else 0)
-        coeffs = [(1 if a.tail == x else 0) - (1 if a.head == x else 0) for a in support]
+        coeffs = [(1 if a[0] == x else 0) - (1 if a[2] == x else 0) for a in support]
         rhs = bal - sum(coeffs)
         eqs.append((coeffs, rhs))
     for i in range(k):
-        coeffs = [a.weight[i] for a in support]
+        coeffs = [a[3][i] for a in support]
         rhs = z[i] - sum(coeffs)
         eqs.append((coeffs, rhs))
 
@@ -552,17 +481,16 @@ def _dfs_solve(eqs, assignment, idx, var_bound, budget: _Budget):
     return None
 
 
-def _euler_walk(multiplicity: dict[Arc, int], u, v) -> list[Arc] | None:
-    """Walk using each arc exactly its multiplicity, smallest arc id first."""
+def _euler_walk(multiplicity: dict[tuple, int], u, v) -> list[tuple] | None:
+    """Walk using each arc exactly its multiplicity, the arc that comes
+    first in multiplicity first."""
     remaining = {a: c for a, c in multiplicity.items() if c > 0}
-    out: dict[object, list[Arc]] = {}
+    out: dict[object, list[tuple]] = {}
     for a in remaining:
-        out.setdefault(a.tail, []).append(a)
-    for arcs in out.values():
-        arcs.sort(key=lambda a: a.aid)
+        out.setdefault(a[0], []).append(a)
     total = sum(remaining.values())
-    trail: list[Arc] = []
-    arc_stack: list[Arc] = []
+    trail: list[tuple] = []
+    arc_stack: list[tuple] = []
     avail = dict(remaining)
 
     def next_arc(x):
@@ -582,8 +510,8 @@ def _euler_walk(multiplicity: dict[Arc, int], u, v) -> list[Arc] | None:
         else:
             avail[a] -= 1
             arc_stack.append(a)
-            vertex_stack.append(a.head)
+            vertex_stack.append(a[2])
     trail.reverse()
-    if len(trail) != total or not replay_walk(trail, u, v):
+    if len(trail) != total or not _chains(trail, u, v):
         return None
     return trail

@@ -30,13 +30,15 @@ arc t = s -e/w-> d usable from q, the totals P(q, t) = {x + w : x the
 weight of a silent walk q -> s}, and one successor menu per (estimate,
 symbol), which the observer and the detector share.  tables(a) picks
 the kind of table once: _Periodic for k = 1, whose totals are the pieces
-W(q, s) + w, or _Rows for k > 1, whose totals are finite sets read off
-the row of q, or None (open) where that row is.  The kind's methods
-answer every question about a total: the self-composition's
-synchronization test and the silent walks behind it, the menus, and the
-membership test of the estimate step under one observed (symbol,
-increment) (estimate_step; estimate, behind wadet estimate, chains it
-along an observed sequence).
+W(q, s) + w, read off one epl.WeightSetSolver over the silent arcs and
+the silent components of a, or _Rows for k > 1, whose totals are finite
+sets read off the row of q, or None (open) where that row is, and whose
+walk queries go over its kept silent arcs, one sorted tuple (kept).
+The kind's methods answer every question about a total: the
+self-composition's synchronization test and the silent walks behind it,
+the menus, and the membership test of the estimate step under one
+observed (symbol, increment) (estimate_step; estimate, behind wadet
+estimate, chains it along an observed sequence).
 
 A built structure keeps, per estimate, its steps as (symbol, weight,
 target, cell) tuples in canonical order (EstimatorAutomaton.successors);
@@ -54,7 +56,7 @@ from itertools import combinations
 from operator import add, sub
 from typing import Callable, Iterable, Mapping, Sequence
 
-from .epl import DEFAULT_BUDGET, WeightedDigraph, WeightSetSolver, digraph, has_path_with_weight
+from .epl import DEFAULT_BUDGET, WeightSetSolver, has_path_with_weight
 from .epset import EPSet, eps_intersect, eps_meets, eps_min_abs_witness, eps_partition, eps_shift
 from .model import (Transition, WeightedAutomaton, instantaneous_closure, make_weight, normalize,
                     scale_to_integers)
@@ -139,10 +141,10 @@ def tables(a: WeightedAutomaton) -> Tables:
     int (normalize, then scale_to_integers, which records is_prepared from
     its scan of the entries), and a ValueError is raised on every call
     otherwise.
-    Tables holds what it reads of a, never a itself, and its rows hold
-    only the kept silent arcs, so keeping it in a.__dict__ makes no
-    reference cycle: the automaton and its tables are freed as soon as the
-    automaton is dropped."""
+    Tables holds what it reads of a, never a itself (nor does its
+    solver), and its rows hold only the kept silent arcs, so keeping it
+    in a.__dict__ makes no reference cycle: the automaton and its tables
+    are freed as soon as the automaton is dropped."""
     found = a.__dict__.get("_tables")
     if found is None:
         if not a.is_prepared:
@@ -153,7 +155,8 @@ def tables(a: WeightedAutomaton) -> Tables:
 
 class Tables(dict):
     """What the self-composition, the successor menus and the estimate
-    step read of one prepared automaton, each part built on first use.
+    step read of one prepared automaton, each part built on first use
+    (the k = 1 solver with the tables).
 
     As a mapping it sends a state q, on first lookup, to (arcs, by_label):
     arcs lists the observable arcs t = s -e/w-> d usable from q (s silently
@@ -178,7 +181,6 @@ class Tables(dict):
         super().__init__()
         self.k = a.k
         self.states = sorted(a.states)
-        self.unobs = a.unobs_transitions
         self.silent = a.silent_arcs
         self.reach = a.silent_reach
         self.by_source: dict[str, list[tuple]] = {}
@@ -197,20 +199,15 @@ class Tables(dict):
 
 
 class _Periodic(Tables):
-    """The k = 1 tables: a total is the EPSet W(q, s) + w; meets is
+    """The k = 1 tables: a total is the EPSet W(q, s) + w, read off the
+    weight-set solver of a (solver), built with the tables; meets is
     eps_meets itself, read from this module when the tables are built
     and called with no method frame; every menu is exact (successor_cells)."""
 
     def __init__(self, a: WeightedAutomaton):
         super().__init__(a)
         self.meets = eps_meets
-
-    @cached_property
-    def solver(self) -> WeightSetSolver:
-        """The weight-set solver over the silent arcs; its arc ids index
-        a.unobs_transitions."""
-        arcs = [(s, w[0], d) for (s, e, d, w) in self.unobs]
-        return WeightSetSolver(digraph(1, self.states, arcs))
+        self.solver = WeightSetSolver(a)
 
     def total(self, q: str, s: str, w: tuple) -> EPSet:
         return eps_shift(self.solver.weight_set(q, s), w[0])
@@ -221,8 +218,7 @@ class _Periodic(Tables):
     def prefixes(self, q1: str, arc1: tuple, q2: str, arc2: tuple) -> tuple:
         """The silent walks behind the shared member nearest 0 (epl.witness_walk)."""
         m = eps_min_abs_witness(eps_intersect(arc1[2], arc2[2]))
-        solver = self.solver
-        return tuple(tuple(self.unobs[arc.aid] for arc in solver.witness_walk(q, t[0], m - t[3][0]))
+        return tuple(self.solver.witness_walk(q, t[0], m - t[3][0])
                      for q, (t, _, _) in ((q1, arc1), (q2, arc2)))
 
     def menu(self, a: WeightedAutomaton, x: frozenset[str], sigma: str) -> tuple[tuple, bool]:
@@ -249,11 +245,10 @@ class _Rows(Tables):
         return _SilentRows(self.arcs, len(self.states), self.k)
 
     @cached_property
-    def graph(self) -> WeightedDigraph:
-        """The kept silent arcs as one digraph, on which estimate_step asks
-        its walk queries for open totals."""
-        return digraph(self.k, self.states,
-                       [(q, t[3], t[2]) for q in self.states for t in self.arcs[q]])
+    def kept(self) -> tuple[Transition, ...]:
+        """The kept silent arcs, sorted: the arcs of the walk queries of
+        estimate_step and of the self-composition's product route."""
+        return tuple(t for q in self.states for t in self.arcs[q])
 
     def total(self, q: str, s: str, w: tuple) -> frozenset[tuple] | None:
         row = self.rows[q]
@@ -389,7 +384,7 @@ def estimate_step(a: WeightedAutomaton, x: Iterable[str], sigma: str, delta: tup
         if t[2] in raw:
             continue
         need = tuple(map(sub, delta, t[3]))
-        answer = has_path_with_weight(table.graph, q, t[0], need, budget)
+        answer = has_path_with_weight(table.kept, q, t[0], need, budget)
         if answer.status == "UNKNOWN":
             raise EstimateUndecided(f"estimate step undecided at {(q, t[0], need)}")
         if answer.status == "YES":

@@ -8,9 +8,10 @@ for the silent label.  All operations treat automata as immutable values.
 Each automaton computes its structure once, on first read, in few
 passes: one over the sorted transitions for the arc tables, one
 strong-component pass (graphutil.strong_components) over the silent arcs
-for silent reach and silent cycles, one over all arcs for cycles and the
-states that reach one, and one breadth-first search per state with a
-zero-weight silent arc for the instantaneous closures.
+for the silent components, silent reach and silent cycles, shared by the
+k = 1 weight-set solver (epl.WeightSetSolver), one over all arcs for
+cycles and the states that reach one, and one breadth-first search per
+state with a zero-weight silent arc for the instantaneous closures.
 """
 
 from __future__ import annotations
@@ -118,15 +119,16 @@ class WeightedAutomaton:
     # silent structure: computed once, shared by every construction
 
     @cached_property
-    def _silent_components(self) -> tuple[Mapping[str, frozenset[str]], frozenset[str]]:
+    def _silent_components(self) -> tuple[Mapping[str, frozenset[str]], frozenset[str], tuple]:
         """One strong-component pass over the silent arcs, rooted at the
         states that have one.  A component closes after every component it
         has an arc into, so its reach set is the component joined with
         theirs, and it is shared by its members.  A state outside the pass
-        reaches only itself."""
+        is a component of its own and reaches only itself."""
         silent = self.silent_arcs
         reach: dict[str, frozenset[str]] = {}
         on_cycle: list[str] = []
+        comps: list[frozenset[str]] = []
         for comp, cyclic, _ in strong_components(
                 [q for q in self.states if silent[q]],
                 lambda q: (t[2] for t in silent[q])):
@@ -135,18 +137,28 @@ class WeightedAutomaton:
                                      if t[2] not in members})
             for q in comp:
                 reach[q] = joined
+            comps.append(members)
             if cyclic:
                 on_cycle += comp
         for q in self.states:
             if q not in reach:
                 reach[q] = frozenset((q,))
-        return reach, frozenset(on_cycle)
+                comps.append(reach[q])
+        return reach, frozenset(on_cycle), tuple(comps)
 
     @cached_property
     def silent_reach(self) -> Mapping[str, frozenset[str]]:
         """States reachable from each state by silent paths (any weights);
         the members of a silent component share one set."""
         return self._silent_components[0]
+
+    @cached_property
+    def silent_components(self) -> tuple[frozenset[str], ...]:
+        """The silent strong components, every state in one, in the order
+        the silent pass closes them: each after every component it has a
+        silent arc into (sinks first).  The k = 1 weight-set solver reads
+        them in reverse."""
+        return self._silent_components[2]
 
     @cached_property
     def silent_cycle_states(self) -> frozenset[str]:

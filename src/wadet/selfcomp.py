@@ -10,7 +10,9 @@ which the table's meets decides; its prefixes builds the silent walks
 behind a witness.  Only when meets answers None, for an open total, is
 the asynchronous product of the kept silent arcs (left arcs keep their
 weight, right arcs negated) queried for a walk of weight w2 - w1, one
-answer per key (q1, q2, source 1, source 2, w2 - w1) and build.  The
+answer per key (q1, q2, source 1, source 2, w2 - w1) and build; each
+product arc is tagged with its side and the transition it moves along,
+so the walk found is read back as the two silent walks.  The
 query is budgeted, and an exhausted budget marks the transition as
 possibly missing, which downgrades a would-be HOLDS verdict to UNKNOWN.
 
@@ -70,7 +72,7 @@ from functools import cached_property, partial
 from itertools import product
 from operator import sub
 
-from .epl import DEFAULT_BUDGET, _Budget, digraph, has_path_with_weight
+from .epl import DEFAULT_BUDGET, _Budget, has_path_with_weight
 from .estimator import tables
 from .graphutil import find_cycle, find_path, strong_components
 from .model import Transition, WeightedAutomaton
@@ -151,9 +153,7 @@ class _Synchronizer:
         self.budget = _Budget(budget)  # shared across all queries of one build
         self.unknown: list[tuple] = []
         self.answers: dict[tuple, object] = {}
-        self._products: dict[Pair, tuple] = {}
-        arcs = tables(a).arcs
-        self._silent = [t for q in sorted(a.states) for t in arcs[q]]
+        self._products: dict[Pair, list[tuple]] = {}
 
     def sync(self, q1: str, q2: str, t1: Transition, t2: Transition):
         """A silent pair of paths q1->src(t1), q2->src(t2) with equal total
@@ -169,29 +169,26 @@ class _Synchronizer:
             return None
         return answer
 
-    def _product(self, q1: str, q2: str):
+    def _product(self, q1: str, q2: str) -> list[tuple]:
+        """The arcs of the product of the kept silent arcs from (q1, q2),
+        in the order of the kept arcs: ((s, p2), ("L", t), (d, p2), w) for a
+        left move along t = s -e/w-> d, ((p1, s), ("R", t), (p1, d), -w) for
+        a right one.  A walk's arcs carry the transitions it interleaves."""
         key = (q1, q2)
         if key in self._products:
             return self._products[key]
         left_reach, right_reach = self.a.silent_reach[q1], self.a.silent_reach[q2]
         lefts, rights = sorted(left_reach), sorted(right_reach)
-        verts = [(p1, p2) for p1 in lefts for p2 in rights]
         arcs = []
-        origin = []
-        for t in self._silent:
+        for t in tables(self.a).kept:
             s, d, w = t[0], t[2], t[3]
             if s in left_reach and d in left_reach:
-                for p2 in rights:
-                    arcs.append(((s, p2), w, (d, p2)))
-                    origin.append(("L", t))
+                arcs += [((s, p2), ("L", t), (d, p2), w) for p2 in rights]
             if s in right_reach and d in right_reach:
                 negated = tuple(-x for x in w)
-                for p1 in lefts:
-                    arcs.append(((p1, s), negated, (p1, d)))
-                    origin.append(("R", t))
-        graph = digraph(self.a.k, verts, arcs)
-        self._products[key] = (graph, origin)
-        return graph, origin
+                arcs += [((p1, s), ("R", t), (p1, d), negated) for p1 in lefts]
+        self._products[key] = arcs
+        return arcs
 
     def _sync_product(self, q1, q2, s1, s2, z):
         """A product walk from (q1, q2) to (s1, s2) interleaves a silent
@@ -201,15 +198,11 @@ class _Synchronizer:
         exists exactly when some x in W(q1, s1) has x - z in W(q2, s2), that
         is when x + w1 lies in both totals P(q1, t1) and P(q2, t2): the
         question the build answers from the totals when neither is None."""
-        graph, origin = self._product(q1, q2)
-        ans = has_path_with_weight(graph, (q1, q2), (s1, s2), z, self.budget)
+        ans = has_path_with_weight(self._product(q1, q2), (q1, q2), (s1, s2), z, self.budget)
         if ans.status != "YES":
             return None if ans.status == "NO" else "UNKNOWN"
-        left, right = [], []
-        for arc in ans.walk:
-            side, orig = origin[arc.aid]
-            (left if side == "L" else right).append(orig)
-        walks = (tuple(left), tuple(right))
+        walks = tuple(tuple(tag[1] for _, tag, _, _ in ans.walk if tag[0] == side)
+                      for side in "LR")
         return lambda: walks
 
 

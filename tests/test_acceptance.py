@@ -12,13 +12,14 @@ import random
 import time
 
 from wadet.corpus import load_fixture, random_automaton, subset_sum_automaton
-from wadet.epl import WeightSetSolver, digraph, replay_walk, walk_weight
+from wadet.epl import WeightSetSolver
 from wadet.epset import EPSet, eps_intersect, eps_union_many
 from wadet.estimator import build_detector, build_observer, estimate
 from wadet.model import normalize, scale_to_integers, scale_weights, validate
 from wadet.verdict import FAILS, HOLDS, SD, SPD, WD, WPD
 from wadet.verify import check_all, check_spd
 
+from graph_reference import enumerate_walk_weights, replay_walk, silent_automaton, walk_weight
 from oracle_reference import oracle_falsify
 from test_epset import eps_complement, naive_member, recanon
 from test_estimator import accumulate, detector_covers_observer, observer_paths
@@ -154,25 +155,6 @@ def test_criterion_4_subset_sum_sweep():
 # -- criterion 5: oracle-equivalence property suite ------------------------------
 
 
-def enumerate_walk_weights(graph, u, max_len=12):
-    succ = {}
-    for a in graph.arcs:
-        succ.setdefault(a.tail, []).append(a)
-    reach = {v: set() for v in graph.vertices}
-    frontier = {(u, 0)}
-    reach[u].add(0)
-    for _ in range(max_len):
-        nxt = set()
-        for (x, w) in frontier:
-            for a in succ.get(x, []):
-                state = (a.head, w + a.weight[0])
-                if state[1] not in reach[a.head]:
-                    reach[a.head].add(state[1])
-                    nxt.add(state)
-        frontier = nxt
-    return reach
-
-
 def test_criterion_5_oracle_equivalence_suite():
     t0 = time.perf_counter()
     n_automata = 200
@@ -190,12 +172,11 @@ def test_criterion_5_oracle_equivalence_suite():
 
         # (b) weight sets agree with 12-step walk enumeration on [-36, 36]
         arcs = [(s, int(w[0]), d) for (s, e, d, w) in prepared.transitions]
-        graph = digraph(1, sorted(prepared.states), arcs)
-        solver = WeightSetSolver(graph)
+        g = silent_automaton(1, sorted(prepared.states), arcs)
+        solver = WeightSetSolver(g)
         u = sorted(prepared.initial)[0]
-        brute = enumerate_walk_weights(graph, u, 12)
-        brute[u].add(0)
-        for v in graph.vertices:
+        brute = enumerate_walk_weights(g.unobs_transitions, u, 12)
+        for v in sorted(g.states):
             s = solver.weight_set(u, v)
             for w in range(-36, 37):
                 if w in brute[v]:

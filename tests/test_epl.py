@@ -5,54 +5,28 @@ from fractions import Fraction
 import pytest
 
 from wadet import check_all, epl, validate
-from wadet.epl import (
-    EplAnswer,
-    _Budget,
-    digraph,
-    has_path_with_weight,
-    replay_walk,
-    walk_weight,
-    WeightSetSolver,
-)
+from wadet.epl import EplAnswer, _Budget, has_path_with_weight, WeightSetSolver
 from wadet.epset import EPSet, eps_shift, eps_union_many
 
+from graph_reference import (can_reach, enumerate_walk_weights, reachable, replay_walk,
+                             silent_automaton, walk_weight)
 from test_epset import nspan
 
 
-def enumerate_walk_weights(graph, u, max_len=12):
-    """Weights of walks from u per target vertex, up to max_len arcs."""
-    succ = {}
-    for a in graph.arcs:
-        succ.setdefault(a.tail, []).append(a)
-    reach = {v: set() for v in graph.vertices}
-    frontier = {(u, 0)}
-    reach[u].add(0)
-    for _ in range(max_len):
-        nxt = set()
-        for (x, w) in frontier:
-            for a in succ.get(x, []):
-                state = (a.head, w + a.weight[0])
-                if state[1] not in reach[a.head]:
-                    reach[a.head].add(state[1])
-                    nxt.add(state)
-                elif state not in frontier:
-                    nxt.add(state)
-        frontier = nxt
-    return reach
-
-
-def fewest_arcs(graph, u, v, z, max_len=12):
+def fewest_arcs(g, u, v, z, max_len=12):
     """First step at which enumerate_walk_weights reaches (v, z), or None."""
     return next((n for n in range(max_len + 1)
-                 if z in enumerate_walk_weights(graph, u, n)[v]), None)
+                 if z in enumerate_walk_weights(g.unobs_transitions, u, n)[v]), None)
 
 
-def ref_weight_set(graph, u, v):
+def ref_weight_set(g, u, v):
     """Walk weights u -> v by decomposition: every walk is a simple path
     plus simple cycles that attach, transitively, to its vertex set; the
     repeatable part is the N-span of the cycle weights inside the final
     vertex set.  Exponential in the size of a strongly connected part."""
-    succ, region = graph.out_arcs, graph.region(u, v)
+    succ = g.silent_arcs
+    heads = lambda x: (t[2] for t in succ[x])
+    region = reachable([u], heads) & can_reach(g.states, heads, [v])
 
     def simple(start, stop_at, anchor=None):
         """(vertex set, weight) of simple walks from start to stop_at(h);
@@ -61,8 +35,8 @@ def ref_weight_set(graph, u, v):
         while layer:
             nxt = {}
             for (cur, seen), weights in layer.items():
-                for a in succ[cur]:
-                    h, shifted = a.head, {w + a.weight[0] for w in weights}
+                for t in succ[cur]:
+                    h, shifted = t[2], {w + t[3][0] for w in weights}
                     if stop_at(h):
                         found.update((seen | {h}, w) for w in shifted)
                     elif h in region and h not in seen and (anchor is None or order[h] > anchor):
@@ -97,15 +71,15 @@ def ref_weight_set(graph, u, v):
 
 
 def test_isolated_vertex_self_set_is_zero():
-    g = digraph(1, ["v"], [])
+    g = silent_automaton(1, ["v"], [])
     assert WeightSetSolver(g).weight_set("v", "v") == EPSet.finite([0])
 
 
 def test_positive_self_loop_gives_naturals():
     # the unobservable part of a state with a weight-1 self-loop
-    g = digraph(1, ["q1"], [("q1", 1, "q1")])
+    g = silent_automaton(1, ["q1"], [("q1", 1, "q1")])
     s = WeightSetSolver(g).weight_set("q1", "q1")
-    brute = enumerate_walk_weights(g, "q1", 12)["q1"]
+    brute = enumerate_walk_weights(g.unobs_transitions, "q1", 12)["q1"]
     assert {n for n in range(-40, 41) if n in s} == {n for n in range(13)} | set(range(13, 41))
     assert brute <= {n for n in range(0, 50) if n in s}
 
@@ -115,33 +89,34 @@ def test_product_graph_difference_contains_zero():
     # right-hand weights negated
     base = [("q0", 10, "q1"), ("q0", 1, "q2"), ("q2", 1, "q2")]
     verts = ["q0", "q1", "q2"]
-    pverts = [(a, b) for a in verts for b in verts]
+    pverts = [f"{a}|{b}" for a in verts for b in verts]
     parcs = []
     for (a, w, b) in base:
         for other in verts:
-            parcs.append(((a, other), w, (b, other)))   # left move keeps weight
-            parcs.append(((other, a), -w, (other, b)))  # right move negated
-    g = digraph(1, pverts, parcs)
-    s = WeightSetSolver(g).weight_set(("q0", "q0"), ("q1", "q2"))
+            parcs.append((f"{a}|{other}", w, f"{b}|{other}"))   # left move keeps weight
+            parcs.append((f"{other}|{a}", -w, f"{other}|{b}"))  # right move negated
+    g = silent_automaton(1, pverts, parcs)
+    s = WeightSetSolver(g).weight_set("q0|q0", "q1|q2")
     assert 0 in s
 
 
 def test_has_path_self_loop_minus_one():
     # k = 1 walk questions go to the weight-set solver, not the k > 1 search
-    g = digraph(1, ["x"], [("x", 1, "x"), ("x", -1, "x")])
+    g = silent_automaton(1, ["x"], [("x", 1, "x"), ("x", -1, "x")])
     with pytest.raises(ValueError, match="WeightSetSolver"):
-        has_path_with_weight(g, "x", "x", (-1,))
+        has_path_with_weight(g.unobs_transitions, "x", "x", (-1,))
     walk = WeightSetSolver(g).witness_walk("x", "x", -1)
-    assert len(walk) == 1 and walk[0].weight == (-1,)
+    assert len(walk) == 1 and walk[0][3] == (-1,)
 
 
 def test_has_path_no_outgoing_is_no():
-    g = digraph(1, ["u", "v"], [("v", 1, "v")])
+    g = silent_automaton(1, ["u", "v"], [("v", 1, "v")])
     assert WeightSetSolver(g).witness_walk("u", "v", 5) is None
 
 
 def test_has_path_two_dimensional_chain():
-    g = digraph(2, ["u", "m", "v"], [("u", (1, 0), "m"), ("m", (0, 1), "v")])
+    g = silent_automaton(2, ["u", "m", "v"],
+                         [("u", (1, 0), "m"), ("m", (0, 1), "v")]).unobs_transitions
     ans = has_path_with_weight(g, "u", "v", (1, 1))
     assert ans.status == "YES"
     assert walk_weight(ans.walk, 2) == (1, 1)
@@ -150,19 +125,21 @@ def test_has_path_two_dimensional_chain():
 
 
 def test_empty_walk_answers_zero_vector():
-    g = digraph(2, ["u"], [])
-    assert has_path_with_weight(g, "u", "u", (0, 0)).status == "YES"
-    assert has_path_with_weight(g, "u", "u", (1, 0)).status == "NO"
+    assert has_path_with_weight((), "u", "u", (0, 0)).status == "YES"
+    assert has_path_with_weight((), "u", "u", (1, 0)).status == "NO"
 
 
 def test_non_integral_entries_are_refused_not_truncated():
-    g = digraph(2, ["u", "v"], [("u", (1, 0), "v")])
+    g = silent_automaton(2, ["u", "v"], [("u", (1, 0), "v")]).unobs_transitions
     for target in ((Fraction(3, 2), 0), (1.9, 0), (Fraction(1), 0)):
         with pytest.raises(ValueError, match="ints"):
             has_path_with_weight(g, "u", "v", target)
-    for weight in ((Fraction(3, 2),), (Fraction(1),), (1.0,)):
+    for weight in ((Fraction(3, 2), 0), (Fraction(1), 0), (1.0, 0), (1,), (1, 0, 0)):
         with pytest.raises(ValueError, match="ints"):
-            digraph(1, ["u", "v"], [("u", weight, "v")])
+            has_path_with_weight([("u", "e", "v", weight)], "u", "v", (1, 0))
+    # the weight sets are read off a prepared automaton only
+    with pytest.raises(ValueError, match="ints"):
+        WeightSetSolver(silent_automaton(1, ["u", "v"], [("u", Fraction(3, 2), "v")]))
 
 
 # -- randomized agreement with brute force -------------------------------
@@ -174,19 +151,17 @@ def random_graph(rng, max_vertices=6, weight_range=(-3, 3)):
     arcs = []
     for _ in range(rng.randint(0, 2 * n)):
         arcs.append((rng.choice(verts), rng.randint(*weight_range), rng.choice(verts)))
-    return digraph(1, verts, arcs)
+    return silent_automaton(1, verts, arcs)
 
 
 @pytest.mark.parametrize("seed", range(40))
 def test_weight_set_matches_walk_enumeration(seed):
     rng = random.Random(seed)
     g = random_graph(rng)
-    u = rng.choice(g.vertices)
+    u = rng.choice(sorted(g.states))
     solver = WeightSetSolver(g)
-    brute = enumerate_walk_weights(g, u, 12)
-    if u in g.vertices:
-        brute[u].add(0)
-    for v in g.vertices:
+    brute = enumerate_walk_weights(g.unobs_transitions, u, 12)
+    for v in sorted(g.states):
         s = solver.weight_set(u, v)
         for w in range(-36, 37):
             if w in brute[v]:
@@ -201,13 +176,14 @@ def test_weight_set_matches_walk_enumeration(seed):
 # (graph, u, v, {member weight: fewest arcs of a walk}, non-member weights)
 HAND_WALKS = {
     # the only walk leaves any window around z = 0 by 1000
-    "far-excursion": (digraph(1, ["u", "m", "v"], [("u", 1000, "m"), ("m", -1000, "v")]),
+    "far-excursion": (silent_automaton(1, ["u", "m", "v"],
+                                       [("u", 1000, "m"), ("m", -1000, "v")]),
                       "u", "v", {0: 2}, [1, 1000]),
     # 89 is the Frobenius number of {10, 11}; 1001 = 91 * 11
-    "past-frobenius": (digraph(1, ["x"], [("x", 10, "x"), ("x", 11, "x")]),
+    "past-frobenius": (silent_automaton(1, ["x"], [("x", 10, "x"), ("x", 11, "x")]),
                        "x", "x", {0: 0, 90: 9, 1001: 91}, [89, -10]),
     # 1 = 78 * 97 - 85 * 89 and -1 = 11 * 97 - 12 * 89, both with the fewest loops
-    "mixed-loops": (digraph(1, ["x"], [("x", 97, "x"), ("x", -89, "x")]),
+    "mixed-loops": (silent_automaton(1, ["x"], [("x", 97, "x"), ("x", -89, "x")]),
                     "x", "x", {1: 163, -1: 23, 8: 2}, []),
 }
 
@@ -217,7 +193,7 @@ def walk_case(case):
         return HAND_WALKS[case]
     rng = random.Random(1000 + case)
     g = random_graph(rng, max_vertices=5)
-    u, v = rng.choice(g.vertices), rng.choice(g.vertices)
+    u, v = rng.choice(sorted(g.states)), rng.choice(sorted(g.states))
     s = WeightSetSolver(g).weight_set(u, v)
     hits = [w for w in range(-30, 31) if w in s][:12]
     misses = [w for w in range(-30, 31) if w not in s][:4]
@@ -242,7 +218,7 @@ def test_self_weight_set_contains_zero_always():
     rng = random.Random(7)
     for _ in range(30):
         g = random_graph(rng)
-        u = rng.choice(g.vertices)
+        u = rng.choice(sorted(g.states))
         assert 0 in WeightSetSolver(g).weight_set(u, u)
 
 
@@ -250,7 +226,7 @@ def test_self_weight_set_contains_zero_always():
 
 
 def bouquet_walk(generators, target):
-    g = digraph(1, ["x"], [("x", w, "x") for w in generators])
+    g = silent_automaton(1, ["x"], [("x", w, "x") for w in generators])
     return WeightSetSolver(g).witness_walk("x", "x", target)
 
 
@@ -262,13 +238,13 @@ def test_nspan_witness_sums_correctly(seed):
     walk = bouquet_walk(gens, target)
     assert (walk is None) == (target not in nspan(gens))
     if walk is not None:
-        assert all(a.weight[0] in gens for a in walk)
-        assert sum(a.weight[0] for a in walk) == target
+        assert all(t[3][0] in gens for t in walk)
+        assert sum(t[3][0] for t in walk) == target
 
 
 def test_nspan_witness_large_positive_target():
     walk = bouquet_walk([3, 5], 10 ** 6 + 1)
-    assert sum(a.weight[0] for a in walk) == 10 ** 6 + 1
+    assert sum(t[3][0] for t in walk) == 10 ** 6 + 1
     assert len(walk) == 2 + 199999  # two 3s, the rest 5s
     assert bouquet_walk([4, 6], 7) is None
     assert bouquet_walk([], 0) == ()
@@ -284,8 +260,8 @@ def test_weight_sets_equal_decomposition(seed):
     for _ in range(60):
         g = random_graph(rng, max_vertices=5, weight_range=(-9, 9))
         solver = WeightSetSolver(g)
-        for u in g.vertices:
-            for v in g.vertices:
+        for u in sorted(g.states):
+            for v in sorted(g.states):
                 assert solver.weight_set(u, v) == ref_weight_set(g, u, v), (g, u, v)
 
 
@@ -307,10 +283,10 @@ def test_complete_silent_digraph_of_seven(mixed):
     start = time.perf_counter()
     check_all(a)
     assert time.perf_counter() - start < 2
-    g = digraph(1, [f"s{i}" for i in range(7)], arcs)
+    g = silent_automaton(1, [f"s{i}" for i in range(7)], arcs)
     solver = WeightSetSolver(g)
-    brute = enumerate_walk_weights(g, "s0", 12)
-    for v in g.vertices:
+    brute = enumerate_walk_weights(g.unobs_transitions, "s0", 12)
+    for v in sorted(g.states):
         s = solver.weight_set("s0", v)
         assert all(w in s for w in brute[v]), v
         for w in range(-100, 101):
@@ -351,7 +327,7 @@ def test_chained_silent_rows_match_bounded_search(W, sign):
     # the bound is past the largest gap of either SCC
     arcs = chained_arcs(W, sign)
     bound = 2 * (W + 7) * (W + 11)
-    solver = WeightSetSolver(digraph(1, ["p", "q"], arcs))
+    solver = WeightSetSolver(silent_automaton(1, ["p", "q"], arcs))
     for u in ("p", "q"):
         reach = bounded_weights(arcs, u, bound)
         for v in ("p", "q"):
@@ -396,17 +372,20 @@ def count_support_calls(monkeypatch, fail=False):
 def test_exhausted_probe_answers_no(monkeypatch):
     count_support_calls(monkeypatch, fail=True)
     # a zero-weight cycle: the probe's states close after three steps
-    g = digraph(2, ["x", "y"], [("x", (1, -1), "y"), ("y", (-1, 1), "x")])
+    g = silent_automaton(2, ["x", "y"],
+                         [("x", (1, -1), "y"), ("y", (-1, 1), "x")]).unobs_transitions
     assert has_path_with_weight(g, "x", "y", (2, -2)).status == "NO"
     assert has_path_with_weight(g, "x", "x", (1, 0)).status == "NO"
-    chain = digraph(2, ["u", "m", "v"], [("u", (1, 0), "m"), ("m", (0, 1), "v")])
+    chain = silent_automaton(2, ["u", "m", "v"],
+                             [("u", (1, 0), "m"), ("m", (0, 1), "v")]).unobs_transitions
     assert has_path_with_weight(chain, "u", "v", (2, 1)).status == "NO"
 
 
 def test_window_pruned_probe_falls_back_to_supports(monkeypatch):
     calls = count_support_calls(monkeypatch)
     # the only walk leaves the probe's window around z = 0 by 1000
-    g = digraph(2, ["u", "m", "v"], [("u", (1000, 0), "m"), ("m", (-1000, 0), "v")])
+    g = silent_automaton(2, ["u", "m", "v"],
+                         [("u", (1000, 0), "m"), ("m", (-1000, 0), "v")]).unobs_transitions
     ans = has_path_with_weight(g, "u", "v", (0, 0))
     assert ans.status == "YES" and calls
     assert replay_walk(ans.walk, "u", "v") and walk_weight(ans.walk, 2) == (0, 0)
@@ -414,7 +393,8 @@ def test_window_pruned_probe_falls_back_to_supports(monkeypatch):
 
 def test_window_pruned_no_is_still_correct(monkeypatch):
     calls = count_support_calls(monkeypatch)
-    g = digraph(2, ["u", "m", "v"], [("u", (1000, 0), "m"), ("m", (-1000, 0), "v")])
+    g = silent_automaton(2, ["u", "m", "v"],
+                         [("u", (1000, 0), "m"), ("m", (-1000, 0), "v")]).unobs_transitions
     assert has_path_with_weight(g, "u", "v", (1, 0)).status == "NO"
     assert calls
 
@@ -422,7 +402,7 @@ def test_window_pruned_no_is_still_correct(monkeypatch):
 def test_probe_spends_the_shared_budget():
     # the probe reaches the weights (c, 0) with |c| <= 64, two arcs per
     # state, and stops at its length bound; the support search answers
-    g = digraph(2, ["x"], [("x", (1, 0), "x"), ("x", (-1, 0), "x")])
+    g = silent_automaton(2, ["x"], [("x", (1, 0), "x"), ("x", (-1, 0), "x")]).unobs_transitions
     budget = _Budget(10 ** 6)
     assert has_path_with_weight(g, "x", "x", (0, 1), budget).status == "NO"
     assert budget.nodes < 10 ** 6 - 2 * 127

@@ -8,7 +8,7 @@ import pytest
 
 from wadet import epset, estimator, io
 from wadet.corpus import load_fixture, random_automaton
-from wadet.epl import DEFAULT_BUDGET, digraph, has_path_with_weight
+from wadet.epl import DEFAULT_BUDGET, has_path_with_weight
 from wadet.epset import (
     EPSet,
     eps_intersect,
@@ -319,9 +319,9 @@ def test_silent_solver_and_menus_are_built_once(name, monkeypatch):
     built = []
 
     class CountingSolver(estimator.WeightSetSolver):
-        def __init__(self, graph):
-            built.append(graph)
-            super().__init__(graph)
+        def __init__(self, a):
+            built.append(a)
+            super().__init__(a)
 
     monkeypatch.setattr(estimator, "WeightSetSolver", CountingSolver)
     check_all(load_fixture(name).automaton)
@@ -666,24 +666,18 @@ def test_exact_menus_equal_reference_harvest():
     assert exact > 500, exact
 
 
-def silent_digraph(a):
-    """Every silent arc of a as one digraph, not only the kept ones."""
-    return digraph(a.k, sorted(a.states),
-                   [(s, tuple(map(int, w)), d) for (s, _, d, w) in a.unobs_transitions])
-
-
-def walk_query_step(a, graph, x, sigma, delta, budget=10 ** 4):
+def walk_query_step(a, x, sigma, delta, budget=10 ** 4):
     """Test-side reference for a k > 1 estimate step: per sigma-arc
     q1 -w-> q2, in arc order, and state q of x, one budgeted walk query
-    q -> q1 of weight delta - w on graph, until one answers YES; None
-    when a query is undecided."""
+    q -> q1 of weight delta - w over every silent arc of a, not only the
+    kept ones, until one answers YES; None when a query is undecided."""
     raw = set()
     for (q1, e, q2, w) in a.obs_transitions:
         if a.label(e) != sigma or q2 in raw:
             continue
         need = tuple(d - int(wi) for d, wi in zip(delta, w))
         for q in sorted(x):
-            status = has_path_with_weight(graph, q, q1, need, budget).status
+            status = has_path_with_weight(a.unobs_transitions, q, q1, need, budget).status
             if status == "UNKNOWN":
                 return None
             if status == "YES":
@@ -705,12 +699,11 @@ def test_inexact_structures_agree_with_oracle_steps():
                         ("q2", "a", "q2", [0, 0])]})
     checked = 0
     for a in [scale_to_integers(normalize(late))[0]] + prepared_draws(range(400)):
-        graph = silent_digraph(a)
         for est in (build_observer(a), build_detector(a)):
             if est.exact:
                 continue
             for t in est.transitions:
-                step = walk_query_step(a, graph, t.source, t.symbol, t.weight)
+                step = walk_query_step(a, t.source, t.symbol, t.weight)
                 if step is None:
                     continue
                 assert t.target == step if est.kind == "observer" else t.target <= step
@@ -730,7 +723,6 @@ def test_estimates_equal_walk_query_reference(k, monkeypatch):
         raw = random_automaton(seed, k=k)
         norm = normalize(raw)
         a, m = scale_to_integers(norm)
-        graph = silent_digraph(a)
         x0 = instantaneous_closure(a, a.initial.keys())
         sequences = [gamma for gamma in dict.fromkeys(
             label_sequence(run, norm) for run in oracle_runs(norm, 5)) if gamma]
@@ -740,7 +732,7 @@ def test_estimates_equal_walk_query_reference(k, monkeypatch):
                 x, prev = x0, (0,) * k
                 for step_sigma, total in seq:
                     delta = tuple(m * (t - p) for t, p in zip(total, prev))
-                    x, prev = walk_query_step(a, graph, x, step_sigma, delta), total
+                    x, prev = walk_query_step(a, x, step_sigma, delta), total
                     assert x is not None, (seed, seq)  # decided at this budget
                 assert estimate(raw, seq, budget=10 ** 4) == x, (seed, seq)
     assert queries

@@ -163,9 +163,13 @@ def test_lasso_searches_share_the_early_report_routine():
 
 def test_one_strong_component_search():
     # graphutil's path-based search is the only strong-component routine:
-    # the model's structure, the k = 1 solver's order and both lasso
-    # searches reach components through it
+    # the model's structure and both lasso searches reach components
+    # through it, and the k = 1 solver reads the model's silent components
     sources = {path.stem: path.read_text() for path in sorted(SRC.glob("*.py"))}
     assert [stem for stem, text in sources.items() if "strongly_connected_components" in text] == []
     assert {stem for stem, text in sources.items()
-            if component_searches(ast.parse(text))} == {"model", "epl", "selfcomp", "verify"}
+            if component_searches(ast.parse(text))} == {"model", "selfcomp", "verify"}
+    # epl keeps no graph type of its own: the engines read the model's arcs
+    epl = ast.parse(sources["epl"])
+    assert {node.name for node in ast.walk(epl) if isinstance(node, ast.ClassDef)} == \
+        {"WeightSetSolver", "EplAnswer", "_Budget"}

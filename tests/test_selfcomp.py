@@ -13,7 +13,7 @@ from wadet.verdict import FAILS, HOLDS, SD, UNKNOWN, Verdict
 from wadet.verify import check_all
 
 from conftest import A0_description, A1_description
-from graph_reference import can_reach, states_on_cycles
+from graph_reference import can_reach, silent_automaton, states_on_cycles
 from test_model import chain_description
 from test_structure_digests import AUTOMATA
 
@@ -505,6 +505,21 @@ def test_synchronizer_built_only_when_a_total_is_none(monkeypatch):
     assert silent_without >= 5 and silent_with >= 1, (silent_without, silent_with)
 
 
+def product_automaton(a, q1, q2):
+    """The asynchronous product of the kept silent arcs of a from
+    (q1, q2), left moves keeping their weight and right moves negated, as
+    a silent automaton on the states repr((p1, p2))."""
+    reach = lambda q: reachable([q], lambda p: (t[2] for t in a.silent_arcs[p]))
+    lefts, rights = sorted(reach(q1)), sorted(reach(q2))
+    arcs = []
+    for (s, _, d, w) in tables(a).kept:
+        if s in lefts and d in lefts:
+            arcs += [(repr((s, p2)), w, repr((d, p2))) for p2 in rights]
+        if s in rights and d in rights:
+            arcs += [(repr((p1, s)), tuple(-x for x in w), repr((p1, d))) for p1 in lefts]
+    return silent_automaton(a.k, [repr((p1, p2)) for p1 in lefts for p2 in rights], arcs)
+
+
 def test_sync_memo_answers_as_fresh_queries(monkeypatch):
     # k = 2 draws with the default and with a mostly silent event mix, and
     # the robot fixture (k = 4); seed 17 of both and seed 39 of the first
@@ -542,14 +557,14 @@ def test_sync_memo_answers_as_fresh_queries(monkeypatch):
                     key = (q1, q2, t1[0], t2[0], tuple(y - x for x, y in zip(t1[3], t2[3])))
                     answer = partial(table.prefixes, q1, arc1, q2, arc2) if met else None
                     answers.append((key, answer, "rows"))
-        products = Recording(a, 10 ** 6)
         fresh_status = {}
         for key, answer, route in answers:
             q1, q2, s1, s2, z = key
             routes[route] += 1
             if key not in fresh_status:
-                graph, _ = products._product(q1, q2)
-                fresh_status[key] = has_path_with_weight(graph, (q1, q2), (s1, s2), z).status
+                arcs = product_automaton(a, q1, q2).unobs_transitions
+                fresh_status[key] = has_path_with_weight(
+                    arcs, repr((q1, q2)), repr((s1, s2)), z).status
             fresh = fresh_status[key]
             status = ("NO" if answer is None else
                       "UNKNOWN" if answer == "UNKNOWN" else "YES")

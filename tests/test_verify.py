@@ -8,7 +8,7 @@ from wadet.corpus import load_fixture, random_automaton
 from wadet.estimator import EstTransition, build_detector, build_observer
 from wadet.graphutil import find_cycle, find_path, reachable
 from wadet.model import normalize, scale_to_integers, scale_weights, structure_report, validate
-from wadet.verdict import FAILS, HOLDS, SD, SPD, WD, WPD
+from wadet.verdict import FAILS, HOLDS, SD, SPD, UNKNOWN, WD, WPD
 from wadet.verify import check_all, check_spd, check_wd, check_wpd
 
 from conftest import A0_description, A1_description
@@ -375,6 +375,36 @@ def test_sd_implies_spd_when_deadlock_and_divergence_free():
         if got[SD] == HOLDS:
             assert got[SPD] == HOLDS, a
     assert found >= 10
+
+
+def test_verdict_relations_hold_with_and_without_stalls():
+    # without a stall state SD implies SPD and WD implies WPD; with one, SD
+    # HOLDS beside SPD FAILS only through an ambiguous estimate that can
+    # stall, and WD HOLDS beside WPD FAILS only through a silent cycle
+    draws = [load_fixture(name).automaton for name in ("A0", "A1", "robot")]
+    draws += [random_automaton(seed, k=1, unobs_fraction=fraction)
+              for fraction in (0.35, 0.6) for seed in range(120)]
+    draws += [random_automaton(seed, k=2) for seed in range(40) if seed not in (17, 39)]
+    counts = {"stall-free": 0, "stalled": 0, "SPD": 0, "WPD": 0}
+    for raw in draws:
+        result = check_all(raw)
+        got, verdicts = result.statuses(), result.verdicts
+        if UNKNOWN in got.values():
+            continue
+        if not result.automaton.stall_states:
+            counts["stall-free"] += 1
+            assert got[SD] != HOLDS or got[SPD] == HOLDS, raw
+            assert got[WD] != HOLDS or got[WPD] == HOLDS, raw
+            continue
+        counts["stalled"] += 1
+        if got[SD] == HOLDS and got[SPD] == FAILS:
+            counts["SPD"] += 1
+            assert verdicts[SPD].witness["kind"] == "ambiguous-estimate-can-stall", raw
+        if got[WD] == HOLDS and got[WPD] == FAILS:
+            counts["WPD"] += 1
+            assert verdicts[WD].witness["kind"] == "silent-cycle", raw
+    assert counts["stall-free"] == 160 and counts["stalled"] == 119, counts
+    assert counts["SPD"] and counts["WPD"], counts
 
 
 def test_analysis_result_exposes_structures(aut_a1):
