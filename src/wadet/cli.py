@@ -99,9 +99,7 @@ def cmd_normalize(args) -> int:
 
 
 def _prepared(args):
-    a = _read_automaton(args.file)
-    prepared, m = scale_to_integers(normalize(a))
-    return prepared, m
+    return scale_to_integers(normalize(_read_automaton(args.file)))
 
 
 def cmd_structure(args) -> int:
@@ -114,15 +112,14 @@ def cmd_structure(args) -> int:
 
 
 def cmd_check(args) -> int:
-    a = _read_automaton(args.file)
     if args.property != "all":
         # decide only the named property, with check_all's call for it
-        prepared, m = scale_to_integers(normalize(a))
+        prepared, m = _prepared(args)
         checker = {"sd": check_sd, "spd": check_spd, "wd": check_wd, "wpd": check_wpd}
         verdict = checker[args.property](prepared)
         _emit({"scale": m, "verdict": verdict.to_json()})
         return EXIT[verdict.status]
-    result = check_all(a)
+    result = check_all(_read_automaton(args.file))
     _emit({
         "scale": result.scale,
         "verdicts": {p: v.to_json() for p, v in result.verdicts.items()},

@@ -32,13 +32,14 @@ symbol), which the observer and the detector share.  tables(a) picks
 the kind of table once: _Periodic for k = 1, whose totals are the pieces
 W(q, s) + w, read off one epl.WeightSetSolver over the silent arcs and
 the silent components of a, or _Rows for k > 1, whose totals are finite
-sets read off the row of q, or None (open) where that row is, and whose
-walk queries go over its kept silent arcs, one sorted tuple (kept).
-The kind's methods answer every question about a total: the
-self-composition's synchronization test and the silent walks behind it,
-the menus, and the membership test of the estimate step under one
-observed (symbol, increment) (estimate_step; estimate, behind wadet
-estimate, chains it along an observed sequence).
+sets read off the row of q, or None (open) where that row is.  _Rows
+decides an open total by a walk query over its kept silent arcs, the
+only calls of epl.has_path_with_weight, and keeps each YES and NO for
+the prepared automaton.  The kind's methods answer every question about
+a total: the self-composition's synchronization test and the silent
+walks behind it, the menus, and the membership test of the estimate
+step under one observed (symbol, increment) (estimate_step; estimate,
+behind wadet estimate, chains it along an observed sequence).
 
 A built structure keeps, per estimate, its steps as (symbol, weight,
 target, cell) tuples in canonical order (EstimatorAutomaton.successors);
@@ -56,10 +57,11 @@ from itertools import combinations
 from operator import add, sub
 from typing import Callable, Iterable, Mapping, Sequence
 
-from .epl import DEFAULT_BUDGET, WeightSetSolver, has_path_with_weight
+from .epl import DEFAULT_BUDGET, EplAnswer, WeightSetSolver, _Budget, has_path_with_weight
 from .epset import EPSet, eps_intersect, eps_meets, eps_min_abs_witness, eps_partition, eps_shift
 from .model import (Transition, WeightedAutomaton, instantaneous_closure, make_weight, normalize,
                     scale_to_integers)
+from .verdict import UNKNOWN
 
 
 @dataclass(frozen=True)
@@ -165,17 +167,17 @@ class Tables(dict):
     its arcs, in the same order; the total is P(q, t), read off
     total(q, s, w), and the weight w of an arc is t[3].  The observable
     arcs are indexed by source as (transition, label) (by_source), so a
-    state's arcs are gathered from its reach set.  menus
-    holds the successor menu of each (estimate, symbol) (successor_steps).
+    state's arcs are gathered from its reach set.  menus holds the
+    successor menu of each (estimate, symbol) (successor_steps).
 
     Each kind of totals is a subclass, _Periodic or _Rows, whose methods
     answer every question about a total: meets(p1, p2), whether two share
     a member; has(total, delta); prefixes(q1, arc1, q2, arc2), the silent
     walks behind the member that two arcs' totals share; menu(a, x,
     sigma).  meets and has answer None for an open total, which only a
-    walk query decides.  A kind is never an object that points back at its
-    Tables: that cycle would keep every Tables, and its automaton, alive
-    until the cycle collector runs."""
+    walk query of _Rows decides (query).  A kind is never an object that
+    points back at its Tables: that cycle would keep every Tables, and
+    its automaton, alive until the cycle collector runs."""
 
     def __init__(self, a: WeightedAutomaton):
         super().__init__()
@@ -227,7 +229,32 @@ class _Periodic(Tables):
 
 class _Rows(Tables):
     """The k > 1 tables: a total is the finite set of weight vectors read
-    off the silent row of q (rows), or None, open, when that row is."""
+    off the silent row of q (row), or None, open, when that row is.  Only
+    a walk query decides an open total (query, asked by sync for the
+    self-composition and by estimate_step), and answers keeps each YES
+    and NO for the prepared automaton, so none is asked twice.
+
+    rows holds, per state q, the silent row R(q) as (parent, weights),
+    built on first read (row), or None when R(q) is infinite or holds more
+    than NODE_CAP nodes.  R(q) is the set of (y, weight of w) over all
+    walks w from q to y of kept silent arcs (arcs).  A row is built
+    breadth-first, for at most |Q| levels and up to the first empty one,
+    and it is None when level |Q| is not empty.  That test is exact.  If q
+    reaches a kept cycle of weight c != 0, a walk P to it followed by n
+    turns gives the node P + n c for every n, so in a finite row every
+    kept cycle in reach weighs zero.  Cutting a closed sub-walk out of a
+    walk then keeps both ends and the weight, so every node is the end of
+    a walk with no repeated state, at most |Q| - 1 levels deep.  An
+    infinite row, whose levels are each finite, has nodes at every depth.
+    parent maps every node to (previous node, silent transition), the arc
+    that first reached it, and the start (q, 0) to None; weights maps
+    every state y to the weights of R(q) at y, fewest arcs first."""
+
+    def __init__(self, a: WeightedAutomaton):
+        super().__init__(a)
+        self.rows: dict[str, tuple[dict, dict] | None] = {}
+        self.products: dict[tuple[str, str], list[tuple]] = {}
+        self.answers: dict[tuple, tuple[EplAnswer, _Budget]] = {}
 
     @cached_property
     def arcs(self) -> dict[str, tuple]:
@@ -240,18 +267,42 @@ class _Rows(Tables):
         return {q: tuple(t for t in arcs if t[2] in live) for q, arcs in self.silent.items()}
 
     @cached_property
-    def rows(self) -> _SilentRows:
-        """The silent row of each state over the kept arcs."""
-        return _SilentRows(self.arcs, len(self.states), self.k)
-
-    @cached_property
     def kept(self) -> tuple[Transition, ...]:
-        """The kept silent arcs, sorted: the arcs of the walk queries of
-        estimate_step and of the self-composition's product route."""
+        """The kept silent arcs, sorted: the arcs of every walk query."""
         return tuple(t for q in self.states for t in self.arcs[q])
 
+    def row(self, q: str) -> tuple[dict, dict] | None:
+        if q not in self.rows:
+            self.rows[q] = self._build(q)
+        return self.rows[q]
+
+    def _build(self, q: str) -> tuple[dict, dict] | None:
+        arcs, start = self.arcs, (q, (0,) * self.k)
+        parent: dict[tuple[str, tuple], tuple | None] = {start: None}
+        frontier = [start]
+        for _ in range(len(self.states)):
+            if not frontier:
+                break
+            nxt = []
+            for node in frontier:
+                x, w = node
+                for t in arcs[x]:
+                    reached = (t[2], tuple(map(add, w, t[3])))
+                    if reached not in parent:
+                        parent[reached] = (node, t)
+                        nxt.append(reached)
+                        if len(parent) > NODE_CAP:
+                            return None
+            frontier = nxt
+        if frontier:
+            return None
+        weights: dict[str, list[tuple]] = {}
+        for y, w in parent:
+            weights.setdefault(y, []).append(w)
+        return parent, weights
+
     def total(self, q: str, s: str, w: tuple) -> frozenset[tuple] | None:
-        row = self.rows[q]
+        row = self.row(q)
         return None if row is None else frozenset(tuple(map(add, x, w)) for x in row[1][s])
 
     def meets(self, p1: frozenset | None, p2: frozenset | None) -> bool | None:
@@ -275,14 +326,57 @@ class _Rows(Tables):
         return tuple(self.walk(q, (t[0], tuple(map(sub, m, t[3]))))
                      for q, (t, _, _) in ((q1, arc1), (q2, arc2)))
 
+    def query(self, arcs: Sequence[tuple], u, v, z: tuple, budget: _Budget) -> EplAnswer:
+        """Is there a walk u -> v of weight z over arcs, which u fixes: the
+        kept arcs from a state, their product from a pair of states?  A YES
+        or NO is kept per (u, v, z), an UNKNOWN only for the budget that
+        ran out on it."""
+        found = self.answers.get((u, v, z))
+        if found is None or found[0].status == UNKNOWN and found[1] is not budget:
+            found = self.answers[u, v, z] = has_path_with_weight(arcs, u, v, z, budget), budget
+        return found[0]
+
+    def sync(self, q1: str, q2: str, t1: Transition, t2: Transition, budget: _Budget):
+        """A builder of the (left, right) silent walks q1 -> src(t1) and
+        q2 -> src(t2) that give t1 and t2 a common total, None, or UNKNOWN.
+        A walk of the product from (q1, q2) to (s1, s2) interleaves a walk
+        q1 -> s1 of weight x with one q2 -> s2 of weight y, negated, so it
+        weighs x - y; and any two such walks interleave into one.  So one of
+        weight z = w2 - w1 exists exactly when x + w1 lies in both totals:
+        the question meets answers when neither is open."""
+        z = tuple(map(sub, t2[3], t1[3]))
+        answer = self.query(self.product(q1, q2), (q1, q2), (t1[0], t2[0]), z, budget)
+        if answer.status != "YES":
+            return None if answer.status == "NO" else UNKNOWN
+        return lambda: tuple(tuple(tag[1] for _, tag, _, _ in answer.walk if tag[0] == side)
+                             for side in "LR")
+
+    def product(self, q1: str, q2: str) -> list[tuple]:
+        """The arcs of the product of the kept silent arcs from (q1, q2),
+        in the order of kept: ((s, p2), ("L", t), (d, p2), w) for a left
+        move along t = s -e/w-> d, ((p1, s), ("R", t), (p1, d), -w) for a
+        right one.  A walk's arcs carry the transitions it interleaves."""
+        if (q1, q2) not in self.products:
+            left_reach, right_reach = self.reach[q1], self.reach[q2]
+            lefts, rights = sorted(left_reach), sorted(right_reach)
+            arcs = []
+            for t in self.kept:
+                s, d, w = t[0], t[2], t[3]
+                if s in left_reach and d in left_reach:
+                    arcs += [((s, p2), ("L", t), (d, p2), w) for p2 in rights]
+                if s in right_reach and d in right_reach:
+                    negated = tuple(-x for x in w)
+                    arcs += [((p1, s), ("R", t), (p1, d), negated) for p1 in lefts]
+            self.products[q1, q2] = arcs
+        return self.products[q1, q2]
+
     def menu(self, a: WeightedAutomaton, x: frozenset[str], sigma: str) -> tuple[tuple, bool]:
         """Per successor estimate, the least weight vector of a silent walk
         from x followed by one sigma-arc; and whether every row of the
         states of x closed (if one did not, the menu is empty)."""
-        rows = self.rows
         by_weight: dict[tuple, set[str]] = {}
         for q in x:
-            if rows[q] is None:
+            if self.row(q) is None:
                 return (), False
             for t, _, total in self[q][1].get(sigma, ()):
                 for w in total:
@@ -291,59 +385,6 @@ class _Rows(Tables):
         for w, qs in by_weight.items():
             by_target.setdefault(instantaneous_closure(a, qs), []).append(w)
         return tuple((target, None, min(ws)) for target, ws in by_target.items()), True
-
-
-class _SilentRows(dict):
-    """Per state q, the silent row R(q) as (parent, weights), built on first
-    lookup, or None when R(q) is infinite or holds more than NODE_CAP
-    nodes.  R(q) is the set of (y, weight of w) over all walks w from q to
-    y of kept silent arcs (Tables.arcs).  A row is built breadth-first, for
-    at most |Q| levels and up to the first empty one, and it is None when
-    level |Q| is not empty.  That test is exact.  If q reaches a kept cycle
-    of weight c != 0, a walk P to it followed by n turns gives the node
-    P + n c for every n, so in a finite row every kept cycle in reach
-    weighs zero.  Cutting a closed sub-walk out of a walk then keeps both
-    ends and the weight, so every node is the end of a walk with no
-    repeated state, at most |Q| - 1 levels deep.  An infinite row, whose
-    levels are each finite, has nodes at every depth.  parent maps every
-    node to (previous node, silent transition), the arc that first reached
-    it, and the start (q, 0) to None; weights maps every state y to the
-    weights of R(q) at y, fewest arcs first."""
-
-    def __init__(self, arcs: dict[str, tuple], depth: int, k: int):
-        super().__init__()
-        self.arcs = arcs
-        self.depth = depth
-        self.zero = (0,) * k
-
-    def __missing__(self, q: str) -> tuple[dict, dict] | None:
-        row = self[q] = self._build(q)
-        return row
-
-    def _build(self, q: str) -> tuple[dict, dict] | None:
-        start = (q, self.zero)
-        parent: dict[tuple[str, tuple], tuple | None] = {start: None}
-        frontier = [start]
-        for _ in range(self.depth):
-            if not frontier:
-                break
-            nxt = []
-            for node in frontier:
-                x, w = node
-                for t in self.arcs[x]:
-                    reached = (t[2], tuple(map(add, w, t[3])))
-                    if reached not in parent:
-                        parent[reached] = (node, t)
-                        nxt.append(reached)
-                        if len(parent) > NODE_CAP:
-                            return None
-            frontier = nxt
-        if frontier:
-            return None
-        weights: dict[str, list[tuple]] = {}
-        for y, w in parent:
-            weights.setdefault(y, []).append(w)
-        return parent, weights
 
 
 # ---------------------------------------------------------------------
@@ -363,12 +404,12 @@ def estimate_step(a: WeightedAutomaton, x: Iterable[str], sigma: str, delta: tup
     P(q, t), read off tables(a), the table the menus and the
     self-composition's synchronization test read.  Only an open total,
     where Tables.has answers None, asks for a silent walk q -> s of weight
-    delta - w, on the kept silent arcs and with a fresh budget per query,
-    and only for a target that no membership test has reached.  The
-    queries go by arc, in the order of a.obs_transitions, then by state,
-    and a target's queries stop at its first YES, so an exhausted query,
-    which raises EstimateUndecided, is one that a search asking every arc
-    and state in that order asks too."""
+    delta - w (_Rows.query, over the kept silent arcs with a fresh budget
+    per query), and only for a target that no membership test has
+    reached.  The queries go by arc, in the order of a.obs_transitions,
+    then by state, and a target's queries stop at its first YES, so an
+    exhausted query, which raises EstimateUndecided, is one that a search
+    asking every arc and state in that order asks too."""
     table = tables(a)
     raw: set[str] = set()
     pending = []
@@ -384,10 +425,10 @@ def estimate_step(a: WeightedAutomaton, x: Iterable[str], sigma: str, delta: tup
         if t[2] in raw:
             continue
         need = tuple(map(sub, delta, t[3]))
-        answer = has_path_with_weight(table.kept, q, t[0], need, budget)
-        if answer.status == "UNKNOWN":
+        status = table.query(table.kept, q, t[0], need, _Budget(budget)).status
+        if status == UNKNOWN:
             raise EstimateUndecided(f"estimate step undecided at {(q, t[0], need)}")
-        if answer.status == "YES":
+        if status == "YES":
             raw.add(t[2])
     return instantaneous_closure(a, raw)
 

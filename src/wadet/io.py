@@ -84,11 +84,14 @@ def _entries(document: Mapping, key: str, keys: set[str]):
         yield context, entry
 
 
-def _name_in(entry: Mapping, key: str, context: str):
-    """entry[key], a name that keys a mapping: not a JSON array or object."""
-    value = entry.get(key)
-    if isinstance(value, (list, Mapping)):
-        raise ParseError(f"must be a name, got {value!r}", f"{context}.{key}")
+def _name_in(value, context: str, key: str | int, optional: bool = False):
+    """value, the name at context[key] (an index) or context.key, that keys
+    a mapping: not a JSON array or object, and not null or missing unless
+    optional (a label, silent when it is)."""
+    if not isinstance(value, (str, int)) and (isinstance(value, (list, Mapping))
+                                               or value is None and not optional):
+        path = f"{context}[{key}]" if type(key) is int else f"{context}.{key}"
+        raise ParseError(f"must be a name, got {value!r}", path)
     return value
 
 
@@ -118,7 +121,7 @@ def parse(document: Mapping) -> WeightedAutomaton:
 
     raw = {
         "k": k,
-        "states": _list_in(document, "states"),
+        "states": [_name_in(q, "states", i) for i, q in enumerate(_list_in(document, "states"))],
         "initial": {},
         "events": {},
         "transitions": [],
@@ -126,21 +129,23 @@ def parse(document: Mapping) -> WeightedAutomaton:
     # a repeated entry must agree with the first, as repeated transitions
     # must; names are keyed by str, as validate keys them
     for ctx, entry in _entries(document, "initial", {"state", "weight"}):
-        state = str(_name_in(entry, "state", ctx))
+        state = str(_name_in(entry.get("state"), ctx, "state"))
         weight = weight_in(entry.get("weight"), f"{ctx}.weight")
         first = raw["initial"].setdefault(state, weight)
         if first != weight:
             raise ParseError(f"initial state {state!r} repeated with another weight, first "
                              f"{[rational_to_str(x) for x in first]}", f"{ctx}.state")
     for ctx, entry in _entries(document, "events", {"name", "label"}):
-        name, label = str(_name_in(entry, "name", ctx)), _name_in(entry, "label", ctx)
+        name = str(_name_in(entry.get("name"), ctx, "name"))
+        label = _name_in(entry.get("label"), ctx, "label", optional=True)
         first = raw["events"].setdefault(name, label)
         if first != label:
             raise ParseError(f"event {name!r} repeated with another label, first {first!r}",
                              f"{ctx}.name")
     for ctx, entry in _entries(document, "transitions", {"from", "event", "to", "weight"}):
         raw["transitions"].append((
-            entry.get("from"), entry.get("event"), entry.get("to"),
+            _name_in(entry.get("from"), ctx, "from"), _name_in(entry.get("event"), ctx, "event"),
+            _name_in(entry.get("to"), ctx, "to"),
             weight_in(entry.get("weight"), f"{ctx}.weight"),
         ))
     return validate(raw)

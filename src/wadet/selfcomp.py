@@ -7,14 +7,13 @@ q2 it reads the totals P(q1, t1) and P(q2, t2) of estimator.tables,
 the weights of a silent walk from the state to the arc's source plus the
 arc's weight, and the pair synchronizes iff the two share a member,
 which the table's meets decides; its prefixes builds the silent walks
-behind a witness.  Only when meets answers None, for an open total, is
-the asynchronous product of the kept silent arcs (left arcs keep their
-weight, right arcs negated) queried for a walk of weight w2 - w1, one
-answer per key (q1, q2, source 1, source 2, w2 - w1) and build; each
-product arc is tagged with its side and the transition it moves along,
-so the walk found is read back as the two silent walks.  The
-query is budgeted, and an exhausted budget marks the transition as
-possibly missing, which downgrades a would-be HOLDS verdict to UNKNOWN.
+behind a witness.  Only when meets answers None, for an open total, does
+the table's sync decide the pair (estimator._Rows.sync): a walk query on
+the asynchronous product of the kept silent arcs, whose YES or NO the
+table keeps per key for the prepared automaton.  The queries of one
+build or search share one budget, and an exhausted budget marks the
+transition as possibly missing, which downgrades a would-be HOLDS
+verdict to UNKNOWN.
 
 The successors of a composition state are sorted (events, target) keys,
 each with the first arc pair that synchronizes into it, computed by one
@@ -70,9 +69,8 @@ from collections.abc import Callable, Iterator, Mapping
 from dataclasses import dataclass, field
 from functools import cached_property, partial
 from itertools import product
-from operator import sub
 
-from .epl import DEFAULT_BUDGET, _Budget, has_path_with_weight
+from .epl import DEFAULT_BUDGET, _Budget
 from .estimator import tables
 from .graphutil import find_cycle, find_path, strong_components
 from .model import Transition, WeightedAutomaton
@@ -142,70 +140,6 @@ class SelfComposition:
         return frozenset(self.witnesses)
 
 
-class _Synchronizer:
-    """The budgeted product route, for same-label pairs with an open total
-    (an infinite row, or one over estimator.NODE_CAP).  The answer
-    depends only on the key (q1, q2, source 1, source 2, w2 - w1), so each
-    distinct key is decided once per build."""
-
-    def __init__(self, a: WeightedAutomaton, budget: int):
-        self.a = a
-        self.budget = _Budget(budget)  # shared across all queries of one build
-        self.unknown: list[tuple] = []
-        self.answers: dict[tuple, object] = {}
-        self._products: dict[Pair, list[tuple]] = {}
-
-    def sync(self, q1: str, q2: str, t1: Transition, t2: Transition):
-        """A silent pair of paths q1->src(t1), q2->src(t2) with equal total
-        weights including the observable arcs?  Returns None, or a function
-        that builds the (left, right) walks of the original automaton; an
-        exhausted budget is None and recorded in unknown."""
-        key = (q1, q2, t1[0], t2[0], tuple(map(sub, t2[3], t1[3])))
-        if key not in self.answers:
-            self.answers[key] = self._sync_product(*key)
-        answer = self.answers[key]
-        if answer == "UNKNOWN":
-            self.unknown.append(((q1, q2), t1, t2))
-            return None
-        return answer
-
-    def _product(self, q1: str, q2: str) -> list[tuple]:
-        """The arcs of the product of the kept silent arcs from (q1, q2),
-        in the order of the kept arcs: ((s, p2), ("L", t), (d, p2), w) for a
-        left move along t = s -e/w-> d, ((p1, s), ("R", t), (p1, d), -w) for
-        a right one.  A walk's arcs carry the transitions it interleaves."""
-        key = (q1, q2)
-        if key in self._products:
-            return self._products[key]
-        left_reach, right_reach = self.a.silent_reach[q1], self.a.silent_reach[q2]
-        lefts, rights = sorted(left_reach), sorted(right_reach)
-        arcs = []
-        for t in tables(self.a).kept:
-            s, d, w = t[0], t[2], t[3]
-            if s in left_reach and d in left_reach:
-                arcs += [((s, p2), ("L", t), (d, p2), w) for p2 in rights]
-            if s in right_reach and d in right_reach:
-                negated = tuple(-x for x in w)
-                arcs += [((p1, s), ("R", t), (p1, d), negated) for p1 in lefts]
-        self._products[key] = arcs
-        return arcs
-
-    def _sync_product(self, q1, q2, s1, s2, z):
-        """A product walk from (q1, q2) to (s1, s2) interleaves a silent
-        walk q1 -> s1 of weight x with one q2 -> s2 of weight y, the latter
-        negated, so it weighs x - y; and any two such walks interleave into
-        one, the left walk first.  Hence a product walk of weight z = w2 - w1
-        exists exactly when some x in W(q1, s1) has x - z in W(q2, s2), that
-        is when x + w1 lies in both totals P(q1, t1) and P(q2, t2): the
-        question the build answers from the totals when neither is None."""
-        ans = has_path_with_weight(self._product(q1, q2), (q1, q2), (s1, s2), z, self.budget)
-        if ans.status != "YES":
-            return None if ans.status == "NO" else "UNKNOWN"
-        walks = tuple(tuple(tag[1] for _, tag, _, _ in ans.walk if tag[0] == side)
-                      for side in "LR")
-        return lambda: walks
-
-
 def _no_prefixes() -> Paths:
     """The prefixes of an automaton with no silent arc: none exist."""
     return (), ()
@@ -214,21 +148,17 @@ def _no_prefixes() -> Paths:
 class _Expander:
     """The successors of one composition state at a time: the breadth-first
     build and the SD search both call successors, so they share one code
-    path, one product synchronizer (one budget) and one query count.  The
-    synchronizer is built when a total that is None first asks for it."""
+    path, one budget for the walk queries of open totals (_Rows.sync), one
+    query count and one list of the queries left UNKNOWN."""
 
     def __init__(self, a: WeightedAutomaton, budget: int):
         self.a = a
-        self.budget = budget
+        self.budget = _Budget(budget)
         self.table = tables(a)
         self.fast = not a.unobs_transitions
-        self.sync: _Synchronizer | None = None
         self.queries = 0
+        self.unknown: list[tuple] = []
         self.ends = {q: sorted(tails) for q, tails in a.zero_paths.items()}
-
-    @property
-    def unknown(self) -> tuple:
-        return tuple(self.sync.unknown) if self.sync is not None else ()
 
     def successors(self, state: Pair) -> dict[tuple[tuple[str, str], Pair], Sync]:
         """The (events, target) keys out of state, in sorted order, each
@@ -255,11 +185,11 @@ class _Expander:
                 else:
                     queries += 1
                     met = meets(p1, p2)
-                    if met is None:  # an open total: the product route decides
-                        if self.sync is None:
-                            self.sync = _Synchronizer(a, self.budget)
-                        prefixes = self.sync.sync(q1, q2, t1, t2)
-                        if prefixes is None:
+                    if met is None:  # an open total: a walk query decides
+                        prefixes = self.table.sync(q1, q2, t1, t2, self.budget)
+                        if prefixes == UNKNOWN:
+                            self.unknown.append(((q1, q2), t1, t2))
+                        if prefixes is None or prefixes == UNKNOWN:
                             continue
                     elif met:
                         prefixes = None  # a table.prefixes call, bound if a key is new
@@ -294,7 +224,7 @@ def build_self_composition(a: WeightedAutomaton,
             if target not in seen:
                 seen.add(target)
                 queue.append(target)
-    return SelfComposition(initial, frozenset(seen), successors, expander.unknown,
+    return SelfComposition(initial, frozenset(seen), successors, tuple(expander.unknown),
                            {"epl_queries": expander.queries, "fast_path": expander.fast})
 
 

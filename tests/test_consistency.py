@@ -13,6 +13,7 @@ can never produce a spurious failure:
 
 import random
 
+from wadet import estimator
 from wadet.corpus import random_automaton
 from wadet.estimator import estimate
 from wadet.verdict import FAILS, HOLDS, SD, SPD, WD, WPD
@@ -103,19 +104,23 @@ def test_stall_witnesses_expose_real_silent_cycles():
     assert hits >= 10
 
 
+def vector_population():
+    rng = random.Random(11001)
+    for i in range(40):
+        yield i, random_automaton(
+            700_000 + i, max_states=rng.choice([3, 4, 5]), max_events=3,
+            weight_range=rng.choice([(-2, 2), (-1, 1)]),
+            unobs_fraction=rng.choice([0.25, 0.5]),
+            arc_factor=rng.choice([2.0, 3.0]), k=2)
+
+
 def test_vector_weight_population_stays_sound():
     """k = 2 instances: UNKNOWN only with a bounded structure to blame, and
     definite verdicts still replay."""
     from wadet.verdict import UNKNOWN
 
-    rng = random.Random(11001)
     unknowns = definite = 0
-    for i in range(40):
-        a = random_automaton(
-            700_000 + i, max_states=rng.choice([3, 4, 5]), max_events=3,
-            weight_range=rng.choice([(-2, 2), (-1, 1)]),
-            unobs_fraction=rng.choice([0.25, 0.5]),
-            arc_factor=rng.choice([2.0, 3.0]), k=2)
+    for i, a in vector_population():
         res = check_all(a)
         got = res.statuses()
         if UNKNOWN in got.values():
@@ -127,3 +132,29 @@ def test_vector_weight_population_stays_sound():
         if got[SD] == FAILS:
             replay_sd_witness(res)
     assert definite >= 20  # most small instances resolve exactly
+
+
+def test_composition_read_after_check_all_asks_no_decided_query(monkeypatch):
+    # the tables of the prepared automaton keep every YES and NO of the
+    # product route, so the whole composition, built after check_sd has
+    # searched part of it, asks only the keys check_sd never decided
+    calls = []
+    real = estimator.has_path_with_weight
+
+    def recorded(arcs, u, v, z, budget):
+        answer = real(arcs, u, v, z, budget)
+        calls.append(((u, v, z), answer.status))
+        return answer
+
+    monkeypatch.setattr(estimator, "has_path_with_weight", recorded)
+    decided_total = asked = 0
+    for i, a in vector_population():
+        calls.clear()
+        res = check_all(a)
+        decided = {key for key, status in calls if status != "UNKNOWN"}
+        calls.clear()
+        assert res.self_composition.states
+        assert [key for key, _ in calls if key in decided] == [], i
+        decided_total += len(decided)
+        asked += len(calls)
+    assert decided_total >= 20 and asked >= 20, (decided_total, asked)

@@ -363,7 +363,7 @@ def test_tables_are_freed_without_the_cycle_collector():
             read += len(walks)
             table = estimator.tables(result.automaton)
             if isinstance(table, estimator._Rows):
-                open_rows += any(table.rows[q] is None for q in table.states)
+                open_rows += any(table.row(q) is None for q in table.states)
             refs = weakref.ref(result.automaton), weakref.ref(table)
             del raw, result, cc, walks, table
             assert [ref() for ref in refs] == [None, None], make
@@ -501,8 +501,8 @@ def silent_graph(*arcs):
 ])
 def test_finite_silent_states(arcs, finite):
     a = silent_graph(*arcs)
-    rows = estimator.tables(a).rows
-    assert {q for q in a.states if rows[q] is not None} == finite
+    table = estimator.tables(a)
+    assert {q for q in a.states if table.row(q) is not None} == finite
 
 
 def test_silent_cycle_that_reaches_no_observable_arc_leaves_rows_finite():
@@ -511,9 +511,9 @@ def test_silent_cycle_that_reaches_no_observable_arc_leaves_rows_finite():
                   "events": {"u": None, "v": None, "a": "a"},
                   "transitions": [("s0", "u", "s1", [0, 0]), ("s1", "v", "s1", [1, 1]),
                                   ("s0", "a", "s0", [0, 0])]})
-    rows = estimator.tables(a).rows
-    assert {q for q in a.states if rows[q] is not None} == {"s0", "s1"}
-    assert rows["s0"][1] == {"s0": [(0, 0)]}
+    table = estimator.tables(a)
+    assert {q for q in a.states if table.row(q) is not None} == {"s0", "s1"}
+    assert table.row("s0")[1] == {"s0": [(0, 0)]}
 
 
 def closed_enumeration(a, q, levels):
@@ -538,12 +538,11 @@ def test_finite_silent_states_match_enumeration():
         a = observed(random_automaton(seed, max_states=4, weight_range=(-1, 1), k=2,
                                       unobs_fraction=1.0))
         table = estimator.tables(a)
-        rows = table.rows
         for q in sorted(a.states):
             nodes = closed_enumeration(a, q, 3 * len(a.states))
-            assert (rows[q] is not None) == (nodes is not None), (seed, q)
+            assert (table.row(q) is not None) == (nodes is not None), (seed, q)
             if nodes is not None:
-                parent, weights = rows[q]
+                parent, weights = table.row(q)
                 assert set(parent) == nodes
                 assert {(y, w) for y, ws in weights.items() for w in ws} == nodes
                 for node in parent:
@@ -606,12 +605,12 @@ def test_infinite_rows_stop_at_depth_not_cap(monkeypatch):
                      "events": dict(chain.events),
                      "transitions": sorted(chain.transitions) + [("c19", "u", "c0", (1, 0))]})
     for a in (silent_graph((0, (1, 1), 0)), ring):
-        rows = estimator.tables(a).rows
-        rows.arcs = CountingDict(rows.arcs)
+        table = estimator.tables(a)
+        table.arcs = CountingDict(table.arcs)
         for q in sorted(a.states):
-            rows.arcs.lookups = 0
-            assert rows[q] is None, q
-            assert rows.arcs.lookups <= len(a.states) + 1, (q, rows.arcs.lookups)
+            table.arcs.lookups = 0
+            assert table.row(q) is None, q
+            assert table.arcs.lookups <= len(a.states) + 1, (q, table.arcs.lookups)
 
 
 def ref_menu(a, x, sigma):

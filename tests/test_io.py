@@ -286,6 +286,42 @@ def test_repeated_entry_that_disagrees_is_an_input_error(tmp_path, capsys, level
     assert err.value.context == "events[1].name"
 
 
+MISSING = object()
+
+
+@pytest.mark.parametrize("level, key, value", [
+    ("transitions", "from", MISSING), ("transitions", "event", MISSING),
+    ("transitions", "to", MISSING), ("initial", "state", MISSING), ("events", "name", MISSING),
+    ("transitions", "from", ["q0"]), ("states", None, ["q0"]),
+], ids=["from", "event", "to", "state", "name", "from-array", "states-array"])
+def test_names_must_be_present_and_scalar(tmp_path, capsys, level, key, value):
+    # the document declares a state and an event named "None", so a name
+    # missing and read as str(None) would validate, as would the state
+    # named "['q0']"
+    description = A1_description()
+    description["states"].append("None")
+    description["events"]["None"] = None
+    doc = io.serialize(validate(description))
+    assert io.parse(doc) == validate(description)
+    if level == "states":
+        doc["states"].append(value)
+        path = f"states[{len(doc['states']) - 1}]"
+    else:
+        i = [entry.get("name") for entry in doc[level]].index("None") if level == "events" else 0
+        if value is MISSING:
+            del doc[level][i][key]
+        else:
+            doc[level][i][key] = value
+        path = f"{level}[{i}].{key}"
+    with pytest.raises(io.ParseError) as err:
+        io.parse(doc)
+    assert err.value.context == path
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    assert main(["check", "all", str(bad)]) == 3
+    assert json.loads(capsys.readouterr().err)["error"].startswith(f"{path}: must be a name")
+
+
 def test_each_weight_list_is_parsed_once_without_merging_unequal_entries(tmp_path, capsys):
     doc = io.serialize(validate(A1_description()))
     assert [t["weight"] for t in doc["transitions"][:2]] == [["1"], ["1"]]

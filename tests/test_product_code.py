@@ -173,3 +173,22 @@ def test_one_strong_component_search():
     epl = ast.parse(sources["epl"])
     assert {node.name for node in ast.walk(epl) if isinstance(node, ast.ClassDef)} == \
         {"WeightSetSolver", "EplAnswer", "_Budget"}
+
+
+def test_walk_queries_are_asked_only_by_the_k_gt_1_tables():
+    # estimator._Rows asks every k > 1 walk query (the self-composition's
+    # open totals and the estimate step) and keeps its answers; the
+    # self-composition keeps no synchronizer of its own
+    trees = {path.stem: ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))}
+    callers = {stem for stem, tree in trees.items() for node in ast.walk(tree)
+               if isinstance(node, ast.Call) and "has_path_with_weight" in
+               (getattr(node.func, "id", None), getattr(node.func, "attr", None))}
+    assert callers == {"estimator"}
+    classes = lambda stem: {node.name for node in ast.walk(trees[stem])
+                            if isinstance(node, ast.ClassDef)}
+    assert "_Synchronizer" not in classes("selfcomp")
+    assert "_SilentRows" not in classes("estimator")
+    from_epl = {alias.name for node in ast.walk(trees["selfcomp"])
+                if isinstance(node, ast.ImportFrom) and node.module == "epl"
+                for alias in node.names}
+    assert from_epl == {"DEFAULT_BUDGET", "_Budget"}

@@ -477,27 +477,19 @@ def test_deciding_sd_builds_no_transition_objects(monkeypatch):
         assert made == witness_edges
 
 
-def test_synchronizer_built_only_when_a_total_is_none(monkeypatch):
-    # the product synchronizer exists only once a pair with a None total
-    # asks it, so a build that never asks keeps no unknown queries
-    built = []
-
-    class Recording(selfcomp._Synchronizer):
-        def __init__(self, *args):
-            super().__init__(*args)
-            built.append(self)
-
-    monkeypatch.setattr(selfcomp, "_Synchronizer", Recording)
+def test_synchronizer_built_only_when_a_total_is_none():
+    # the table builds product arcs and keeps walk-query answers only once
+    # a pair with a None total asks it, so a build that never asks keeps
+    # no unknown queries
     silent_without = silent_with = 0
     for seed in range(40):
         if seed in (17, 39):
             continue
         a = scale_to_integers(normalize(random_automaton(seed, k=2)))[0]
-        built.clear()
         cc = build_self_composition(a)
-        assert len(built) <= 1
-        if built:
-            assert built[0].answers
+        table = tables(a)
+        assert bool(table.products) == bool(table.answers)
+        if table.answers:
             silent_with += 1
         else:
             assert cc.unknown_queries == ()
@@ -520,21 +512,13 @@ def product_automaton(a, q1, q2):
     return silent_automaton(a.k, [repr((p1, p2)) for p1 in lefts for p2 in rights], arcs)
 
 
-def test_sync_memo_answers_as_fresh_queries(monkeypatch):
+def test_sync_memo_answers_as_fresh_queries():
     # k = 2 draws with the default and with a mostly silent event mix, and
     # the robot fixture (k = 4); seed 17 of both and seed 39 of the first
     # take seconds and are left out.  Same-label pairs whose totals are both
     # finite are decided by the table (estimator.tables), the others by
     # the product graph, one answer per key: both routes must agree with a
     # fresh product query.
-    built = []
-
-    class Recording(selfcomp._Synchronizer):
-        def __init__(self, *args):
-            super().__init__(*args)
-            built.append(self)
-
-    monkeypatch.setattr(selfcomp, "_Synchronizer", Recording)
     seen = []
     routes = {"rows": 0, "product": 0}
     draws = [random_automaton(seed, k=2) for seed in range(40) if seed not in (17, 39)]
@@ -542,21 +526,24 @@ def test_sync_memo_answers_as_fresh_queries(monkeypatch):
               if seed != 17]
     draws.append(scale_to_integers(normalize(load_fixture("robot").automaton))[0])
     for a in draws:
-        built.clear()
         cc = build_self_composition(a)
-        answers = [(key, answer, "product") for sync in built
-                   for key, answer in sync.answers.items()]
         table = tables(a)
+        answers, asked = [], set()
         for q1, q2 in sorted(cc.states):
             for arc1 in table[q1][0]:
                 for arc2 in table[q2][1].get(arc1[1], ()):
                     (t1, _, p1), (t2, _, p2) = arc1, arc2
                     met = table.meets(p1, p2)
-                    if met is None:
-                        continue
                     key = (q1, q2, t1[0], t2[0], tuple(y - x for x, y in zip(t1[3], t2[3])))
-                    answer = partial(table.prefixes, q1, arc1, q2, arc2) if met else None
-                    answers.append((key, answer, "rows"))
+                    if met is None:
+                        # the memo's own answer, under the budget it was kept for
+                        asked.add(((q1, q2), key[2:4], key[4]))
+                        budget = table.answers[(q1, q2), key[2:4], key[4]][1]
+                        answers.append((key, table.sync(q1, q2, t1, t2, budget), "product"))
+                    else:
+                        answer = partial(table.prefixes, q1, arc1, q2, arc2) if met else None
+                        answers.append((key, answer, "rows"))
+        assert asked == set(table.answers)
         fresh_status = {}
         for key, answer, route in answers:
             q1, q2, s1, s2, z = key
