@@ -18,7 +18,7 @@ import traceback
 
 from . import corpus, io
 from .estimator import EstimateUndecided, build_detector, build_observer, estimate
-from .model import ValidationError, normalize, scale_to_integers, structure_report
+from .model import ValidationError, normalize, prepare, structure_report
 from .selfcomp import build_self_composition, check_sd
 from .verdict import FAILS, HOLDS, UNKNOWN
 from .verify import check_all, check_spd, check_wd, check_wpd
@@ -36,8 +36,10 @@ _STRUCTURES = {
 
 
 def _read_automaton(path: str):
-    text = sys.stdin.read() if path == "-" else open(path).read()
-    return io.loads(text)
+    if path == "-":
+        return io.loads(sys.stdin.read())
+    with open(path, encoding="utf-8") as fh:  # JSON is UTF-8 (RFC 8259)
+        return io.loads(fh.read())
 
 
 def _emit(document: dict) -> None:
@@ -99,7 +101,7 @@ def cmd_normalize(args) -> int:
 
 
 def _prepared(args):
-    return scale_to_integers(normalize(_read_automaton(args.file)))
+    return prepare(_read_automaton(args.file))
 
 
 def cmd_structure(args) -> int:

@@ -41,6 +41,16 @@ walks behind it, the menus, and the membership test of the estimate
 step under one observed (symbol, increment) (estimate_step; estimate,
 behind wadet estimate, chains it along an observed sequence).
 
+A menu of x reads only the generators of x (Tables.generators): its
+states in the instantaneous closure of no other of its states, and the
+least of states in each other's.  If q' is in the closure of q, a
+zero-weight silent walk q -> q' prefixes every silent walk from q', so
+P(q', t) lies in P(q, t); for k > 1 the row of q' is None only when that
+of q is (a state that is not live has a finite row, and the walk to a
+live one is kept).  So no cell, witness, target or exactness flag
+changes.  estimate_step reads every state: any may be the one whose
+walk query runs out of budget.
+
 A built structure keeps, per estimate, its steps as (symbol, weight,
 target, cell) tuples in canonical order (EstimatorAutomaton.successors);
 the checkers and the exports read these lists, and EstTransition objects
@@ -55,12 +65,11 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import combinations
 from operator import add, sub
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from .epl import DEFAULT_BUDGET, EplAnswer, WeightSetSolver, _Budget, has_path_with_weight
 from .epset import EPSet, eps_intersect, eps_meets, eps_min_abs_witness, eps_partition, eps_shift
-from .model import (Transition, WeightedAutomaton, instantaneous_closure, make_weight, normalize,
-                    scale_to_integers)
+from .model import Transition, WeightedAutomaton, instantaneous_closure, make_weight, prepare
 from .verdict import UNKNOWN
 
 
@@ -168,7 +177,8 @@ class Tables(dict):
     total(q, s, w), and the weight w of an arc is t[3].  The observable
     arcs are indexed by source as (transition, label) (by_source), so a
     state's arcs are gathered from its reach set.  menus holds the
-    successor menu of each (estimate, symbol) (successor_steps).
+    successor menu of each (estimate, symbol), read off the generators
+    of the estimate (successor_steps), its cells in no fixed order.
 
     Each kind of totals is a subclass, _Periodic or _Rows, whose methods
     answer every question about a total: meets(p1, p2), whether two share
@@ -189,6 +199,15 @@ class Tables(dict):
         for t in a.obs_transitions:
             self.by_source.setdefault(t[0], []).append((t, a.label(t[1])))
         self.menus: dict[tuple[frozenset[str], str], tuple[tuple, bool]] = {}
+        self.closures = {q: c for q, c in a.closures.items() if len(c) > 1}
+
+    def generators(self, x: frozenset[str]) -> frozenset[str]:
+        """x without each r in the closure of another state q of x, but
+        the least of states whose closures hold each other."""
+        closures = self.closures  # {} when no silent arc weighs zero
+        dropped = closures and {r for q in x if q in closures for r in closures[q] & x
+                                if r != q and (q < r or q not in closures.get(r, ()))}
+        return x - dropped if dropped else x
 
     def __missing__(self, q: str) -> tuple[tuple, dict]:
         usable = sorted(arc for s in self.reach[q] for arc in self.by_source.get(s, ()))
@@ -443,7 +462,7 @@ def estimate(a: WeightedAutomaton, gamma: Sequence, budget: int = DEFAULT_BUDGET
     is a one-entry weight (a scalar when k = 1); one of another dimension
     is a ValueError.  An increment that does not scale to integers is
     unachievable, and the estimate is then empty."""
-    prepared, m = scale_to_integers(normalize(a))
+    prepared, m = prepare(a)
     totals = []
     for sigma, total in gamma:
         if not isinstance(total, (list, tuple)):
@@ -473,34 +492,33 @@ def estimate(a: WeightedAutomaton, gamma: Sequence, budget: int = DEFAULT_BUDGET
 def successor_steps(a: WeightedAutomaton,
                     split: Callable[[frozenset[str]], list[frozenset[str]]]):
     """The successor function of a structure: per estimate x, its steps as
-    (symbol, weight, target, cell) in canonical order, and whether every
-    menu it read was exact.  split(target) gives the states each successor
-    estimate becomes, in sorted order.  Symbols come sorted, the entries
-    of a menu by repr(witness), which no two entries share (k = 1 cells
-    are disjoint, and a k > 1 target keeps the least weight of its own
-    weights).  _explore and the searches of verify.check_spd, check_wd
-    and check_wpd read it, so a search computes the steps only of the
-    estimates it reaches, and each menu is computed once per automaton
-    (Tables.menus)."""
+    (symbol, weight, target, cell) in canonical order, in one batch per
+    symbol with whether its menu was exact.  split(target) gives the
+    states each successor estimate becomes, in sorted order.  Symbols come
+    sorted, the entries of a menu by repr(witness), which no two entries
+    share (k = 1 cells are disjoint, and a k > 1 target keeps the least
+    weight of its own weights).  _explore and the searches of verify read
+    it, so a search computes the menus only of the estimates it reaches,
+    up to the batch it stops at, each once per automaton (Tables.menus)."""
     table = tables(a)
     menus = table.menus
     symbols = sorted(a.sigma)
 
-    def steps(x: frozenset[str]) -> tuple[tuple[tuple, ...], bool]:
-        out = []
-        exact = True
+    def steps(x: frozenset[str]) -> Iterator[tuple[list[tuple], bool]]:
+        sources = None
         for sigma in symbols:
             if (x, sigma) not in menus:
-                menus[x, sigma] = table.menu(a, x, sigma)
+                sources = sources or table.generators(x)
+                menus[x, sigma] = table.menu(a, sources, sigma)
             menu, ok = menus[x, sigma]
-            exact = exact and ok
             if len(menu) > 1:  # most menus have one entry or none
                 menu = sorted(menu, key=lambda entry: repr(entry[2]))
+            batch = []
             for target, cell, witness in menu:
                 if target:
                     for sub in split(target):
-                        out.append((sigma, witness, sub, cell))
-        return tuple(out), exact
+                        batch.append((sigma, witness, sub, cell))
+            yield batch, ok
 
     return steps
 
@@ -508,7 +526,7 @@ def successor_steps(a: WeightedAutomaton,
 def _explore(kind: str, a: WeightedAutomaton,
              split: Callable[[frozenset[str]], list[frozenset[str]]]) -> EstimatorAutomaton:
     """Breadth-first concatenation of current-state estimates from the
-    initial closure, over successor_steps(a, split)."""
+    initial closure, over the joined batches of successor_steps(a, split)."""
     steps = successor_steps(a, split)
     x0 = instantaneous_closure(a, a.initial.keys())
     states: set[frozenset[str]] = {x0}
@@ -517,8 +535,9 @@ def _explore(kind: str, a: WeightedAutomaton,
     queue = deque([x0])
     while queue:
         x = queue.popleft()
-        successors[x], ok = steps(x)
-        exact = exact and ok
+        batches = list(steps(x))
+        successors[x] = tuple(step for batch, _ in batches for step in batch)
+        exact = exact and all(ok for _, ok in batches)
         for _, _, y, _ in successors[x]:
             if y not in states:
                 states.add(y)

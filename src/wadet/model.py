@@ -382,6 +382,16 @@ def scale_to_integers(a: WeightedAutomaton) -> tuple[WeightedAutomaton, int]:
     return scaled, m
 
 
+def prepare(a: WeightedAutomaton) -> tuple[WeightedAutomaton, int]:
+    """scale_to_integers(normalize(a)), never a itself: what the
+    constructions keep on it must not decide a later analysis of a."""
+    prepared, m = scale_to_integers(normalize(a))
+    if prepared is a:  # a copy, with the is_prepared recorded on a
+        prepared = WeightedAutomaton(a.k, a.states, a.initial, a.events, a.transitions)
+        prepared.__dict__["is_prepared"] = a.is_prepared
+    return prepared, m
+
+
 # ---------------------------------------------------------------------
 # closures and structural analysis
 # ---------------------------------------------------------------------

@@ -52,12 +52,14 @@ may lie on the cycle), anchor (the cycle must pass one) and stops
   shortest paths among the visited estimates, which hold the search's
   path to it and the part.
 
-Each checker computes the steps of each estimate it reaches
-(estimator.successor_steps), or reads the successors of a structure
-passed in, with the same verdict and witness.  Given an exact observer,
-check_spd also searches it, with every estimate of two or more states
-allowed on a cycle, and raises InternalError when the two decided
-answers differ.
+Each checker computes the steps of each estimate it reaches one symbol
+at a time (estimator.successor_steps), so a search that stops at x
+computes no later menu of x, or reads the successors of a structure
+passed in, with the same verdict and witness (either way a stop comes
+from the first step to the stopping estimate).  Given an exact
+observer, check_spd also searches it, with every estimate of two or
+more states allowed on a cycle, and raises InternalError when the two
+decided answers differ.
 
 Verdicts carry replayable witnesses; UNKNOWN appears only when a bounded
 fallback (k > 1) failed to close or an exact-path-length budget ran out.
@@ -73,7 +75,7 @@ from .epl import DEFAULT_BUDGET
 from .estimator import (EstimatorAutomaton, _pairs, _whole, build_detector, build_observer,
                         successor_steps)
 from .graphutil import find_cycle, find_path, strong_components
-from .model import WeightedAutomaton, instantaneous_closure, normalize, scale_to_integers
+from .model import WeightedAutomaton, instantaneous_closure, prepare
 from .selfcomp import SelfComposition, build_self_composition, check_sd
 from .verdict import FAILS, HOLDS, SD, SPD, UNKNOWN, WD, WPD, InternalError, Verdict
 
@@ -112,11 +114,11 @@ class _Stop(Exception):
 
 def _route(a: WeightedAutomaton, est: EstimatorAutomaton | None, split):
     """The initial estimate and the successor function of a search: the
-    steps of est when a structure is passed in, else those that
-    successor_steps(a, split) computes for each estimate reached."""
+    steps of est, as one batch, when a structure is passed in, else the
+    batches successor_steps(a, split) computes for each estimate reached."""
     if est is None:
         return instantaneous_closure(a, a.initial.keys()), successor_steps(a, split)
-    return est.initial, lambda x: (est.successors[x], est.exact)
+    return est.initial, lambda x: ((est.successors[x], est.exact),)
 
 
 def _lasso(x0: frozenset[str], successors, allowed, anchor,
@@ -124,27 +126,29 @@ def _lasso(x0: frozenset[str], successors, allowed, anchor,
     """The first lasso that one search from x0 meets (see the module
     docstring), or None; and whether the search read an inexact menu.
     successors(x) gives the steps of x as (symbol, weight, target, cell)
-    and whether they are exact; it is called once per estimate the search
-    reaches.  A lasso is {access, state} for an estimate that stops the
-    search, and {access, cycle, cycle_states} for a cycle of allowed
-    estimates through an anchor."""
-    outs: dict[frozenset[str], tuple] = {}
+    in batches, each with whether it is exact; it is called once per
+    estimate the search reaches.  A lasso is {access, state} for an
+    estimate that stops the search, and {access, cycle, cycle_states} for
+    a cycle of allowed estimates through an anchor."""
+    outs: dict[frozenset[str], list] = {}
     seen = {x0}
     queue = deque([x0])  # estimates outside allowed to expand, and roots
     inexact = False
 
-    def read(x: frozenset[str]) -> tuple:
+    def read(x: frozenset[str]) -> list:
         nonlocal inexact
-        outs[x], exact = successors(x)
-        inexact = inexact or not exact
-        for _, _, y, _ in outs[x]:
-            if y not in seen:
-                seen.add(y)
-                if stops(y):
-                    raise _Stop(y)
-                if not (allowed(x) and allowed(y)):
-                    queue.append(y)
-        return outs[x]
+        out = outs[x] = []
+        for batch, exact in successors(x):
+            inexact = inexact or not exact
+            out += batch
+            for _, _, y, _ in batch:
+                if y not in seen:
+                    seen.add(y)
+                    if stops(y):
+                        raise _Stop(y)
+                    if not (allowed(x) and allowed(y)):
+                        queue.append(y)
+        return out
 
     def roots():
         while queue:
@@ -295,7 +299,7 @@ def check_all(a: WeightedAutomaton, budget: int = DEFAULT_BUDGET) -> AnalysisRes
     """Normalize, scale and decide all four notions, each by its own
     on-the-fly search; the self-composition, the observer and the
     detector are built when they are read."""
-    prepared, m = scale_to_integers(normalize(a))
+    prepared, m = prepare(a)
     verdicts = {
         SD: check_sd(prepared, budget=budget),
         SPD: check_spd(prepared),

@@ -7,7 +7,7 @@ from itertools import combinations
 import pytest
 
 from wadet import epset, estimator, io
-from wadet.corpus import load_fixture, random_automaton
+from wadet.corpus import load_fixture, random_automaton, subset_sum_automaton
 from wadet.epl import DEFAULT_BUDGET, has_path_with_weight
 from wadet.epset import (
     EPSet,
@@ -23,7 +23,7 @@ from wadet.estimator import (
     estimate_step,
     successor_cells,
 )
-from wadet.model import instantaneous_closure, normalize, scale_to_integers, validate
+from wadet.model import instantaneous_closure, normalize, prepare, scale_to_integers, validate
 from wadet.selfcomp import build_self_composition, check_sd
 from wadet.verify import check_all, check_spd
 
@@ -663,6 +663,59 @@ def test_exact_menus_equal_reference_harvest():
                     assert tuple(sorted(menu, key=menu_order)) == ref_menu(a, x, sigma), (x, sigma)
                     exact += 1
     assert exact > 500, exact
+
+
+def all_state_menu(a, x, sigma):
+    """Test-side reference for a menu read off every state of x, not only
+    its generators: pattern_cells for k = 1; for k > 1 inexact and empty
+    when the row of some state of x is open, else ref_menu."""
+    if a.k == 1:
+        return pattern_cells(a, x, sigma), True
+    if any(estimator.tables(a).row(q) is None for q in x):
+        return (), False
+    return ref_menu(a, x, sigma), True
+
+
+def zero_cycle():
+    """c0 and c1 on a zero-weight silent cycle, each with an a-arc of
+    weight 1 to its own target; the least state, c0, generates both."""
+    return validate({
+        "k": 1, "states": ["c0", "c1", "d0", "d1"], "initial": {"c1": [0]},
+        "events": {"u": None, "a": "a", "b": "b"},
+        "transitions": [("c0", "u", "c1", [0]), ("c1", "u", "c0", [0]),
+                        ("c0", "a", "d0", [1]), ("c1", "a", "d1", [1]),
+                        ("d0", "u", "d0", [1]), ("d0", "b", "c1", [2]),
+                        ("d1", "b", "c0", [2])]})
+
+
+def test_generator_menus_equal_all_state_menus():
+    # every menu of every reachable observer and detector estimate, read
+    # off the generators, equals the menu read off every state: cells as
+    # EPSets, k > 1 entries with their exactness flag
+    draws = [random_automaton(seed, k=k, weight_range=(-2, 2), **extra) for k in (1, 2)
+             for seed in range(200) for extra in ({}, {"unobs_fraction": 0.6, "max_states": 7})]
+    chains = [subset_sum_automaton(weights, target)
+              for weights, target in (([3, 5, 7], 8), ([2, 2, 4], 4), ([4, 1], 9))]
+    fewer, cycle = 0, False
+    for raw in draws + chains + [zero_cycle()]:
+        a = prepare(raw)[0]
+        build_observer(a), build_detector(a)
+        table = estimator.tables(a)
+        order = cell_order if a.k == 1 else menu_order
+        for (x, sigma), (menu, ok) in table.menus.items():
+            want, want_ok = all_state_menu(a, x, sigma)
+            assert (tuple(sorted(menu, key=order)), ok) == (tuple(want), want_ok), (x, sigma)
+            fewer += table.generators(x) != x
+            cycle = cycle or x == {"c0", "c1"} and table.generators(x) == {"c0"}
+    assert fewer >= 80 and cycle, fewer
+
+
+def test_menus_of_a_zero_weight_chain_solve_only_its_head():
+    # the initial estimate of a subset-sum chain is the whole chain, which
+    # q0 generates: no menu solves the weight sets from q1, q2 or q3
+    res = check_all(subset_sum_automaton([3, 5, 7], 8))
+    solved = set(estimator.tables(res.automaton).solver._rows)
+    assert "q0" in solved and not solved & {"q1", "q2", "q3"}, solved
 
 
 def walk_query_step(a, x, sigma, delta, budget=10 ** 4):

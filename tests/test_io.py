@@ -548,3 +548,24 @@ def test_console_script_entry_point(a1_file, flags):
     )
     assert proc.returncode == 1, proc.stderr
     assert proc.stdout == (pathlib.Path(__file__).parent / "data" / "check_all_A1.json").read_text()
+
+
+def test_cli_closes_the_file_and_reads_it_as_utf8(tmp_path):
+    # under -X dev an unclosed file prints a ResourceWarning, and without
+    # UTF-8 mode in the C locale the locale's encoding is ASCII: the
+    # document, which names a state "q1é" in UTF-8 (RFC 8259), must still
+    # read
+    import os
+    import subprocess
+    import sys
+    desc = json.loads(json.dumps(A1_description()).replace('"q1"', '"q1\\u00e9"'))
+    text = json.dumps(io.serialize(validate(desc)), ensure_ascii=False)
+    path = tmp_path / "A1.json"
+    path.write_bytes(text.encode("utf-8"))
+    env = {**os.environ, "LC_ALL": "C", "PYTHONCOERCECLOCALE": "0", "PYTHONUTF8": "0"}
+    proc = subprocess.run(
+        [sys.executable, "-X", "dev", "-W", "error::ResourceWarning", "-m", "wadet.cli",
+         "check", "sd", str(path)], capture_output=True, text=True, env=env)
+    assert "ResourceWarning" not in proc.stderr
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["verdict"]["status"] == "HOLDS"

@@ -1,9 +1,11 @@
 """Budget exhaustion and bounded-fallback behavior for k > 1."""
 
-from wadet.estimator import build_detector, build_observer
+import pytest
+
+from wadet.estimator import EstimateUndecided, build_detector, build_observer, estimate
 from wadet.model import validate
 from wadet.selfcomp import build_self_composition, check_sd
-from wadet.verdict import FAILS, HOLDS, UNKNOWN
+from wadet.verdict import FAILS, HOLDS, SD, UNKNOWN
 from wadet.verify import check_all, check_spd, check_wd, check_wpd
 
 
@@ -96,3 +98,24 @@ def test_exact_k2_fallback_decides_everything():
     res = check_all(a)
     assert res.observer.exact and res.detector.exact
     assert all(v.status in (HOLDS, FAILS) for v in res.verdicts.values())
+
+
+def test_check_all_verdict_does_not_depend_on_an_earlier_call():
+    # check_all decides on an automaton of its own, so the walk answers a
+    # default-budget call decides are not kept on the caller's object for
+    # a later call with a budget of 1
+    a = weighted_silent_loop()
+    assert check_all(a, budget=1).verdicts[SD].status == UNKNOWN
+    assert check_all(a).verdicts[SD].status == HOLDS
+    assert check_all(a, budget=1).verdicts[SD].status == UNKNOWN
+
+
+def test_estimate_does_not_depend_on_an_earlier_call():
+    # as for check_all: a default-budget estimate keeps no walk answer on
+    # the caller's object that a budget of 1 could not find itself
+    a = weighted_silent_loop()
+    with pytest.raises(EstimateUndecided):
+        estimate(a, [("a", (4, 3))], 1)
+    assert estimate(a, [("a", (4, 3))]) == {"s"}
+    with pytest.raises(EstimateUndecided):
+        estimate(a, [("a", (4, 3))], 1)

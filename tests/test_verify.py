@@ -267,6 +267,25 @@ def test_robot_spd_search_stops_at_the_first_cycle_it_sees(monkeypatch):
     assert len(read) == len(set(read)) == 4
 
 
+def test_spd_search_computes_no_menu_after_the_step_that_stops_it():
+    # silent-dense style: every state stalls, and the a-menu of {s0} has an
+    # ambiguous target (weight 1 reaches the a-arcs of s1 and s2), so the
+    # search stops on its a step before it computes the b menu
+    a = validate({
+        "k": 1, "states": ["s0", "s1", "s2"], "initial": {"s0": [0]},
+        "events": {"u": None, "a": "a", "b": "b"},
+        "transitions": [(p, "u", q, [1]) for p in ("s0", "s1", "s2")
+                        for q in ("s0", "s1", "s2") if p != q]
+        + [("s0", "a", "s1", [0]), ("s1", "a", "s2", [0]), ("s2", "a", "s0", [0])]
+        + [(p, "b", p, [1]) for p in ("s0", "s1", "s2")]})
+    prepared = model.prepare(a)[0]
+    spd = check_spd(prepared)
+    assert spd.status == FAILS and spd.witness["kind"] == "ambiguous-estimate-can-stall"
+    assert spd.witness["access"] == [("a", 1)] and spd.witness["state"] == ["s0", "s2"]
+    x0 = frozenset({"s0"})
+    assert set(estimator.tables(prepared).menus) == {(x0, "a")}
+
+
 def test_check_all_builds_no_detector(monkeypatch):
     # nor any other structure: each is built whole when first read
     built = []
