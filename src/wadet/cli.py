@@ -64,10 +64,20 @@ def _parse_obs(text: str, k: int):
     return out
 
 
-def _write_dot(path: str | None, text: str) -> None:
+def _write(path: str | None, text: str) -> None:
+    """text to the file path, or to stdout when path is None, as UTF-8
+    whatever the locale: DOT names states as the document does."""
     if path:
-        with open(path, "w") as fh:
+        with open(path, "w", encoding="utf-8") as fh:
             fh.write(text)
+        return
+    out = getattr(sys.stdout, "buffer", None)
+    if out is None:  # a text stream with no bytes under it
+        sys.stdout.write(text)
+    else:
+        sys.stdout.flush()
+        out.write(text.encode("utf-8"))
+        out.flush()
 
 
 def cmd_validate(args) -> int:
@@ -91,12 +101,7 @@ def cmd_validate(args) -> int:
 
 
 def cmd_normalize(args) -> int:
-    document = io.serialize(normalize(_read_automaton(args.file)))
-    if args.output:
-        with open(args.output, "w") as fh:
-            fh.write(io.dumps(document))
-    else:
-        _emit(document)
+    _write(args.output, io.dumps(io.serialize(normalize(_read_automaton(args.file)))))
     return 0
 
 
@@ -109,7 +114,8 @@ def cmd_structure(args) -> int:
     prepared, m = _prepared(args)
     structure = build(prepared)
     _emit(to_json(structure, m))
-    _write_dot(args.dot, to_dot(structure))
+    if args.dot:
+        _write(args.dot, to_dot(structure))
     return 0
 
 
@@ -158,12 +164,7 @@ def cmd_gen(args) -> int:
         a = corpus.random_automaton(args.seed, k=args.k)
     else:
         a = corpus.load_fixture(args.name).automaton
-    document = io.serialize(a)
-    if args.output:
-        with open(args.output, "w") as fh:
-            fh.write(io.dumps(document))
-    else:
-        _emit(document)
+    _write(args.output, io.dumps(io.serialize(a)))
     return 0
 
 
@@ -173,10 +174,7 @@ def cmd_export(args) -> int:
     else:
         build, _, to_dot = _STRUCTURES[args.what]
         text = to_dot(build(_prepared(args)[0]))
-    if args.dot:
-        _write_dot(args.dot, text)
-    else:
-        sys.stdout.write(text)
+    _write(args.dot, text)
     return 0
 
 

@@ -386,8 +386,7 @@ def _solve_support(k: int, support: list[tuple], u, v, z: Vec, budget: _Budget):
     n, m = len(support), len(eqs)
     var_bound = min(((n + m) * (amax + bmax + 1)) ** (min(m, 6) + 1), 10 ** 9)
 
-    assignment = [0] * n
-    result = _dfs_solve(eqs, assignment, 0, var_bound, budget)
+    result = _dfs_solve(eqs, n, var_bound, budget)
     if result == "UNKNOWN":
         return "UNKNOWN"
     if result is None:
@@ -429,56 +428,51 @@ def _linear_screen(eqs):
     return None
 
 
-def _dfs_solve(eqs, assignment, idx, var_bound, budget: _Budget):
-    if not budget.spend():
-        return "UNKNOWN"
-    n = len(assignment)
-    if idx == n:
-        return list(assignment) if all(
-            sum(c * x for c, x in zip(coeffs, assignment)) == rhs for coeffs, rhs in eqs
-        ) else None
-    # residual feasibility: an equation whose free variables all have zero
-    # coefficient must already match; gcd of free coefficients must divide
-    for coeffs, rhs in eqs:
-        fixed = sum(c * x for c, x in zip(coeffs[:idx], assignment[:idx]))
-        free = coeffs[idx:]
-        g = 0
-        for c in free:
-            g = gcd(g, c)
-        if g == 0:
-            if fixed != rhs:
-                return None
-        elif (rhs - fixed) % g:
-            return None
-    for val in range(var_bound + 1):
-        assignment[idx] = val
-        # prune on equations whose remaining coefficients have one sign;
-        # stop scanning entirely once larger values cannot recover
-        ok = True
-        hopeless = False
-        for coeffs, rhs in eqs:
-            fixed = sum(c * x for c, x in zip(coeffs[: idx + 1], assignment[: idx + 1]))
-            rest = coeffs[idx + 1:]
-            if fixed > rhs and all(c >= 0 for c in rest):
-                ok = False
-                hopeless = coeffs[idx] >= 0
-                break
-            if fixed < rhs and all(c <= 0 for c in rest):
-                ok = False
-                hopeless = coeffs[idx] <= 0
-                break
-        if ok:
-            sub = _dfs_solve(eqs, assignment, idx + 1, var_bound, budget)
-            if sub == "UNKNOWN" or sub is not None:
-                assignment[idx] = 0
-                return sub
-        if hopeless:
-            break
+def _dfs_solve(eqs, n: int, var_bound: int, budget: _Budget):
+    """Values 0..var_bound of the n unknowns, in order, that satisfy every
+    equation, by depth-first search; None, or 'UNKNOWN' when the budget
+    runs out.  A node carries the gap of each equation (the sum of its
+    fixed prefix less its right-hand side), and each suffix of
+    coefficients is read once: per position i and equation, its gcd and
+    whether it is all >= 0 or all <= 0."""
+    coeffs = [c for c, _ in eqs]
+    gcds = [[gcd(*cs[i:]) for cs in coeffs] for i in range(n + 1)]
+    signs = [[(min(cs[i:], default=0) >= 0, max(cs[i:], default=0) <= 0) for cs in coeffs]
+             for i in range(n + 1)]
+    assignment = [0] * n
+
+    def solve(idx: int, gaps: list[int]):
         if not budget.spend():
-            assignment[idx] = 0
             return "UNKNOWN"
-    assignment[idx] = 0
-    return None
+        if idx == n:
+            return None if any(gaps) else list(assignment)
+        # residual feasibility: an equation whose free variables all have
+        # zero coefficient must already match; gcd of free coefficients
+        # must divide
+        if any(d % g if g else d for d, g in zip(gaps, gcds[idx])):
+            return None
+        step = [cs[idx] for cs in coeffs]
+        rows = list(zip(signs[idx + 1], step))
+        for val in range(var_bound + 1):
+            assignment[idx] = val
+            # prune on the first equation whose remaining coefficients have
+            # one sign that cannot close its gap; stop scanning entirely
+            # once larger values cannot recover it
+            for d, ((nonneg, nonpos), c) in zip(gaps, rows):
+                if d > 0 and nonneg or d < 0 and nonpos:
+                    if d * c >= 0:
+                        return None
+                    break
+            else:
+                found = solve(idx + 1, gaps)
+                if found is not None:
+                    return found
+            if not budget.spend():
+                return "UNKNOWN"
+            gaps = [d + c for d, c in zip(gaps, step)]
+        return None
+
+    return solve(0, [-r for _, r in eqs])
 
 
 def _euler_walk(multiplicity: dict[tuple, int], u, v) -> list[tuple] | None:

@@ -51,17 +51,18 @@ live one is kept).  So no cell, witness, target or exactness flag
 changes.  estimate_step reads every state: any may be the one whose
 walk query runs out of budget.
 
-A built structure keeps, per estimate, its steps as (symbol, weight,
-target, cell) tuples in canonical order (EstimatorAutomaton.successors);
-the checkers and the exports read these lists, and EstTransition objects
-are made only when transitions is read.  The menus themselves come in
-no fixed order: successor_steps is the one place that orders them.
+An observer or a detector is explored on demand: an EstimatorAutomaton
+holds the initial estimate and its successor function (successor_steps),
+which the searches of verify read, and explores the rest only when the
+whole structure is read; EstTransition objects are made only when
+transitions is read.  The menus themselves come in no fixed order:
+successor_steps is the one place that orders them.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations
 from operator import add, sub
@@ -82,20 +83,35 @@ class EstTransition:
     cell: EPSet | None  # all weights inducing this target; None for k > 1
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EstimatorAutomaton:
-    """An observer or a detector.  successors[x] lists the steps out of
-    the estimate x as (symbol, weight, target, cell), in canonical order:
-    by symbol, then repr(weight) and sorted target.  transitions holds the
-    same steps as EstTransition objects, sources in sorted order, built
-    when first read; deciding the properties reads none."""
+    """An observer or a detector: steps(x) gives the steps out of the
+    estimate x as (symbol, weight, target, cell) in canonical order, one
+    batch per symbol with whether its menu was exact (successor_steps).
+    Reading states, successors[x] (the steps of x joined), exact or
+    transitions (the steps as EstTransition objects, sources sorted) first
+    explores every estimate reachable from initial (_explore)."""
 
     kind: str  # "observer" | "detector"
     k: int
     initial: frozenset[str]
-    states: frozenset[frozenset[str]]
-    successors: Mapping[frozenset[str], tuple[tuple, ...]] = field(hash=False)
-    exact: bool
+    steps: Callable[[frozenset[str]], Iterator[tuple[list[tuple], bool]]]
+
+    @cached_property
+    def _explored(self) -> tuple[dict[frozenset[str], tuple[tuple, ...]], bool]:
+        return _explore(self)
+
+    @property
+    def successors(self) -> Mapping[frozenset[str], tuple[tuple, ...]]:
+        return self._explored[0]
+
+    @property
+    def exact(self) -> bool:
+        return self._explored[1]
+
+    @cached_property
+    def states(self) -> frozenset[frozenset[str]]:
+        return frozenset(self.successors)
 
     @cached_property
     def transitions(self) -> tuple[EstTransition, ...]:
@@ -497,7 +513,7 @@ def successor_steps(a: WeightedAutomaton,
     states each successor estimate becomes, in sorted order.  Symbols come
     sorted, the entries of a menu by repr(witness), which no two entries
     share (k = 1 cells are disjoint, and a k > 1 target keeps the least
-    weight of its own weights).  _explore and the searches of verify read
+    weight of its own weights).  The searches of verify and _explore read
     it, so a search computes the menus only of the estimates it reaches,
     up to the batch it stops at, each once per automaton (Tables.menus)."""
     table = tables(a)
@@ -523,26 +539,24 @@ def successor_steps(a: WeightedAutomaton,
     return steps
 
 
-def _explore(kind: str, a: WeightedAutomaton,
-             split: Callable[[frozenset[str]], list[frozenset[str]]]) -> EstimatorAutomaton:
+def _explore(est: EstimatorAutomaton) -> tuple[dict[frozenset[str], tuple[tuple, ...]], bool]:
     """Breadth-first concatenation of current-state estimates from the
-    initial closure, over the joined batches of successor_steps(a, split)."""
-    steps = successor_steps(a, split)
-    x0 = instantaneous_closure(a, a.initial.keys())
-    states: set[frozenset[str]] = {x0}
+    initial one, over the joined batches of est.steps: the steps of every
+    reachable estimate, and whether every menu was exact."""
     successors: dict[frozenset[str], tuple[tuple, ...]] = {}
     exact = True
-    queue = deque([x0])
+    seen = {est.initial}
+    queue = deque(seen)
     while queue:
         x = queue.popleft()
-        batches = list(steps(x))
+        batches = list(est.steps(x))
         successors[x] = tuple(step for batch, _ in batches for step in batch)
         exact = exact and all(ok for _, ok in batches)
         for _, _, y, _ in successors[x]:
-            if y not in states:
-                states.add(y)
+            if y not in seen:
+                seen.add(y)
                 queue.append(y)
-    return EstimatorAutomaton(kind, a.k, x0, frozenset(states), successors, exact)
+    return successors, exact
 
 
 def _whole(target: frozenset[str]) -> list[frozenset[str]]:
@@ -558,11 +572,13 @@ def _pairs(target: frozenset[str]) -> list[frozenset[str]]:
 def build_observer(a: WeightedAutomaton) -> EstimatorAutomaton:
     """Deterministic estimator over (symbol, weight) events; one transition
     per nonempty cell."""
-    return _explore("observer", a, _whole)
+    return EstimatorAutomaton("observer", a.k, instantaneous_closure(a, a.initial.keys()),
+                              successor_steps(a, _whole))
 
 
 def build_detector(a: WeightedAutomaton) -> EstimatorAutomaton:
     """Nondeterministic estimator whose states (besides the initial one)
     are the 1- and 2-element state sets; estimates of size >= 2 fan out to
     all their 2-element subsets."""
-    return _explore("detector", a, _pairs)
+    return EstimatorAutomaton("detector", a.k, instantaneous_closure(a, a.initial.keys()),
+                              successor_steps(a, _pairs))

@@ -11,15 +11,16 @@ behind a witness.  Only when meets answers None, for an open total, does
 the table's sync decide the pair (estimator._Rows.sync): a walk query on
 the asynchronous product of the kept silent arcs, whose YES or NO the
 table keeps per key for the prepared automaton.  The queries of one
-build or search share one budget, and an exhausted budget marks the
+composition share one budget, and an exhausted budget marks the
 transition as possibly missing, which downgrades a would-be HOLDS
 verdict to UNKNOWN.
 
-The successors of a composition state are sorted (events, target) keys,
-each with the first arc pair that synchronizes into it, computed by one
-function (_Expander.successors) for the breadth-first build and for the
-SD search alike.  The transitions as objects and their witness walks are
-made from those lists only when read; deciding SD reads neither.
+A SelfComposition is explored on demand: successors_of(s) computes the
+successors of a state s once, as sorted (events, target) keys, each with
+the first arc pair that synchronizes into it.  The SD search reads only
+that, and a read of the whole composition explores the rest with the
+same budget.  The transitions as objects and their witness walks are
+made only when read; deciding SD reads neither.
 
 Strong detectability fails exactly when the self-composition can run
 forever, afterwards split into two distinct states, and the left
@@ -59,14 +60,15 @@ Those hold the search's path from its root to q, the part, and every
 closed component, whose states the search has expanded in full; so the
 split path runs through the part to a candidate in it, or into a closed
 component that reaches one.  check_sd(a, cc) runs the same search over
-cc.successors, so it gives the same witness.
+cc, explored or not, and keeps its own record of the states it visits,
+so it gives the same witness.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from collections.abc import Callable, Iterator, Mapping
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property, partial
 from itertools import product
 
@@ -97,47 +99,31 @@ Successors = dict[Pair, dict[tuple[tuple[str, str], Pair], Sync]]
 class Witnesses(Mapping[CCTransition, Paths]):
     """Per transition, one realizing pair of paths of the original
     automaton, built each time it is read: deciding the properties reads
-    none, and a silent walk can be long (epl.witness_walk)."""
+    none, and a silent walk can be long (epl.witness_walk).  Reading the
+    witness of a transition out of an expanded state expands no other."""
 
-    def __init__(self, successors: Successors) -> None:
-        self.successors = successors
+    def __init__(self, cc: SelfComposition) -> None:
+        self.cc = cc
 
     def __getitem__(self, tr: CCTransition) -> Paths:
-        prefixes, t1, tails1, t2, tails2 = self.successors[tr.source][tr.events, tr.target]
+        cc, source = self.cc, tr.source
+        # an unexpanded source is looked up in the whole composition, so a
+        # pair that is no state of it is a KeyError
+        out = cc.successors_of(source) if source in cc.expanded else cc.successors[source]
+        prefixes, t1, tails1, t2, tails2 = out[tr.events, tr.target]
         left, right = prefixes()
         return left + (t1,) + tails1[tr.target[0]], right + (t2,) + tails2[tr.target[1]]
 
     def __contains__(self, tr: object) -> bool:
         return (isinstance(tr, CCTransition)
-                and (tr.events, tr.target) in self.successors.get(tr.source, ()))
+                and (tr.events, tr.target) in self.cc.successors.get(tr.source, ()))
 
     def __iter__(self) -> Iterator[CCTransition]:
-        for source in sorted(self.successors):
-            for events, target in self.successors[source]:
-                yield CCTransition(source, events, target)
+        out = self.cc.successors
+        return (CCTransition(s, events, target) for s in sorted(out) for events, target in out[s])
 
     def __len__(self) -> int:
-        return sum(map(len, self.successors.values()))
-
-
-@dataclass
-class SelfComposition:
-    """successors[s] maps the key (events, target) of each transition out
-    of s, in sorted order, to the first arc pair that synchronizes into it;
-    transitions and witnesses are built from it when first read."""
-    initial: frozenset[Pair]
-    states: frozenset[Pair]
-    successors: Successors
-    unknown_queries: tuple = ()
-    stats: dict = field(default_factory=dict)
-
-    @cached_property
-    def witnesses(self) -> Witnesses:
-        return Witnesses(self.successors)
-
-    @cached_property
-    def transitions(self) -> frozenset[CCTransition]:
-        return frozenset(self.witnesses)
+        return sum(map(len, self.cc.successors.values()))
 
 
 def _no_prefixes() -> Paths:
@@ -145,24 +131,30 @@ def _no_prefixes() -> Paths:
     return (), ()
 
 
-class _Expander:
-    """The successors of one composition state at a time: the breadth-first
-    build and the SD search both call successors, so they share one code
-    path, one budget for the walk queries of open totals (_Rows.sync), one
-    query count and one list of the queries left UNKNOWN."""
+class SelfComposition:
+    """The self-composition of a prepared automaton: successors_of(s)
+    expands the state s once and keeps its successors in expanded, the
+    walk queries of every expansion spending one budget (queries counts
+    them, unknown lists those left UNKNOWN).  Reading successors, states,
+    unknown_queries or stats first explores the rest breadth-first from
+    the sorted initial pairs (_explore)."""
 
-    def __init__(self, a: WeightedAutomaton, budget: int):
-        self.a = a
+    def __init__(self, a: WeightedAutomaton, budget: int = DEFAULT_BUDGET):
+        self.initial = frozenset((p, q) for p in a.initial for q in a.initial)
+        self.expanded: Successors = {}
         self.budget = _Budget(budget)
-        self.table = tables(a)
-        self.fast = not a.unobs_transitions
         self.queries = 0
         self.unknown: list[tuple] = []
+        self.a = a
+        self.table = tables(a)
+        self.fast = not a.unobs_transitions
         self.ends = {q: sorted(tails) for q, tails in a.zero_paths.items()}
 
-    def successors(self, state: Pair) -> dict[tuple[tuple[str, str], Pair], Sync]:
+    def successors_of(self, state: Pair) -> dict[tuple[tuple[str, str], Pair], Sync]:
         """The (events, target) keys out of state, in sorted order, each
         with the first arc pair that synchronizes into it."""
+        if state in self.expanded:
+            return self.expanded[state]
         a, fast, ends, meets = self.a, self.fast, self.ends, self.table.meets
         queries = 0
         q1, q2 = state
@@ -203,29 +195,56 @@ class _Expander:
                                     t1, a.zero_paths[t1[2]], t2, a.zero_paths[t2[2]])
                         out[events, target] = pair
         self.queries += queries
-        return dict(sorted(out.items()))
+        out = self.expanded[state] = dict(sorted(out.items()))
+        return out
+
+    @cached_property
+    def successors(self) -> Successors:
+        return _explore(self)
+
+    @cached_property
+    def states(self) -> frozenset[Pair]:
+        return frozenset(self.successors)
+
+    @property
+    def unknown_queries(self) -> tuple:
+        self.successors  # explores the rest first
+        return tuple(self.unknown)
+
+    @property
+    def stats(self) -> dict:
+        self.successors  # explores the rest first
+        return {"epl_queries": self.queries, "fast_path": self.fast}
+
+    @property
+    def witnesses(self) -> Witnesses:
+        return Witnesses(self)  # not kept: that would be a reference cycle
+
+    @cached_property
+    def transitions(self) -> frozenset[CCTransition]:
+        return frozenset(self.witnesses)
 
 
-def _initial_pairs(a: WeightedAutomaton) -> frozenset[Pair]:
-    return frozenset((p, q) for p in a.initial for q in a.initial)
-
-
-def build_self_composition(a: WeightedAutomaton,
-                           budget: int = DEFAULT_BUDGET) -> SelfComposition:
-    expander = _Expander(a, budget)
-    initial = _initial_pairs(a)
+def _explore(cc: SelfComposition) -> Successors:
+    """The successors of every state reachable from the initial pairs of
+    cc, breadth-first from them in sorted order."""
     successors: Successors = {}
-    queue = deque(sorted(initial))
+    queue = deque(sorted(cc.initial))
     seen = set(queue)
     while queue:
         state = queue.popleft()
-        successors[state] = out = expander.successors(state)
+        successors[state] = out = cc.successors_of(state)
         for _, target in out:
             if target not in seen:
                 seen.add(target)
                 queue.append(target)
-    return SelfComposition(initial, frozenset(seen), successors, tuple(expander.unknown),
-                           {"epl_queries": expander.queries, "fast_path": expander.fast})
+    return successors
+
+
+def build_self_composition(a: WeightedAutomaton,
+                           budget: int = DEFAULT_BUDGET) -> SelfComposition:
+    """The self-composition of a, explored as far as it is read."""
+    return SelfComposition(a, budget)
 
 
 # ---------------------------------------------------------------------
@@ -261,15 +280,11 @@ def check_sd(a: WeightedAutomaton, cc: SelfComposition | None = None,
 
     Fails iff some composition state on a cycle can reach a state with
     distinct components whose left component can still reach a cycle of
-    the automaton.  Without cc the composition is explored only as far as
-    the search needs; with cc the same search reads cc.successors, so both
-    give the same verdict and witness."""
-    if cc is None:
-        expander = _Expander(a, budget)
-        initial, successors = _initial_pairs(a), expander.successors
-    else:
-        initial, successors = cc.initial, cc.successors.__getitem__
-    q1p, outs, candidates = _first_anchor(a, initial, successors)
+    the automaton.  The search reads cc, or a fresh composition with the
+    given budget, through successors_of, so it explores only as much of
+    it as it needs."""
+    cc = cc or build_self_composition(a, budget)
+    q1p, outs, candidates = _first_anchor(a, cc.initial, cc.successors_of)
     if q1p is not None:
         # the witness paths stay within the visited states, which hold the
         # DFS path from an initial pair to q1p, its part and a way from it
@@ -280,7 +295,7 @@ def check_sd(a: WeightedAutomaton, cc: SelfComposition | None = None,
         a_steps = lambda q: [(t, t[2]) for t in a.arcs_from[q]]
         split_path, q2p = find_path(cc_steps, q1p, candidates)
         cycle = find_cycle(cc_steps, q1p)
-        for start in sorted(s for s in initial if s in outs):
+        for start in sorted(s for s in cc.initial if s in outs):
             access = find_path(cc_steps, start, {q1p})
             if access is not None:
                 break
@@ -300,7 +315,7 @@ def check_sd(a: WeightedAutomaton, cc: SelfComposition | None = None,
         })
     # the search ended without an anchor, so it visited every reachable
     # state and made every synchronization query
-    if (expander.unknown if cc is None else cc.unknown_queries):
+    if cc.unknown:
         return Verdict(SD, UNKNOWN, None,
                        "self-composition has possibly-missing transitions")
     return Verdict(SD, HOLDS, None)

@@ -52,14 +52,14 @@ may lie on the cycle), anchor (the cycle must pass one) and stops
   shortest paths among the visited estimates, which hold the search's
   path to it and the part.
 
-Each checker computes the steps of each estimate it reaches one symbol
-at a time (estimator.successor_steps), so a search that stops at x
-computes no later menu of x, or reads the successors of a structure
-passed in, with the same verdict and witness (either way a stop comes
-from the first step to the stopping estimate).  Given an exact
-observer, check_spd also searches it, with every estimate of two or
-more states allowed on a cycle, and raises InternalError when the two
-decided answers differ.
+Each checker searches the structure passed in, or a fresh one, through
+its steps (EstimatorAutomaton.steps), one symbol at a time, so a search
+that stops at x computes no later menu of x; it keeps its own record of
+the estimates it visits, so a structure explored before gives the same
+verdict and witness.  Given an exact observer, check_spd also searches
+it, with every estimate of two or more states allowed on a cycle, and
+raises InternalError when the two decided answers differ; reading
+whether it is exact explores it whole, so check_all passes none.
 
 Verdicts carry replayable witnesses; UNKNOWN appears only when a bounded
 fallback (k > 1) failed to close or an exact-path-length budget ran out.
@@ -69,13 +69,11 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from functools import cached_property
 
 from .epl import DEFAULT_BUDGET
-from .estimator import (EstimatorAutomaton, _pairs, _whole, build_detector, build_observer,
-                        successor_steps)
+from .estimator import EstimatorAutomaton, build_detector, build_observer
 from .graphutil import find_cycle, find_path, strong_components
-from .model import WeightedAutomaton, instantaneous_closure, prepare
+from .model import WeightedAutomaton, prepare
 from .selfcomp import SelfComposition, build_self_composition, check_sd
 from .verdict import FAILS, HOLDS, SD, SPD, UNKNOWN, WD, WPD, InternalError, Verdict
 
@@ -112,24 +110,15 @@ class _Stop(Exception):
     """Ends a search at the first estimate that stops it."""
 
 
-def _route(a: WeightedAutomaton, est: EstimatorAutomaton | None, split):
-    """The initial estimate and the successor function of a search: the
-    steps of est, as one batch, when a structure is passed in, else the
-    batches successor_steps(a, split) computes for each estimate reached."""
-    if est is None:
-        return instantaneous_closure(a, a.initial.keys()), successor_steps(a, split)
-    return est.initial, lambda x: ((est.successors[x], est.exact),)
-
-
-def _lasso(x0: frozenset[str], successors, allowed, anchor,
-           stops) -> tuple[dict | None, bool]:
-    """The first lasso that one search from x0 meets (see the module
-    docstring), or None; and whether the search read an inexact menu.
-    successors(x) gives the steps of x as (symbol, weight, target, cell)
-    in batches, each with whether it is exact; it is called once per
-    estimate the search reaches.  A lasso is {access, state} for an
-    estimate that stops the search, and {access, cycle, cycle_states} for
-    a cycle of allowed estimates through an anchor."""
+def _lasso(est: EstimatorAutomaton, allowed, anchor, stops) -> tuple[dict | None, bool]:
+    """The first lasso that one search of est from its initial estimate x0
+    meets (see the module docstring), or None; and whether the search read
+    an inexact menu.  est.steps(x) gives the steps of x as (symbol, weight,
+    target, cell) in batches, each with whether it is exact; it is called
+    once per estimate the search reaches.  A lasso is {access, state} for
+    an estimate that stops the search, and {access, cycle, cycle_states}
+    for a cycle of allowed estimates through an anchor."""
+    x0, successors = est.initial, est.steps
     outs: dict[frozenset[str], list] = {}
     seen = {x0}
     queue = deque([x0])  # estimates outside allowed to expand, and roots
@@ -201,11 +190,10 @@ def check_spd(a: WeightedAutomaton, detector: EstimatorAutomaton | None = None,
     the module docstring).  An exact observer is searched as a
     cross-check."""
     stalls = lambda x: len(x) > 1 and not a.stall_states.isdisjoint(x)
-    found, inexact = _lasso(*_route(a, detector, _pairs), lambda x: len(x) == 2,
+    found, inexact = _lasso(detector or build_detector(a), lambda x: len(x) == 2,
                             _anywhere, stalls)
     if observer is not None and observer.exact and (found is not None or not inexact):
-        other, _ = _lasso(*_route(a, observer, _whole), lambda x: len(x) > 1,
-                          _anywhere, stalls)
+        other, _ = _lasso(observer, lambda x: len(x) > 1, _anywhere, stalls)
         if (found is None) != (other is None):
             raise InternalError("detector and observer searches disagree")
     if found is None:
@@ -244,8 +232,7 @@ def check_wd(a: WeightedAutomaton, observer: EstimatorAutomaton | None = None) -
     silent = _silent_cycle_witness(a)
     if silent is not None:
         return Verdict(WD, HOLDS, silent, "some infinite run stops producing output")
-    found, inexact = _lasso(*_route(a, observer, _whole), _alone, _alone,
-                            lambda x: False)
+    found, inexact = _lasso(observer or build_observer(a), _alone, _alone, lambda x: False)
     return _weak(WD, found, inexact, {"kind": "no-detection-route",
                                       "nonsingleton_cycles_only": True})
 
@@ -256,7 +243,7 @@ def check_wpd(a: WeightedAutomaton, observer: EstimatorAutomaton | None = None) 
     if not a.has_infinite_run:
         return Verdict(WPD, HOLDS, {"kind": "no-infinite-run"},
                        "no infinite run exists")
-    found, inexact = _lasso(*_route(a, observer, _whole), _anywhere, _alone,
+    found, inexact = _lasso(observer or build_observer(a), _anywhere, _alone,
                             lambda x: len(x) == 1 and not a.stall_states.isdisjoint(x))
     return _weak(WPD, found, inexact, {"kind": "no-detection-route"})
 
@@ -268,28 +255,14 @@ def check_wpd(a: WeightedAutomaton, observer: EstimatorAutomaton | None = None) 
 
 @dataclass
 class AnalysisResult:
+    """The verdicts, and the structures their searches explored: each is
+    explored further only when it is read."""
     automaton: WeightedAutomaton  # normalized, integer-scaled
     scale: int
     verdicts: dict[str, Verdict]
-    budget: int
-
-    @cached_property
-    def self_composition(self) -> SelfComposition:
-        """The whole self-composition, built on first read: deciding SD
-        explores only as much of it as its search needs."""
-        return build_self_composition(self.automaton, self.budget)
-
-    @cached_property
-    def observer(self) -> EstimatorAutomaton:
-        """The whole observer, built on first read: deciding WD and WPD
-        explores only as much of it as their searches need."""
-        return build_observer(self.automaton)
-
-    @cached_property
-    def detector(self) -> EstimatorAutomaton:
-        """The whole detector, built on first read: deciding SPD explores
-        only as much of it as its search needs."""
-        return build_detector(self.automaton)
+    self_composition: SelfComposition
+    observer: EstimatorAutomaton
+    detector: EstimatorAutomaton
 
     def statuses(self) -> dict[str, str]:
         return {p: v.status for p, v in self.verdicts.items()}
@@ -297,13 +270,15 @@ class AnalysisResult:
 
 def check_all(a: WeightedAutomaton, budget: int = DEFAULT_BUDGET) -> AnalysisResult:
     """Normalize, scale and decide all four notions, each by its own
-    on-the-fly search; the self-composition, the observer and the
-    detector are built when they are read."""
+    search of the self-composition, the detector or the observer, each
+    built once and explored only as far as the searches need."""
     prepared, m = prepare(a)
+    cc = build_self_composition(prepared, budget)
+    observer, detector = build_observer(prepared), build_detector(prepared)
     verdicts = {
-        SD: check_sd(prepared, budget=budget),
-        SPD: check_spd(prepared),
-        WD: check_wd(prepared),
-        WPD: check_wpd(prepared),
+        SD: check_sd(prepared, cc),
+        SPD: check_spd(prepared, detector),
+        WD: check_wd(prepared, observer),
+        WPD: check_wpd(prepared, observer),
     }
-    return AnalysisResult(prepared, m, verdicts, budget)
+    return AnalysisResult(prepared, m, verdicts, cc, observer, detector)

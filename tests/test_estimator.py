@@ -699,7 +699,7 @@ def test_generator_menus_equal_all_state_menus():
     fewer, cycle = 0, False
     for raw in draws + chains + [zero_cycle()]:
         a = prepare(raw)[0]
-        build_observer(a), build_detector(a)
+        build_observer(a).states, build_detector(a).states  # explored whole
         table = estimator.tables(a)
         order = cell_order if a.k == 1 else menu_order
         for (x, sigma), (menu, ok) in table.menus.items():

@@ -360,22 +360,22 @@ def test_check_one_property_matches_its_entry_in_check_all(tmp_path, capsys):
 
 
 def test_check_one_property_builds_only_what_it_reads(tmp_path, capsys, monkeypatch):
-    # no property builds a structure; check sd reads no estimate, and
-    # check spd and check wd read only part of the robot's detector and
-    # observer, each estimate once
-    from wadet import estimator, verify
+    # no property explores a structure whole; check sd reads no estimate,
+    # and check spd and check wd read only part of the robot's detector
+    # and observer, each estimate once
+    from wadet import estimator
     from wadet.estimator import build_detector, build_observer
     from wadet.model import normalize, scale_to_integers
     explored, read = [], []
-    explore, steps = estimator._explore, verify.successor_steps
+    explore, steps = estimator._explore, estimator.successor_steps
     monkeypatch.setattr(estimator, "_explore",
-                        lambda kind, a, split: explored.append(kind) or explore(kind, a, split))
+                        lambda est: explored.append(est.kind) or explore(est))
 
     def counted(a, split):
         fn = steps(a, split)
         return lambda x: read.append(x) or fn(x)
 
-    monkeypatch.setattr(verify, "successor_steps", counted)
+    monkeypatch.setattr(estimator, "successor_steps", counted)
     robot = load_fixture("robot").automaton
     path = tmp_path / "robot.json"
     path.write_text(io.dumps(io.serialize(robot)))
@@ -554,7 +554,7 @@ def test_cli_closes_the_file_and_reads_it_as_utf8(tmp_path):
     # under -X dev an unclosed file prints a ResourceWarning, and without
     # UTF-8 mode in the C locale the locale's encoding is ASCII: the
     # document, which names a state "q1é" in UTF-8 (RFC 8259), must still
-    # read
+    # read, and the DOT the CLI writes, to a file or to stdout, is UTF-8
     import os
     import subprocess
     import sys
@@ -569,3 +569,14 @@ def test_cli_closes_the_file_and_reads_it_as_utf8(tmp_path):
     assert "ResourceWarning" not in proc.stderr
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout)["verdict"]["status"] == "HOLDS"
+    out = tmp_path / "out.dot"
+    for command in (["export", str(path), "--dot", str(out)],
+                    ["observer", str(path), "--dot", str(out)],
+                    ["export", str(path)]):
+        out.unlink(missing_ok=True)
+        proc = subprocess.run(
+            [sys.executable, "-X", "dev", "-W", "error::ResourceWarning", "-m", "wadet.cli",
+             *command], capture_output=True, env=env)
+        assert proc.returncode == 0, (command, proc.stderr)
+        dot = out.read_bytes() if "--dot" in command else proc.stdout
+        assert "q1\u00e9" in dot.decode("utf-8"), command

@@ -417,6 +417,7 @@ def test_failed_search_with_unknown_queries_is_unknown():
         assert check_all(a, 10 ** 5).verdicts[SD].status == UNKNOWN
         prepared = scale_to_integers(normalize(a))[0]
         cc = build_self_composition(prepared, 10 ** 5)
+        assert cc.states  # explored whole
         assert check_sd(prepared, cc).status == UNKNOWN
 
 
@@ -424,8 +425,8 @@ def test_check_all_explores_part_of_the_composition(monkeypatch):
     # robot: SD fails on a cycle that the search closes before it reaches
     # most of the composition, which is built whole only when it is read
     visited = []
-    successors = selfcomp._Expander.successors
-    monkeypatch.setattr(selfcomp._Expander, "successors",
+    successors = selfcomp.SelfComposition.successors_of
+    monkeypatch.setattr(selfcomp.SelfComposition, "successors_of",
                         lambda self, state: visited.append(state) or successors(self, state))
     a = load_fixture("robot").automaton
     result = check_all(a)
@@ -443,8 +444,8 @@ def test_robot_sd_search_stops_at_the_first_cycle_it_sees(monkeypatch):
     # the search reports a cycle that reaches a split candidate the moment
     # it sees it, 6 states in, not when its component closes (67 states)
     visited = []
-    successors = selfcomp._Expander.successors
-    monkeypatch.setattr(selfcomp._Expander, "successors",
+    successors = selfcomp.SelfComposition.successors_of
+    monkeypatch.setattr(selfcomp.SelfComposition, "successors_of",
                         lambda self, state: visited.append(state) or successors(self, state))
     a = scale_to_integers(normalize(load_fixture("robot").automaton))[0]
     assert check_sd(a).status == FAILS
@@ -454,7 +455,9 @@ def test_robot_sd_search_stops_at_the_first_cycle_it_sees(monkeypatch):
 def test_check_all_sd_equals_the_built_route():
     for a in AUTOMATA.values():
         prepared = scale_to_integers(normalize(a))[0]
-        built = check_sd(prepared, build_self_composition(prepared))
+        cc = build_self_composition(prepared)
+        assert cc.states  # explored whole
+        built = check_sd(prepared, cc)
         assert json.dumps(check_all(a).verdicts[SD].to_json()) == json.dumps(built.to_json())
 
 
@@ -486,13 +489,13 @@ def test_synchronizer_built_only_when_a_total_is_none():
         if seed in (17, 39):
             continue
         a = scale_to_integers(normalize(random_automaton(seed, k=2)))[0]
-        cc = build_self_composition(a)
+        unknown = build_self_composition(a).unknown_queries  # explored whole
         table = tables(a)
         assert bool(table.products) == bool(table.answers)
         if table.answers:
             silent_with += 1
         else:
-            assert cc.unknown_queries == ()
+            assert unknown == ()
             silent_without += bool(a.unobs_transitions)
     assert silent_without >= 5 and silent_with >= 1, (silent_without, silent_with)
 

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from wadet import estimator, io, model, verify
+from wadet import estimator, io, model, selfcomp, verify
 from wadet.corpus import load_fixture, random_automaton
 from wadet.estimator import EstTransition, build_detector, build_observer
 from wadet.graphutil import find_cycle, find_path, reachable
@@ -190,10 +190,12 @@ def spd_documents():
 
 
 def test_spd_search_routes_agree():
-    # each search over the lazy successor function and over a built
-    # structure's lists: byte-identical verdicts, inexact draws included
+    # each search over a fresh structure, which it explores on demand,
+    # and over one explored whole before: byte-identical verdicts,
+    # inexact draws included
     for a in spd_documents():
         detector, observer = build_detector(a), build_observer(a)
+        assert detector.states and observer.states  # explored whole
         for lazy, built in ((check_spd(a), check_spd(a, detector)),
                             (check_wd(a), check_wd(a, observer)),
                             (check_wpd(a), check_wpd(a, observer))):
@@ -254,13 +256,13 @@ def test_robot_spd_search_stops_at_the_first_cycle_it_sees(monkeypatch):
     # the search reports a cycle of two-element estimates the moment it
     # sees it, 4 estimates in, not when its component closes (70 estimates)
     read = []
-    steps = verify.successor_steps
+    steps = estimator.successor_steps
 
     def counted(a, split):
         fn = steps(a, split)
         return lambda x: read.append(x) or fn(x)
 
-    monkeypatch.setattr(verify, "successor_steps", counted)
+    monkeypatch.setattr(estimator, "successor_steps", counted)
     a = scale_to_integers(normalize(load_fixture("robot").automaton))[0]
     spd = check_spd(a)
     assert spd.status == FAILS and spd.witness["kind"] == "ambiguous-cycle"
@@ -287,25 +289,66 @@ def test_spd_search_computes_no_menu_after_the_step_that_stops_it():
 
 
 def test_check_all_builds_no_detector(monkeypatch):
-    # nor any other structure: each is built whole when first read
+    # nor explores any other structure whole: each is explored whole when
+    # its states are first read
     built = []
-    explore, build_cc = estimator._explore, verify.build_self_composition
+    explore, explore_cc = estimator._explore, selfcomp._explore
     monkeypatch.setattr(estimator, "_explore",
-                        lambda kind, a, split: built.append(kind) or explore(kind, a, split))
-    monkeypatch.setattr(verify, "build_self_composition",
-                        lambda a, budget: built.append("selfcomp") or build_cc(a, budget))
+                        lambda est: built.append(est.kind) or explore(est))
+    monkeypatch.setattr(selfcomp, "_explore",
+                        lambda cc: built.append("selfcomp") or explore_cc(cc))
     fixtures = [load_fixture(name).automaton for name in ("A0", "A1", "robot")]
     results = [check_all(a) for a in fixtures]
     assert built == []
     for res in results:
         for kind, build in (("observer", build_observer), ("detector", build_detector)):
             est = getattr(res, kind)
-            assert built == [kind] and getattr(res, kind) is est  # on first read
+            assert est.states and built == [kind] and getattr(res, kind) is est  # on first read
             assert io.estimator_to_json(est) == io.estimator_to_json(build(res.automaton))
             built.clear()
         cc = res.self_composition
-        assert built == ["selfcomp"] and res.self_composition is cc
+        assert cc.states and built == ["selfcomp"] and res.self_composition is cc
         built.clear()
+
+
+def test_check_all_result_keeps_what_its_searches_read(monkeypatch):
+    # check_all explores no structure whole; its result's structures, once
+    # read whole, serialize as fresh builds of a fresh preparation do; and
+    # the witnesses of the SD witness's edges expand no composition state
+    # that the SD search did not
+    explored, calls = [], []
+    explore, explore_cc = estimator._explore, selfcomp._explore
+    successors_of = selfcomp.SelfComposition.successors_of
+    monkeypatch.setattr(estimator, "_explore",
+                        lambda est: explored.append(est.kind) or explore(est))
+    monkeypatch.setattr(selfcomp, "_explore",
+                        lambda cc: explored.append("selfcomp") or explore_cc(cc))
+    monkeypatch.setattr(selfcomp.SelfComposition, "successors_of",
+                        lambda cc, s: calls.append(s) or successors_of(cc, s))
+    documents = [load_fixture(name).automaton for name in ("A0", "A1", "robot")]
+    documents += [random_automaton(seed, k=2) for seed in (0, 5, 11, 23)]
+    witnessed = 0
+    for raw in documents:
+        calls.clear()
+        result = check_all(raw)
+        assert explored == [], raw
+        cc, searched = result.self_composition, set(calls)
+        sd = result.verdicts[SD]
+        if sd.status == FAILS:
+            calls.clear()
+            for part in ("cc_access", "cc_cycle", "cc_split_path"):
+                for tr in sd.witness[part]:
+                    assert cc.witnesses[tr]
+            assert calls and set(calls) <= searched == set(cc.expanded), raw
+            witnessed += 1
+        fresh, m = model.prepare(raw)
+        assert io.selfcomp_to_json(cc, m) \
+            == io.selfcomp_to_json(selfcomp.build_self_composition(fresh), m), raw
+        for kind, build in (("observer", build_observer), ("detector", build_detector)):
+            assert io.estimator_to_json(getattr(result, kind), m) \
+                == io.estimator_to_json(build(fresh), m), (raw, kind)
+        explored.clear()
+    assert witnessed == 2
 
 
 @pytest.mark.parametrize("k, seed", [(2, 11), (2, 17), (2, 38), (2, 39), (3, 17), (3, 39)])
@@ -332,8 +375,7 @@ from wadet.verify import check_spd
 if __debug__:
     raise SystemExit("not optimized")
 a, _ = scale_to_integers(normalize(load_fixture("A1").automaton))
-one_state = EstimatorAutomaton("observer", 1, frozenset({"q0"}),
-                               frozenset({frozenset({"q0"})}), {frozenset({"q0"}): ()}, True)
+one_state = EstimatorAutomaton("observer", 1, frozenset({"q0"}), lambda x: iter([([], True)]))
 try:
     check_spd(a, build_detector(a), one_state)
 except InternalError:
