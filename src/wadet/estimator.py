@@ -36,8 +36,9 @@ sets read off the row of q, or None (open) where that row is.  _Rows
 decides an open total by a walk query over its kept silent arcs, the
 only calls of epl.has_path_with_weight, and keeps each YES and NO for
 the prepared automaton.  The kind's methods answer every question about
-a total: the self-composition's synchronization test and the silent
-walks behind it, the menus, and the membership test of the estimate
+a total: the self-composition's two, whether two arcs synchronize (sync)
+and the silent walks behind a pair that does (walks), the menus, and the
+membership test of the estimate
 step under one observed (symbol, increment) (estimate_step; estimate,
 behind wadet estimate, chains it along an observed sequence).
 
@@ -61,7 +62,6 @@ successor_steps is the one place that orders them.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations
@@ -70,6 +70,7 @@ from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from .epl import DEFAULT_BUDGET, EplAnswer, WeightSetSolver, _Budget, has_path_with_weight
 from .epset import EPSet, eps_intersect, eps_meets, eps_min_abs_witness, eps_partition, eps_shift
+from .graphutil import explore
 from .model import Transition, WeightedAutomaton, instantaneous_closure, make_weight, prepare
 from .verdict import UNKNOWN
 
@@ -90,7 +91,7 @@ class EstimatorAutomaton:
     batch per symbol with whether its menu was exact (successor_steps).
     Reading states, successors[x] (the steps of x joined), exact or
     transitions (the steps as EstTransition objects, sources sorted) first
-    explores every estimate reachable from initial (_explore)."""
+    explores every estimate reachable from initial (graphutil.explore)."""
 
     kind: str  # "observer" | "detector"
     k: int
@@ -99,7 +100,16 @@ class EstimatorAutomaton:
 
     @cached_property
     def _explored(self) -> tuple[dict[frozenset[str], tuple[tuple, ...]], bool]:
-        return _explore(self)
+        """The steps of every reachable estimate, and whether every menu
+        was exact."""
+        batches = explore([self.initial], self._batches,
+                          lambda out: (step[2] for batch, _ in out for step in batch))
+        return ({x: tuple(step for batch, _ in out for step in batch)
+                 for x, out in batches.items()},
+                all(ok for out in batches.values() for _, ok in out))
+
+    def _batches(self, x: frozenset[str]) -> list[tuple[list[tuple], bool]]:
+        return list(self.steps(x))
 
     @property
     def successors(self) -> Mapping[frozenset[str], tuple[tuple, ...]]:
@@ -197,11 +207,14 @@ class Tables(dict):
     of the estimate (successor_steps), its cells in no fixed order.
 
     Each kind of totals is a subclass, _Periodic or _Rows, whose methods
-    answer every question about a total: meets(p1, p2), whether two share
-    a member; has(total, delta); prefixes(q1, arc1, q2, arc2), the silent
-    walks behind the member that two arcs' totals share; menu(a, x,
-    sigma).  meets and has answer None for an open total, which only a
-    walk query of _Rows decides (query).  A kind is never an object that
+    answer every question about a total.  The self-composition asks two:
+    sync(q1, arc1, q2, arc2, budget), whether the totals of arc1 from q1
+    and arc2 from q2 share a member (True, False, or UNKNOWN when a walk
+    query ran out of budget), and walks(q1, arc1, q2, arc2), the silent
+    walks behind a pair that sync answered True.  The menus ask
+    menu(a, x, sigma) and the estimate step has(total, delta), which
+    answers None for an open total, which only a walk query of _Rows
+    decides (query).  A kind is never an object that
     points back at its Tables: that cycle would keep every Tables, and
     its automaton, alive until the cycle collector runs."""
 
@@ -237,13 +250,12 @@ class Tables(dict):
 
 class _Periodic(Tables):
     """The k = 1 tables: a total is the EPSet W(q, s) + w, read off the
-    weight-set solver of a (solver), built with the tables; meets is
-    eps_meets itself, read from this module when the tables are built
-    and called with no method frame; every menu is exact (successor_cells)."""
+    weight-set solver of a (solver), built with the tables; sync is
+    eps_meets of the two totals, which are never open; every menu is
+    exact (successor_cells)."""
 
     def __init__(self, a: WeightedAutomaton):
         super().__init__(a)
-        self.meets = eps_meets
         self.solver = WeightSetSolver(a)
 
     def total(self, q: str, s: str, w: tuple) -> EPSet:
@@ -252,7 +264,10 @@ class _Periodic(Tables):
     def has(self, total: EPSet, delta: tuple) -> bool:
         return delta[0] in total
 
-    def prefixes(self, q1: str, arc1: tuple, q2: str, arc2: tuple) -> tuple:
+    def sync(self, q1: str, arc1: tuple, q2: str, arc2: tuple, budget: _Budget) -> bool:
+        return eps_meets(arc1[2], arc2[2])
+
+    def walks(self, q1: str, arc1: tuple, q2: str, arc2: tuple) -> tuple:
         """The silent walks behind the shared member nearest 0 (epl.witness_walk)."""
         m = eps_min_abs_witness(eps_intersect(arc1[2], arc2[2]))
         return tuple(self.solver.witness_walk(q, t[0], m - t[3][0])
@@ -267,7 +282,8 @@ class _Rows(Tables):
     off the silent row of q (row), or None, open, when that row is.  Only
     a walk query decides an open total (query, asked by sync for the
     self-composition and by estimate_step), and answers keeps each YES
-    and NO for the prepared automaton, so none is asked twice.
+    and NO for the prepared automaton, so none is asked twice, and walks
+    reads the walk behind an open pair off the YES that sync kept.
 
     rows holds, per state q, the silent row R(q) as (parent, weights),
     built on first read (row), or None when R(q) is infinite or holds more
@@ -340,9 +356,6 @@ class _Rows(Tables):
         row = self.row(q)
         return None if row is None else frozenset(tuple(map(add, x, w)) for x in row[1][s])
 
-    def meets(self, p1: frozenset | None, p2: frozenset | None) -> bool | None:
-        return None if p1 is None or p2 is None else not p1.isdisjoint(p2)
-
     def has(self, total: frozenset | None, delta: tuple) -> bool | None:
         return None if total is None else tuple(delta) in total
 
@@ -355,11 +368,17 @@ class _Rows(Tables):
             walk.append(t)
         return tuple(reversed(walk))
 
-    def prefixes(self, q1: str, arc1: tuple, q2: str, arc2: tuple) -> tuple:
-        """The silent walks behind the least shared member (walk)."""
-        m = min(arc1[2] & arc2[2])
-        return tuple(self.walk(q, (t[0], tuple(map(sub, m, t[3]))))
-                     for q, (t, _, _) in ((q1, arc1), (q2, arc2)))
+    def walks(self, q1: str, arc1: tuple, q2: str, arc2: tuple) -> tuple:
+        """The silent walks behind a YES of sync: for two finite totals,
+        those behind the least shared member (walk); else the left and the
+        right moves of the product walk kept in answers."""
+        (t1, _, p1), (t2, _, p2) = arc1, arc2
+        if p1 is None or p2 is None:
+            z = tuple(map(sub, t2[3], t1[3]))
+            walk = self.answers[(q1, q2), (t1[0], t2[0]), z][0].walk
+            return tuple(tuple(tag[1] for _, tag, _, _ in walk if tag[0] == side) for side in "LR")
+        m = min(p1 & p2)
+        return tuple(self.walk(q, (t[0], tuple(map(sub, m, t[3])))) for q, t in ((q1, t1), (q2, t2)))
 
     def query(self, arcs: Sequence[tuple], u, v, z: tuple, budget: _Budget) -> EplAnswer:
         """Is there a walk u -> v of weight z over arcs, which u fixes: the
@@ -371,20 +390,20 @@ class _Rows(Tables):
             found = self.answers[u, v, z] = has_path_with_weight(arcs, u, v, z, budget), budget
         return found[0]
 
-    def sync(self, q1: str, q2: str, t1: Transition, t2: Transition, budget: _Budget):
-        """A builder of the (left, right) silent walks q1 -> src(t1) and
-        q2 -> src(t2) that give t1 and t2 a common total, None, or UNKNOWN.
-        A walk of the product from (q1, q2) to (s1, s2) interleaves a walk
-        q1 -> s1 of weight x with one q2 -> s2 of weight y, negated, so it
-        weighs x - y; and any two such walks interleave into one.  So one of
-        weight z = w2 - w1 exists exactly when x + w1 lies in both totals:
-        the question meets answers when neither is open."""
+    def sync(self, q1: str, arc1: tuple, q2: str, arc2: tuple, budget: _Budget):
+        """Whether the totals of arc1 from q1 and arc2 from q2 share a
+        member: True, False, or UNKNOWN.  Two finite totals answer at once.
+        Else a walk query on the product decides, spending budget: a walk
+        of the product from (q1, q2) to (s1, s2) interleaves a walk q1 -> s1
+        of weight x with one q2 -> s2 of weight y, negated, so it weighs
+        x - y; and any two such walks interleave into one.  So one of weight
+        z = w2 - w1 exists exactly when x + w1 lies in both totals."""
+        (t1, _, p1), (t2, _, p2) = arc1, arc2
+        if p1 is not None and p2 is not None:
+            return not p1.isdisjoint(p2)
         z = tuple(map(sub, t2[3], t1[3]))
-        answer = self.query(self.product(q1, q2), (q1, q2), (t1[0], t2[0]), z, budget)
-        if answer.status != "YES":
-            return None if answer.status == "NO" else UNKNOWN
-        return lambda: tuple(tuple(tag[1] for _, tag, _, _ in answer.walk if tag[0] == side)
-                             for side in "LR")
+        status = self.query(self.product(q1, q2), (q1, q2), (t1[0], t2[0]), z, budget).status
+        return UNKNOWN if status == UNKNOWN else status == "YES"
 
     def product(self, q1: str, q2: str) -> list[tuple]:
         """The arcs of the product of the kept silent arcs from (q1, q2),
@@ -513,7 +532,7 @@ def successor_steps(a: WeightedAutomaton,
     states each successor estimate becomes, in sorted order.  Symbols come
     sorted, the entries of a menu by repr(witness), which no two entries
     share (k = 1 cells are disjoint, and a k > 1 target keeps the least
-    weight of its own weights).  The searches of verify and _explore read
+    weight of its own weights).  The searches of verify and graphutil.explore read
     it, so a search computes the menus only of the estimates it reaches,
     up to the batch it stops at, each once per automaton (Tables.menus)."""
     table = tables(a)
@@ -537,26 +556,6 @@ def successor_steps(a: WeightedAutomaton,
             yield batch, ok
 
     return steps
-
-
-def _explore(est: EstimatorAutomaton) -> tuple[dict[frozenset[str], tuple[tuple, ...]], bool]:
-    """Breadth-first concatenation of current-state estimates from the
-    initial one, over the joined batches of est.steps: the steps of every
-    reachable estimate, and whether every menu was exact."""
-    successors: dict[frozenset[str], tuple[tuple, ...]] = {}
-    exact = True
-    seen = {est.initial}
-    queue = deque(seen)
-    while queue:
-        x = queue.popleft()
-        batches = list(est.steps(x))
-        successors[x] = tuple(step for batch, _ in batches for step in batch)
-        exact = exact and all(ok for _, ok in batches)
-        for _, _, y, _ in successors[x]:
-            if y not in seen:
-                seen.add(y)
-                queue.append(y)
-    return successors, exact
 
 
 def _whole(target: frozenset[str]) -> list[frozenset[str]]:

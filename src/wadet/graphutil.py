@@ -1,4 +1,9 @@
-"""Small graph routines shared by the analysis modules."""
+"""Small graph routines shared by the analysis modules.
+
+explore is the one breadth-first completion of a structure explored on
+demand (the self-composition, the observer and the detector): it reads
+each state's successors once, in the order the structure's own budget
+is spent in."""
 
 from __future__ import annotations
 
@@ -6,6 +11,7 @@ from collections import deque
 from typing import Callable, Hashable, Iterable, Iterator, TypeVar
 
 V = TypeVar("V", bound=Hashable)
+T = TypeVar("T")
 
 
 def reachable(starts: Iterable[V], succ: Callable[[V], Iterable[V]]) -> set[V]:
@@ -18,6 +24,24 @@ def reachable(starts: Iterable[V], succ: Callable[[V], Iterable[V]]) -> set[V]:
                 seen.add(w)
                 stack.append(w)
     return seen
+
+
+def explore(roots: Iterable[V], succ: Callable[[V], T],
+            targets: Callable[[T], Iterable[V]]) -> dict[V, T]:
+    """succ(v) for every v reachable from roots, keyed in the order
+    visited: breadth-first from roots in their order, the vertices that
+    targets(succ(v)) names being queued in the order named."""
+    outs: dict[V, T] = {}
+    queue = deque(roots)
+    seen = set(queue)
+    while queue:
+        v = queue.popleft()
+        outs[v] = out = succ(v)
+        for w in targets(out):
+            if w not in seen:
+                seen.add(w)
+                queue.append(w)
+    return outs
 
 
 def strong_components(

@@ -5,22 +5,24 @@ events whose preceding silent-prefix-plus-event weights coincide.  For a
 composition state (q1, q2) and same-label arcs t1, t2 usable from q1 and
 q2 it reads the totals P(q1, t1) and P(q2, t2) of estimator.tables,
 the weights of a silent walk from the state to the arc's source plus the
-arc's weight, and the pair synchronizes iff the two share a member,
-which the table's meets decides; its prefixes builds the silent walks
-behind a witness.  Only when meets answers None, for an open total, does
-the table's sync decide the pair (estimator._Rows.sync): a walk query on
-the asynchronous product of the kept silent arcs, whose YES or NO the
-table keeps per key for the prepared automaton.  The queries of one
-composition share one budget, and an exhausted budget marks the
-transition as possibly missing, which downgrades a would-be HOLDS
-verdict to UNKNOWN.
+arc's weight, and the pair synchronizes iff the two share a member.
+The composition asks the table two questions: sync, whether the pair
+synchronizes, and walks, the silent walks behind a pair that does, asked
+only when a witness is read.  An automaton with no silent arc compares
+the arcs' weights instead of asking sync, since those are its totals.
+For k > 1 an open total makes sync a walk query on the asynchronous
+product of the kept silent arcs (estimator._Rows.sync), whose YES or NO
+the table keeps per key for the prepared automaton, walks reading its
+walk from there.  The queries of one composition share one budget, and an exhausted
+budget marks the transition as possibly missing, which downgrades a
+would-be HOLDS verdict to UNKNOWN.
 
 A SelfComposition is explored on demand: successors_of(s) computes the
 successors of a state s once, as sorted (events, target) keys, each with
 the first arc pair that synchronizes into it.  The SD search reads only
 that, and a read of the whole composition explores the rest with the
-same budget.  The transitions as objects and their witness walks are
-made only when read; deciding SD reads neither.
+same budget (graphutil.explore).  The transitions as objects and their
+witness walks are made only when read; deciding SD reads neither.
 
 Strong detectability fails exactly when the self-composition can run
 forever, afterwards split into two distinct states, and the left
@@ -66,15 +68,14 @@ so it gives the same witness.
 
 from __future__ import annotations
 
-from collections import deque
 from collections.abc import Callable, Iterator, Mapping
 from dataclasses import dataclass
-from functools import cached_property, partial
+from functools import cached_property
 from itertools import product
 
 from .epl import DEFAULT_BUDGET, _Budget
 from .estimator import tables
-from .graphutil import find_cycle, find_path, strong_components
+from .graphutil import explore, find_cycle, find_path, strong_components
 from .model import Transition, WeightedAutomaton
 from .verdict import FAILS, HOLDS, SD, UNKNOWN, InternalError, Verdict
 
@@ -89,11 +90,11 @@ class CCTransition:
 
 
 Paths = tuple[tuple[Transition, ...], tuple[Transition, ...]]
-# the synchronizing arc pair t1, t2 behind a transition: a function that
-# builds the silent prefixes, then t1, the zero-weight tails after t1 by
-# end state, t2 and the tails after t2
-Sync = tuple[Callable[[], Paths], Transition, Mapping, Transition, Mapping]
-Successors = dict[Pair, dict[tuple[tuple[str, str], Pair], Sync]]
+# per (events, target) key out of a state, the first arc pair that
+# synchronizes into it: two entries (transition, label, total) of
+# estimator.tables
+Out = dict[tuple[tuple[str, str], Pair], tuple[tuple, tuple]]
+Successors = dict[Pair, Out]
 
 
 class Witnesses(Mapping[CCTransition, Paths]):
@@ -110,9 +111,10 @@ class Witnesses(Mapping[CCTransition, Paths]):
         # an unexpanded source is looked up in the whole composition, so a
         # pair that is no state of it is a KeyError
         out = cc.successors_of(source) if source in cc.expanded else cc.successors[source]
-        prefixes, t1, tails1, t2, tails2 = out[tr.events, tr.target]
-        left, right = prefixes()
-        return left + (t1,) + tails1[tr.target[0]], right + (t2,) + tails2[tr.target[1]]
+        arc1, arc2 = out[tr.events, tr.target]
+        left, right = cc.table.walks(source[0], arc1, source[1], arc2)
+        t1, t2, tails = arc1[0], arc2[0], cc.a.zero_paths
+        return left + (t1,) + tails[t1[2]][tr.target[0]], right + (t2,) + tails[t2[2]][tr.target[1]]
 
     def __contains__(self, tr: object) -> bool:
         return (isinstance(tr, CCTransition)
@@ -126,18 +128,19 @@ class Witnesses(Mapping[CCTransition, Paths]):
         return sum(map(len, self.cc.successors.values()))
 
 
-def _no_prefixes() -> Paths:
-    """The prefixes of an automaton with no silent arc: none exist."""
-    return (), ()
+def _same_weight(q1: str, arc1: tuple, q2: str, arc2: tuple, budget: _Budget) -> bool:
+    """The synchronization test of an automaton with no silent arc, whose
+    totals are the arcs' own weights."""
+    return arc1[0][3] == arc2[0][3]
 
 
 class SelfComposition:
     """The self-composition of a prepared automaton: successors_of(s)
     expands the state s once and keeps its successors in expanded, the
     walk queries of every expansion spending one budget (queries counts
-    them, unknown lists those left UNKNOWN).  Reading successors, states,
-    unknown_queries or stats first explores the rest breadth-first from
-    the sorted initial pairs (_explore)."""
+    the table's sync calls, unknown lists those left UNKNOWN).  Reading
+    successors, states, unknown_queries or stats first explores the rest
+    breadth-first from the sorted initial pairs (graphutil.explore)."""
 
     def __init__(self, a: WeightedAutomaton, budget: int = DEFAULT_BUDGET):
         self.initial = frozenset((p, q) for p in a.initial for q in a.initial)
@@ -148,15 +151,16 @@ class SelfComposition:
         self.a = a
         self.table = tables(a)
         self.fast = not a.unobs_transitions
+        self.sync = _same_weight if self.fast else self.table.sync
         self.ends = {q: sorted(tails) for q, tails in a.zero_paths.items()}
 
-    def successors_of(self, state: Pair) -> dict[tuple[tuple[str, str], Pair], Sync]:
+    def successors_of(self, state: Pair) -> Out:
         """The (events, target) keys out of state, in sorted order, each
         with the first arc pair that synchronizes into it."""
         if state in self.expanded:
             return self.expanded[state]
-        a, fast, ends, meets = self.a, self.fast, self.ends, self.table.meets
-        queries = 0
+        ends, sync, budget = self.ends, self.sync, self.budget
+        calls = 0
         q1, q2 = state
         by_label2 = self.table[q2][1]
         out: dict = {}
@@ -164,43 +168,30 @@ class SelfComposition:
         # yields a transition gives its witness, and product queries spend
         # one shared budget in this order
         for arc1 in self.table[q1][0]:
-            t1, label, p1 = arc1
-            arcs2 = by_label2.get(label)
+            arcs2 = by_label2.get(arc1[1])
             if arcs2 is None:
                 continue
+            t1 = arc1[0]
             for arc2 in arcs2:
-                t2, _, p2 = arc2
-                if fast:
-                    if t1[3] != t2[3]:
-                        continue
-                    prefixes = _no_prefixes
-                else:
-                    queries += 1
-                    met = meets(p1, p2)
-                    if met is None:  # an open total: a walk query decides
-                        prefixes = self.table.sync(q1, q2, t1, t2, self.budget)
-                        if prefixes == UNKNOWN:
-                            self.unknown.append(((q1, q2), t1, t2))
-                        if prefixes is None or prefixes == UNKNOWN:
-                            continue
-                    elif met:
-                        prefixes = None  # a table.prefixes call, bound if a key is new
-                    else:
-                        continue
-                events, pair = (t1[1], t2[1]), None
+                calls += 1
+                met = sync(q1, arc1, q2, arc2, budget)
+                if met is not True:
+                    if met == UNKNOWN:
+                        self.unknown.append(((q1, q2), t1, arc2[0]))
+                    continue
+                t2, pair = arc2[0], (arc1, arc2)
+                events = (t1[1], t2[1])
                 for target in product(ends[t1[2]], ends[t2[2]]):
                     if (events, target) not in out:
-                        if pair is None:
-                            pair = (prefixes or partial(self.table.prefixes, q1, arc1, q2, arc2),
-                                    t1, a.zero_paths[t1[2]], t2, a.zero_paths[t2[2]])
                         out[events, target] = pair
-        self.queries += queries
+        if not self.fast:
+            self.queries += calls
         out = self.expanded[state] = dict(sorted(out.items()))
         return out
 
     @cached_property
     def successors(self) -> Successors:
-        return _explore(self)
+        return explore(sorted(self.initial), self.successors_of, lambda out: (w for _, w in out))
 
     @cached_property
     def states(self) -> frozenset[Pair]:
@@ -223,22 +214,6 @@ class SelfComposition:
     @cached_property
     def transitions(self) -> frozenset[CCTransition]:
         return frozenset(self.witnesses)
-
-
-def _explore(cc: SelfComposition) -> Successors:
-    """The successors of every state reachable from the initial pairs of
-    cc, breadth-first from them in sorted order."""
-    successors: Successors = {}
-    queue = deque(sorted(cc.initial))
-    seen = set(queue)
-    while queue:
-        state = queue.popleft()
-        successors[state] = out = cc.successors_of(state)
-        for _, target in out:
-            if target not in seen:
-                seen.add(target)
-                queue.append(target)
-    return successors
 
 
 def build_self_composition(a: WeightedAutomaton,

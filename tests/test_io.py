@@ -363,13 +363,13 @@ def test_check_one_property_builds_only_what_it_reads(tmp_path, capsys, monkeypa
     # no property explores a structure whole; check sd reads no estimate,
     # and check spd and check wd read only part of the robot's detector
     # and observer, each estimate once
-    from wadet import estimator
+    from wadet import estimator, graphutil
     from wadet.estimator import build_detector, build_observer
     from wadet.model import normalize, scale_to_integers
     explored, read = [], []
-    explore, steps = estimator._explore, estimator.successor_steps
-    monkeypatch.setattr(estimator, "_explore",
-                        lambda est: explored.append(est.kind) or explore(est))
+    explore, steps = graphutil.explore, estimator.successor_steps
+    monkeypatch.setattr(estimator, "explore", lambda roots, succ, targets:
+                        explored.append(succ.__self__.kind) or explore(roots, succ, targets))
 
     def counted(a, split):
         fn = steps(a, split)

@@ -536,16 +536,16 @@ def test_sync_memo_answers_as_fresh_queries():
             for arc1 in table[q1][0]:
                 for arc2 in table[q2][1].get(arc1[1], ()):
                     (t1, _, p1), (t2, _, p2) = arc1, arc2
-                    met = table.meets(p1, p2)
                     key = (q1, q2, t1[0], t2[0], tuple(y - x for x, y in zip(t1[3], t2[3])))
-                    if met is None:
+                    budget, route = cc.budget, "rows"
+                    if p1 is None or p2 is None:
                         # the memo's own answer, under the budget it was kept for
                         asked.add(((q1, q2), key[2:4], key[4]))
                         budget = table.answers[(q1, q2), key[2:4], key[4]][1]
-                        answers.append((key, table.sync(q1, q2, t1, t2, budget), "product"))
-                    else:
-                        answer = partial(table.prefixes, q1, arc1, q2, arc2) if met else None
-                        answers.append((key, answer, "rows"))
+                        route = "product"
+                    met = table.sync(q1, arc1, q2, arc2, budget)
+                    answer = partial(table.walks, q1, arc1, q2, arc2) if met is True else met
+                    answers.append((key, answer, route))
         assert asked == set(table.answers)
         fresh_status = {}
         for key, answer, route in answers:
@@ -556,7 +556,7 @@ def test_sync_memo_answers_as_fresh_queries():
                 fresh_status[key] = has_path_with_weight(
                     arcs, repr((q1, q2)), repr((s1, s2)), z).status
             fresh = fresh_status[key]
-            status = ("NO" if answer is None else
+            status = ("NO" if answer is False else
                       "UNKNOWN" if answer == "UNKNOWN" else "YES")
             assert status == fresh, (a, q1, q2, s1, s2, z)
             if status == "YES":

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from wadet import estimator, io, model, selfcomp, verify
+from wadet import estimator, graphutil, io, model, selfcomp, verify
 from wadet.corpus import load_fixture, random_automaton
 from wadet.estimator import EstTransition, build_detector, build_observer
 from wadet.graphutil import find_cycle, find_path, reachable
@@ -292,11 +292,11 @@ def test_check_all_builds_no_detector(monkeypatch):
     # nor explores any other structure whole: each is explored whole when
     # its states are first read
     built = []
-    explore, explore_cc = estimator._explore, selfcomp._explore
-    monkeypatch.setattr(estimator, "_explore",
-                        lambda est: built.append(est.kind) or explore(est))
-    monkeypatch.setattr(selfcomp, "_explore",
-                        lambda cc: built.append("selfcomp") or explore_cc(cc))
+    explore = graphutil.explore
+    monkeypatch.setattr(estimator, "explore", lambda roots, succ, targets:
+                        built.append(succ.__self__.kind) or explore(roots, succ, targets))
+    monkeypatch.setattr(selfcomp, "explore", lambda roots, succ, targets:
+                        built.append("selfcomp") or explore(roots, succ, targets))
     fixtures = [load_fixture(name).automaton for name in ("A0", "A1", "robot")]
     results = [check_all(a) for a in fixtures]
     assert built == []
@@ -317,12 +317,12 @@ def test_check_all_result_keeps_what_its_searches_read(monkeypatch):
     # the witnesses of the SD witness's edges expand no composition state
     # that the SD search did not
     explored, calls = [], []
-    explore, explore_cc = estimator._explore, selfcomp._explore
+    explore = graphutil.explore
     successors_of = selfcomp.SelfComposition.successors_of
-    monkeypatch.setattr(estimator, "_explore",
-                        lambda est: explored.append(est.kind) or explore(est))
-    monkeypatch.setattr(selfcomp, "_explore",
-                        lambda cc: explored.append("selfcomp") or explore_cc(cc))
+    monkeypatch.setattr(estimator, "explore", lambda roots, succ, targets:
+                        explored.append(succ.__self__.kind) or explore(roots, succ, targets))
+    monkeypatch.setattr(selfcomp, "explore", lambda roots, succ, targets:
+                        explored.append("selfcomp") or explore(roots, succ, targets))
     monkeypatch.setattr(selfcomp.SelfComposition, "successors_of",
                         lambda cc, s: calls.append(s) or successors_of(cc, s))
     documents = [load_fixture(name).automaton for name in ("A0", "A1", "robot")]
