@@ -88,6 +88,10 @@ class CCTransition:
     events: tuple[str, str]
     target: Pair
 
+    def to_json(self) -> dict:
+        """The edge as io.selfcomp_to_json writes it."""
+        return {"from": list(self.source), "events": list(self.events), "to": list(self.target)}
+
 
 Paths = tuple[tuple[Transition, ...], tuple[Transition, ...]]
 # per (events, target) key out of a state, the first arc pair that
