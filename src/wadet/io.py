@@ -86,10 +86,11 @@ def _entries(document: Mapping, key: str, keys: set[str]):
 
 def _name_in(value, context: str, key: str | int, optional: bool = False):
     """value, the name at context[key] (an index) or context.key, that keys
-    a mapping: not a JSON array or object, and not null or missing unless
-    optional (a label, silent when it is)."""
-    if not isinstance(value, (str, int)) and (isinstance(value, (list, Mapping))
-                                               or value is None and not optional):
+    a mapping: not a JSON array, object or boolean (true would merge with
+    the name "True"), and not null or missing unless optional (a label,
+    silent when it is)."""
+    if type(value) is not str and (type(value) is bool or not isinstance(value, int) and (
+            isinstance(value, (list, Mapping)) or value is None and not optional)):
         path = f"{context}[{key}]" if type(key) is int else f"{context}.{key}"
         raise ParseError(f"must be a name, got {value!r}", path)
     return value
@@ -178,11 +179,14 @@ def dumps(document: dict) -> str:
 
 def loads(text: str) -> WeightedAutomaton:
     """Decode and validate an automaton document.  A weight written as 1.5
-    is exactly 3/2, and a long literal keeps every digit."""
+    is exactly 3/2, and a long literal keeps every digit.  A document
+    nested deeper than the decoder recurses is malformed too."""
     try:
         document = _DECODER.decode(text)
     except json.JSONDecodeError as exc:
         raise ParseError(f"malformed JSON: line {exc.lineno}, column {exc.colno}") from exc
+    except RecursionError as exc:
+        raise ParseError("malformed JSON: nested too deeply") from exc
     return parse(document)
 
 

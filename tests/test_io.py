@@ -100,6 +100,18 @@ def test_malformed_json_reports_location():
     assert "line" in str(err.value)
 
 
+def test_deeply_nested_document_is_an_input_error(tmp_path, capsys):
+    # the decoder recurses once per level, so nesting deeper than the
+    # recursion limit is malformed JSON (exit 3), not an internal error
+    bad = tmp_path / "deep.json"
+    for text in ("[" * 100000 + "]" * 100000, '{"states": ' + "[" * 5000 + "]" * 5000 + "}"):
+        bad.write_text(text)
+        assert main(["check", "all", str(bad)]) == 3
+        captured = capsys.readouterr()
+        assert json.loads(captured.err) == {"error": "malformed JSON: nested too deeply"}
+        assert captured.out == "" and "Traceback" not in captured.err
+
+
 def test_fixture_files_parse(tmp_path):
     for name in ("A0", "A1", "robot"):
         fx = load_fixture(name)
@@ -293,7 +305,11 @@ MISSING = object()
     ("transitions", "from", MISSING), ("transitions", "event", MISSING),
     ("transitions", "to", MISSING), ("initial", "state", MISSING), ("events", "name", MISSING),
     ("transitions", "from", ["q0"]), ("states", None, ["q0"]),
-], ids=["from", "event", "to", "state", "name", "from-array", "states-array"])
+    ("states", None, True), ("initial", "state", True), ("events", "name", False),
+    ("events", "label", False), ("transitions", "from", True), ("transitions", "event", False),
+    ("transitions", "to", True),
+], ids=["from", "event", "to", "state", "name", "from-array", "states-array", "states-true",
+        "state-true", "name-false", "label-false", "from-true", "event-false", "to-true"])
 def test_names_must_be_present_and_scalar(tmp_path, capsys, level, key, value):
     # the document declares a state and an event named "None", so a name
     # missing and read as str(None) would validate, as would the state
