@@ -36,11 +36,10 @@ sets read off the row of q, or None (open) where that row is.  _Rows
 decides an open total by a walk query over its kept silent arcs, the
 only calls of epl.has_path_with_weight, and keeps each YES and NO for
 the prepared automaton.  The kind's methods answer every question about
-a total: the self-composition's two, whether two arcs synchronize (sync)
-and the silent walks behind a pair that does (walks), the menus, and the
-membership test of the estimate
-step under one observed (symbol, increment) (estimate_step; estimate,
-behind wadet estimate, chains it along an observed sequence).
+a total: the self-composition's two (sync and walks), the menus, and
+the membership test of the estimate step under one observed (symbol,
+increment) (estimate_step; estimate, behind wadet estimate, chains it
+along an observed sequence).
 
 A menu of x reads only the generators of x (Tables.generators): its
 states in the instantaneous closure of no other of its states, and the
@@ -100,8 +99,6 @@ class EstimatorAutomaton:
 
     @cached_property
     def _explored(self) -> tuple[dict[frozenset[str], tuple[tuple, ...]], bool]:
-        """The steps of every reachable estimate, and whether every menu
-        was exact."""
         batches = explore([self.initial], self._batches,
                           lambda out: (step[2] for batch, _ in out for step in batch))
         return ({x: tuple(step for batch, _ in out for step in batch)
@@ -207,16 +204,14 @@ class Tables(dict):
     of the estimate (successor_steps), its cells in no fixed order.
 
     Each kind of totals is a subclass, _Periodic or _Rows, whose methods
-    answer every question about a total.  The self-composition asks two:
-    sync(q1, arc1, q2, arc2, budget), whether the totals of arc1 from q1
-    and arc2 from q2 share a member (True, False, or UNKNOWN when a walk
-    query ran out of budget), and walks(q1, arc1, q2, arc2), the silent
-    walks behind a pair that sync answered True.  The menus ask
-    menu(a, x, sigma) and the estimate step has(total, delta), which
-    answers None for an open total, which only a walk query of _Rows
-    decides (query).  A kind is never an object that
-    points back at its Tables: that cycle would keep every Tables, and
-    its automaton, alive until the cycle collector runs."""
+    answer every question about a total: sync(q1, arc1, q2, arc2, budget),
+    whether the totals of two arcs share a member (True, False or
+    UNKNOWN); walks(q1, arc1, q2, arc2), the silent walks behind a pair
+    that does; has(total, delta), None for an open total; menu(a, x,
+    sigma).  Only a walk query of _Rows decides an open total (query).
+    A kind is never an object that points back at its Tables: that cycle
+    would keep every Tables, and its automaton, alive until the cycle
+    collector runs."""
 
     def __init__(self, a: WeightedAutomaton):
         super().__init__()
@@ -282,8 +277,8 @@ class _Rows(Tables):
     off the silent row of q (row), or None, open, when that row is.  Only
     a walk query decides an open total (query, asked by sync for the
     self-composition and by estimate_step), and answers keeps each YES
-    and NO for the prepared automaton, so none is asked twice, and walks
-    reads the walk behind an open pair off the YES that sync kept.
+    and NO for the prepared automaton, so none is asked twice (walks
+    reads the walk behind an open pair off the YES that sync kept).
 
     rows holds, per state q, the silent row R(q) as (parent, weights),
     built on first read (row), or None when R(q) is infinite or holds more
@@ -369,9 +364,8 @@ class _Rows(Tables):
         return tuple(reversed(walk))
 
     def walks(self, q1: str, arc1: tuple, q2: str, arc2: tuple) -> tuple:
-        """The silent walks behind a YES of sync: for two finite totals,
-        those behind the least shared member (walk); else the left and the
-        right moves of the product walk kept in answers."""
+        """The silent walks behind the least shared member of two finite
+        totals (walk), else the two sides of the product walk in answers."""
         (t1, _, p1), (t2, _, p2) = arc1, arc2
         if p1 is None or p2 is None:
             z = tuple(map(sub, t2[3], t1[3]))

@@ -1,9 +1,5 @@
-"""Small graph routines shared by the analysis modules.
-
-explore is the one breadth-first completion of a structure explored on
-demand (the self-composition, the observer and the detector): it reads
-each state's successors once, in the order the structure's own budget
-is spent in."""
+"""Small graph routines shared by the analysis modules; explore is the
+one breadth-first completion of a structure explored on demand."""
 
 from __future__ import annotations
 
@@ -28,9 +24,10 @@ def reachable(starts: Iterable[V], succ: Callable[[V], Iterable[V]]) -> set[V]:
 
 def explore(roots: Iterable[V], succ: Callable[[V], T],
             targets: Callable[[T], Iterable[V]]) -> dict[V, T]:
-    """succ(v) for every v reachable from roots, keyed in the order
-    visited: breadth-first from roots in their order, the vertices that
-    targets(succ(v)) names being queued in the order named."""
+    """succ(v), called once, for every v reachable from roots, keyed in
+    the order visited: breadth-first from roots in their order, queueing
+    the vertices that targets(succ(v)) names in the order named, which is
+    the order a structure explored on demand spends its budget in."""
     outs: dict[V, T] = {}
     queue = deque(roots)
     seen = set(queue)

@@ -95,8 +95,7 @@ class CCTransition:
 
 Paths = tuple[tuple[Transition, ...], tuple[Transition, ...]]
 # per (events, target) key out of a state, the first arc pair that
-# synchronizes into it: two entries (transition, label, total) of
-# estimator.tables
+# synchronizes into it: two entries (transition, label, total) of tables(a)
 Out = dict[tuple[tuple[str, str], Pair], tuple[tuple, tuple]]
 Successors = dict[Pair, Out]
 

@@ -192,3 +192,19 @@ def test_walk_queries_are_asked_only_by_the_k_gt_1_tables():
                 if isinstance(node, ast.ImportFrom) and node.module == "epl"
                 for alias in node.names}
     assert from_epl == {"DEFAULT_BUDGET", "_Budget"}
+
+
+def test_the_composition_asks_the_tables_two_questions():
+    # the self-composition asks each kind of totals sync and walks and
+    # keeps arc pairs, binding no builder; graphutil.explore is the one
+    # breadth-first completion of a structure
+    trees = {stem: ast.parse((SRC / f"{stem}.py").read_text())
+             for stem in ("selfcomp", "estimator", "graphutil")}
+    assert names_in_code(trees["selfcomp"]) & {"meets", "prefixes", "partial"} == set()
+    assert {"sync", "walks", "explore"} <= names_in_code(trees["selfcomp"])
+    assert [name for _, name in definitions(trees["estimator"])
+            if name in ("meets", "prefixes", "_explore")] == []
+    importers = [stem for stem, tree in trees.items() for node in ast.walk(tree)
+                 if isinstance(node, (ast.Import, ast.ImportFrom))
+                 and any(alias.name.rpartition(".")[2] == "deque" for alias in node.names)]
+    assert importers == ["graphutil"]

@@ -572,3 +572,50 @@ def test_sync_memo_answers_as_fresh_queries():
             seen.append(status)
     assert seen.count("YES") > 10 and seen.count("NO") > 10, seen
     assert min(routes.values()) >= 10, routes
+
+
+# the draws whose composition decides some pair by a product walk query
+PRODUCT_ROUTE_DRAWS = [(2, 11), (2, 17), (2, 38), (2, 39), (3, 17), (3, 39), (3, 46), (3, 57)]
+
+
+def test_composition_keeps_arc_pairs_and_reads_witness_walks_off_kept_answers(monkeypatch):
+    # a successor of the composition is the first synchronizing arc pair,
+    # two entries of the tables, never a builder; reading a witness asks
+    # no walk query, and the walks behind an open pair are those of a
+    # fresh product query, split into their left and right moves (the
+    # composition's budget of 10^5 keeps draws 17 and 39 to a second)
+    asked = []
+    ask = estimator.has_path_with_weight
+    monkeypatch.setattr(estimator, "has_path_with_weight",
+                        lambda *args: asked.append(args[1:4]) or ask(*args))
+    for k, seed in PRODUCT_ROUTE_DRAWS:
+        result = check_all(random_automaton(seed, k=k), 10 ** 5)
+        cc, table = result.self_composition, tables(result.automaton)
+        assert cc.states
+        pairs = {}
+        for (q1, q2), out in cc.successors.items():
+            for (events, target), pair in out.items():
+                assert type(pair) is tuple and len(pair) == 2
+                assert not any(callable(x) for arc in pair for x in arc)
+                assert pair[0] in table[q1][0] and pair[1] in table[q2][1][pair[0][1]]
+                assert events == (pair[0][0][1], pair[1][0][1])
+                pairs[CCTransition((q1, q2), events, target)] = pair
+        asked.clear()
+        witnesses = cc.witnesses
+        read = {tr: witnesses[tr] for tr in witnesses}
+        assert asked == [] and read.keys() == pairs.keys(), (k, seed)
+        product_route = 0
+        for tr, (arc1, arc2) in pairs.items():
+            if arc1[2] is not None and arc2[2] is not None:
+                continue
+            product_route += 1
+            (q1, q2), (t1, t2) = tr.source, (arc1[0], arc2[0])
+            z = tuple(y - x for x, y in zip(t1[3], t2[3]))
+            fresh = ask(table.product(q1, q2), (q1, q2), (t1[0], t2[0]), z)
+            assert fresh.status == "YES"
+            split = tuple(tuple(tag[1] for _, tag, _, _ in fresh.walk if tag[0] == side)
+                          for side in "LR")
+            assert table.walks(q1, arc1, q2, arc2) == split, (k, seed, tr)
+            left, right = read[tr]
+            assert left[:len(split[0])] == split[0] and right[:len(split[1])] == split[1]
+        assert product_route, (k, seed)
