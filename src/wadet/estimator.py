@@ -99,14 +99,13 @@ class EstimatorAutomaton:
 
     @cached_property
     def _explored(self) -> tuple[dict[frozenset[str], tuple[tuple, ...]], bool]:
-        batches = explore([self.initial], self._batches,
-                          lambda out: (step[2] for batch, _ in out for step in batch))
-        return ({x: tuple(step for batch, _ in out for step in batch)
-                 for x, out in batches.items()},
-                all(ok for out in batches.values() for _, ok in out))
+        outs = explore([self.initial], self._joined, lambda out: (step[2] for step in out[0]))
+        return {x: steps for x, (steps, _) in outs.items()}, all(ok for _, ok in outs.values())
 
-    def _batches(self, x: frozenset[str]) -> list[tuple[list[tuple], bool]]:
-        return list(self.steps(x))
+    def _joined(self, x: frozenset[str]) -> tuple[tuple[tuple, ...], bool]:
+        """The steps of x, joined, and whether every menu of x was exact."""
+        batches = list(self.steps(x))
+        return tuple(step for batch, _ in batches for step in batch), all(ok for _, ok in batches)
 
     @property
     def successors(self) -> Mapping[frozenset[str], tuple[tuple, ...]]:
